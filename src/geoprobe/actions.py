@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DecisionParseError
-from .state import PoiHint
 
 
 class CapabilityModule(enum.Enum):
@@ -130,6 +129,19 @@ class Action:
         )
 
 
+def base_image_ref(ref: str) -> str:
+    """The image a reference names, without any crop suffix."""
+    return ref.split("#", 1)[0]
+
+
+def crop_payload(ref: str, box) -> dict:
+    """Crop result: the base image's ref with the box appended as a crop
+    suffix (two decimals each), plus the box itself."""
+    box = list(box)
+    suffix = ",".join(f"{v:.2f}" for v in box)
+    return {"image": f"{base_image_ref(ref)}#crop({suffix})", "box": box}
+
+
 def _valid_box(value) -> bool:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         return False
@@ -194,7 +206,7 @@ def validate_action(action: Action) -> list[ActionIssue]:
 
 DECISION_VERSION = "1"
 
-_ENVELOPE_KEYS = {"version", "thought", "actions", "finalize", "poi_hint"}
+_ENVELOPE_KEYS = {"version", "thought", "actions", "finalize"}
 
 
 @dataclass(frozen=True)
@@ -204,7 +216,6 @@ class Decision:
     thought: str
     actions: tuple[Action, ...] = ()
     finalize: bool = False
-    poi_hint: PoiHint | None = None
 
     def to_json(self) -> dict:
         return {
@@ -212,7 +223,6 @@ class Decision:
             "thought": self.thought,
             "actions": [a.to_json() for a in self.actions],
             "finalize": self.finalize,
-            "poi_hint": self.poi_hint.to_json() if self.poi_hint else None,
         }
 
 
@@ -298,17 +308,7 @@ def parse_decision(text: str, start_id: int, max_parallel: int) -> Decision:
             raise bad(f"actions[{i}]: args must be an object")
         actions.append(Action(id=start_id + i, module=module, tool=tool, args=dict(args)))
 
-    poi_hint = None
-    raw_hint = obj.get("poi_hint")
-    if raw_hint is not None:
-        if not isinstance(raw_hint, dict):
-            raise bad("poi_hint must be an object or null")
-        try:
-            poi_hint = PoiHint.from_json(raw_hint)
-        except (KeyError, TypeError, ValueError) as e:
-            raise bad(f"bad poi_hint: {e}") from None
-
-    return Decision(thought=thought, actions=tuple(actions), finalize=finalize, poi_hint=poi_hint)
+    return Decision(thought=thought, actions=tuple(actions), finalize=finalize)
 
 
 def render_action_schema() -> str:
@@ -320,11 +320,10 @@ def render_action_schema() -> str:
     lines = [
         'Reply with exactly one JSON object (prose around it is ignored):',
         '{"version": "1", "thought": "<reasoning>", "actions": [...], '
-        '"finalize": false, "poi_hint": null}',
+        '"finalize": false}',
         "",
         'Each action is {"module": "<module>", "tool": "<tool>", "args": {...}}.',
-        'To finalize instead of probing, send "finalize": true with no actions;',
-        'optionally set "poi_hint" to {"lat": <num>, "lon": <num>, "city": "<name>"}.',
+        'To finalize instead of probing, send "finalize": true with no actions.',
         "",
         "Modules and the tools they may drive:",
     ]

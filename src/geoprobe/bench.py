@@ -22,6 +22,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .defaults import DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS
 from .errors import (
     ConfigError,
     DatasetError,
@@ -626,9 +627,9 @@ def run_benchmark(
     adapters=None,
     tag_table=None,
     ablation: AblationConfig = AblationConfig(),
-    max_steps: int | None = None,
-    max_parallel: int = 4,
-    context_budget: int | None = None,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_parallel: int = DEFAULT_MAX_PARALLEL,
+    context_budget: int = DEFAULT_CONTEXT_BUDGET,
     workers: int = 1,
     trace_dir=None,
     config_hash: str = "bench",
@@ -641,8 +642,14 @@ def run_benchmark(
     synthetic adapters unless ``adapters`` is given, in which case those
     adapters serve the tool calls and must resolve image refs of the form
     ``scene/<sample id>``. Image-path samples need ``adapters`` plus a
-    gazetteer. A sample whose requirements are missing becomes an
+    gazetteer (``g``, or the world's); ``tag_table`` serves their evidence
+    extraction. A sample whose requirements are missing becomes an
     Exhausted entry.
+
+    Every episode is recorded by ``engine.record_episode``: its trace header
+    carries ``config_hash`` and the meta ``{image_ref, label, sample_id}``,
+    and with ``trace_dir`` set the trace is written to
+    ``<trace_dir>/<sample id>.trace.jsonl``.
 
     Episode-level parallelism: each worker owns its episode state, toolbox,
     and recorder, and results are assembled in dataset order, so a scripted
@@ -650,49 +657,26 @@ def run_benchmark(
     worker count. One sample's failure becomes an Exhausted entry; the run
     continues.
     """
-    from .engine import (
-        DEFAULT_CONTEXT_BUDGET,
-        DEFAULT_MAX_STEPS,
-        run_episode,
-        run_synthetic_episode,
-    )
-    from .recorder import TraceHeader, TraceRecorder
+    from .engine import record_episode, run_synthetic_episode
 
     if not samples:
         raise EmptyDatasetError("no samples to run")
     gazetteer = world.gazetteer if world is not None else g
     if gazetteer is None:
         raise ConfigError("run_benchmark needs a world or a gazetteer")
-    steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    budget = DEFAULT_CONTEXT_BUDGET if context_budget is None else context_budget
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_image_sample(sample: BenchmarkSample, trace_path: str | None):
-        header = TraceHeader(
-            gazetteer_hash=gazetteer.content_hash(),
-            config_hash=config_hash,
-            meta={"image_ref": sample.image, "sample_id": sample.id,
-                  "label": ablation.label()},
-        )
-        recorder = TraceRecorder(header, trace_path)
-        try:
-            return run_episode(
-                backend, adapters, gazetteer, recorder,
-                image_ref=sample.image,
-                tag_table=tag_table,
-                max_steps=steps,
-                max_parallel=max_parallel,
-                context_budget=budget,
-                ablation=ablation,
-            )
-        finally:
-            recorder.close()
-
     def run_one(sample: BenchmarkSample) -> BenchEntry:
         trace_path = (
             str(trace_dir / f"{sample.id}.trace.jsonl") if trace_dir else None
+        )
+        episode = dict(
+            trace_path=trace_path, config_hash=config_hash,
+            meta={"sample_id": sample.id, "label": ablation.label()},
+            max_steps=max_steps, max_parallel=max_parallel,
+            context_budget=context_budget, ablation=ablation,
         )
         try:
             if sample.descriptor is not None:
@@ -702,23 +686,16 @@ def run_benchmark(
                         error="descriptor sample needs a synthetic world")
                 result = run_synthetic_episode(
                     world, sample.descriptor, backend,
-                    image_ref=f"scene/{sample.id}",
-                    trace_path=trace_path,
-                    config_hash=config_hash,
-                    meta={"sample_id": sample.id, "label": ablation.label()},
-                    max_steps=steps,
-                    max_parallel=max_parallel,
-                    context_budget=budget,
-                    ablation=ablation,
-                    adapters=adapters,
-                )
+                    image_ref=f"scene/{sample.id}", adapters=adapters, **episode)
             else:
                 if adapters is None:
                     return BenchEntry(
                         sample.id, EpisodeStatus.EXHAUSTED, None,
                         error="image sample needs tool adapters; "
                               "sample has no embedded descriptor")
-                result = run_image_sample(sample, trace_path)
+                result = record_episode(
+                    backend, adapters, gazetteer,
+                    image_ref=sample.image, tag_table=tag_table, **episode)
         except Exception as exc:  # per-sample isolation: one failure never
             return BenchEntry(  # aborts the benchmark run
                 sample.id, EpisodeStatus.EXHAUSTED, None,

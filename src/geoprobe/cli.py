@@ -30,12 +30,12 @@ from .bench import (
 )
 from .canonical import canonical_json
 from .config import TOOLS_SYNTHETIC, RunConfig, build_backend, load_config
-from .engine import run_episode, run_synthetic_episode
+from .engine import record_episode, run_synthetic_episode
 from .errors import ConfigError, GeoprobeError, HashMismatchError, TraceFormatError
 from .executor import load_tag_table
-from .geo import Gazetteer, load_gazetteer
+from .geo import load_gazetteer
 from .live_tools import live_adapters
-from .recorder import TraceHeader, TraceRecorder, load_trace, replay
+from .recorder import load_trace, replay
 from .state import EpisodeStatus
 from .synthworld import (
     Difficulty,
@@ -74,11 +74,25 @@ def _load_descriptor(path: str) -> SceneDescriptor:
         raise ConfigError(f"bad descriptor file: {exc}")
 
 
-def _gazetteer_for(cfg: RunConfig, world) -> Gazetteer:
-    if world is not None:
-        return world.gazetteer
+def _tools(cfg: RunConfig):
+    """``(world, gazetteer, tag_table, adapters)`` for the config's tools.
+
+    Synthetic mode loads the world, whose toolbox the runner wires per
+    scene, so it has no tag table or adapters here. Live mode has no world.
+    """
+    if cfg.tools.mode == TOOLS_SYNTHETIC:
+        world = load_world(cfg.tools.world)
+        return world, world.gazetteer, None, None
     assert cfg.gazetteer is not None  # enforced by RunConfig validation
-    return load_gazetteer(cfg.gazetteer)
+    g = load_gazetteer(cfg.gazetteer)
+    tag_table = load_tag_table(cfg.tag_table, g) if cfg.tag_table else None
+    return None, g, tag_table, live_adapters(cfg.tools.endpoints())
+
+
+def _episode_settings(cfg: RunConfig) -> dict:
+    return dict(max_steps=cfg.max_steps, max_parallel=cfg.max_parallel,
+                context_budget=cfg.context_budget, ablation=cfg.ablation,
+                config_hash=cfg.config_hash())
 
 
 # -- run --------------------------------------------------------------------
@@ -89,49 +103,22 @@ def cmd_run(args) -> int:
     out = _out_dir(args, cfg)
     backend = build_backend(cfg)
     trace_path = out / "run.trace.jsonl"
+    world, g, tag_table, adapters = _tools(cfg)
+    settings = _episode_settings(cfg)
 
-    if cfg.tools.mode == TOOLS_SYNTHETIC:
+    if world is not None:
         if not args.descriptor:
             raise ConfigError("synthetic tools need --descriptor")
-        world = load_world(cfg.tools.world)
-        desc = _load_descriptor(args.descriptor)
         result = run_synthetic_episode(
-            world, desc, backend,
-            image_ref=args.image or "scene/0",
-            trace_path=str(trace_path),
-            config_hash=cfg.config_hash(),
-            max_steps=cfg.max_steps,
-            max_parallel=cfg.max_parallel,
-            context_budget=cfg.context_budget,
-            ablation=cfg.ablation,
-        )
-        g = world.gazetteer
+            world, _load_descriptor(args.descriptor), backend,
+            image_ref=args.image or "scene/0", trace_path=str(trace_path),
+            **settings)
     else:
         if not args.image:
             raise ConfigError("live tools need --image")
-        g = _gazetteer_for(cfg, None)
-        tag_table = (
-            load_tag_table(cfg.tag_table, g) if cfg.tag_table else None
-        )
-        adapters = live_adapters(cfg.tools.endpoints())
-        header = TraceHeader(
-            gazetteer_hash=g.content_hash(),
-            config_hash=cfg.config_hash(),
-            meta={"image_ref": args.image},
-        )
-        recorder = TraceRecorder(header, str(trace_path))
-        try:
-            result = run_episode(
-                backend, adapters, g, recorder,
-                image_ref=args.image,
-                tag_table=tag_table,
-                max_steps=cfg.max_steps,
-                max_parallel=cfg.max_parallel,
-                context_budget=cfg.context_budget,
-                ablation=cfg.ablation,
-            )
-        finally:
-            recorder.close()
+        result = record_episode(
+            backend, adapters, g, image_ref=args.image, tag_table=tag_table,
+            trace_path=str(trace_path), **settings)
 
     if result.prediction is None:
         print(f"exhausted; trace: {trace_path}")
@@ -151,29 +138,12 @@ def cmd_bench(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     samples = load_dataset(args.dataset)
-    backend = build_backend(cfg)
-
-    world = None
-    adapters = None
-    g = None
-    tag_table = None
-    if cfg.tools.mode == TOOLS_SYNTHETIC:
-        world = load_world(cfg.tools.world)
-    else:
-        g = _gazetteer_for(cfg, None)
-        tag_table = load_tag_table(cfg.tag_table, g) if cfg.tag_table else None
-        adapters = live_adapters(cfg.tools.endpoints())
-
+    world, g, tag_table, adapters = _tools(cfg)
     run = run_benchmark(
-        samples, backend, world,
+        samples, build_backend(cfg), world,
         g=g, adapters=adapters, tag_table=tag_table,
-        ablation=cfg.ablation,
-        max_steps=cfg.max_steps,
-        max_parallel=cfg.max_parallel,
-        context_budget=cfg.context_budget,
-        workers=args.workers,
-        trace_dir=out / "traces",
-        config_hash=cfg.config_hash(),
+        workers=args.workers, trace_dir=out / "traces",
+        **_episode_settings(cfg),
     )
     (out / "report.json").write_text(canonical_json(run.report.to_json()) + "\n")
     (out / "report.txt").write_text(render_text_table(run.report))
@@ -308,10 +278,6 @@ def main(argv=None) -> int:
         return _fail(f"{type(exc).__name__}: {exc}")
     except OSError as exc:
         return _fail(str(exc))
-
-
-def console_main() -> None:  # setuptools entry point
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

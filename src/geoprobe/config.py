@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .actions import Tool
 from .canonical import canonical_hash
+from .defaults import DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS
 from .errors import ConfigError
 from .executor import ALL_TOOLS, AblationConfig
 from .live_tools import (
@@ -29,10 +30,6 @@ from .live_tools import (
     EndpointConfig,
     endpoints_for_base,
 )
-
-DEFAULT_MAX_STEPS = 12
-DEFAULT_MAX_PARALLEL = 4
-DEFAULT_CONTEXT_BUDGET = 4000
 
 BACKEND_SCRIPTED = "scripted"
 BACKEND_LLM = "llm"
@@ -161,7 +158,6 @@ class RunConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     max_parallel: int = DEFAULT_MAX_PARALLEL
     context_budget: int = DEFAULT_CONTEXT_BUDGET
-    seed: int = 0
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -184,7 +180,6 @@ class RunConfig:
             "max_steps": self.max_steps,
             "max_parallel": self.max_parallel,
             "context_budget": self.context_budget,
-            "seed": self.seed,
             "out_dir": self.out_dir,
         }
 
@@ -196,7 +191,7 @@ class RunConfig:
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
         known = {"gazetteer", "backend", "tools", "ablation", "tag_table",
-                 "max_steps", "max_parallel", "context_budget", "seed", "out_dir"}
+                 "max_steps", "max_parallel", "context_budget", "out_dir"}
         unknown = set(obj) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -223,7 +218,6 @@ class RunConfig:
                 max_steps=int(obj.get("max_steps", DEFAULT_MAX_STEPS)),
                 max_parallel=int(obj.get("max_parallel", DEFAULT_MAX_PARALLEL)),
                 context_budget=int(obj.get("context_budget", DEFAULT_CONTEXT_BUDGET)),
-                seed=int(obj.get("seed", 0)),
                 out_dir=path_of(obj.get("out_dir", "out")),
             )
         except (TypeError, ValueError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .actions import Decision
+from .defaults import DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS
 from .errors import BackendUnavailableError, InsufficientEvidenceError
 from .executor import AblationConfig, execute_batch, extract_evidence
 from .geo import Gazetteer, reverse_geocode
@@ -31,9 +32,6 @@ from .state import (
     finalize,
 )
 from .synthworld import SceneDescriptor, SynthWorld, synthetic_adapters
-
-DEFAULT_MAX_STEPS = 12
-DEFAULT_CONTEXT_BUDGET = 4000
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ def run_episode(
     tag_table=None,
     schema_text: str | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    max_parallel: int = 4,
+    max_parallel: int = DEFAULT_MAX_PARALLEL,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
     ablation: AblationConfig = AblationConfig(),
 ) -> EpisodeResult:
@@ -183,45 +181,54 @@ def run_episode(
     return EpisodeResult(state=state, prediction=prediction, trace=recorder.trace())
 
 
+def record_episode(
+    backend,
+    adapters,
+    g: Gazetteer,
+    *,
+    image_ref: str,
+    config_hash: str,
+    trace_path: str | None = None,
+    meta: dict | None = None,
+    **episode,
+) -> EpisodeResult:
+    """Run one episode under its own trace header and recorder.
+
+    The header ties the trace to the gazetteer, the config and ``image_ref``
+    plus ``meta``. Given ``trace_path``, the trace is also written there as
+    JSONL. ``episode`` goes to ``run_episode``.
+    """
+    header = TraceHeader(
+        gazetteer_hash=g.content_hash(),
+        config_hash=config_hash,
+        meta={"image_ref": image_ref, **(meta or {})},
+    )
+    with TraceRecorder(header, trace_path) as recorder:
+        return run_episode(backend, adapters, g, recorder,
+                           image_ref=image_ref, **episode)
+
+
 def run_synthetic_episode(
     world: SynthWorld,
     desc: SceneDescriptor,
     backend,
     *,
     image_ref: str = "scene/0",
-    trace_path: str | None = None,
     config_hash: str = "synthetic",
-    meta: dict | None = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_parallel: int = 4,
-    context_budget: int = DEFAULT_CONTEXT_BUDGET,
-    ablation: AblationConfig = AblationConfig(),
     adapters=None,
+    **episode,
 ) -> EpisodeResult:
-    """Wire a descriptor into the synthetic toolbox and run one episode."""
+    """Wire a descriptor into the synthetic toolbox and record one episode.
+
+    ``adapters``, when given, serve the tool calls instead and must resolve
+    ``image_ref``. The rest goes to ``record_episode``.
+    """
     if adapters is None:
         toolbox = synthetic_adapters(world)
         toolbox.register(image_ref, desc)
         adapters = toolbox.adapters()
-    header = TraceHeader(
-        gazetteer_hash=world.gazetteer.content_hash(),
-        config_hash=config_hash,
-        meta={"image_ref": image_ref, **(meta or {})},
+    return record_episode(
+        backend, adapters, world.gazetteer,
+        image_ref=image_ref, config_hash=config_hash,
+        descriptor=desc, tag_table=world.tag_table(), **episode,
     )
-    recorder = TraceRecorder(header, trace_path)
-    try:
-        return run_episode(
-            backend,
-            adapters,
-            world.gazetteer,
-            recorder,
-            image_ref=image_ref,
-            descriptor=desc,
-            tag_table=world.tag_table(),
-            max_steps=max_steps,
-            max_parallel=max_parallel,
-            context_budget=context_budget,
-            ablation=ablation,
-        )
-    finally:
-        recorder.close()

@@ -17,6 +17,7 @@ from typing import Mapping, Protocol
 
 from .actions import Action, Tool
 from .canonical import canonical_hash
+from .defaults import DEFAULT_MAX_PARALLEL
 from .errors import ConfigError, UnknownRegionError
 from .geo import Gazetteer, GeoPoint, normalize_city_name, region_contains
 from .state import Evidence, Provenance
@@ -139,7 +140,7 @@ def execute_batch(
     actions: list[Action],
     adapters: Mapping[Tool, ToolAdapter],
     cfg: AblationConfig = AblationConfig(),
-    max_workers: int = 4,
+    max_workers: int = DEFAULT_MAX_PARALLEL,
 ) -> list[ToolResult]:
     """Run a validated batch, possibly concurrently; results by action id.
 

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import requests
 
-from .actions import Action, Tool
+from .actions import Action, Tool, crop_payload
 from .executor import ToolAdapter, ToolResult
 
 DEFAULT_TIMEOUT_S = 20.0
@@ -127,9 +127,10 @@ def request_body(tool: Tool, action: Action, top_k: int = DEFAULT_TOP_K) -> dict
     raise ValueError(f"{tool.value} has no network wire format")
 
 
-def _auth_headers(cfg: EndpointConfig) -> dict[str, str]:
+def auth_headers(auth_env: str) -> dict[str, str]:
+    """JSON headers plus a bearer token read from ``auth_env``, if set."""
     headers = {"Content-Type": "application/json"}
-    token = os.environ.get(cfg.auth_env, "") if cfg.auth_env else ""
+    token = os.environ.get(auth_env, "") if auth_env else ""
     if token:
         headers["Authorization"] = f"Bearer {token}"
     return headers
@@ -137,6 +138,30 @@ def _auth_headers(cfg: EndpointConfig) -> dict[str, str]:
 
 def _elapsed_ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
+
+
+def post_with_retries(post, url: str, *, retries: int, backoff_s: float,
+                      **kwargs) -> requests.Response:
+    """``post(url, **kwargs)`` under the shared HTTP retry policy.
+
+    Transport errors and 5xx answers are retried ``retries`` times, after
+    ``backoff_s * 2**attempt`` seconds each. A timeout is never retried:
+    ``requests.Timeout`` propagates at once. Once retries run out, the last
+    5xx response is returned or the last transport error raised.
+    """
+    attempt = 0
+    while True:
+        try:
+            resp = post(url, **kwargs)
+            if resp.status_code < 500 or attempt == retries:
+                return resp
+        except requests.Timeout:
+            raise
+        except requests.RequestException:
+            if attempt == retries:
+                raise
+        time.sleep(backoff_s * (2 ** attempt))
+        attempt += 1
 
 
 def live_adapter_request(
@@ -148,49 +173,41 @@ def live_adapter_request(
     """One tool call over HTTP, with the full failure policy applied.
 
     Server errors (5xx) and transport failures are retried ``cfg.retries``
-    times with exponential backoff. Timeouts are not retried: the caller
-    already paid the full timeout budget, and the in-band Timeout result
-    lets the planner move on instead of tripling the stall. Client errors
-    (4xx) fail immediately. A 200 whose body is not a JSON object becomes
-    BadResponse with the raw body preserved.
+    times with exponential backoff (``post_with_retries``). Timeouts are
+    not retried: the caller already paid the full timeout budget, and the
+    in-band Timeout result lets the planner move on instead of tripling the
+    stall. Client errors (4xx) fail immediately. A 200 whose body is not a
+    JSON object becomes BadResponse with the raw body preserved.
     """
-    post = (session or requests).post
-    body = request_body(tool, action, top_k=cfg.top_k)
-    headers = _auth_headers(cfg)
     t0 = time.perf_counter()
-    error, detail = "NetworkError", "no attempt made"
-    for attempt in range(cfg.retries + 1):
-        try:
-            resp = post(cfg.url, json=body, headers=headers, timeout=cfg.timeout_s)
-        except requests.Timeout:
-            latency = max(_elapsed_ms(t0), cfg.timeout_s * 1000.0)
-            return ToolResult.timed_out(
-                action, detail=f"no response within {cfg.timeout_s}s from {cfg.url}",
-                latency_ms=latency)
-        except requests.RequestException as exc:
-            error, detail = "NetworkError", repr(exc)
-        else:
-            if resp.status_code >= 500:
-                error = "ServerError"
-                detail = f"HTTP {resp.status_code}: {resp.text[:_ERROR_DETAIL_CAP]}"
-            elif resp.status_code != 200:
-                return ToolResult.fail(
-                    action, "RequestRejected",
-                    detail=f"HTTP {resp.status_code}: {resp.text[:_ERROR_DETAIL_CAP]}",
-                    latency_ms=_elapsed_ms(t0))
-            else:
-                try:
-                    payload = resp.json()
-                    if not isinstance(payload, dict):
-                        raise ValueError("payload is not an object")
-                except ValueError:
-                    return ToolResult.fail(
-                        action, "BadResponse", detail=resp.text,
-                        latency_ms=_elapsed_ms(t0))
-                return ToolResult.succeed(action, payload, latency_ms=_elapsed_ms(t0))
-        if attempt < cfg.retries:
-            time.sleep(cfg.backoff_s * (2 ** attempt))
-    return ToolResult.fail(action, error, detail=detail, latency_ms=_elapsed_ms(t0))
+    try:
+        resp = post_with_retries(
+            (session or requests).post, cfg.url,
+            retries=cfg.retries, backoff_s=cfg.backoff_s,
+            json=request_body(tool, action, top_k=cfg.top_k),
+            headers=auth_headers(cfg.auth_env), timeout=cfg.timeout_s)
+    except requests.Timeout:
+        latency = max(_elapsed_ms(t0), cfg.timeout_s * 1000.0)
+        return ToolResult.timed_out(
+            action, detail=f"no response within {cfg.timeout_s}s from {cfg.url}",
+            latency_ms=latency)
+    except requests.RequestException as exc:
+        return ToolResult.fail(action, "NetworkError", detail=repr(exc),
+                               latency_ms=_elapsed_ms(t0))
+    if resp.status_code != 200:
+        error = "ServerError" if resp.status_code >= 500 else "RequestRejected"
+        return ToolResult.fail(
+            action, error,
+            detail=f"HTTP {resp.status_code}: {resp.text[:_ERROR_DETAIL_CAP]}",
+            latency_ms=_elapsed_ms(t0))
+    try:
+        payload = resp.json()
+        if not isinstance(payload, dict):
+            raise ValueError("payload is not an object")
+    except ValueError:
+        return ToolResult.fail(action, "BadResponse", detail=resp.text,
+                               latency_ms=_elapsed_ms(t0))
+    return ToolResult.succeed(action, payload, latency_ms=_elapsed_ms(t0))
 
 
 class LiveAdapter:
@@ -222,11 +239,7 @@ class LocalCropAdapter:
 
     def execute(self, action: Action) -> ToolResult:
         try:
-            ref = str(action.args["image"])
-            base = ref.split("#", 1)[0]
-            box = list(action.args["box"])
-            suffix = ",".join(f"{v:.2f}" for v in box)
-            payload = {"image": f"{base}#crop({suffix})", "box": box}
+            payload = crop_payload(str(action.args["image"]), action.args["box"])
             return ToolResult.succeed(action, payload)
         except Exception as exc:  # defensive: adapter boundary must not throw
             return ToolResult.fail(action, "InternalError", detail=repr(exc))

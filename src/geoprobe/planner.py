@@ -10,7 +10,6 @@ deterministic fallback.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -23,11 +22,18 @@ from .actions import (
     Decision,
     Tool,
     parse_decision,
-    render_action_schema,
     validate_action,
 )
+from .defaults import DEFAULT_MAX_PARALLEL
 from .errors import BackendUnavailableError, DecisionParseError
 from .geo import Gazetteer, RegionLevel
+from .live_tools import (
+    DEFAULT_BACKOFF_S,
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT_S,
+    auth_headers,
+    post_with_retries,
+)
 from .recorder import (
     CompressedContext,
     TrajectoryEvent,
@@ -70,7 +76,7 @@ class PlannerContext:
     active_evidence_ids: tuple[int, ...] = ()
     events: tuple[TrajectoryEvent, ...] = ()
     next_action_id: int = 1
-    max_parallel: int = 4
+    max_parallel: int = DEFAULT_MAX_PARALLEL
     feedback: str | None = None
 
     def __post_init__(self):
@@ -317,17 +323,19 @@ class LlmBackend:
     """Chat-completions client with bounded parse retries and fallback.
 
     The auth token is read from ``auth_env`` and travels only in the
-    request header; logged wire bodies never contain it.
+    request header; logged wire bodies never contain it. Transport follows
+    the tool adapters' retry policy (``post_with_retries``), so a timeout
+    is not retried.
     """
 
     endpoint: str
     model: str
     auth_env: str = "GEOPROBE_API_TOKEN"
     temperature: float = 0.0
-    timeout_s: float = 20.0
+    timeout_s: float = DEFAULT_TIMEOUT_S
     parse_retries: int = 2
-    transport_retries: int = 2
-    backoff_s: float = 0.5
+    transport_retries: int = DEFAULT_RETRIES
+    backoff_s: float = DEFAULT_BACKOFF_S
     session: requests.Session = field(default_factory=requests.Session, repr=False)
     _wire: list[dict] = field(default_factory=list, repr=False)
 
@@ -335,36 +343,18 @@ class LlmBackend:
         out, self._wire = self._wire, []
         return out
 
-    def _headers(self) -> dict:
-        import os
-
-        token = os.environ.get(self.auth_env, "")
-        headers = {"Content-Type": "application/json"}
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
-
     def _chat(self, step: int, messages: list[dict]) -> str:
         body = {"model": self.model, "messages": messages, "temperature": self.temperature}
         self._wire.append(
             {"step": step, "kind": "request", "authorization": "redacted", "body": body}
         )
-        last = "no attempt made"
-        for attempt in range(self.transport_retries + 1):
-            try:
-                resp = self.session.post(
-                    self.endpoint, json=body, headers=self._headers(), timeout=self.timeout_s
-                )
-            except requests.RequestException as e:
-                last = repr(e)
-            else:
-                if resp.status_code < 500:
-                    break
-                last = f"HTTP {resp.status_code}"
-            if attempt < self.transport_retries:
-                time.sleep(self.backoff_s * (2 ** attempt))
-        else:
-            raise BackendUnavailableError(f"LLM endpoint unreachable: {last}")
+        try:
+            resp = post_with_retries(
+                self.session.post, self.endpoint,
+                retries=self.transport_retries, backoff_s=self.backoff_s,
+                json=body, headers=auth_headers(self.auth_env), timeout=self.timeout_s)
+        except requests.RequestException as e:
+            raise BackendUnavailableError(f"LLM endpoint unreachable: {e!r}")
         if resp.status_code != 200:
             raise BackendUnavailableError(f"LLM endpoint returned HTTP {resp.status_code}")
         try:
@@ -457,7 +447,3 @@ def _require_valid(decision: Decision) -> None:
             "backend produced invalid actions: "
             + "; ".join(f"{i.code.value}: {i.message}" for i in issues)
         )
-
-
-def default_schema_text() -> str:
-    return render_action_schema()

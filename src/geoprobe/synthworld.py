@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .actions import Action, Tool
+from .actions import Action, Tool, base_image_ref, crop_payload
 from .executor import ToolResult
 from .geo import (
     AdminRegion,
@@ -514,10 +514,6 @@ def match_candidates(world: SynthWorld, desc: SceneDescriptor) -> list[dict]:
     ]
 
 
-def _base_ref(ref: str) -> str:
-    return ref.split("#", 1)[0]
-
-
 class _SynthAdapter:
     tool: Tool
 
@@ -691,9 +687,7 @@ class _CropAdapter(_SynthAdapter):
     def run(self, action: Action) -> dict:
         ref = str(action.args["image"])
         self._box.resolve(ref)  # validate the ref
-        box = list(action.args["box"])
-        suffix = ",".join(f"{v:.2f}" for v in box)
-        return {"image": f"{_base_ref(ref)}#crop({suffix})", "box": box}
+        return crop_payload(ref, action.args["box"])
 
 
 class SyntheticToolbox:
@@ -712,7 +706,7 @@ class SyntheticToolbox:
         self._scenes[ref] = desc
 
     def resolve(self, ref: str) -> SceneDescriptor:
-        base = _base_ref(ref)
+        base = base_image_ref(ref)
         if base not in self._scenes:
             raise KeyError(f"unregistered image ref: {base!r}")
         return self._scenes[base]

@@ -23,7 +23,6 @@ from geoprobe.actions import (
     validate_action,
 )
 from geoprobe.errors import DecisionParseError
-from geoprobe.geo import GeoPoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -161,7 +160,6 @@ def envelope(**overrides):
             {"module": "Environmental", "tool": "Caption", "args": {"image": "scene/0"}},
         ],
         "finalize": False,
-        "poi_hint": None,
     }
     base.update(overrides)
     return json.dumps(base)
@@ -172,7 +170,6 @@ class TestParseDecision:
         d = parse_decision(envelope(), start_id=1, max_parallel=4)
         assert d.thought == "looks coastal"
         assert not d.finalize
-        assert d.poi_hint is None
         (a,) = d.actions
         assert a.id == 1
         assert a.module is CapabilityModule.ENVIRONMENTAL
@@ -224,20 +221,14 @@ class TestParseDecision:
         with pytest.raises(DecisionParseError, match="at least one action"):
             parse_decision(envelope(actions=[]), 1, 4)
 
-    def test_finalize_with_hint(self):
+    def test_poi_hint_is_unknown_envelope_key(self):
+        # The engine derives the hint from gathered evidence; a reasoner's
+        # own coordinate is not part of the envelope.
         text = envelope(
             finalize=True, actions=[], poi_hint={"lat": 30.5, "lon": 114.3, "city": "Rivertown"}
         )
-        d = parse_decision(text, 1, 4)
-        assert d.finalize
-        assert d.poi_hint.point == GeoPoint(30.5, 114.3)
-        assert d.poi_hint.city == "Rivertown"
-
-    def test_bad_hint(self):
-        with pytest.raises(DecisionParseError, match="poi_hint"):
-            parse_decision(envelope(finalize=True, actions=[], poi_hint={"lat": 1}), 1, 4)
-        with pytest.raises(DecisionParseError, match="poi_hint"):
-            parse_decision(envelope(poi_hint=[1, 2]), 1, 4)
+        with pytest.raises(DecisionParseError, match=r"unknown envelope keys: \['poi_hint'\]"):
+            parse_decision(text, 1, 4)
 
     def test_span_reported(self):
         text = "prefix " + envelope(version="9")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -701,3 +702,30 @@ def test_report_json_matches_golden():
 def test_report_text_matches_golden():
     run = golden_run()
     assert render_text_table(run.report) == GOLDEN_TEXT.read_text()
+
+
+def test_image_benchmark_over_stub_adapters_records_and_replays(
+        tmp_path, world, bench_samples):
+    from geoprobe.live_tools import live_adapters
+    from geoprobe.stub_server import StubToolServer
+
+    samples = [replace(s, image=f"photos/{s.id}.jpg", descriptor=None)
+               for s in bench_samples[:6]]
+    with StubToolServer(world) as server:
+        for s, original in zip(samples, bench_samples):
+            server.register(s.image, original.descriptor)
+        run = run_benchmark(
+            samples, scripted_salience_policy(),
+            g=world.gazetteer, tag_table=world.tag_table(),
+            adapters=live_adapters(server.endpoints(backoff_s=0.001)),
+            trace_dir=tmp_path / "traces", config_hash="cfg-images")
+    assert [e.sample_id for e in run.entries] == [s.id for s in samples]
+    for s, entry in zip(samples, run.entries):
+        assert entry.status is EpisodeStatus.FINALIZED
+        trace = load_trace(entry.trace_path)
+        assert trace.header.config_hash == "cfg-images"
+        assert trace.header.meta == {
+            "image_ref": s.image, "label": "full", "sample_id": s.id}
+        report = replay(trace, world.gazetteer)
+        assert report.events_verified == len(trace.events)
+        assert report.prediction.city_name == entry.prediction.city_name

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from geoprobe.bench import DATASET_SUFFIX, load_dataset
+from geoprobe.bench import DATASET_SUFFIX, load_dataset, save_dataset
 from geoprobe.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_MISMATCH, EXIT_OK, main
 from geoprobe.synthworld import load_world, sample_episode
 from geoprobe.synthworld import Difficulty
@@ -303,3 +304,60 @@ def test_unknown_subcommand_rejected():
 def test_missing_required_argument_rejected():
     with pytest.raises(SystemExit):
         main(["bench"])
+
+
+# -- live mode ----------------------------------------------------------------
+
+
+@pytest.fixture()
+def live_workspace(workspace):
+    from geoprobe.executor import save_tag_table
+    from geoprobe.geo import save_gazetteer
+    from geoprobe.stub_server import StubToolServer
+
+    root = workspace["root"]
+    world = load_world(str(workspace["world"]))
+    save_gazetteer(world.gazetteer, str(root / "gazetteer.json"))
+    save_tag_table(root / "tags.json", world.tag_table())
+    originals = load_dataset(workspace["dataset"])[:4]
+    samples = [replace(s, image=f"photos/{s.id}.jpg", descriptor=None)
+               for s in originals]
+    save_dataset(root / f"photos{DATASET_SUFFIX}", samples)
+    with StubToolServer(world) as server:
+        for s, original in zip(samples, originals):
+            server.register(s.image, original.descriptor)
+        config = root / "live.json"
+        config.write_text(json.dumps({
+            "gazetteer": "gazetteer.json",
+            "tag_table": "tags.json",
+            "tools": {"mode": "live", "base_url": server.base_url,
+                      "backoff_s": 0.001},
+        }))
+        yield {**workspace, "config": config, "samples": samples,
+               "dataset": root / f"photos{DATASET_SUFFIX}",
+               "gazetteer": root / "gazetteer.json"}
+
+
+def replays_clean(trace, gazetteer) -> bool:
+    return main(["replay", "--trace", str(trace),
+                 "--gazetteer", str(gazetteer)]) == EXIT_OK
+
+
+def test_live_run_writes_replayable_trace(live_workspace, capsys):
+    out = live_workspace["root"] / "live-run"
+    code = main(["run", "--config", str(live_workspace["config"]),
+                 "--image", live_workspace["samples"][0].image,
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert (out / "prediction.json").exists()
+    assert replays_clean(out / "run.trace.jsonl", live_workspace["gazetteer"])
+
+
+def test_live_bench_writes_replayable_traces(live_workspace, capsys):
+    code, out = run_bench(live_workspace, "live-bench")
+    assert code == EXIT_OK
+    assert "4/4 episodes finalized" in capsys.readouterr().out
+    traces = sorted((out / "traces").glob("*.trace.jsonl"))
+    assert len(traces) == 4
+    for trace in traces:
+        assert replays_clean(trace, live_workspace["gazetteer"])

@@ -65,12 +65,12 @@ def test_absolute_paths_kept(workspace):
 
 def test_config_hash_tracks_content(workspace):
     a = load_config(write_config(workspace, {
-        "tools": {"mode": "synthetic", "world": "world.json"}, "seed": 1}))
+        "tools": {"mode": "synthetic", "world": "world.json"}, "max_steps": 5}))
     b = load_config(write_config(workspace, {
-        "tools": {"mode": "synthetic", "world": "world.json"}, "seed": 1},
+        "tools": {"mode": "synthetic", "world": "world.json"}, "max_steps": 5},
         name="other.json"))
     c = load_config(write_config(workspace, {
-        "tools": {"mode": "synthetic", "world": "world.json"}, "seed": 2},
+        "tools": {"mode": "synthetic", "world": "world.json"}, "max_steps": 6},
         name="third.json"))
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
@@ -79,19 +79,20 @@ def test_config_hash_tracks_content(workspace):
 def test_config_roundtrips_through_json(workspace):
     cfg = load_config(write_config(workspace, {
         "tools": {"mode": "synthetic", "world": "world.json"},
-        "max_steps": 7, "seed": 3,
+        "max_steps": 7, "context_budget": 900,
     }))
     again = RunConfig.from_json(cfg.to_json())
     assert again == cfg
 
 
 def test_unknown_keys_rejected(workspace):
-    path = write_config(workspace, {
-        "tools": {"mode": "synthetic", "world": "world.json"},
-        "max_stepz": 5,
-    })
-    with pytest.raises(ConfigError, match="max_stepz"):
-        load_config(path)
+    for key in ("max_stepz", "seed"):
+        path = write_config(workspace, {
+            "tools": {"mode": "synthetic", "world": "world.json"},
+            key: 5,
+        })
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
 
 
 def test_missing_config_file(tmp_path):

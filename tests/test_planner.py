@@ -84,7 +84,7 @@ def make_ctx(desc=None, space=None, events=(), poi_hint=None, step=1,
 def decision_event(*actions, seq=0, step=1):
     """A Decision event as the engine would have recorded it."""
     payload = {"decision": {
-        "version": "1", "thought": "t", "finalize": False, "poi_hint": None,
+        "version": "1", "thought": "t", "finalize": False,
         "actions": [a.to_json() for a in actions],
     }}
     return TrajectoryEvent(seq, EventKind.DECISION, step, 0.0, payload, "h")
@@ -539,3 +539,9 @@ class TestLlmBackend:
         backend.decide(make_ctx(make_desc(VEG), feedback="do better"))
         [req] = backend.session.requests
         assert req["json"]["messages"][-1]["content"] == "do better"
+
+    def test_timeout_is_not_retried(self):
+        backend = llm([requests.Timeout("slow"), FakeResponse(content=envelope(finalize=True))])
+        with pytest.raises(BackendUnavailableError):
+            backend.decide(make_ctx(make_desc(VEG)))
+        assert len(backend.session.requests) == 1
