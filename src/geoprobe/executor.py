@@ -19,7 +19,7 @@ from .actions import Action, Tool
 from .canonical import canonical_hash
 from .defaults import DEFAULT_MAX_PARALLEL
 from .errors import ConfigError, UnknownRegionError
-from .geo import Gazetteer, GeoPoint, normalize_city_name, region_contains
+from .geo import Gazetteer, GeoPoint, region_contains
 from .state import Evidence, Provenance
 
 #: Confidence tiers by extraction rule. Ordered so that backtracking has a
@@ -188,15 +188,16 @@ def find_region_names(text: str, g: Gazetteer) -> frozenset[str]:
     """
     haystack = text.casefold()
     found: set[str] = set()
-    for r in g.regions():
-        name = normalize_city_name(r.name)
+    for name, ids in g.normalized_names():
         if len(name) >= 2 and name in haystack:
-            found.add(r.id)
+            found.update(ids)
     return frozenset(found)
 
 
 def _cities_containing(g: Gazetteer, p: GeoPoint) -> list[str]:
-    return [c.id for c in g.cities() if region_contains(c, p)]
+    """Ids of the city discs holding ``p``; only the latitude band that the
+    largest city radius allows is scanned."""
+    return [c.id for c in g.cities_near(p, g.max_city_radius_km) if region_contains(c, p)]
 
 
 def _coord(obj: dict) -> GeoPoint | None:

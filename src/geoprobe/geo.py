@@ -8,9 +8,11 @@ exactly testable. Polygons and ellipsoids are out of scope.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import json
 import math
+from collections.abc import ItemsView
 from dataclasses import dataclass
 
 from .canonical import canonical_hash
@@ -161,12 +163,27 @@ def normalize_city_name(
     return name
 
 
+#: Degrees of latitude per km of great-circle distance on the model sphere.
+_DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS_KM)
+
+#: Extra km on each side of a latitude band, far above the float error of
+#: ``haversine_km``, so rounding never drops a city a scan needs.
+_BAND_SLACK_KM = 1.0
+
+
 class Gazetteer:
     """Immutable directory of admin regions with hierarchy and name indexes.
 
     Construction validates all structural invariants (forest rooted at
     countries, level steps, centroid nesting, unique ids) and precomputes
     ancestor chains and subtree closures for O(1) consistency checks.
+
+    Cities are also kept sorted by centroid latitude, so ``cities_near``
+    finds a latitude band by bisection. The band is an exact prefilter for
+    distance: the great-circle distance between two points is at least
+    ``R * |dlat|`` (``dlat`` in radians), so no city outside the band
+    around ``p`` lies within ``km`` of it. Unlike a lat/lon grid, the band
+    needs no longitude wrap and no cos-lat scaling.
     """
 
     def __init__(self, regions: list[AdminRegion]):
@@ -225,6 +242,10 @@ class Gazetteer:
         self._cities: tuple[AdminRegion, ...] = tuple(
             sorted((r for r in regions if r.level is RegionLevel.CITY), key=lambda r: r.id)
         )
+        self._cities_by_lat = sorted(self._cities, key=lambda r: (r.centroid.lat, r.id))
+        self._city_lats = [c.centroid.lat for c in self._cities_by_lat]
+        self._max_city_radius_km = max((c.radius_km for c in self._cities), default=0.0)
+        self._content_hash: str | None = None
 
     def __len__(self) -> int:
         return len(self._regions)
@@ -268,9 +289,26 @@ class Gazetteer:
     def cities(self) -> tuple[AdminRegion, ...]:
         return self._cities
 
+    @property
+    def max_city_radius_km(self) -> float:
+        return self._max_city_radius_km
+
+    def cities_near(self, p: GeoPoint, km: float) -> list[AdminRegion]:
+        """Cities whose centroid latitude is within ``km`` (plus 1 km of
+        slack) of ``p``'s, in id order: every city within ``km`` of ``p``
+        and possibly more."""
+        half = (km + _BAND_SLACK_KM) * _DEG_PER_KM
+        lo = bisect.bisect_left(self._city_lats, p.lat - half)
+        hi = bisect.bisect_right(self._city_lats, p.lat + half)
+        return sorted(self._cities_by_lat[lo:hi], key=lambda c: c.id)
+
     def lookup_name(self, name: str) -> tuple[str, ...]:
         """Region ids whose normalized name equals the normalized input."""
         return self._name_index.get(normalize_city_name(name), ())
+
+    def normalized_names(self) -> ItemsView[str, tuple[str, ...]]:
+        """The name index as ``(normalized name, sorted region ids)`` pairs."""
+        return self._name_index.items()
 
     def city_ancestor(self, region_id: str) -> AdminRegion | None:
         """The city-level region at or above ``region_id``, if any."""
@@ -284,7 +322,10 @@ class Gazetteer:
         return None
 
     def content_hash(self) -> str:
-        return canonical_hash([r.to_json() for r in self.regions()])
+        """Canonical hash of every region, computed once per gazetteer."""
+        if self._content_hash is None:
+            self._content_hash = canonical_hash([r.to_json() for r in self.regions()])
+        return self._content_hash
 
     def to_json(self) -> list[dict]:
         return [r.to_json() for r in self.regions()]
@@ -298,10 +339,15 @@ def reverse_geocode(
     Preference order: containing city disc with the smallest centroid
     distance; otherwise the nearest city centroid within ``fallback_km``.
     Ties break on lexicographic region id. None when nothing qualifies.
+
+    Only the latitude band ``g.cities_near(p, max(fallback_km, largest city
+    radius))`` is scanned, with the same result as a scan of every city: a
+    city outside the band is farther from ``p`` than both its own radius and
+    ``fallback_km``, because great-circle distance is at least ``R * |dlat|``.
     """
     best: tuple[float, str] | None = None
     nearest: tuple[float, str] | None = None
-    for city in g.cities():
+    for city in g.cities_near(p, max(fallback_km, g.max_city_radius_km)):
         d = haversine_km(city.centroid, p)
         if d <= city.radius_km and (best is None or (d, city.id) < best):
             best = (d, city.id)

@@ -345,12 +345,17 @@ class LlmBackend:
 
     def _chat(self, step: int, messages: list[dict]) -> str:
         body = {"model": self.model, "messages": messages, "temperature": self.temperature}
-        self._wire.append(
-            {"step": step, "kind": "request", "authorization": "redacted", "body": body}
-        )
+
+        def post(url, **kwargs):
+            # One wire entry per attempt, so retried requests reach the trace.
+            self._wire.append(
+                {"step": step, "kind": "request", "authorization": "redacted", "body": body}
+            )
+            return self.session.post(url, **kwargs)
+
         try:
             resp = post_with_retries(
-                self.session.post, self.endpoint,
+                post, self.endpoint,
                 retries=self.transport_retries, backoff_s=self.backoff_s,
                 json=body, headers=auth_headers(self.auth_env), timeout=self.timeout_s)
         except requests.RequestException as e:

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import heapq
 import json
 import math
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .actions import Action, Tool, base_image_ref, crop_payload
 from .executor import ToolResult
@@ -167,6 +170,7 @@ class SynthWorld:
         self._poi_city = {
             poi.name.casefold(): (cid, poi) for cid, plist in pois.items() for poi in plist
         }
+        self._tag_table = MappingProxyType(_build_tag_table(attributes))
 
     @property
     def country_id(self) -> str:
@@ -190,15 +194,14 @@ class SynthWorld:
         return self.attributes.get(region_id, ())
 
     def regions_with_tag(self, tag: str) -> frozenset[str]:
-        return frozenset(rid for rid, tags in self.attributes.items() if tag in tags)
+        return self._tag_table.get(tag, frozenset())
 
-    def tag_table(self) -> dict[str, frozenset[str]]:
-        """Caption-extraction table: every known tag to its carrier regions."""
-        table: dict[str, set[str]] = {}
-        for rid, tags in self.attributes.items():
-            for tag in tags:
-                table.setdefault(tag, set()).add(rid)
-        return {tag: frozenset(rids) for tag, rids in table.items()}
+    def tag_table(self) -> Mapping[str, frozenset[str]]:
+        """Caption-extraction table: every known tag to its carrier regions.
+
+        Built once with the world and shared, read-only, by every caller.
+        """
+        return self._tag_table
 
     def sign_city(self, text: str) -> str | None:
         return self._sign_city.get(text.casefold())
@@ -232,6 +235,14 @@ class SynthWorld:
                 for cid, plist in obj["pois"].items()
             },
         )
+
+
+def _build_tag_table(attributes: dict[str, tuple[str, ...]]) -> dict[str, frozenset[str]]:
+    table: dict[str, set[str]] = {}
+    for rid, tags in attributes.items():
+        for tag in tags:
+            table.setdefault(tag, set()).add(rid)
+    return {tag: frozenset(rids) for tag, rids in table.items()}
 
 
 def save_world(world: SynthWorld, path: str) -> None:
@@ -485,7 +496,9 @@ def match_candidates(world: SynthWorld, desc: SceneDescriptor) -> list[dict]:
     """Ranked image-match candidates: truth within the difficulty window.
 
     Distractors are the nearest same-province cities first, so even a
-    mid-ranked truth keeps the candidate list province-consistent.
+    mid-ranked truth keeps the candidate list province-consistent. Only the
+    few distractors the list needs are selected, by (distance, id); other
+    provinces are searched only when the truth's own has too few cities.
     """
     g = world.gazetteer
     truth_id = desc.truth.city_id
@@ -493,11 +506,15 @@ def match_candidates(world: SynthWorld, desc: SceneDescriptor) -> list[dict]:
     same = [
         c for c in world.cities_of(world.province_of(truth_id)) if c != truth_id
     ]
-    other = [c for c in world.city_ids() if c != truth_id and c not in same]
     by_dist = lambda cid: (haversine_km(g.get(cid).centroid, truth_region.centroid), cid)
-    distractors = sorted(same, key=by_dist) + sorted(other, key=by_dist)
+    need = len(_MATCH_SCORES) - 1
+    distractors = heapq.nsmallest(need, same, key=by_dist)
+    if len(distractors) < need:
+        same_set = set(same)
+        other = [c for c in world.city_ids() if c != truth_id and c not in same_set]
+        distractors += heapq.nsmallest(need - len(distractors), other, key=by_dist)
 
-    total = min(5, 1 + len(distractors))
+    total = 1 + len(distractors)
     window = min(_RANK_WINDOW[desc.difficulty], total)
     digest = _stable_digest(
         "match", str(world.seed), truth_id, desc.difficulty.value,

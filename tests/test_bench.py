@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import small_gazetteer
+from geoprobe import geo, synthworld
 from geoprobe.bench import (
     DATASET_SUFFIX,
     DEFAULT_MIX,
@@ -595,6 +596,30 @@ def test_run_benchmark_repeat_runs_byte_identical(world, bench_samples):
     a = run_benchmark(bench_samples, backend, world, workers=3)
     b = run_benchmark(bench_samples, backend, world, workers=3)
     assert canonical_json(a.report.to_json()) == canonical_json(b.report.to_json())
+
+
+def test_run_benchmark_hashes_and_tags_the_world_once(monkeypatch, tmp_path):
+    """Per-world work is done once per world, not once per episode."""
+    counts = {"hash": 0, "tags": 0}
+    hash_regions = geo.canonical_hash
+    build_tags = synthworld._build_tag_table
+
+    def counting_hash(obj):
+        counts["hash"] += 1
+        return hash_regions(obj)
+
+    def counting_tags(attributes):
+        counts["tags"] += 1
+        return build_tags(attributes)
+
+    monkeypatch.setattr(geo, "canonical_hash", counting_hash)
+    monkeypatch.setattr(synthworld, "_build_tag_table", counting_tags)
+    big = generate_world(11, 20, 40)
+    run = run_benchmark(make_benchmark(big, 20, seed=5), scripted_salience_policy(), big,
+                        trace_dir=tmp_path)
+    assert all(e.status is EpisodeStatus.FINALIZED for e in run.entries)
+    assert len(list(tmp_path.glob("*.trace.jsonl"))) == 20
+    assert counts == {"hash": 1, "tags": 1}
 
 
 def test_run_benchmark_writes_replayable_traces(tmp_path, world, bench_samples):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import small_gazetteer
+from geoprobe import geo
 from geoprobe.errors import GazetteerFileError, UnknownRegionError
+from geoprobe.executor import _cities_containing
 from geoprobe.geo import (
     EARTH_RADIUS_KM,
     AdminRegion,
@@ -21,10 +24,72 @@ from geoprobe.geo import (
     reverse_geocode,
     save_gazetteer,
 )
+from geoprobe.synthworld import generate_world
 
 lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 lons = st.floats(min_value=-180.0, max_value=179.999999, allow_nan=False)
 points = st.builds(GeoPoint, lats, lons)
+
+
+def _reverse_geocode_oracle(g: Gazetteer, p: GeoPoint, fallback_km: float = 100.0):
+    """Brute-force reverse geocoding: every city, (distance, id) order."""
+    containing = [
+        (haversine_km(c.centroid, p), c.id)
+        for c in g.cities()
+        if haversine_km(c.centroid, p) <= c.radius_km
+    ]
+    if containing:
+        return min(containing)[1]
+    near = min(((haversine_km(c.centroid, p), c.id) for c in g.cities()), default=None)
+    return near[1] if near is not None and near[0] <= fallback_km else None
+
+
+def _polar_gazetteer() -> Gazetteer:
+    """Cities at the poles and astride the antimeridian, where a latitude
+    band reaches past +-90 and wraps in longitude."""
+    regions = [
+        AdminRegion("n", RegionLevel.COUNTRY, "Borealia", GeoPoint(85.0, 175.0), 3000.0),
+        AdminRegion("n-p", RegionLevel.PROVINCE, "Cap", GeoPoint(88.0, 179.0), 1000.0, "n"),
+        AdminRegion("s", RegionLevel.COUNTRY, "Australis", GeoPoint(-85.0, -175.0), 3000.0),
+        AdminRegion("s-p", RegionLevel.PROVINCE, "Floe", GeoPoint(-88.0, -179.0), 1000.0, "s"),
+    ]
+    cities = [
+        ("n-p-a", 89.95, -179.5, 80.0), ("n-p-b", 89.5, 10.0, 60.0),
+        ("n-p-c", 87.0, 179.9, 30.0), ("n-p-d", 86.5, -179.9, 50.0),
+        ("s-p-a", -89.9, 120.0, 70.0), ("s-p-b", -87.5, 179.95, 25.0),
+        ("s-p-c", -87.5, -179.95, 25.0),
+    ]
+    for cid, lat, lon, radius in cities:
+        regions.append(AdminRegion(cid, RegionLevel.CITY, cid.upper(), GeoPoint(lat, lon),
+                                   radius, cid[:3]))
+    return Gazetteer(regions)
+
+
+#: Gazetteers the latitude-band lookups are checked on: hand-built, the
+#: 821-region synthetic world, and cities at the poles and the antimeridian.
+BAND_GAZETTEERS = {
+    "small": small_gazetteer(),
+    "synth-20x40": generate_world(11, 20, 40).gazetteer,
+    "polar": _polar_gazetteer(),
+}
+
+
+def _points_near(g: Gazetteer):
+    """Points a few degrees from a city of ``g``, clamped to valid latitudes."""
+    return st.builds(
+        lambda c, dlat, dlon: GeoPoint(max(-90.0, min(90.0, c.centroid.lat + dlat)),
+                                       c.centroid.lon + dlon),
+        st.sampled_from(g.cities()),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+    )
+
+
+_extreme_points = st.builds(
+    GeoPoint,
+    st.one_of(st.floats(89.0, 90.0), st.floats(-90.0, -89.0), lats),
+    st.one_of(st.floats(179.0, 180.0), st.floats(-180.0, -179.0), lons),
+)
 
 
 def _arc_oracle(a: GeoPoint, b: GeoPoint) -> float:
@@ -317,21 +382,55 @@ class TestReverseGeocode:
             )
         g = Gazetteer(regs)
 
-        def oracle(p):
-            containing = [
-                (haversine_km(c.centroid, p), c.id)
-                for c in g.cities()
-                if haversine_km(c.centroid, p) <= c.radius_km
-            ]
-            if containing:
-                return min(containing)[1]
-            near = min((haversine_km(c.centroid, p), c.id) for c in g.cities())
-            return near[1] if near[0] <= 100.0 else None
-
         for _ in range(300):
             p = GeoPoint(rng.uniform(-15, 20), rng.uniform(0, 30))
             got = reverse_geocode(g, p)
-            assert (got.id if got else None) == oracle(p)
+            assert (got.id if got else None) == _reverse_geocode_oracle(g, p)
+
+
+@pytest.mark.parametrize("name", sorted(BAND_GAZETTEERS))
+class TestLatitudeBand:
+    """The banded lookups must equal scans over every city."""
+
+    @given(data=st.data(), fallback_km=st.one_of(st.floats(0.0, 100.0),
+                                                 st.floats(0.0, 3000.0)))
+    def test_reverse_geocode_matches_brute_force(self, name, data, fallback_km):
+        g = BAND_GAZETTEERS[name]
+        p = data.draw(st.one_of(_points_near(g), _extreme_points))
+        got = reverse_geocode(g, p, fallback_km=fallback_km)
+        assert (got.id if got else None) == _reverse_geocode_oracle(g, p, fallback_km)
+
+    @given(data=st.data())
+    def test_cities_containing_matches_brute_force(self, name, data):
+        g = BAND_GAZETTEERS[name]
+        p = data.draw(st.one_of(_points_near(g), _extreme_points))
+        assert _cities_containing(g, p) == [c.id for c in g.cities() if region_contains(c, p)]
+
+    def test_band_holds_every_city_within_reach(self, name):
+        g = BAND_GAZETTEERS[name]
+        for c in random.Random(name).sample(g.cities(), min(40, len(g.cities()))):
+            for km in (0.0, g.max_city_radius_km, 500.0):
+                near = g.cities_near(c.centroid, km)
+                assert [x.id for x in near] == sorted(x.id for x in near)
+                assert {x.id for x in g.cities() if haversine_km(x.centroid, c.centroid) <= km} \
+                    <= {x.id for x in near}
+
+
+def test_reverse_geocode_scans_a_fraction_of_the_cities(monkeypatch):
+    g = BAND_GAZETTEERS["synth-20x40"]
+    calls = 0
+    exact = geo.haversine_km
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return exact(a, b)
+
+    monkeypatch.setattr(geo, "haversine_km", counting)
+    for c in g.cities()[::40]:
+        calls = 0
+        assert reverse_geocode(g, c.centroid) is c
+        assert calls < len(g.cities()) / 5
 
 
 class TestGazetteerFiles:

@@ -518,6 +518,17 @@ class TestLlmBackend:
         assert d.finalize
         assert len(backend.session.requests) == 3
 
+    def test_wire_log_records_every_transport_attempt(self):
+        backend = llm([
+            requests.ConnectionError("refused"),
+            FakeResponse(status_code=503, body={}),
+            FakeResponse(content=envelope(finalize=True)),
+        ])
+        backend.decide(make_ctx(make_desc(VEG)))
+        wire = backend.drain_wire_log()
+        assert [e["kind"] for e in wire] == ["request", "request", "request", "response"]
+        assert all(e["authorization"] == "redacted" for e in wire if e["kind"] == "request")
+
     def test_transport_exhaustion_raises_unavailable(self):
         backend = llm([requests.ConnectionError("refused")] * 3)
         with pytest.raises(BackendUnavailableError):

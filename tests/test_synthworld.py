@@ -8,6 +8,7 @@ from geoprobe.actions import Action, CapabilityModule, Tool
 from geoprobe.canonical import canonical_hash
 from geoprobe.executor import extract_evidence
 from geoprobe.geo import RegionLevel, haversine_km, region_contains
+from geoprobe import synthworld
 from geoprobe.synthworld import (
     Clue,
     ClueKind,
@@ -207,6 +208,33 @@ class TestEpisodes:
 # Image-match candidates
 
 
+def _full_sort_distractors(world, truth_id):
+    """Every other city by (distance, id) from the truth, same province first."""
+    g = world.gazetteer
+    truth_region = g.get(truth_id)
+    same = [c for c in world.cities_of(world.province_of(truth_id)) if c != truth_id]
+    same_set = set(same)
+    other = [c for c in world.city_ids() if c != truth_id and c not in same_set]
+    by_dist = lambda cid: (haversine_km(g.get(cid).centroid, truth_region.centroid), cid)
+    return sorted(same, key=by_dist) + sorted(other, key=by_dist)
+
+
+def _match_candidates_full_sort(world, desc, distractors):
+    """Reference ``match_candidates`` over the fully sorted ``distractors``."""
+    truth_id = desc.truth.city_id
+    total = min(5, 1 + len(distractors))
+    window = min(synthworld._RANK_WINDOW[desc.difficulty], total)
+    digest = synthworld._stable_digest(
+        "match", str(world.seed), truth_id, desc.difficulty.value,
+        *(c.value for c in desc.clues),
+    )
+    rank = digest % window + 1
+    di = iter(distractors)
+    ordered = [truth_id if pos == rank else next(di) for pos in range(1, total + 1)]
+    return [{"region_id": c, "score": synthworld._MATCH_SCORES[i]}
+            for i, c in enumerate(ordered)]
+
+
 class TestMatchCandidates:
     @pytest.mark.parametrize("difficulty,window", [
         (Difficulty.EASY, 1), (Difficulty.MEDIUM, 3), (Difficulty.HARD, 5),
@@ -235,6 +263,20 @@ class TestMatchCandidates:
         scores = [c["score"] for c in match_candidates(BIG, desc)]
         assert scores == sorted(scores, reverse=True)
         assert len(scores) == 5
+
+    @pytest.mark.parametrize("world", [
+        generate_world(11, 20, 40),
+        generate_world(11, 3, 2),  # too few same-province cities: other provinces fill in
+    ], ids=["20x40", "3x2"])
+    def test_equals_full_sort_reference(self, world):
+        for cid in world.city_ids():
+            distractors = _full_sort_distractors(world, cid)
+            truth = Truth(world.gazetteer.get(cid).centroid, cid)
+            for difficulty in Difficulty:
+                desc = SceneDescriptor((Clue(ClueKind.VEGETATION, "palm-groves", 0.5),),
+                                       truth, difficulty)
+                assert match_candidates(world, desc) == \
+                    _match_candidates_full_sort(world, desc, distractors)
 
     def test_small_world_shrinks_candidate_list(self):
         tiny = generate_world(4, 1, 2)
