@@ -31,7 +31,14 @@ from .errors import (
     UnmatchedPredictionError,
 )
 from .executor import AblationConfig
-from .geo import Gazetteer, GeoPoint, haversine_km, normalize_city_name, reverse_geocode
+from .geo import (
+    AdminRegion,
+    Gazetteer,
+    GeoPoint,
+    haversine_km,
+    normalize_city_name,
+    reverse_geocode,
+)
 from .state import EpisodeStatus, Prediction
 from .synthworld import ClueKind, Difficulty, SceneDescriptor, SynthWorld, sample_episode
 
@@ -307,18 +314,7 @@ def acc_loglat(
 
     A point that reverse-geocodes to nothing counts as a miss.
     """
-    by_id = _pair(preds, samples)
-    hits = 0
-    for sample in samples:
-        pred = by_id.get(sample.id)
-        if pred is None:
-            continue
-        city = reverse_geocode(g, pred.point)
-        if city is None:
-            continue
-        if _same_city(city.name, sample.truth_city, aliases):
-            hits += 1
-    return 100.0 * hits / len(samples)
+    return _acc_loglat(_pair(preds, samples), samples, _geocode_points(preds, g), aliases)
 
 
 def location_compliance(
@@ -333,9 +329,47 @@ def location_compliance(
     """
     if not preds:
         raise EmptyPredictionsError("no predictions to check for compliance")
+    return _location_compliance(preds, _geocode_points(preds, g), aliases)
+
+
+#: Reverse-geocoded city of each predicted point (None: nothing qualifies).
+Geocoded = Mapping[GeoPoint, AdminRegion | None]
+
+
+def _geocode_points(preds: Iterable[Prediction], g: Gazetteer) -> Geocoded:
+    """Reverse-geocode each distinct predicted point once."""
+    out: dict[GeoPoint, AdminRegion | None] = {}
+    for pred in preds:
+        if pred.point not in out:
+            out[pred.point] = reverse_geocode(g, pred.point)
+    return out
+
+
+def _acc_loglat(
+    by_id: Mapping[str, Prediction],
+    samples: Sequence[BenchmarkSample],
+    geocoded: Geocoded,
+    aliases: dict[str, str] | None,
+) -> float:
+    hits = 0
+    for sample in samples:
+        pred = by_id.get(sample.id)
+        if pred is None:
+            continue
+        city = geocoded[pred.point]
+        if city is None:
+            continue
+        if _same_city(city.name, sample.truth_city, aliases):
+            hits += 1
+    return 100.0 * hits / len(samples)
+
+
+def _location_compliance(
+    preds: Sequence[Prediction], geocoded: Geocoded, aliases: dict[str, str] | None
+) -> float:
     hits = 0
     for pred in preds:
-        city = reverse_geocode(g, pred.point)
+        city = geocoded[pred.point]
         if city is None:
             continue
         if _same_city(city.name, pred.city_name, aliases):
@@ -383,7 +417,7 @@ class MetricBlock:
 def _block(
     preds: Sequence[Prediction],
     samples: Sequence[BenchmarkSample],
-    g: Gazetteer,
+    geocoded: Geocoded,
     thresholds: Iterable[int],
     aliases: dict[str, str] | None = None,
 ) -> MetricBlock:
@@ -392,14 +426,14 @@ def _block(
     if present and all(p.city_name == "" for p in present):
         compliance = None  # method emits no city names; rendered as "/"
     elif present:
-        compliance = location_compliance(present, g, aliases)
+        compliance = _location_compliance(present, geocoded, aliases)
     else:
         compliance = 0.0
     return MetricBlock(
         n=len(samples),
         threshold_acc=threshold_accuracy(preds, samples, thresholds),
         acc_city=acc_city(preds, samples, aliases),
-        acc_loglat=acc_loglat(preds, samples, g, aliases),
+        acc_loglat=_acc_loglat(by_id, samples, geocoded, aliases),
         location_compliance=compliance,
     )
 
@@ -412,6 +446,16 @@ def stratify(
     aliases: dict[str, str] | None = None,
 ) -> dict[str, dict[str, MetricBlock]]:
     """Recompute the metric set per scene category and per difficulty."""
+    return _stratify(preds, samples, _geocode_points(preds, g), thresholds, aliases)
+
+
+def _stratify(
+    preds: Sequence[Prediction],
+    samples: Sequence[BenchmarkSample],
+    geocoded: Geocoded,
+    thresholds: Iterable[int],
+    aliases: dict[str, str] | None,
+) -> dict[str, dict[str, MetricBlock]]:
     by_id = _pair(preds, samples)
 
     def group(key: Callable[[BenchmarkSample], str]) -> dict[str, MetricBlock]:
@@ -422,7 +466,7 @@ def stratify(
         for name in sorted(buckets):
             members = buckets[name]
             member_preds = [by_id[s.id] for s in members if s.id in by_id]
-            out[name] = _block(member_preds, members, g, thresholds, aliases)
+            out[name] = _block(member_preds, members, geocoded, thresholds, aliases)
         return out
 
     return {
@@ -480,10 +524,16 @@ def compute_report(
     thresholds: Iterable[int] = DEFAULT_THRESHOLDS_KM,
     aliases: dict[str, str] | None = None,
 ) -> MetricsReport:
+    """The metric suite overall and per stratum.
+
+    Each distinct predicted point is reverse-geocoded once; the overall
+    block and every stratum read the same lookups.
+    """
+    geocoded = _geocode_points(preds, g)
     return MetricsReport(
         label=label,
-        overall=_block(preds, samples, g, thresholds, aliases),
-        strata=stratify(preds, samples, g, thresholds, aliases),
+        overall=_block(preds, samples, geocoded, thresholds, aliases),
+        strata=_stratify(preds, samples, geocoded, thresholds, aliases),
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .canonical import canonical_hash, canonical_json
+from .canonical import canonical_json, sha256_hex
 from .errors import InsufficientEvidenceError, UnknownRegionError
 from .geo import AdminRegion, Gazetteer, GeoPoint, reverse_geocode
 
@@ -99,6 +99,21 @@ class Evidence:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of [0,1]: {self.confidence}")
 
+    def canonical(self) -> str:
+        """``canonical_json(self.to_json())``, serialized once per object.
+
+        Caching is sound because the dataclass is frozen and every field is
+        immutable (ints, a string, a frozenset, a float, frozen dataclasses),
+        so the serialization can never change after construction. The cache
+        is an instance attribute, not a field: ``dataclasses.replace`` builds
+        a fresh object, which serializes itself again.
+        """
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            cached = canonical_json(self.to_json())
+            object.__setattr__(self, "_canonical", cached)
+        return cached
+
     def to_json(self) -> dict:
         return {
             "id": self.id,
@@ -178,20 +193,42 @@ class EpisodeState:
         return tuple(e for e in self.chain if e.id not in self.inactive_ids)
 
     def to_json(self) -> dict:
+        return {"chain": [e.to_json() for e in self.chain], **self._fields_but_chain()}
+
+    def _fields_but_chain(self) -> dict:
         return {
             "step": self.step,
             "status": self.status.value,
             "space": self.space.to_json(),
-            "chain": [e.to_json() for e in self.chain],
             "inactive_ids": sorted(self.inactive_ids),
             "prediction": self.prediction.to_json() if self.prediction else None,
         }
 
     def canonical(self) -> str:
-        return canonical_json(self.to_json())
+        """Canonical JSON of the state, byte-equal to ``canonical_json(to_json())``.
+
+        ``"chain"`` is the first key in sorted order, so the string is the
+        chain's cached ``Evidence.canonical()`` strings followed by the
+        canonical JSON of the other five fields with its opening brace
+        dropped. Each evidence item is thus serialized once, however many
+        states share it.
+        """
+        chain = ",".join(e.canonical() for e in self.chain)
+        return '{"chain":[' + chain + "]," + canonical_json(self._fields_but_chain())[1:]
 
     def snapshot_hash(self) -> str:
-        return canonical_hash(self.to_json())
+        """SHA-256 of ``canonical()``, computed once per state object.
+
+        The state is frozen and all its fields are immutable, so the hash
+        cannot go stale; a ``dataclasses.replace`` copy is a new object and
+        hashes itself. Consecutive trace events that record the same state
+        object share one serialization.
+        """
+        cached = self.__dict__.get("_snapshot_hash")
+        if cached is None:
+            cached = sha256_hex(self.canonical())
+            object.__setattr__(self, "_snapshot_hash", cached)
+        return cached
 
 
 def consistent(region_id: str, e: Evidence, g: Gazetteer) -> bool:

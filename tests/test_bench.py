@@ -13,9 +13,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import small_gazetteer
-from geoprobe import geo, synthworld
+from geoprobe import bench, geo, synthworld
 from geoprobe.bench import (
     DATASET_SUFFIX,
     DEFAULT_MIX,
@@ -355,6 +357,79 @@ def test_report_permutation_invariance():
         assert compute_report(preds, samples, GAZ).to_json() == base
 
 
+#: Predicted points: city centroids, a district inside Rivertown, a point in
+#: Lakeside's fallback ring, and two points that geocode to nothing.
+POINT_POOL = (
+    *(c.centroid for c in CITIES),
+    GAZ.get("cn-a-1-x").centroid,
+    km_north(LAKESIDE.centroid, 70.0),
+    NOWHERE,
+    GeoPoint(-45.0, 20.0),
+)
+NAME_POOL = ("", "Rivertown", "rivertown city", "Lakeside", "Edo", "Edotown", "Nowhere")
+
+
+def _reference_block(preds, samples, aliases):
+    """One report block from the public metric functions alone."""
+    ids = {s.id for s in samples}
+    present = [p for p in preds if p.sample_id in ids]
+    if present and all(p.city_name == "" for p in present):
+        compliance = None
+    elif present:
+        compliance = round2(location_compliance(present, GAZ, aliases))
+    else:
+        compliance = 0.0
+    return {
+        "n": len(samples),
+        "threshold_acc": {
+            str(t): round2(v) for t, v in sorted(threshold_accuracy(present, samples).items())
+        },
+        "acc_city": round2(acc_city(present, samples, aliases)),
+        "acc_loglat": round2(acc_loglat(present, samples, GAZ, aliases)),
+        "location_compliance": compliance,
+    }
+
+
+@st.composite
+def scored_sets(draw):
+    n = draw(st.integers(1, 12))
+    samples, preds = [], []
+    for i in range(n):
+        truth = draw(st.sampled_from(CITIES))
+        samples.append(sample(
+            i, truth.centroid, truth.name, "P",
+            category=draw(st.sampled_from(list(SceneCategory))),
+            difficulty=draw(st.sampled_from(list(Difficulty)))))
+        if draw(st.booleans()) or i == 0:
+            preds.append(pred(f"s{i}", draw(st.sampled_from(POINT_POOL)),
+                              draw(st.sampled_from(NAME_POOL))))
+    if draw(st.booleans()):  # a method that emits no city names at all
+        preds = [replace(p, city_name="") for p in preds]
+    return samples, preds
+
+
+@given(scored_sets(), st.sampled_from([None, {"Edo": "Edotown"}]))
+def test_compute_report_equals_block_by_block_reference(scored, aliases):
+    samples, preds = scored
+    reference = {
+        "label": "full",
+        "n": len(samples),
+        "overall": _reference_block(preds, samples, aliases),
+        "strata": {
+            axis: {
+                name: _reference_block(
+                    preds, [s for s in samples if key(s) == name], aliases)
+                for name in sorted({key(s) for s in samples})
+            }
+            for axis, key in (
+                ("scene_category", lambda s: s.scene_category.value),
+                ("difficulty", lambda s: s.difficulty.value),
+            )
+        },
+    }
+    assert compute_report(preds, samples, GAZ, aliases=aliases).to_json() == reference
+
+
 def test_round2_is_half_up():
     assert round2(52.335) == 52.34
     assert round2(52.334) == 52.33
@@ -620,6 +695,24 @@ def test_run_benchmark_hashes_and_tags_the_world_once(monkeypatch, tmp_path):
     assert all(e.status is EpisodeStatus.FINALIZED for e in run.entries)
     assert len(list(tmp_path.glob("*.trace.jsonl"))) == 20
     assert counts == {"hash": 1, "tags": 1}
+
+
+def test_run_benchmark_geocodes_each_predicted_point_once(monkeypatch):
+    """Scoring reverse-geocodes each distinct predicted point once per report,
+    however many blocks and strata read it."""
+    looked_up = []
+    lookup = bench.reverse_geocode
+
+    def counting_lookup(g, p, *args, **kwargs):
+        looked_up.append(p)
+        return lookup(g, p, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "reverse_geocode", counting_lookup)
+    big = generate_world(11, 20, 40)
+    run = run_benchmark(make_benchmark(big, 20, seed=5), scripted_salience_policy(), big)
+    points = {p.point for p in run.predictions}
+    assert len(run.predictions) == 20
+    assert len(looked_up) == len(set(looked_up)) == len(points)
 
 
 def test_run_benchmark_writes_replayable_traces(tmp_path, world, bench_samples):

@@ -1,10 +1,14 @@
 """Trace recording, replay verification, tamper detection, compression."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from geoprobe.canonical import canonical_hash
+from geoprobe import state as state_module
+from geoprobe.canonical import canonical_hash, sha256_hex
+from geoprobe.engine import run_synthetic_episode
 from geoprobe.errors import (
     BudgetTooSmallError,
     HashMismatchError,
@@ -24,7 +28,9 @@ from geoprobe.recorder import (
     load_trace,
     replay,
 )
+from geoprobe.planner import scripted_salience_policy
 from geoprobe.state import EpisodeState, Evidence, Provenance, apply_evidence_report, finalize
+from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
 
 def ev(eid, constraint, conf=0.9, claim=None):
@@ -271,6 +277,69 @@ class TestReplay:
         # The doctored confidence changes the chain, so the state hash breaks
         # at that same projection event.
         assert ei.value.seq == seq
+
+
+#: A medium-difficulty synthetic episode (world seed 11, 3x5 provinces x
+#: cities; ``sample_episode`` seed 4; scripted salience policy) with four
+#: projections and one backtrack, recorded before state hashes were composed
+#: from cached evidence serializations. Traces written since must verify
+#: against it and reproduce its hashes.
+GOLDEN_TRACE = Path(__file__).parent / "data" / "synth_w11_3x5_medium_s4.trace.jsonl"
+#: SHA-256 of the golden trace's state hashes joined by newlines.
+GOLDEN_STATE_HASHES_SHA256 = "67129e52c606ab5953c64ff8016fd4aec6c67ac9d80b50768995e038e2b9cb5d"
+
+
+def record_golden_episode(path=None):
+    world = generate_world(11, 3, 5)
+    desc = sample_episode(world, 4, Difficulty.MEDIUM)
+    return run_synthetic_episode(world, desc, scripted_salience_policy(), trace_path=path)
+
+
+class TestGoldenTrace:
+    def test_replays_under_current_code(self):
+        trace = load_trace(str(GOLDEN_TRACE))
+        report = replay(trace, generate_world(11, 3, 5).gazetteer)
+        assert report.events_verified == len(trace.events) == 15
+        assert report.prediction is not None and report.prediction.city_name == "Pumadi"
+        assert [e.kind for e in trace.events].count(EventKind.BACKTRACK) == 1
+
+    def test_state_hashes_pinned(self):
+        hashes = [e.state_hash for e in load_trace(str(GOLDEN_TRACE)).events]
+        assert sha256_hex("\n".join(hashes)) == GOLDEN_STATE_HASHES_SHA256
+
+    def test_rerecording_matches_apart_from_wall_time(self, tmp_path):
+        path = tmp_path / "again.trace.jsonl"
+        record_golden_episode(str(path))
+
+        def without_wall_time(p):
+            return re.sub(r'"wall_time": [^,}]+', '"wall_time": 0',
+                          Path(p).read_text(encoding="utf-8"))
+
+        assert without_wall_time(path) == without_wall_time(GOLDEN_TRACE)
+
+    def test_each_state_and_evidence_serialized_once(self, monkeypatch):
+        """Events that record the same state object share one serialization,
+        and each evidence item is serialized once for all states holding it."""
+        states = []
+        serializations = []
+        canonical = EpisodeState.canonical
+        canonical_json = state_module.canonical_json
+
+        def counting_canonical(self):
+            states.append(self)
+            return canonical(self)
+
+        def counting_canonical_json(obj):
+            serializations.append(obj)
+            return canonical_json(obj)
+
+        monkeypatch.setattr(EpisodeState, "canonical", counting_canonical)
+        monkeypatch.setattr(state_module, "canonical_json", counting_canonical_json)
+        result = record_golden_episode()
+        events = result.trace.events
+        assert len({id(s) for s in states}) == len(states)
+        assert len(states) == len({e.state_hash for e in events}) == 6 < len(events)
+        assert len(serializations) == len(states) + len(result.state.chain)
 
 
 class TestIsRepetition:

@@ -6,12 +6,14 @@ tests recompute every operation as plain set intersections and compare.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import small_gazetteer
+from geoprobe.canonical import canonical_hash, canonical_json
 from geoprobe.errors import InsufficientEvidenceError, UnknownRegionError
 from geoprobe.geo import GeoPoint
 from geoprobe.state import (
@@ -414,3 +416,70 @@ class TestSnapshots:
         rep = apply_evidence_report(EpisodeState(), [ev(1, ["cn"])], gaz)
         assert isinstance(rep, ApplyReport)
         assert rep.backtracks == ()
+
+
+# -- canonical serialization and state hashes --------------------------------
+
+# Text with non-ASCII letters, quotes, backslashes and control characters.
+TRICKY_TEXT = st.text(max_size=8) | st.text(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "é", "市", "a"]), max_size=8
+)
+POINTS = st.builds(
+    GeoPoint,
+    st.floats(-90.0, 90.0, allow_nan=False),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+EVIDENCE = st.builds(
+    Evidence,
+    id=st.integers(0, 10**6),
+    source_action_id=st.integers(0, 10**6),
+    claim=TRICKY_TEXT,
+    constraint=st.frozensets(TRICKY_TEXT, min_size=1, max_size=3),
+    confidence=st.floats(0.0, 1.0, allow_nan=False),
+    provenance=st.builds(Provenance, st.integers(0, 10**6), TRICKY_TEXT),
+    point=st.none() | POINTS,
+)
+PREDICTIONS = st.builds(
+    Prediction,
+    point=POINTS,
+    city_name=TRICKY_TEXT,
+    sample_id=st.none() | TRICKY_TEXT,
+    trace_ref=st.none() | TRICKY_TEXT,
+)
+SPACES = st.builds(CandidateSpace, st.frozensets(TRICKY_TEXT, max_size=3), st.booleans())
+STATES = st.builds(
+    EpisodeState,
+    step=st.integers(0, 10**6),
+    space=SPACES,
+    chain=st.lists(EVIDENCE, max_size=3).map(tuple),
+    inactive_ids=st.frozensets(st.integers(0, 10**6), max_size=4),
+    status=st.sampled_from(list(EpisodeStatus)),
+    prediction=st.none() | PREDICTIONS,
+)
+
+
+class TestCanonicalComposition:
+    """The composed, cached serialization equals serializing ``to_json()``."""
+
+    @given(STATES)
+    def test_canonical_and_hash_equal_to_json_serialization(self, state):
+        expected = canonical_json(state.to_json())
+        for _ in range(2):  # first computation, then the cached values
+            assert state.canonical() == expected
+            assert state.snapshot_hash() == canonical_hash(state.to_json())
+        for e in state.chain:
+            assert e.canonical() == canonical_json(e.to_json())
+
+    @given(STATES, EVIDENCE)
+    def test_replaced_copy_hashes_itself(self, state, extra):
+        original = state.snapshot_hash()
+        statuses = list(EpisodeStatus)
+        other_status = statuses[(statuses.index(state.status) + 1) % len(statuses)]
+        for copy in (
+            replace(state, step=state.step + 1),
+            replace(state, chain=state.chain + (extra,)),
+            replace(state, status=other_status, prediction=None),
+        ):
+            assert copy.snapshot_hash() == canonical_hash(copy.to_json())
+            assert copy.snapshot_hash() != original
+        assert state.snapshot_hash() == original
