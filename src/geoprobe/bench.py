@@ -119,21 +119,6 @@ class BenchmarkSample:
             out["descriptor"] = self.descriptor.to_json()
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "BenchmarkSample":
-        desc = obj.get("descriptor")
-        return cls(
-            id=str(obj["id"]),
-            truth_point=GeoPoint.from_json(obj["truth"]),
-            truth_city=str(obj["truth_city"]),
-            truth_province=str(obj["truth_province"]),
-            scene_category=SceneCategory(obj["scene_category"]),
-            difficulty=Difficulty(obj["difficulty"]),
-            image=obj.get("image"),
-            descriptor=SceneDescriptor.from_json(desc) if desc is not None else None,
-            clue_tags=tuple(str(t) for t in obj.get("clue_tags", ())),
-        )
-
 
 _REQUIRED_FIELDS = ("id", "truth", "truth_city", "truth_province",
                     "scene_category", "difficulty")

@@ -261,4 +261,6 @@ def build_backend(cfg: RunConfig):
         model=cfg.backend.model,
         auth_env=cfg.backend.auth_env,
         timeout_s=cfg.tools.timeout_s,
+        transport_retries=cfg.tools.retries,
+        backoff_s=cfg.tools.backoff_s,
     )

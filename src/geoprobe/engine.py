@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .actions import Decision
+from .actions import Decision, render_action_schema
 from .defaults import DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS
 from .errors import BackendUnavailableError, InsufficientEvidenceError
 from .executor import AblationConfig, execute_batch, extract_evidence
@@ -79,7 +79,6 @@ def run_episode(
     image_ref: str = "scene/0",
     descriptor: SceneDescriptor | None = None,
     tag_table=None,
-    schema_text: str | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_parallel: int = DEFAULT_MAX_PARALLEL,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
@@ -88,9 +87,7 @@ def run_episode(
     """Run one episode to Finalized or Exhausted within ``max_steps``."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    from .actions import render_action_schema
-
-    schema = schema_text if schema_text is not None else render_action_schema()
+    schema = render_action_schema()
     scene_text = describe_scene(descriptor, image_ref)
     state = EpisodeState()
     prediction: Prediction | None = None

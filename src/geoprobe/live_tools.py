@@ -11,7 +11,7 @@ Wire format (all JSON over POST):
 
     caption       {"image", "focus"?}
     ocr           {"image", "bbox"?}
-    kb            {"query", "region_scope"?}
+    kb            {"query"}
     text_search   {"query", "top_k", "region_scope"?}
     image_search  {"image", "top_k"}     # image may be a crop reference
     geocode       {"name"}

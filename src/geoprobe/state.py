@@ -2,11 +2,11 @@
 
 The candidate space is an antichain over the admin-region tree (no frontier
 region is an ancestor of another). Each piece of evidence carries a set of
-region ids it is consistent with; applying evidence projects the space onto
-the consistent subset, refining regions into children where that narrows
-things. Contradictions trigger a deterministic confidence-greedy backtrack
-that deactivates evidence instead of deleting it, so the recorded chain is
-append-only.
+constraint region ids; applying evidence projects the space onto the leaves
+it shares with them, in one downward walk that splits each frontier region
+strictly containing a constraint region into its children. Contradictions
+trigger a deterministic confidence-greedy backtrack that deactivates
+evidence instead of deleting it, so the recorded chain is append-only.
 """
 
 from __future__ import annotations
@@ -79,9 +79,10 @@ class Provenance:
 class Evidence:
     """One verified geographic constraint extracted from a tool result.
 
-    ``constraint`` holds the region ids the evidence is consistent with;
-    the hierarchy closure (ancestors/descendants) is applied at check time,
-    not stored. ``point`` is set when the underlying record pins exact
+    ``constraint`` holds the region ids the evidence points to. A region
+    overlaps it when the region, an ancestor or a descendant is listed;
+    ``project`` applies that closure while it walks the tree, and nothing
+    stores it. ``point`` is set when the underlying record pins exact
     coordinates (a POI match), which finalization can use as an anchor.
     """
 
@@ -231,18 +232,6 @@ class EpisodeState:
         return cached
 
 
-def consistent(region_id: str, e: Evidence, g: Gazetteer) -> bool:
-    """True iff the region, one of its ancestors, or one of its descendants
-    appears in the evidence constraint."""
-    if region_id not in g:
-        raise UnknownRegionError(region_id)
-    if region_id in e.constraint:
-        return True
-    if any(a in e.constraint for a in g.ancestors(region_id)):
-        return True
-    return not e.constraint.isdisjoint(g.descendants(region_id))
-
-
 def antichain_reduce(region_ids: frozenset[str] | set[str], g: Gazetteer) -> frozenset[str]:
     """Drop every region that has a strict ancestor in the set.
 
@@ -252,45 +241,39 @@ def antichain_reduce(region_ids: frozenset[str] | set[str], g: Gazetteer) -> fro
     for rid in region_ids:
         if rid not in g:
             raise UnknownRegionError(rid)
-    return frozenset(
-        rid for rid in region_ids if not any(a in region_ids for a in g.ancestors(rid))
-    )
-
-
-def _refine(region_id: str, e: Evidence, g: Gazetteer) -> list[str]:
-    """Consistent fragment of a region, pushed down to constraint depth.
-
-    A region that strictly contains a constraint region is replaced by its
-    consistent children, recursively, until no kept region strictly contains
-    a constraint region (or there are no children to refine into).
-    """
-    strictly_contains = not e.constraint.isdisjoint(g.descendants(region_id))
-    children = g.children(region_id)
-    if not strictly_contains or not children:
-        return [region_id]
-    kept: list[str] = []
-    for child in children:
-        if consistent(child, e, g):
-            kept.extend(_refine(child, e, g))
-    return kept
+    return frozenset(rid for rid in region_ids if region_ids.isdisjoint(g.ancestors(rid)))
 
 
 def project(space: CandidateSpace, e: Evidence, g: Gazetteer) -> CandidateSpace:
-    """Project the space onto the subset consistent with one evidence.
+    """Project the space onto the part that overlaps one evidence.
 
-    A global space collapses to the antichain-reduced constraint set. An
-    empty result signals contradiction in the returned value; it never
-    raises for that.
+    A global space collapses to the antichain-reduced constraint set; it
+    raises ``UnknownRegionError`` for a constraint id the gazetteer lacks.
+    Otherwise one downward walk from the frontier replaces each region that
+    strictly contains a constraint region by its children, and keeps any
+    other region exactly when it or one of its ancestors is in the
+    constraint. Unknown constraint ids match nothing there. The result is
+    an antichain whenever the frontier is one. An empty result signals
+    contradiction in the returned value; it never raises for that.
     """
     if space.is_global:
         return CandidateSpace(antichain_reduce(e.constraint, g), False)
+    above: set[str] = set()
+    for cid in e.constraint:
+        if cid in g:
+            above.update(g.ancestors(cid))
     kept: set[str] = set()
-    for rid in sorted(space.frontier):
+    # Reverse-sorted so the smallest unknown frontier id is the one reported.
+    stack = sorted(space.frontier, reverse=True)
+    while stack:
+        rid = stack.pop()
         if rid not in g:
             raise UnknownRegionError(rid)
-        if consistent(rid, e, g):
-            kept.update(_refine(rid, e, g))
-    return CandidateSpace(antichain_reduce(kept, g), False)
+        if rid in above:
+            stack.extend(g.children(rid))
+        elif rid in e.constraint or not e.constraint.isdisjoint(g.ancestors(rid)):
+            kept.add(rid)
+    return CandidateSpace(frozenset(kept), False)
 
 
 def _fold(space: CandidateSpace, evs: list[Evidence], g: Gazetteer) -> CandidateSpace:
@@ -359,7 +342,7 @@ def apply_evidence_report(state: EpisodeState, evs: list[Evidence], g: Gazetteer
         inactive.add(drop.id)
         backtracks.append(Backtrack(drop.id, "chain"))
         active = [e for e in active if e.id != drop.id]
-        space = _fold(CandidateSpace.global_space(), active, g) if active else CandidateSpace.global_space()
+        space = _fold(CandidateSpace.global_space(), active, g)
 
     new_state = replace(
         state,

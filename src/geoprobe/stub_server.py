@@ -210,9 +210,6 @@ class StubToolServer:
     def set_behavior(self, tool: Tool, **kwargs) -> None:
         self._behaviors[TOOL_PATHS[tool]] = RouteBehavior(**kwargs)
 
-    def clear_behaviors(self) -> None:
-        self._behaviors.clear()
-
     def set_canned(self, tool: Tool, payload: dict) -> None:
         self._canned[tool] = payload
 

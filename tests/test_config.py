@@ -214,7 +214,8 @@ def test_build_backend_scripted(workspace):
 
 def test_build_backend_llm(workspace):
     cfg = load_config(write_config(workspace, {
-        "tools": {"mode": "synthetic", "world": "world.json"},
+        "tools": {"mode": "synthetic", "world": "world.json",
+                  "timeout_s": 7.5, "retries": 5, "backoff_s": 0.125},
         "backend": {"kind": "llm", "endpoint": "http://llm.local/chat",
                     "model": "m-9", "auth_env": "MY_TOKEN"},
     }))
@@ -223,6 +224,9 @@ def test_build_backend_llm(workspace):
     assert backend.endpoint == "http://llm.local/chat"
     assert backend.model == "m-9"
     assert backend.auth_env == "MY_TOKEN"
+    assert backend.timeout_s == 7.5
+    assert backend.transport_retries == 5
+    assert backend.backoff_s == 0.125
 
 
 def test_no_secrets_in_config_json(workspace, monkeypatch):

@@ -5,6 +5,7 @@ constraint system is equivalent to set algebra over leaf covers, so the
 tests recompute every operation as plain set intersections and compare.
 """
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -28,10 +29,10 @@ from geoprobe.state import (
     antichain_reduce,
     apply_evidence,
     apply_evidence_report,
-    consistent,
     finalize,
     project,
 )
+from geoprobe.synthworld import generate_world
 
 PROV = Provenance(action_id=0, payload_sha256="0" * 64)
 
@@ -83,33 +84,41 @@ class TestEvidence:
         assert Evidence.from_json(e2.to_json()) == e2
 
 
+def overlaps(region_id, constraint, g):
+    """Whether a one-region frontier keeps anything after projection."""
+    space = CandidateSpace(frozenset({region_id}), False)
+    return not project(space, ev(1, constraint), g).is_empty
+
+
 class TestConsistent:
+    """A region is consistent with evidence when its one-region projection
+    is non-empty: the region, an ancestor or a descendant is constrained."""
+
     def test_direct_member(self, gaz):
-        assert consistent("cn-a", ev(1, ["cn-a"]), gaz)
+        assert overlaps("cn-a", ["cn-a"], gaz)
 
     def test_ancestor_in_constraint(self, gaz):
-        assert consistent("cn-a-1-x", ev(1, ["cn"]), gaz)
+        assert overlaps("cn-a-1-x", ["cn"], gaz)
 
     def test_descendant_in_constraint(self, gaz):
-        assert consistent("cn", ev(1, ["cn-a-1-x"]), gaz)
+        assert overlaps("cn", ["cn-a-1-x"], gaz)
 
     def test_disjoint_subtrees(self, gaz):
-        assert not consistent("jp", ev(1, ["cn-a"]), gaz)
-        assert not consistent("cn-a-2", ev(1, ["cn-a-1"]), gaz)
+        assert not overlaps("jp", ["cn-a"], gaz)
+        assert not overlaps("cn-a-2", ["cn-a-1"], gaz)
 
     def test_unknown_region(self, gaz):
         with pytest.raises(UnknownRegionError):
-            consistent("ghost", ev(1, ["cn"]), gaz)
+            overlaps("ghost", ["cn"], gaz)
 
     def test_matches_leaf_cover_overlap_everywhere(self, gaz):
         # Exhaustive oracle: consistency is exactly leaf-cover overlap.
         rng = random.Random(7)
         for _ in range(200):
             c = rng.sample(ALL_IDS, rng.randint(1, 3))
-            e = ev(1, c)
             for rid in ALL_IDS:
                 expect = bool(cover(gaz, [rid]) & cover(gaz, c))
-                assert consistent(rid, e, gaz) == expect, (rid, c)
+                assert overlaps(rid, c, gaz) == expect, (rid, c)
 
 
 class TestAntichainReduce:
@@ -180,6 +189,115 @@ class TestProject:
         assert space_cover(gaz, CandidateSpace.global_space()) == {
             "cn-a-1-x", "cn-a-1-y", "cn-a-2", "cn-b-1", "jp-a-1",
         }
+
+    def test_unknown_frontier_id_raises(self, gaz):
+        s = CandidateSpace(frozenset({"cn-a", "ghost-b", "ghost-a"}), False)
+        with pytest.raises(UnknownRegionError) as exc:
+            project(s, ev(1, ["cn"]), gaz)
+        assert exc.value.region_id == "ghost-a"
+
+    def test_unknown_constraint_ids_ignored_on_non_global(self, gaz):
+        s = CandidateSpace(frozenset({"cn"}), False)
+        assert project(s, ev(1, ["ghost", "cn-a-1"]), gaz).frontier == {"cn-a-1"}
+        assert project(s, ev(1, ["ghost"]), gaz).is_empty
+
+    def test_unknown_constraint_ids_raise_on_global(self, gaz):
+        with pytest.raises(UnknownRegionError):
+            project(CandidateSpace.global_space(), ev(1, ["cn-a", "ghost"]), gaz)
+
+
+# -- the recursive projection, kept as the reference for ``project`` ---------
+
+
+def _oracle_consistent(region_id, e, g):
+    """True iff the region, one of its ancestors, or one of its descendants
+    appears in the evidence constraint."""
+    if region_id not in g:
+        raise UnknownRegionError(region_id)
+    if region_id in e.constraint:
+        return True
+    if any(a in e.constraint for a in g.ancestors(region_id)):
+        return True
+    return not e.constraint.isdisjoint(g.descendants(region_id))
+
+
+def _oracle_refine(region_id, e, g):
+    """Consistent fragment of a region, pushed down to constraint depth.
+
+    A region that strictly contains a constraint region is replaced by its
+    consistent children, recursively, until no kept region strictly contains
+    a constraint region (or there are no children to refine into).
+    """
+    strictly_contains = not e.constraint.isdisjoint(g.descendants(region_id))
+    children = g.children(region_id)
+    if not strictly_contains or not children:
+        return [region_id]
+    kept = []
+    for child in children:
+        if _oracle_consistent(child, e, g):
+            kept.extend(_oracle_refine(child, e, g))
+    return kept
+
+
+def _project_oracle(space, e, g):
+    """Project the space onto the subset consistent with one evidence.
+
+    A global space collapses to the antichain-reduced constraint set. An
+    empty result signals contradiction in the returned value; it never
+    raises for that.
+    """
+    if space.is_global:
+        return CandidateSpace(antichain_reduce(e.constraint, g), False)
+    kept = set()
+    for rid in sorted(space.frontier):
+        if rid not in g:
+            raise UnknownRegionError(rid)
+        if _oracle_consistent(rid, e, g):
+            kept.update(_oracle_refine(rid, e, g))
+    return CandidateSpace(antichain_reduce(kept, g), False)
+
+
+def _outcome(fn, space, e, g):
+    """The projected space, or the unknown region id it raised for."""
+    try:
+        return fn(space, e, g)
+    except UnknownRegionError as exc:
+        return ("unknown", exc.region_id)
+
+
+#: Gazetteers ``project`` is checked on against the oracle: the hand-built
+#: four-level tree and a three-level 3×5 synthetic world.
+ORACLE_GAZETTEERS = {
+    "small": small_gazetteer(),
+    "synth-3x5": generate_world(11, 3, 5).gazetteer,
+}
+
+
+class TestProjectEqualsOracle:
+    @given(st.data(), st.sampled_from(sorted(ORACLE_GAZETTEERS)), st.booleans())
+    def test_random_antichains_and_constraints(self, data, name, is_global):
+        g = ORACLE_GAZETTEERS[name]
+        ids = [r.id for r in g.regions()]
+        frontier = antichain_reduce(set(data.draw(st.lists(st.sampled_from(ids), max_size=6))), g)
+        frontier |= data.draw(st.frozensets(st.sampled_from(["ghost", "zz-ghost"])))
+        constraint = data.draw(
+            st.lists(st.sampled_from(ids + ["ghost"]), min_size=1, max_size=4))
+        space = CandidateSpace(frozenset() if is_global else frontier, is_global)
+        e = ev(1, constraint)
+        assert _outcome(project, space, e, g) == _outcome(_project_oracle, space, e, g)
+
+    def test_every_antichain_and_small_constraint(self, gaz):
+        antichains = {
+            antichain_reduce(set(ids), gaz)
+            for n in range(len(ALL_IDS) + 1)
+            for ids in itertools.combinations(ALL_IDS, n)
+        }
+        constraints = [c for n in range(1, 5) for c in itertools.combinations(ALL_IDS, n)]
+        for fr in antichains:
+            space = CandidateSpace(fr, False)
+            for c in constraints:
+                e = ev(1, c)
+                assert project(space, e, gaz) == _project_oracle(space, e, gaz), (fr, c)
 
 
 def leafsim(g, steps):
