@@ -13,6 +13,7 @@ the envelope contents.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -311,11 +312,13 @@ def parse_decision(text: str, start_id: int, max_parallel: int) -> Decision:
     return Decision(thought=thought, actions=tuple(actions), finalize=finalize)
 
 
+@functools.cache
 def render_action_schema() -> str:
     """Stable plain-text description of the envelope, modules, and tools.
 
     Fed verbatim into reasoner prompts and pinned by a golden test, so the
-    wording and ordering must not drift casually.
+    wording and ordering must not drift casually. It depends only on
+    module constants, so it is built once per process.
     """
     lines = [
         'Reply with exactly one JSON object (prose around it is ignored):',

@@ -61,7 +61,18 @@ class ToolResult:
 
     @property
     def payload_sha256(self) -> str:
-        return canonical_hash(self.payload)
+        """``canonical_hash(self.payload)``, computed once per result.
+
+        The Execution event and each evidence's provenance both read it.
+        The cache, like ``Evidence.canonical()``'s, is an instance attribute
+        set on first use; it is sound because nothing mutates a result's
+        payload after construction.
+        """
+        cached = self.__dict__.get("_payload_sha256")
+        if cached is None:
+            cached = canonical_hash(self.payload)
+            object.__setattr__(self, "_payload_sha256", cached)
+        return cached
 
     @classmethod
     def succeed(cls, action: Action, payload: dict, latency_ms: float = 0.0) -> "ToolResult":

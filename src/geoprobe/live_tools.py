@@ -19,18 +19,49 @@ Wire format (all JSON over POST):
 The response body of a 200 is used verbatim as the result payload, so a
 conformant server answers with the same shapes the evidence extractor
 reads (caption/tags, spans, records, hits, candidates, matches).
+
+Transport: each ``live_adapters()`` call builds one ``HttpTransport``, a
+thread-safe urllib3 pool shared by all of its adapters. The environment is
+read once, when the transport is built, through ``requests``' own helpers:
+the proxy (``HTTP_PROXY``/``HTTPS_PROXY``/``ALL_PROXY``, ``NO_PROXY``), the
+CA bundle (``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``) and ``.netrc``
+credentials, which, as under ``requests``, replace the bearer header for
+their host. Changing them later does not affect built adapters; the bearer
+token named by ``auth_env`` is still read on every call. The adapters take
+no ``requests.Session``: the ``session`` parameters of ``live_adapters``,
+``LiveAdapter`` and ``live_adapter_request`` are gone. Redirects are not
+followed (``requests`` re-sent a 301/302/303 POST as a GET): a 3xx answer
+is a RequestRejected result. A NetworkError detail is the ``repr`` of a
+``requests.ConnectionError`` around the urllib3 error itself, such as
+``ConnectionError(NewConnectionError(...))``, without the "Max retries
+exceeded" wrapper ``requests`` added. A 200 body is parsed as JSON from its
+bytes (UTF-8, or UTF-16/32 detected by ``json.loads``).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple
 
 import requests
+import urllib3
+from requests.adapters import DEFAULT_POOLSIZE
+from requests.utils import (
+    DEFAULT_CA_BUNDLE_PATH,
+    get_auth_from_url,
+    get_encoding_from_headers,
+    get_netrc_auth,
+    prepend_scheme_if_needed,
+    select_proxy,
+    urldefragauth,
+)
 
 from .actions import Action, Tool, crop_payload
+from .defaults import DEFAULT_MAX_PARALLEL
+from .errors import ConfigError
 from .executor import ToolAdapter, ToolResult
 
 DEFAULT_TIMEOUT_S = 20.0
@@ -42,6 +73,10 @@ DEFAULT_TOP_K = 5
 #: exempt: its raw body is preserved in full so traces show exactly what
 #: the server sent.
 _ERROR_DETAIL_CAP = 500
+
+#: Connections kept per host: a whole parallel batch fits, and never fewer
+#: than a ``requests`` adapter keeps.
+POOL_MAXSIZE = max(DEFAULT_MAX_PARALLEL, DEFAULT_POOLSIZE)
 
 #: URL path for each network tool, shared with the bundled stub server.
 TOOL_PATHS: dict[Tool, str] = {
@@ -140,14 +175,113 @@ def _elapsed_ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
+class HttpReply(NamedTuple):
+    """A fully read HTTP answer."""
+
+    status_code: int
+    content: bytes
+    headers: Mapping[str, str]
+
+    @property
+    def text(self) -> str:
+        """The body decoded by its declared charset (``requests``' rule),
+        else as UTF-8; undecodable bytes are replaced."""
+        encoding = get_encoding_from_headers(self.headers) or "utf-8"
+        try:
+            return self.content.decode(encoding, errors="replace")
+        except LookupError:
+            return self.content.decode("utf-8", errors="replace")
+
+
+def _tls_settings(verify) -> dict:
+    """Pool arguments for ``requests``' ``verify`` value (True, False or a
+    CA bundle path); urllib3 ignores them for plain-HTTP pools."""
+    if not verify:
+        return {"cert_reqs": "CERT_NONE"}
+    bundle = DEFAULT_CA_BUNDLE_PATH if verify is True else verify
+    where = "ca_cert_dir" if os.path.isdir(bundle) else "ca_certs"
+    return {"cert_reqs": "CERT_REQUIRED", where: bundle}
+
+
+def _pool_manager(proxy: str | None, verify) -> urllib3.PoolManager:
+    pool = dict(num_pools=DEFAULT_POOLSIZE, maxsize=POOL_MAXSIZE, **_tls_settings(verify))
+    if proxy is None:
+        return urllib3.PoolManager(**pool)
+    proxy = prepend_scheme_if_needed(proxy, "http")
+    if not proxy.lower().startswith(("http://", "https://")):
+        raise ConfigError(f"unsupported proxy for tool endpoints: {proxy!r}")
+    user, password = get_auth_from_url(proxy)
+    headers = urllib3.make_headers(proxy_basic_auth=f"{user}:{password}") if user else None
+    return urllib3.ProxyManager(proxy, proxy_headers=headers, **pool)
+
+
+class HttpTransport:
+    """Pooled JSON POSTs to a fixed set of URLs; safe to share across threads.
+
+    Each URL's proxy, CA bundle and credentials are resolved here, once, by
+    ``requests``' own environment rules, and URLs with the same settings
+    share one connection pool per host. ``post`` raises ``requests.Timeout``
+    for a connect or read timeout and ``requests.ConnectionError`` for any
+    other transport failure, chained to the urllib3 error.
+    """
+
+    def __init__(self, urls: Iterable[str]):
+        #: url -> (pool manager, request target, default headers, credentials)
+        self._routes: dict[str, tuple[urllib3.PoolManager, str, dict, dict]] = {}
+        managers: dict[tuple, urllib3.PoolManager] = {}
+        with requests.Session() as session:
+            defaults = dict(session.headers)
+            for url in urls:
+                settings = session.merge_environment_settings(url, {}, None, None, None)
+                key = (select_proxy(url, settings["proxies"]), settings["verify"])
+                if key not in managers:
+                    managers[key] = _pool_manager(*key)
+                user, password = get_netrc_auth(url) or get_auth_from_url(url)
+                credentials = {}
+                if user or password:
+                    basic = urllib3.make_headers(basic_auth=f"{user}:{password}")
+                    credentials["Authorization"] = basic["authorization"]
+                self._routes[url] = (managers[key], urldefragauth(url), defaults, credentials)
+
+    def post(self, url: str, *, body: bytes, headers: Mapping[str, str],
+             timeout: float) -> HttpReply:
+        """POST ``body`` to a URL given at construction; ``timeout`` bounds
+        both the connect and each read. Redirects are returned, not followed."""
+        manager, target, defaults, credentials = self._routes[url]
+        headers = {**defaults, **headers, **credentials}
+        try:
+            resp = manager.urlopen("POST", target, body=body, headers=headers,
+                                   timeout=timeout, retries=False, redirect=False)
+        except urllib3.exceptions.NewConnectionError as exc:
+            # A subclass of ConnectTimeoutError, but a refused or unresolvable
+            # connection is not a timeout (``requests`` draws the same line).
+            raise requests.ConnectionError(exc) from exc
+        except urllib3.exceptions.TimeoutError as exc:
+            raise requests.Timeout(exc) from exc
+        except urllib3.exceptions.HTTPError as exc:
+            raise requests.ConnectionError(exc) from exc
+        return HttpReply(resp.status, resp.data, resp.headers)
+
+
+def _encode_json(body) -> bytes:
+    """``body`` as ``requests`` sends ``json=body``: no NaN or infinity,
+    UTF-8. Unencodable bodies raise ``requests.exceptions.InvalidJSONError``."""
+    try:
+        return json.dumps(body, allow_nan=False).encode("utf-8")
+    except (ValueError, TypeError) as exc:
+        raise requests.exceptions.InvalidJSONError(exc) from exc
+
+
 def post_with_retries(post, url: str, *, retries: int, backoff_s: float,
-                      **kwargs) -> requests.Response:
+                      **kwargs):
     """``post(url, **kwargs)`` under the shared HTTP retry policy.
 
     Transport errors and 5xx answers are retried ``retries`` times, after
     ``backoff_s * 2**attempt`` seconds each. A timeout is never retried:
     ``requests.Timeout`` propagates at once. Once retries run out, the last
-    5xx response is returned or the last transport error raised.
+    5xx response is returned or the last transport error raised. ``post``
+    returns anything with a ``status_code`` (a ``requests.Response`` or an
+    ``HttpReply``) and raises ``requests`` exceptions.
     """
     attempt = 0
     while True:
@@ -168,7 +302,7 @@ def live_adapter_request(
     tool: Tool,
     action: Action,
     cfg: EndpointConfig,
-    session: requests.Session | None = None,
+    transport: HttpTransport | None = None,
 ) -> ToolResult:
     """One tool call over HTTP, with the full failure policy applied.
 
@@ -176,16 +310,20 @@ def live_adapter_request(
     times with exponential backoff (``post_with_retries``). Timeouts are
     not retried: the caller already paid the full timeout budget, and the
     in-band Timeout result lets the planner move on instead of tripling the
-    stall. Client errors (4xx) fail immediately. A 200 whose body is not a
-    JSON object becomes BadResponse with the raw body preserved.
+    stall. Client errors (4xx) and redirects (3xx) fail immediately. A 200
+    whose body is not a JSON object becomes BadResponse with the raw body
+    preserved. An args body that cannot be JSON-encoded is a NetworkError,
+    not retried. Without a ``transport``, one is built for ``cfg.url``.
     """
+    if transport is None:
+        transport = HttpTransport([cfg.url])
     t0 = time.perf_counter()
     try:
+        body = _encode_json(request_body(tool, action, top_k=cfg.top_k))
         resp = post_with_retries(
-            (session or requests).post, cfg.url,
+            transport.post, cfg.url,
             retries=cfg.retries, backoff_s=cfg.backoff_s,
-            json=request_body(tool, action, top_k=cfg.top_k),
-            headers=auth_headers(cfg.auth_env), timeout=cfg.timeout_s)
+            body=body, headers=auth_headers(cfg.auth_env), timeout=cfg.timeout_s)
     except requests.Timeout:
         latency = max(_elapsed_ms(t0), cfg.timeout_s * 1000.0)
         return ToolResult.timed_out(
@@ -201,7 +339,7 @@ def live_adapter_request(
             detail=f"HTTP {resp.status_code}: {resp.text[:_ERROR_DETAIL_CAP]}",
             latency_ms=_elapsed_ms(t0))
     try:
-        payload = resp.json()
+        payload = json.loads(resp.content)
         if not isinstance(payload, dict):
             raise ValueError("payload is not an object")
     except ValueError:
@@ -211,19 +349,22 @@ def live_adapter_request(
 
 
 class LiveAdapter:
-    """Adapter for one network tool. Never raises past execute()."""
+    """Adapter for one network tool. Never raises past execute().
+
+    Without a ``transport``, the adapter builds its own for ``cfg.url``.
+    """
 
     def __init__(self, tool: Tool, cfg: EndpointConfig,
-                 session: requests.Session | None = None):
+                 transport: HttpTransport | None = None):
         if tool not in NETWORK_TOOLS:
             raise ValueError(f"{tool.value} is not a network tool")
         self.tool = tool
         self.cfg = cfg
-        self._session = session
+        self._transport = transport or HttpTransport([cfg.url])
 
     def execute(self, action: Action) -> ToolResult:
         try:
-            return live_adapter_request(self.tool, action, self.cfg, self._session)
+            return live_adapter_request(self.tool, action, self.cfg, self._transport)
         except Exception as exc:  # defensive: adapter boundary must not throw
             return ToolResult.fail(action, "InternalError", detail=repr(exc))
 
@@ -245,15 +386,13 @@ class LocalCropAdapter:
             return ToolResult.fail(action, "InternalError", detail=repr(exc))
 
 
-def live_adapters(
-    endpoints: Mapping[Tool, EndpointConfig],
-    session: requests.Session | None = None,
-) -> dict[Tool, ToolAdapter]:
-    """Adapter map over HTTP endpoints, plus the local crop adapter."""
-    adapters: dict[Tool, ToolAdapter] = {}
-    for tool, cfg in endpoints.items():
-        if tool is Tool.CROP:
-            raise ValueError("Crop is local; it takes no endpoint")
-        adapters[tool] = LiveAdapter(tool, cfg, session)
+def live_adapters(endpoints: Mapping[Tool, EndpointConfig]) -> dict[Tool, ToolAdapter]:
+    """Adapter map over HTTP endpoints, sharing one ``HttpTransport``, plus
+    the local crop adapter."""
+    if Tool.CROP in endpoints:
+        raise ValueError("Crop is local; it takes no endpoint")
+    transport = HttpTransport(cfg.url for cfg in endpoints.values())
+    adapters: dict[Tool, ToolAdapter] = {
+        tool: LiveAdapter(tool, cfg, transport) for tool, cfg in endpoints.items()}
     adapters[Tool.CROP] = LocalCropAdapter()
     return adapters

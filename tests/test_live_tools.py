@@ -7,11 +7,17 @@ over real localhost HTTP.
 
 from __future__ import annotations
 
+import base64
+import logging
 import socket
 
 import pytest
+import requests
+import urllib3
 
 from geoprobe.actions import Action, CapabilityModule, Tool
+from geoprobe.defaults import DEFAULT_MAX_PARALLEL
+from geoprobe.errors import ConfigError
 from geoprobe.engine import run_synthetic_episode
 from geoprobe.executor import (
     ALL_TOOLS,
@@ -24,6 +30,7 @@ from geoprobe.live_tools import (
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT_S,
     EndpointConfig,
+    HttpTransport,
     LiveAdapter,
     LocalCropAdapter,
     TOOL_PATHS,
@@ -49,6 +56,12 @@ def stub(world):
     server = StubToolServer(world).start()
     yield server
     server.stop()
+
+
+def dead_port() -> int:
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
 
 
 def fast_endpoints(stub, **kwargs):
@@ -347,6 +360,129 @@ def test_malformed_request_body_is_rejected_in_band(world, stub):
     act = Action(1, CapabilityModule.SEMANTIC_SYMBOL, Tool.OCR, {})
     result = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(act)
     assert result.status is ToolStatus.TOOL_ERROR
+
+
+def test_redirect_is_rejected_not_followed(stub):
+    stub.set_behavior(Tool.OCR, fail_times=1, fail_status=303)
+    eps = fast_endpoints(stub)
+    result = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(
+        probe(Tool.OCR, {"image": "scene/0"}))
+    assert result.error == "RequestRejected"
+    assert result.detail.startswith("HTTP 303: ")
+    assert stub.count(Tool.OCR) == 1
+
+
+# -- pooled transport -------------------------------------------------------
+
+
+def test_transport_chains_connection_error_to_urllib3():
+    url = f"http://127.0.0.1:{dead_port()}/ocr"
+    with pytest.raises(requests.ConnectionError) as info:
+        HttpTransport([url]).post(url, body=b"{}", headers={}, timeout=0.5)
+    assert isinstance(info.value.__cause__, urllib3.exceptions.NewConnectionError)
+
+
+def test_transport_chains_timeout_to_urllib3(stub):
+    stub.set_behavior(Tool.CAPTION, delay_s=0.5)
+    url = stub.endpoints()[Tool.CAPTION].url
+    with pytest.raises(requests.Timeout) as info:
+        HttpTransport([url]).post(url, body=b"{}", headers={}, timeout=0.05)
+    assert isinstance(info.value.__cause__, urllib3.exceptions.ReadTimeoutError)
+
+
+def test_unencodable_body_is_network_error_without_retry(stub):
+    eps = fast_endpoints(stub)
+    result = LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
+        probe(Tool.KNOWLEDGE_BASE, {"query": float("nan")}))
+    assert result.error == "NetworkError"
+    assert "InvalidJSONError" in result.detail
+    assert stub.total_requests() == 0
+
+
+def test_parallel_batch_shares_one_pool_without_overflow(stub, caplog):
+    tools = (Tool.CAPTION, Tool.OCR, Tool.KNOWLEDGE_BASE, Tool.GEOCODE)
+    for tool in tools:
+        stub.set_canned(tool, {"n": tool.value})
+        stub.set_behavior(tool, delay_s=0.05)  # keep the four calls in flight together
+    adapters = live_adapters(stub.endpoints())
+    args = {Tool.CAPTION: {"image": "scene/0"}, Tool.OCR: {"image": "scene/0"},
+            Tool.KNOWLEDGE_BASE: {"query": "x"}, Tool.GEOCODE: {"query": "x"}}
+    with caplog.at_level(logging.WARNING, logger="urllib3"):
+        for batch in range(3):
+            stub.reset_counters()
+            actions = [probe(tool, args[tool], action_id=10 * batch + 4 - i)
+                       for i, tool in enumerate(tools)]
+            results = execute_batch(actions, adapters, max_workers=DEFAULT_MAX_PARALLEL)
+            assert [r.action_id for r in results] == sorted(a.id for a in actions)
+            assert all(r.ok for r in results)
+            assert [r.payload["n"] for r in results] == [t.value for t in reversed(tools)]
+            assert stub.total_requests() == 4
+    assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
+
+
+# -- environment: proxies and .netrc, read when the adapters are built -------
+
+
+@pytest.fixture()
+def proxy_env(monkeypatch):
+    """Clears every proxy variable; the returned setter sets both cases."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+    def set_env(**values):
+        for name, value in values.items():
+            monkeypatch.setenv(name.upper(), value)
+            monkeypatch.setenv(name.lower(), value)
+    return set_env
+
+
+def test_http_proxy_routes_call_through_proxy(stub, proxy_env):
+    proxy_env(http_proxy=stub.base_url)
+    cfg = EndpointConfig(url="http://tools.invalid/caption", timeout_s=5.0, backoff_s=0.001)
+    result = live_adapters({Tool.CAPTION: cfg})[Tool.CAPTION].execute(
+        probe(Tool.CAPTION, {"image": "scene/0"}))
+    assert result.error == "RequestRejected"
+    assert result.detail.startswith("HTTP 404: ")
+    [req] = stub.requests()
+    assert req.path == "http://tools.invalid/caption"
+
+
+def test_no_proxy_bypasses_dead_proxy(stub, proxy_env):
+    stub.set_canned(Tool.OCR, {"spans": []})
+    act = probe(Tool.OCR, {"image": "scene/0"})
+    proxy_env(http_proxy=f"http://127.0.0.1:{dead_port()}")
+    proxied = live_adapters(fast_endpoints(stub, retries=0))[Tool.OCR].execute(act)
+    assert proxied.error == "NetworkError"
+    proxy_env(no_proxy="127.0.0.1")
+    assert live_adapters(fast_endpoints(stub))[Tool.OCR].execute(act).ok
+    assert stub.count(Tool.OCR) == 1
+
+
+def test_proxy_change_after_build_has_no_effect(stub, proxy_env):
+    stub.set_canned(Tool.OCR, {"spans": []})
+    adapters = live_adapters(fast_endpoints(stub))
+    proxy_env(http_proxy=f"http://127.0.0.1:{dead_port()}")
+    assert adapters[Tool.OCR].execute(probe(Tool.OCR, {"image": "scene/0"})).ok
+    assert stub.count(Tool.OCR) == 1
+
+
+def test_socks_proxy_is_rejected_when_built(proxy_env):
+    proxy_env(all_proxy="socks5://127.0.0.1:1080")
+    with pytest.raises(ConfigError):
+        live_adapters(endpoints_for_base("http://tools.example"))
+
+
+def test_netrc_credentials_sent_as_basic_auth(stub, tmp_path, monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login alice password s3cret\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    stub.set_canned(Tool.GEOCODE, {"matches": []})
+    adapters = live_adapters(fast_endpoints(stub))
+    assert adapters[Tool.GEOCODE].execute(probe(Tool.GEOCODE, {"query": "x"})).ok
+    [req] = stub.requests()
+    assert req.authorization == "Basic " + base64.b64encode(b"alice:s3cret").decode()
 
 
 # -- crop stays local -------------------------------------------------------
