@@ -206,8 +206,12 @@ def cmd_synth(args) -> int:
     if args.samples < 1:
         raise ConfigError("sample count must be >= 1")
     mix = _parse_mix(args.mix) if args.mix else DEFAULT_MIX
+    try:
+        world = generate_world(args.seed, args.provinces, args.cities)
+    except ValueError as exc:
+        raise ConfigError(f"cannot place {args.provinces} provinces of {args.cities} "
+                          f"cities each: {exc}") from exc
     out = _out_dir(args)
-    world = generate_world(args.seed, args.provinces, args.cities)
     samples = make_benchmark(world, args.samples, seed=args.seed, mix=mix)
     world_path = out / "world.json"
     dataset_path = out / "synthetic.bench.jsonl"

@@ -12,7 +12,7 @@ import bisect
 import enum
 import json
 import math
-from collections.abc import ItemsView
+from collections.abc import ItemsView, Sequence
 from dataclasses import dataclass
 
 from .canonical import canonical_hash
@@ -127,6 +127,30 @@ def region_contains(region: AdminRegion, p: GeoPoint) -> bool:
     return haversine_km(region.centroid, p) <= region.radius_km
 
 
+#: Degrees of latitude per km of great-circle distance on the model sphere.
+_DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS_KM)
+
+#: Extra km on each side of a latitude band, far above the float error of
+#: ``haversine_km``, so rounding never drops a point a scan needs.
+_BAND_SLACK_KM = 1.0
+
+
+def lat_band(items: Sequence, lat: float, km: float, key=None) -> tuple[int, int]:
+    """Bounds ``lo, hi`` of the run of ``items`` (ascending by latitude,
+    read through ``key``) whose latitude is within ``km`` plus 1 km of slack
+    of ``lat``.
+
+    The band is an exact prefilter for distance: the great-circle distance
+    between two points is at least ``R * |dlat|`` (``dlat`` in radians), so
+    no item outside ``items[lo:hi]`` lies within ``km`` of a point at
+    ``lat``. Unlike a lat/lon grid, it needs no longitude wrap and no cos-lat
+    scaling.
+    """
+    half = (km + _BAND_SLACK_KM) * _DEG_PER_KM
+    return (bisect.bisect_left(items, lat - half, key=key),
+            bisect.bisect_right(items, lat + half, key=key))
+
+
 # Suffixes stripped by normalize_city_name, checked after case-folding.
 DEFAULT_CITY_SUFFIXES = ("市", " city", " shi")
 
@@ -163,14 +187,6 @@ def normalize_city_name(
     return name
 
 
-#: Degrees of latitude per km of great-circle distance on the model sphere.
-_DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS_KM)
-
-#: Extra km on each side of a latitude band, far above the float error of
-#: ``haversine_km``, so rounding never drops a city a scan needs.
-_BAND_SLACK_KM = 1.0
-
-
 class Gazetteer:
     """Immutable directory of admin regions with hierarchy and name indexes.
 
@@ -179,11 +195,8 @@ class Gazetteer:
     ancestor chains and subtree closures for O(1) consistency checks.
 
     Cities are also kept sorted by centroid latitude, so ``cities_near``
-    finds a latitude band by bisection. The band is an exact prefilter for
-    distance: the great-circle distance between two points is at least
-    ``R * |dlat|`` (``dlat`` in radians), so no city outside the band
-    around ``p`` lies within ``km`` of it. Unlike a lat/lon grid, the band
-    needs no longitude wrap and no cos-lat scaling.
+    finds their ``lat_band`` by bisection. The id-sorted regions and the
+    roots are built once, here.
     """
 
     def __init__(self, regions: list[AdminRegion]):
@@ -239,8 +252,10 @@ class Gazetteer:
             by_name.setdefault(normalize_city_name(r.name), []).append(r.id)
         self._name_index = {n: tuple(sorted(ids)) for n, ids in by_name.items()}
 
+        self._sorted = tuple(self._regions[rid] for rid in sorted(self._regions))
+        self._roots = tuple(r for r in self._sorted if r.parent_id is None)
         self._cities: tuple[AdminRegion, ...] = tuple(
-            sorted((r for r in regions if r.level is RegionLevel.CITY), key=lambda r: r.id)
+            r for r in self._sorted if r.level is RegionLevel.CITY
         )
         self._cities_by_lat = sorted(self._cities, key=lambda r: (r.centroid.lat, r.id))
         self._city_lats = [c.centroid.lat for c in self._cities_by_lat]
@@ -260,10 +275,10 @@ class Gazetteer:
             raise UnknownRegionError(region_id) from None
 
     def regions(self) -> list[AdminRegion]:
-        return [self._regions[rid] for rid in sorted(self._regions)]
+        return list(self._sorted)
 
     def roots(self) -> list[AdminRegion]:
-        return [r for r in self.regions() if r.parent_id is None]
+        return list(self._roots)
 
     def children(self, region_id: str) -> tuple[str, ...]:
         self.get(region_id)
@@ -297,9 +312,7 @@ class Gazetteer:
         """Cities whose centroid latitude is within ``km`` (plus 1 km of
         slack) of ``p``'s, in id order: every city within ``km`` of ``p``
         and possibly more."""
-        half = (km + _BAND_SLACK_KM) * _DEG_PER_KM
-        lo = bisect.bisect_left(self._city_lats, p.lat - half)
-        hi = bisect.bisect_right(self._city_lats, p.lat + half)
+        lo, hi = lat_band(self._city_lats, p.lat, km)
         return sorted(self._cities_by_lat[lo:hi], key=lambda c: c.id)
 
     def lookup_name(self, name: str) -> tuple[str, ...]:
@@ -324,11 +337,11 @@ class Gazetteer:
     def content_hash(self) -> str:
         """Canonical hash of every region, computed once per gazetteer."""
         if self._content_hash is None:
-            self._content_hash = canonical_hash([r.to_json() for r in self.regions()])
+            self._content_hash = canonical_hash([r.to_json() for r in self._sorted])
         return self._content_hash
 
     def to_json(self) -> list[dict]:
-        return [r.to_json() for r in self.regions()]
+        return [r.to_json() for r in self._sorted]
 
 
 def reverse_geocode(

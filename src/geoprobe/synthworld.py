@@ -15,6 +15,7 @@ share a macro tag whenever the world has two or more provinces.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 import heapq
@@ -22,10 +23,12 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping
 
 from .actions import Action, Tool, base_image_ref, crop_payload
+from .errors import ConfigError
 from .executor import ToolResult
 from .geo import (
     AdminRegion,
@@ -33,7 +36,7 @@ from .geo import (
     GeoPoint,
     RegionLevel,
     haversine_km,
-    region_contains,
+    lat_band,
 )
 
 COUNTRY_RADIUS_KM = 3000.0
@@ -252,8 +255,12 @@ def save_world(world: SynthWorld, path: str) -> None:
 
 
 def load_world(path: str) -> SynthWorld:
-    with open(path, encoding="utf-8") as f:
-        return SynthWorld.from_json(json.load(f))
+    """Load a world file; a malformed one raises ``ConfigError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return SynthWorld.from_json(json.load(f))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad world file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _gen_name(rng: random.Random, taken: set[str]) -> str:
@@ -274,17 +281,32 @@ def _offset_point(rng: random.Random, center: GeoPoint, max_km: float) -> GeoPoi
     return GeoPoint(max(-89.0, min(89.0, center.lat + dlat)), center.lon + dlon)
 
 
+def _clear_of(p: GeoPoint, placed: list[GeoPoint], min_sep_km: float) -> bool:
+    """Whether ``p`` is at least ``min_sep_km`` from every point of
+    ``placed`` (ascending by latitude); only its ``lat_band`` is checked."""
+    lo, hi = lat_band(placed, p.lat, min_sep_km, key=attrgetter("lat"))
+    return all(haversine_km(p, o) >= min_sep_km for o in placed[lo:hi])
+
+
 def _place(
     rng: random.Random,
     center: GeoPoint,
     spread_km: float,
-    others: list[GeoPoint],
+    placed: list[GeoPoint],
     min_sep_km: float,
     attempts: int = 4000,
 ) -> GeoPoint:
+    """Draw offsets from ``center`` until one is ``min_sep_km`` clear of
+    every point in ``placed``, which the caller keeps ascending by latitude
+    (``bisect.insort``) as it places centres.
+
+    Only points within ``min_sep_km`` + 1 km of the candidate's latitude are
+    measured, with the full scan's verdict: great-circle distance is at
+    least ``R * |dlat|``, so a point outside that band cannot reject it.
+    """
     for _ in range(attempts):
         p = _offset_point(rng, center, spread_km)
-        if all(haversine_km(p, o) >= min_sep_km for o in others):
+        if _clear_of(p, placed, min_sep_km):
             return p
     raise ValueError("could not place a region; too many for the configured geometry")
 
@@ -304,11 +326,13 @@ def generate_world(seed: int, n_provinces: int, cities_per_province: int) -> Syn
     ]
 
     province_centers: list[GeoPoint] = []
+    placed: list[GeoPoint] = []
     province_ids: list[str] = []
     for i in range(n_provinces):
-        center = _place(rng, country_center, PROVINCE_SPREAD_KM, province_centers,
+        center = _place(rng, country_center, PROVINCE_SPREAD_KM, placed,
                         PROVINCE_SEPARATION_KM)
         province_centers.append(center)
+        bisect.insort(placed, center)
         pid = f"{country_id}-p{i}"
         province_ids.append(pid)
         regions.append(
@@ -318,11 +342,11 @@ def generate_world(seed: int, n_provinces: int, cities_per_province: int) -> Syn
 
     city_ids: list[str] = []
     for i, pid in enumerate(province_ids):
-        centers_here: list[GeoPoint] = []
+        placed = []
         for j in range(cities_per_province):
-            center = _place(rng, province_centers[i], CITY_SPREAD_KM, centers_here,
+            center = _place(rng, province_centers[i], CITY_SPREAD_KM, placed,
                             CITY_SEPARATION_KM)
-            centers_here.append(center)
+            bisect.insort(placed, center)
             cid = f"{pid}-c{j}"
             city_ids.append(cid)
             regions.append(

@@ -88,6 +88,45 @@ def test_synth_bad_sizes(tmp_path, capsys):
     assert synth(tmp_path / "m", provinces=0) == EXIT_CONFIG
 
 
+def test_synth_unplaceable_sizes_exit_config(tmp_path, capsys):
+    assert synth(tmp_path / "m", provinces=60, cities=2) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "60 provinces of 2 cities" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m").exists()
+
+
+def _break_world(world_path, how):
+    text = world_path.read_text()
+    if how == "missing-level":
+        obj = json.loads(text)
+        del obj["regions"][1]["level"]
+        text = json.dumps(obj)
+    elif how == "array":
+        text = "[]"
+    else:  # truncated
+        text = text[: len(text) // 2]
+    world_path.write_text(text)
+
+
+@pytest.mark.parametrize("how", ["missing-level", "array", "truncated"])
+@pytest.mark.parametrize("command", ["replay", "run", "bench"])
+def test_malformed_world_exits_config(workspace, capsys, command, how):
+    _break_world(workspace["world"], how)
+    out = str(workspace["root"] / "out")
+    argv = {
+        "replay": ["replay", "--trace", str(workspace["root"] / "unread.jsonl"),
+                   "--world", str(workspace["world"])],
+        "run": ["run", "--config", str(workspace["config"]), "--out", out],
+        "bench": ["bench", "--config", str(workspace["config"]),
+                  "--dataset", str(workspace["dataset"]), "--out", out],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad world file {workspace['world']}")
+
+
 # -- run ----------------------------------------------------------------------
 
 

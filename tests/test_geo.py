@@ -272,6 +272,15 @@ class TestGazetteer:
         assert gaz.children("cn-a-1") == ("cn-a-1-x", "cn-a-1-y")
         assert gaz.children("jp-a-1") == ()
 
+    def test_regions_and_roots_are_id_sorted_copies(self):
+        g = Gazetteer(list(reversed(small_gazetteer().regions())))
+        ids = [r.id for r in g.regions()]
+        assert ids == sorted(ids)
+        g.regions().clear()
+        g.roots().clear()
+        assert [r.id for r in g.regions()] == ids
+        assert [r.id for r in g.roots()] == ["cn", "jp"]
+
     def test_ancestors(self, gaz):
         assert gaz.ancestors("cn-a-1-x") == ("cn-a-1", "cn-a", "cn")
         assert gaz.ancestors("cn") == ()

@@ -42,6 +42,7 @@ from geoprobe.live_tools import (
 from geoprobe.planner import scripted_salience_policy
 from geoprobe.recorder import replay
 from geoprobe.state import EpisodeStatus
+from geoprobe import stub_server
 from geoprobe.stub_server import StubToolServer
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
@@ -418,6 +419,28 @@ def test_parallel_batch_shares_one_pool_without_overflow(stub, caplog):
             assert [r.payload["n"] for r in results] == [t.value for t in reversed(tools)]
             assert stub.total_requests() == 4
     assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
+
+
+def test_sequential_calls_reuse_one_connection(stub, monkeypatch):
+    # The stub answers HTTP/1.0 by default and closes after each answer;
+    # over HTTP/1.1 the shared pool must keep one connection alive.
+    monkeypatch.setattr(stub_server._StubHandler, "protocol_version", "HTTP/1.1")
+    accepted = 0
+    get_request = stub_server._StubHTTPServer.get_request
+
+    def counting_get_request(server):
+        nonlocal accepted
+        accepted += 1
+        return get_request(server)
+
+    monkeypatch.setattr(stub_server._StubHTTPServer, "get_request", counting_get_request)
+    stub.set_canned(Tool.GEOCODE, {"matches": []})
+    adapters = live_adapters(fast_endpoints(stub))
+    for i in range(10):
+        result = adapters[Tool.GEOCODE].execute(probe(Tool.GEOCODE, {"query": "x"}, i + 1))
+        assert result.ok
+    assert stub.total_requests() == 10
+    assert accepted == 1
 
 
 # -- environment: proxies and .netrc, read when the adapters are built -------

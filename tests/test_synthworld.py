@@ -1,13 +1,18 @@
 """Synthetic world generation: invariants, difficulty contracts, adapters."""
 
 import json
+import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from geoprobe.actions import Action, CapabilityModule, Tool
-from geoprobe.canonical import canonical_hash
+from geoprobe.bench import make_benchmark
+from geoprobe.canonical import canonical_hash, canonical_json, sha256_hex
+from geoprobe.errors import ConfigError
 from geoprobe.executor import extract_evidence
-from geoprobe.geo import RegionLevel, haversine_km, region_contains
+from geoprobe.geo import Gazetteer, GeoPoint, RegionLevel, haversine_km, region_contains
 from geoprobe import synthworld
 from geoprobe.synthworld import (
     Clue,
@@ -134,6 +139,105 @@ class TestWorldStructure:
             generate_world(1, 0, 3)
         with pytest.raises(ValueError):
             generate_world(1, 3, 0)
+
+
+#: SHA-256 of ``canonical_json(generate_world(*args).to_json())``, taken from
+#: the brute-force placement scan. Any change to the RNG draws or to an
+#: accept/reject decision moves these.
+WORLD_PINS = {
+    (11, 3, 5): "96e8902ee01c6ea885bccd6ca63ec0dc8d23776d8cc660ae4e8cd1cdd9a50a8c",
+    (11, 10, 20): "83325f01b111e44762bf9bb2f52b42b56a89687aa56771e202cf359d4120bc2f",
+    (11, 20, 40): "f55dde88d1c9d84de9e53bf39bc5808b739ed6383382fc9675581f4a60628451",
+    (7, 6, 12): "63fb65990878c38641c55660414ed15ed7805e572ed6cbe7c27d00dd04f101bf",
+}
+
+#: SHA-256 of the canonical JSON list of ``make_benchmark(world, n, seed=3)``
+#: samples (descriptors included), keyed by (world args, n).
+DATASET_PINS = {
+    ((11, 20, 40), 240): "c6731d74b7e96325e22e867044180f11de866ca2756e7b3d9d50a483b50fce42",
+    ((11, 10, 20), 200): "fd9920aca8c8dde2dd7eb3088c8fffedf23a3867b5cf1ba4aba5074170ef3104",
+}
+
+
+_clamp_lats = st.one_of(st.floats(88.0, 89.0), st.floats(-89.0, -88.0),
+                       st.floats(-89.0, 89.0))
+_wrap_lons = st.one_of(st.floats(179.0, 180.0), st.floats(-180.0, -179.0),
+                       st.floats(-180.0, 179.999999))
+
+
+@st.composite
+def _placements(draw):
+    """A candidate, points placed around it (some across the antimeridian
+    and at the +-89 degree clamp of ``_offset_point``), and a separation,
+    half the time within 1e-6 km of one pair's distance."""
+    p = GeoPoint(draw(_clamp_lats), draw(_wrap_lons))
+    others = [
+        GeoPoint(max(-89.0, min(89.0, p.lat + draw(st.floats(-8.0, 8.0)))),
+                 p.lon + draw(st.one_of(st.just(0.0), st.floats(-12.0, 12.0))))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    sep = draw(st.floats(0.0, 900.0))
+    if others and draw(st.booleans()):
+        sep = max(0.0, haversine_km(p, draw(st.sampled_from(others)))
+                  + draw(st.floats(-1e-6, 1e-6)))
+    return p, others, sep
+
+
+class TestPlacementBand:
+    """``_place`` measures only a latitude band, with the full scan's result."""
+
+    @given(_placements())
+    @example((GeoPoint(89.0, 179.9), [GeoPoint(89.0, -179.9)], 5.0))
+    @example((GeoPoint(-89.0, -180.0), [GeoPoint(-88.5, 0.0)], 111.0))
+    @example((GeoPoint(-3.0, 179.5), [GeoPoint(4.0, 179.5)],
+              haversine_km(GeoPoint(-3.0, 179.5), GeoPoint(4.0, 179.5)) + 1e-7))
+    def test_band_acceptance_equals_full_scan(self, case):
+        p, others, sep = case
+        full = all(haversine_km(p, o) >= sep for o in others)
+        assert synthworld._clear_of(p, sorted(others), sep) == full
+
+    def test_world_generation_measures_a_fraction_of_the_pairs(self, monkeypatch):
+        calls = 0
+        exact = synthworld.haversine_km
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return exact(a, b)
+
+        monkeypatch.setattr(synthworld, "haversine_km", counting)
+        world = generate_world(11, 20, 40)
+        assert sha256_hex(canonical_json(world.to_json())) == WORLD_PINS[(11, 20, 40)]
+        assert calls < 40_000  # the full scan makes 93,373
+
+    def test_make_benchmark_never_lists_regions(self, monkeypatch):
+        world = generate_world(11, 10, 20)
+        calls = 0
+        regions = Gazetteer.regions
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return regions(self)
+
+        monkeypatch.setattr(Gazetteer, "regions", counting)
+        make_benchmark(world, 60, seed=3)
+        assert calls == 0
+
+
+class TestGeneratorPins:
+    """Generated worlds and datasets are byte-identical across processes."""
+
+    @pytest.mark.parametrize("args", sorted(WORLD_PINS))
+    def test_world_digest(self, args):
+        world = generate_world(*args)
+        assert sha256_hex(canonical_json(world.to_json())) == WORLD_PINS[args]
+
+    @pytest.mark.parametrize("args,n", sorted(DATASET_PINS))
+    def test_dataset_digest(self, args, n):
+        samples = make_benchmark(generate_world(*args), n, seed=3)
+        digest = sha256_hex(canonical_json([s.to_json() for s in samples]))
+        assert digest == DATASET_PINS[(args, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +583,17 @@ class TestSerialization:
         for difficulty in Difficulty:
             assert (sample_episode(loaded, 5, difficulty).to_json()
                     == sample_episode(WORLD, 5, difficulty).to_json())
+
+    @pytest.mark.parametrize("text,cause", [
+        ('{"format": "synthworld/1", "seed": 1, "regions": [{"id": "r0"}]}', "KeyError"),
+        ("[]", "AttributeError"),
+        ('{"format": "synthworld/1", "se', "JSONDecodeError"),
+    ], ids=["missing-level", "array", "truncated"])
+    def test_malformed_file_raises_config_error(self, tmp_path, text, cause):
+        path = tmp_path / "world.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"bad world file {path}: {cause}")):
+            load_world(str(path))
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
