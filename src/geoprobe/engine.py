@@ -2,8 +2,10 @@
 
 One loop per episode, single-writer over its state. Every step appends a
 Decision event, then (for probes) Execution, Projection, and — when the
-projection had to discard evidence — a Backtrack event, all hash-chained by
-the recorder so the whole run replays and verifies offline.
+projection had to discard evidence — a Backtrack event. Each event carries
+the hash of the post-event state and each tool result the hash of its
+payload, so replay can recompute projection, backtracking and finalize
+offline. The events themselves are not hash-chained (ROADMAP open item 2).
 """
 
 from __future__ import annotations

@@ -22,11 +22,14 @@ class UnknownRegionError(GeoprobeError):
 
 
 class GazetteerFileError(GeoprobeError):
-    """Gazetteer file rejected; carries the 1-based line of the bad record."""
+    """Gazetteer file rejected; carries the file's path, when known, and the
+    1-based line of the bad record."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, path: str | None = None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
+        self.path = path
 
 
 class InsufficientEvidenceError(GeoprobeError):

@@ -337,18 +337,24 @@ def load_tag_table(path, g: Gazetteer) -> dict[str, frozenset[str]]:
     The mapping is data, not code: deployments ship their own file of
     ``{"tag": ["region-id", ...]}`` entries. Every region id must exist in
     the gazetteer; unknown ids raise UnknownRegionError so a stale table
-    fails loudly instead of silently dropping constraints.
+    fails loudly instead of silently dropping constraints. A file that is
+    not a JSON object raises ConfigError naming it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"bad tag table {path}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"tag table must be a JSON object, got {type(raw).__name__}")
+        raise ConfigError(
+            f"bad tag table {path}: must be a JSON object, got {type(raw).__name__}")
     table: dict[str, frozenset[str]] = {}
     for tag, region_ids in raw.items():
         if not isinstance(region_ids, list) or not all(
             isinstance(r, str) for r in region_ids
         ):
-            raise ConfigError(f"tag {tag!r} must map to a list of region-id strings")
+            raise ConfigError(
+                f"bad tag table {path}: tag {tag!r} must map to a list of region-id strings")
         for rid in region_ids:
             if rid not in g:
                 raise UnknownRegionError(f"tag table entry {tag!r}: unknown region {rid!r}")

@@ -373,11 +373,11 @@ def reverse_geocode(
     return None
 
 
-def _iter_json_array(text: str):
+def _iter_json_array(text: str, path: str):
     """Yield (1-based line, element) for each element of a JSON array.
 
     Elements are decoded one at a time so structural errors can be reported
-    with the line the offending record starts on.
+    with the file's ``path`` and the line the offending record starts on.
     """
     decoder = json.JSONDecoder()
     i = 0
@@ -393,7 +393,8 @@ def _iter_json_array(text: str):
 
     i = skip_ws(i)
     if i >= n or text[i] != "[":
-        raise GazetteerFileError(line_at(min(i, n - 1)) if n else 1, "expected a JSON array")
+        raise GazetteerFileError(line_at(min(i, n - 1)) if n else 1, "expected a JSON array",
+                                 path)
     i = skip_ws(i + 1)
     if i < n and text[i] == "]":
         return
@@ -402,7 +403,8 @@ def _iter_json_array(text: str):
         try:
             value, i = decoder.raw_decode(text, i)
         except json.JSONDecodeError as e:
-            raise GazetteerFileError(line_at(start), f"invalid JSON element: {e.msg}") from None
+            raise GazetteerFileError(line_at(start), f"invalid JSON element: {e.msg}",
+                                     path) from None
         yield line_at(start), value
         i = skip_ws(i)
         if i < n and text[i] == ",":
@@ -410,7 +412,8 @@ def _iter_json_array(text: str):
             continue
         if i < n and text[i] == "]":
             return
-        raise GazetteerFileError(line_at(min(i, n - 1)), "expected ',' or ']' after element")
+        raise GazetteerFileError(line_at(min(i, n - 1)), "expected ',' or ']' after element",
+                                 path)
 
 
 def load_gazetteer(path: str) -> Gazetteer:
@@ -418,22 +421,22 @@ def load_gazetteer(path: str) -> Gazetteer:
 
     Record shape: {id, level, name, parent_id, lat, lon, radius_km}.
     Any structural or invariant violation raises GazetteerFileError naming
-    the line of the offending record.
+    the file and the line of the offending record.
     """
     with open(path, encoding="utf-8") as f:
         text = f.read()
 
     regions: list[AdminRegion] = []
     lines: dict[str, int] = {}
-    for line, obj in _iter_json_array(text):
+    for line, obj in _iter_json_array(text, path):
         if not isinstance(obj, dict):
-            raise GazetteerFileError(line, "region record must be an object")
+            raise GazetteerFileError(line, "region record must be an object", path)
         try:
             region = AdminRegion.from_json(obj)
         except (KeyError, ValueError, TypeError) as e:
-            raise GazetteerFileError(line, f"bad region record: {e}") from None
+            raise GazetteerFileError(line, f"bad region record: {e}", path) from None
         if region.id in lines:
-            raise GazetteerFileError(line, f"duplicate region id {region.id!r}")
+            raise GazetteerFileError(line, f"duplicate region id {region.id!r}", path)
         lines[region.id] = line
         regions.append(region)
 
@@ -444,8 +447,8 @@ def load_gazetteer(path: str) -> Gazetteer:
         msg = str(e)
         for rid, line in lines.items():
             if f"{rid!r}" in msg:
-                raise GazetteerFileError(line, msg) from None
-        raise GazetteerFileError(1, msg) from None
+                raise GazetteerFileError(line, msg, path) from None
+        raise GazetteerFileError(1, msg, path) from None
 
 
 def save_gazetteer(g: Gazetteer, path: str) -> None:

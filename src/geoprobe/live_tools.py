@@ -36,6 +36,10 @@ is a RequestRejected result. A NetworkError detail is the ``repr`` of a
 ``ConnectionError(NewConnectionError(...))``, without the "Max retries
 exceeded" wrapper ``requests`` added. A 200 body is parsed as JSON from its
 bytes (UTF-8, or UTF-16/32 detected by ``json.loads``).
+
+``requests`` and ``urllib3`` are imported inside the functions that make or
+handle an HTTP call, not by this module, so importing ``geoprobe`` (the CLI,
+the stub server, offline runs) does not load the HTTP client stack.
 """
 
 from __future__ import annotations
@@ -44,25 +48,15 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
-
-import requests
-import urllib3
-from requests.adapters import DEFAULT_POOLSIZE
-from requests.utils import (
-    DEFAULT_CA_BUNDLE_PATH,
-    get_auth_from_url,
-    get_encoding_from_headers,
-    get_netrc_auth,
-    prepend_scheme_if_needed,
-    select_proxy,
-    urldefragauth,
-)
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .actions import Action, Tool, crop_payload
 from .defaults import DEFAULT_MAX_PARALLEL
 from .errors import ConfigError
 from .executor import ToolAdapter, ToolResult
+
+if TYPE_CHECKING:
+    import urllib3
 
 DEFAULT_TIMEOUT_S = 20.0
 DEFAULT_RETRIES = 2
@@ -73,6 +67,10 @@ DEFAULT_TOP_K = 5
 #: exempt: its raw body is preserved in full so traces show exactly what
 #: the server sent.
 _ERROR_DETAIL_CAP = 500
+
+#: ``requests.adapters.DEFAULT_POOLSIZE``, copied so that this module need
+#: not import ``requests``; a test pins the two together.
+DEFAULT_POOLSIZE = 10
 
 #: Connections kept per host: a whole parallel batch fits, and never fewer
 #: than a ``requests`` adapter keeps.
@@ -186,6 +184,8 @@ class HttpReply(NamedTuple):
     def text(self) -> str:
         """The body decoded by its declared charset (``requests``' rule),
         else as UTF-8; undecodable bytes are replaced."""
+        from requests.utils import get_encoding_from_headers
+
         encoding = get_encoding_from_headers(self.headers) or "utf-8"
         try:
             return self.content.decode(encoding, errors="replace")
@@ -196,6 +196,8 @@ class HttpReply(NamedTuple):
 def _tls_settings(verify) -> dict:
     """Pool arguments for ``requests``' ``verify`` value (True, False or a
     CA bundle path); urllib3 ignores them for plain-HTTP pools."""
+    from requests.utils import DEFAULT_CA_BUNDLE_PATH
+
     if not verify:
         return {"cert_reqs": "CERT_NONE"}
     bundle = DEFAULT_CA_BUNDLE_PATH if verify is True else verify
@@ -204,6 +206,9 @@ def _tls_settings(verify) -> dict:
 
 
 def _pool_manager(proxy: str | None, verify) -> urllib3.PoolManager:
+    import urllib3
+    from requests.utils import get_auth_from_url, prepend_scheme_if_needed
+
     pool = dict(num_pools=DEFAULT_POOLSIZE, maxsize=POOL_MAXSIZE, **_tls_settings(verify))
     if proxy is None:
         return urllib3.PoolManager(**pool)
@@ -226,6 +231,15 @@ class HttpTransport:
     """
 
     def __init__(self, urls: Iterable[str]):
+        import requests
+        import urllib3
+        from requests.utils import (
+            get_auth_from_url,
+            get_netrc_auth,
+            select_proxy,
+            urldefragauth,
+        )
+
         #: url -> (pool manager, request target, default headers, credentials)
         self._routes: dict[str, tuple[urllib3.PoolManager, str, dict, dict]] = {}
         managers: dict[tuple, urllib3.PoolManager] = {}
@@ -247,6 +261,9 @@ class HttpTransport:
              timeout: float) -> HttpReply:
         """POST ``body`` to a URL given at construction; ``timeout`` bounds
         both the connect and each read. Redirects are returned, not followed."""
+        import requests
+        import urllib3
+
         manager, target, defaults, credentials = self._routes[url]
         headers = {**defaults, **headers, **credentials}
         try:
@@ -266,6 +283,8 @@ class HttpTransport:
 def _encode_json(body) -> bytes:
     """``body`` as ``requests`` sends ``json=body``: no NaN or infinity,
     UTF-8. Unencodable bodies raise ``requests.exceptions.InvalidJSONError``."""
+    import requests
+
     try:
         return json.dumps(body, allow_nan=False).encode("utf-8")
     except (ValueError, TypeError) as exc:
@@ -283,6 +302,8 @@ def post_with_retries(post, url: str, *, retries: int, backoff_s: float,
     returns anything with a ``status_code`` (a ``requests.Response`` or an
     ``HttpReply``) and raises ``requests`` exceptions.
     """
+    import requests
+
     attempt = 0
     while True:
         try:
@@ -315,6 +336,8 @@ def live_adapter_request(
     preserved. An args body that cannot be JSON-encoded is a NetworkError,
     not retried. Without a ``transport``, one is built for ``cfg.url``.
     """
+    import requests
+
     if transport is None:
         transport = HttpTransport([cfg.url])
     t0 = time.perf_counter()

@@ -11,9 +11,7 @@ deterministic fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
-
-import requests
+from typing import TYPE_CHECKING, Callable
 
 from .actions import (
     Action,
@@ -42,6 +40,9 @@ from .recorder import (
 )
 from .state import CandidateSpace, PoiHint
 from .synthworld import ClueKind, SceneDescriptor
+
+if TYPE_CHECKING:
+    import requests
 
 #: Prompt size beyond the compressed history stays under this many chars
 #: (role text, schema, scene and candidate sections are all bounded).
@@ -318,6 +319,12 @@ def _validate_decision(decision: Decision) -> list[ActionIssue]:
     return [issue for a in decision.actions for issue in validate_action(a)]
 
 
+def _new_session() -> requests.Session:
+    import requests
+
+    return requests.Session()
+
+
 @dataclass
 class LlmBackend:
     """Chat-completions client with bounded parse retries and fallback.
@@ -336,7 +343,7 @@ class LlmBackend:
     parse_retries: int = 2
     transport_retries: int = DEFAULT_RETRIES
     backoff_s: float = DEFAULT_BACKOFF_S
-    session: requests.Session = field(default_factory=requests.Session, repr=False)
+    session: requests.Session = field(default_factory=_new_session, repr=False)
     _wire: list[dict] = field(default_factory=list, repr=False)
 
     def drain_wire_log(self) -> list[dict]:
@@ -344,6 +351,8 @@ class LlmBackend:
         return out
 
     def _chat(self, step: int, messages: list[dict]) -> str:
+        import requests
+
         body = {"model": self.model, "messages": messages, "temperature": self.temperature}
 
         def post(url, **kwargs):

@@ -216,9 +216,10 @@ def _check(cond: bool, seq: int, message: str) -> None:
 def replay(trace: Trace, g: Gazetteer) -> ReplayReport:
     """Re-derive the episode from the trace and verify every hash.
 
-    Projections are recomputed from the recorded evidence, so a trace
-    altered anywhere (a flipped byte in a result payload, a doctored
-    frontier, a forged prediction) fails with the exact offending seq.
+    Projections are recomputed from the recorded evidence, so an altered
+    result payload, evidence item, frontier or prediction fails with the
+    exact offending seq. Decision contents and the sequence of events are
+    not hashed, so edits to them are not caught (ROADMAP open item 2).
     A gazetteer mismatch is reported as seq -1.
     """
     if g.content_hash() != trace.header.gazetteer_hash:

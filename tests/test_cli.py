@@ -324,6 +324,16 @@ def test_replay_malformed_trace(workspace, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_replay_bad_gazetteer_names_the_file(workspace, capsys):
+    trace = trace_from_run(workspace)
+    bad = workspace["root"] / "bad.json"
+    bad.write_text('{"a": 1}')
+    code = main(["replay", "--trace", str(trace), "--gazetteer", str(bad)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{bad}: line 1: expected a JSON array" in err
+
+
 def test_replay_wrong_world_detected(workspace, tmp_path, capsys):
     trace = trace_from_run(workspace)
     assert synth(tmp_path / "other", seed=99) == EXIT_OK
@@ -400,3 +410,34 @@ def test_live_bench_writes_replayable_traces(live_workspace, capsys):
     assert len(traces) == 4
     for trace in traces:
         assert replays_clean(trace, live_workspace["gazetteer"])
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"a": [', "JSONDecodeError"),
+    ('["karst"]', "must be a JSON object, got list"),
+])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_malformed_tag_table_exits_config(workspace, capsys, command, text, problem):
+    from geoprobe.geo import save_gazetteer
+
+    root = workspace["root"]
+    world = load_world(str(workspace["world"]))
+    save_gazetteer(world.gazetteer, str(root / "gazetteer.json"))
+    tags = root / "tags.json"
+    tags.write_text(text)
+    config = root / "live.json"
+    # Nothing listens on the discard port; the tag table fails before any call.
+    config.write_text(json.dumps({
+        "gazetteer": "gazetteer.json", "tag_table": "tags.json",
+        "tools": {"mode": "live", "base_url": "http://127.0.0.1:9"}}))
+    out = str(root / "out")
+    argv = {
+        "run": ["run", "--config", str(config), "--image", "photos/a.jpg", "--out", out],
+        "bench": ["bench", "--config", str(config),
+                  "--dataset", str(workspace["dataset"]), "--out", out],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad tag table {tags}: ")
+    assert problem in err
+    assert "Traceback" not in err

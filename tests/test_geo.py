@@ -457,6 +457,15 @@ class TestGazetteerFiles:
             load_gazetteer(str(path))
         assert ei.value.line == 1
 
+    def test_error_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('[\n{"id": "c"}\n]\n')
+        with pytest.raises(GazetteerFileError) as ei:
+            load_gazetteer(str(path))
+        assert ei.value.path == str(path)
+        assert ei.value.line == 2
+        assert str(ei.value).startswith(f"{path}: line 2: bad region record")
+
     def test_malformed_element_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[\n{"id": "c", "level": "country", "name": "C", "parent_id": null,'
