@@ -14,10 +14,12 @@ class GeoprobeError(Exception):
 
 
 class UnknownRegionError(GeoprobeError):
-    """A region id was referenced that the gazetteer does not contain."""
+    """A region id was referenced that the gazetteer does not contain;
+    ``context``, when given, says where (a file and its entry)."""
 
-    def __init__(self, region_id: str):
-        super().__init__(f"unknown region id: {region_id!r}")
+    def __init__(self, region_id: str, context: str | None = None):
+        where = "" if context is None else f"{context}: "
+        super().__init__(f"{where}unknown region id: {region_id!r}")
         self.region_id = region_id
 
 

@@ -336,9 +336,9 @@ def load_tag_table(path, g: Gazetteer) -> dict[str, frozenset[str]]:
 
     The mapping is data, not code: deployments ship their own file of
     ``{"tag": ["region-id", ...]}`` entries. Every region id must exist in
-    the gazetteer; unknown ids raise UnknownRegionError so a stale table
-    fails loudly instead of silently dropping constraints. A file that is
-    not a JSON object raises ConfigError naming it.
+    the gazetteer; an unknown id raises UnknownRegionError naming the file
+    and tag, so a stale table fails loudly instead of silently dropping
+    constraints. A file that is not a JSON object raises ConfigError naming it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -357,7 +357,7 @@ def load_tag_table(path, g: Gazetteer) -> dict[str, frozenset[str]]:
                 f"bad tag table {path}: tag {tag!r} must map to a list of region-id strings")
         for rid in region_ids:
             if rid not in g:
-                raise UnknownRegionError(f"tag table entry {tag!r}: unknown region {rid!r}")
+                raise UnknownRegionError(rid, f"tag table {path}, tag {tag!r}")
         table[tag] = frozenset(region_ids)
     return table
 

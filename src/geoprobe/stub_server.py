@@ -5,6 +5,9 @@ server instead of real services. Answers come from a synthetic world (the
 same logic the in-process synthetic adapters use), so a full episode can
 run over real HTTP without leaving the machine.
 
+It speaks HTTP/1.1 and keeps connections open, as real tool services do,
+so the live adapters' pool reuses them; ``stop()`` ends idle ones first.
+
 Every route keeps a request counter, which is how ablation soundness is
 asserted: a disabled tool must show a count of zero after a run. Routes
 can also be told to misbehave — fail the next N requests with a chosen
@@ -15,6 +18,7 @@ the retry, timeout, and malformed-response paths of the HTTP clients.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -91,6 +95,12 @@ class RecordedRequest:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    # Keep-alive works as every answer carries Content-Length. The buffered
+    # wfile sends headers and body in one write at handle_one_request's flush.
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
     def log_message(self, *args):  # keep test output clean
         pass
 
@@ -99,6 +109,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except OSError:
@@ -108,8 +120,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         owner: StubToolServer = self.server.owner  # type: ignore[attr-defined]
         try:
             length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length) or b"{}")
+            raw = self.rfile.read(max(length, 0))
+            if len(raw) != length or "Transfer-Encoding" in self.headers:
+                raise ValueError("body not read to its end")
+            body = json.loads(raw or b"{}")
         except (ValueError, OSError):
+            # Bytes left unread would be parsed as the next request.
+            self.close_connection = True
             self._send(400, b'{"error": "unreadable body"}')
             return
         behavior = owner._observe(self.path, body, self.headers.get("Authorization"))
@@ -132,6 +149,34 @@ class _StubHandler(BaseHTTPRequestHandler):
 class _StubHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     owner: "StubToolServer"
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._conn_lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+        self._closing = False
+
+    def finish_request(self, request, client_address):
+        with self._conn_lock:
+            if self._closing:
+                return  # stopping: serve no new connection
+            self._open.add(request)
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            with self._conn_lock:
+                self._open.discard(request)
+
+    def close_connections(self) -> None:
+        """End every open connection's wait for its next request. Only the
+        read side is shut, so an answer being written still goes out."""
+        with self._conn_lock:
+            self._closing = True
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the client hung up already
 
     def handle_error(self, request, client_address):
         pass  # broken pipes from timed-out clients are expected in tests
@@ -175,6 +220,8 @@ class StubToolServer:
 
     def stop(self) -> None:
         if self._server is not None:
+            # An idle connection served in place would hold shutdown() up.
+            self._server.close_connections()
             self._server.shutdown()
             self._server.server_close()
             self._server = None

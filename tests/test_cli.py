@@ -412,12 +412,9 @@ def test_live_bench_writes_replayable_traces(live_workspace, capsys):
         assert replays_clean(trace, live_workspace["gazetteer"])
 
 
-@pytest.mark.parametrize("text, problem", [
-    ('{"a": [', "JSONDecodeError"),
-    ('["karst"]', "must be a JSON object, got list"),
-])
-@pytest.mark.parametrize("command", ["run", "bench"])
-def test_malformed_tag_table_exits_config(workspace, capsys, command, text, problem):
+def live_argv_with_tag_table(workspace, command, text):
+    """``(argv, tag table path)``: ``command`` over a live config whose tag
+    table file holds ``text``."""
     from geoprobe.geo import save_gazetteer
 
     root = workspace["root"]
@@ -436,8 +433,28 @@ def test_malformed_tag_table_exits_config(workspace, capsys, command, text, prob
         "bench": ["bench", "--config", str(config),
                   "--dataset", str(workspace["dataset"]), "--out", out],
     }[command]
+    return argv, tags
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"a": [', "JSONDecodeError"),
+    ('["karst"]', "must be a JSON object, got list"),
+])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_malformed_tag_table_exits_config(workspace, capsys, command, text, problem):
+    argv, tags = live_argv_with_tag_table(workspace, command, text)
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad tag table {tags}: ")
     assert problem in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_tag_table_unknown_region_names_the_file(workspace, capsys, command):
+    argv, tags = live_argv_with_tag_table(
+        workspace, command, '{"karst": ["no-such-region"]}')
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"error: UnknownRegionError: tag table {tags}, tag 'karst': "
+                   "unknown region id: 'no-such-region'\n")

@@ -8,14 +8,19 @@ over real localhost HTTP.
 from __future__ import annotations
 
 import base64
+import http.client
 import logging
 import socket
+import socketserver
+import threading
+import time
 
 import pytest
 import requests
 import urllib3
 
 from geoprobe.actions import Action, CapabilityModule, Tool
+from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.defaults import DEFAULT_MAX_PARALLEL
 from geoprobe.errors import ConfigError
 from geoprobe.engine import run_synthetic_episode
@@ -422,8 +427,8 @@ def test_parallel_batch_shares_one_pool_without_overflow(stub, caplog):
 
 
 def test_sequential_calls_reuse_one_connection(stub, monkeypatch):
-    # The stub answers HTTP/1.0 by default and closes after each answer;
-    # over HTTP/1.1 the shared pool must keep one connection alive.
+    # The stub answers HTTP/1.1 and keeps the connection open, so the shared
+    # pool must send all ten calls over one connection.
     monkeypatch.setattr(stub_server._StubHandler, "protocol_version", "HTTP/1.1")
     accepted = 0
     get_request = stub_server._StubHTTPServer.get_request
@@ -441,6 +446,116 @@ def test_sequential_calls_reuse_one_connection(stub, monkeypatch):
         assert result.ok
     assert stub.total_requests() == 10
     assert accepted == 1
+
+
+# -- keep-alive: fault paths on a reused connection, prompt shutdown ---------
+
+
+@pytest.fixture()
+def accepted(monkeypatch):
+    """Counts the connections the stub server accepts, in ``accepted[0]``."""
+    count = [0]
+    get_request = stub_server._StubHTTPServer.get_request
+
+    def counting_get_request(server):
+        count[0] += 1
+        return get_request(server)
+
+    monkeypatch.setattr(stub_server._StubHTTPServer, "get_request", counting_get_request)
+    return count
+
+
+def geocode(adapters, name, action_id=1):
+    return adapters[Tool.GEOCODE].execute(probe(Tool.GEOCODE, {"query": name}, action_id))
+
+
+def test_injected_503_is_retried_on_the_kept_connection(stub, accepted):
+    stub.set_behavior(Tool.KNOWLEDGE_BASE, fail_times=1, fail_status=503)
+    stub.set_canned(Tool.KNOWLEDGE_BASE, {"records": []})
+    adapters = live_adapters(fast_endpoints(stub))
+    for i in range(2):
+        result = adapters[Tool.KNOWLEDGE_BASE].execute(
+            probe(Tool.KNOWLEDGE_BASE, {"query": "x"}, i + 1))
+        assert result.ok
+    assert stub.count(Tool.KNOWLEDGE_BASE) == 3  # 503, its retry, the second call
+    assert accepted[0] == 1
+
+
+def test_call_after_a_timeout_gets_its_own_answer(world, stub, accepted):
+    first, second = (c.name for c in world.gazetteer.cities()[:2])
+    stub.set_behavior(Tool.GEOCODE, delay_s=0.3)
+    adapters = live_adapters(fast_endpoints(stub, timeout_s=0.05))
+    assert geocode(adapters, first).status is ToolStatus.TIMEOUT
+    stub.set_behavior(Tool.GEOCODE)
+    result = geocode(adapters, second, action_id=2)
+    assert result.ok
+    assert result.payload["query"] == second  # not the late answer to the first
+    assert accepted[0] == 2  # the timed-out connection is not reused
+
+
+def test_raw_body_is_bad_response_and_keeps_the_connection(world, stub, accepted):
+    name = world.gazetteer.cities()[0].name
+    stub.set_behavior(Tool.GEOCODE, raw_body=b"<html>gateway mishap</html>")
+    adapters = live_adapters(fast_endpoints(stub))
+    assert geocode(adapters, name).error == "BadResponse"
+    stub.set_behavior(Tool.GEOCODE)
+    assert geocode(adapters, name, action_id=2).payload["query"] == name
+    assert accepted[0] == 1
+
+
+@pytest.mark.parametrize("framing", [
+    b"Content-Length: abc\r\n\r\n{}",
+    b"Content-Length: -2\r\n\r\n{}",
+    b"Content-Length: 10\r\n\r\n{}",  # the client stops sending after 2 bytes
+    b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+], ids=["bad-length", "negative-length", "short-body", "chunked"])
+def test_unread_body_gets_400_then_eof(stub, framing):
+    with socket.create_connection(("127.0.0.1", stub.port), timeout=5) as sock:
+        sock.sendall(b"POST /geocode HTTP/1.1\r\nHost: stub\r\n" + framing)
+        sock.shutdown(socket.SHUT_WR)
+        answer = b""
+        while chunk := sock.recv(4096):
+            answer += chunk
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head.split(b"\r\n")
+    assert body == b'{"error": "unreadable body"}'  # one answer, then EOF
+    assert stub.total_requests() == 0
+
+
+def test_sequential_benchmark_uses_one_connection(world, stub, accepted):
+    samples = make_benchmark(world, 6, seed=5)
+    for sample in samples:
+        stub.register(f"scene/{sample.id}", sample.descriptor)
+    run = run_benchmark(samples, scripted_salience_policy(), world,
+                        adapters=live_adapters(fast_endpoints(stub)), workers=1)
+    assert all(e.status is EpisodeStatus.FINALIZED for e in run.entries)
+    assert stub.total_requests() > len(samples)
+    assert accepted[0] == 1
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["threaded", "in-place"])
+def test_stop_is_prompt_with_an_idle_kept_connection(world, monkeypatch, in_place):
+    if in_place:  # as perfbench/stub_host.py serves
+        monkeypatch.setattr(stub_server._StubHTTPServer, "process_request",
+                            socketserver.BaseServer.process_request)
+    with StubToolServer(world) as server:
+        client = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        stopper = threading.Thread(target=server.stop)
+        try:
+            client.request("POST", "/geocode", body=b'{"name": "x"}')
+            assert client.getresponse().read()  # the connection stays open, idle
+            t0 = time.perf_counter()
+            stopper.start()
+            stopper.join(1.0)
+            elapsed = time.perf_counter() - t0
+            assert not stopper.is_alive(), "stop() waits on the idle connection"
+            assert client.sock.recv(1) == b""  # the server closed it
+        finally:
+            client.close()  # ends a stop() that waits on this connection
+            if stopper.ident is not None:
+                stopper.join(5.0)
+    assert elapsed < 1.0
 
 
 # -- environment: proxies and .netrc, read when the adapters are built -------
@@ -592,9 +707,12 @@ def test_tag_table_rejects_unknown_region(tmp_path, world):
     from geoprobe.errors import UnknownRegionError
     path = tmp_path / "tags.json"
     path.write_text('{"karst": ["no-such-region"]}')
-    with pytest.raises(UnknownRegionError):
+    with pytest.raises(UnknownRegionError) as info:
         from geoprobe.executor import load_tag_table
         load_tag_table(path, world.gazetteer)
+    assert info.value.region_id == "no-such-region"
+    assert str(info.value) == (
+        f"tag table {path}, tag 'karst': unknown region id: 'no-such-region'")
 
 
 def test_tag_table_rejects_non_object(tmp_path, world):
