@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .bench import (
@@ -34,7 +35,7 @@ from .engine import record_episode, run_synthetic_episode
 from .errors import ConfigError, GeoprobeError, HashMismatchError, TraceFormatError
 from .executor import load_tag_table
 from .geo import load_gazetteer
-from .live_tools import live_adapters
+from .live_tools import HttpTransport, live_adapters
 from .recorder import load_trace, replay
 from .state import EpisodeStatus
 from .synthworld import (
@@ -74,19 +75,27 @@ def _load_descriptor(path: str) -> SceneDescriptor:
         raise ConfigError(f"bad descriptor file: {exc}")
 
 
+@contextmanager
 def _tools(cfg: RunConfig):
     """``(world, gazetteer, tag_table, adapters)`` for the config's tools.
 
     Synthetic mode loads the world, whose toolbox the runner wires per
-    scene, so it has no tag table or adapters here. Live mode has no world.
+    scene, so it has no tag table or adapters here. Live mode has no world;
+    its adapters' shared connections are closed when the block ends.
     """
     if cfg.tools.mode == TOOLS_SYNTHETIC:
         world = load_world(cfg.tools.world)
-        return world, world.gazetteer, None, None
+        yield world, world.gazetteer, None, None
+        return
     assert cfg.gazetteer is not None  # enforced by RunConfig validation
     g = load_gazetteer(cfg.gazetteer)
     tag_table = load_tag_table(cfg.tag_table, g) if cfg.tag_table else None
-    return None, g, tag_table, live_adapters(cfg.tools.endpoints())
+    endpoints = cfg.tools.endpoints()
+    transport = HttpTransport(ep.url for ep in endpoints.values())
+    try:
+        yield None, g, tag_table, live_adapters(endpoints, transport)
+    finally:
+        transport.close()
 
 
 def _episode_settings(cfg: RunConfig) -> dict:
@@ -103,22 +112,22 @@ def cmd_run(args) -> int:
     out = _out_dir(args, cfg)
     backend = build_backend(cfg)
     trace_path = out / "run.trace.jsonl"
-    world, g, tag_table, adapters = _tools(cfg)
     settings = _episode_settings(cfg)
 
-    if world is not None:
-        if not args.descriptor:
-            raise ConfigError("synthetic tools need --descriptor")
-        result = run_synthetic_episode(
-            world, _load_descriptor(args.descriptor), backend,
-            image_ref=args.image or "scene/0", trace_path=str(trace_path),
-            **settings)
-    else:
-        if not args.image:
-            raise ConfigError("live tools need --image")
-        result = record_episode(
-            backend, adapters, g, image_ref=args.image, tag_table=tag_table,
-            trace_path=str(trace_path), **settings)
+    with _tools(cfg) as (world, g, tag_table, adapters):
+        if world is not None:
+            if not args.descriptor:
+                raise ConfigError("synthetic tools need --descriptor")
+            result = run_synthetic_episode(
+                world, _load_descriptor(args.descriptor), backend,
+                image_ref=args.image or "scene/0", trace_path=str(trace_path),
+                **settings)
+        else:
+            if not args.image:
+                raise ConfigError("live tools need --image")
+            result = record_episode(
+                backend, adapters, g, image_ref=args.image, tag_table=tag_table,
+                trace_path=str(trace_path), **settings)
 
     if result.prediction is None:
         print(f"exhausted; trace: {trace_path}")
@@ -138,13 +147,13 @@ def cmd_bench(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     samples = load_dataset(args.dataset)
-    world, g, tag_table, adapters = _tools(cfg)
-    run = run_benchmark(
-        samples, build_backend(cfg), world,
-        g=g, adapters=adapters, tag_table=tag_table,
-        workers=args.workers, trace_dir=out / "traces",
-        **_episode_settings(cfg),
-    )
+    with _tools(cfg) as (world, g, tag_table, adapters):
+        run = run_benchmark(
+            samples, build_backend(cfg), world,
+            g=g, adapters=adapters, tag_table=tag_table,
+            workers=args.workers, trace_dir=out / "traces",
+            **_episode_settings(cfg),
+        )
     (out / "report.json").write_text(canonical_json(run.report.to_json()) + "\n")
     (out / "report.txt").write_text(render_text_table(run.report))
     with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:

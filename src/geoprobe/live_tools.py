@@ -21,7 +21,8 @@ conformant server answers with the same shapes the evidence extractor
 reads (caption/tags, spans, records, hits, candidates, matches).
 
 Transport: each ``live_adapters()`` call builds one ``HttpTransport``, a
-thread-safe urllib3 pool shared by all of its adapters. The environment is
+thread-safe urllib3 pool shared by all of its adapters, unless the caller
+passes one in and so owns its ``close()``. The environment is
 read once, when the transport is built, through ``requests``' own helpers:
 the proxy (``HTTP_PROXY``/``HTTPS_PROXY``/``ALL_PROXY``, ``NO_PROXY``), the
 CA bundle (``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``) and ``.netrc``
@@ -279,6 +280,11 @@ class HttpTransport:
             raise requests.ConnectionError(exc) from exc
         return HttpReply(resp.status, resp.data, resp.headers)
 
+    def close(self) -> None:
+        """Close every pooled connection; a later ``post`` opens new ones."""
+        for manager, *_ in self._routes.values():
+            manager.clear()
+
 
 def _encode_json(body) -> bytes:
     """``body`` as ``requests`` sends ``json=body``: no NaN or infinity,
@@ -409,12 +415,14 @@ class LocalCropAdapter:
             return ToolResult.fail(action, "InternalError", detail=repr(exc))
 
 
-def live_adapters(endpoints: Mapping[Tool, EndpointConfig]) -> dict[Tool, ToolAdapter]:
+def live_adapters(endpoints: Mapping[Tool, EndpointConfig],
+                  transport: HttpTransport | None = None) -> dict[Tool, ToolAdapter]:
     """Adapter map over HTTP endpoints, sharing one ``HttpTransport``, plus
-    the local crop adapter."""
+    the local crop adapter. A ``transport`` passed in must have been built
+    for the endpoints' URLs; without one, one is built."""
     if Tool.CROP in endpoints:
         raise ValueError("Crop is local; it takes no endpoint")
-    transport = HttpTransport(cfg.url for cfg in endpoints.values())
+    transport = transport or HttpTransport(cfg.url for cfg in endpoints.values())
     adapters: dict[Tool, ToolAdapter] = {
         tool: LiveAdapter(tool, cfg, transport) for tool, cfg in endpoints.items()}
     adapters[Tool.CROP] = LocalCropAdapter()

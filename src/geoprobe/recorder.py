@@ -1,17 +1,32 @@
 """Trajectory recording, replay verification, and context compression.
 
-Every episode appends a JSONL trace: one header line, then one event per
-line, flushed as written so a crash loses at most the event being written.
+Every episode writes a JSONL trace: one header line, then one event per
+line, each flushed to the operating system as it is written, so a process
+crash loses at most the event being written. Nothing is fsynced, so a
+machine crash can lose what the kernel had not yet written back.
+
+A trace path that already holds a file is replaced, not rewritten in place:
+the old file is unlinked and a new one created. A hard link to the old trace
+keeps its bytes, a symlink at the path is replaced rather than followed, the
+new file gets the default mode, not the old file's, and the directory must
+be writable. Truncating a file that holds data would make ext4
+(``auto_da_alloc``) force a writeback when it is closed; a new file is
+written back on the kernel's normal schedule. This only matters when a run
+re-writes traces that already exist, e.g. a second run into one directory.
+
 Events carry a hash of the post-event episode state; execution results
 carry a hash of their own payload. Together these let ``replay`` recompute
-the whole episode from the recorded evidence and pinpoint the exact event
-where a tampered or corrupted trace diverges.
+projection, backtracking and finalization from the recorded evidence and
+name the event where an altered payload, evidence item, frontier or
+prediction diverges. Decision contents and the order of events are not
+hashed (see ``replay``).
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -67,10 +82,13 @@ class TrajectoryEvent:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrajectoryEvent":
+        for key in ("seq", "step"):
+            if type(obj[key]) is not int:  # JSON integers only: no bool, float or str
+                raise TypeError(f"{key} must be an integer, got {type(obj[key]).__name__}")
         return cls(
-            seq=int(obj["seq"]),
+            seq=obj["seq"],
             kind=EventKind(obj["kind"]),
-            step=int(obj["step"]),
+            step=obj["step"],
             wall_time=float(obj["wall_time"]),
             payload=dict(obj["payload"]),
             state_hash=str(obj["state_hash"]),
@@ -112,8 +130,8 @@ class TraceRecorder:
     """Appends events to an in-memory list and, optionally, a JSONL file.
 
     Sequence numbers are assigned contiguously from 0. When a path is given
-    the header is written on construction and every event is flushed as soon
-    as it is recorded.
+    a new file replaces whatever is there, the header is written on
+    construction and every event is flushed as soon as it is recorded.
     """
 
     def __init__(self, header: TraceHeader, path: str | None = None):
@@ -122,6 +140,10 @@ class TraceRecorder:
         self._path = path
         self._fh = None
         if path is not None:
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
             self._fh = open(path, "w", encoding="utf-8")
             self._write_line(header.to_json())
 
@@ -164,36 +186,56 @@ class TraceRecorder:
         self.close()
 
 
-def load_trace(path: str) -> Trace:
-    """Parse a JSONL trace file, enforcing format and seq contiguity."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise TraceFormatError(1, "missing trace header")
+#: What converting a parsed line into a header or event can raise: a missing
+#: key, a wrong type or value, a number too large for a float, or a value
+#: nested too deeply to print.
+_BAD_FIELDS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _json_line(line: str, lineno: int, what: str):
     try:
-        head_obj = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise TraceFormatError(1, f"bad header JSON: {e.msg}") from None
+        return json.loads(line)
+    except RecursionError:
+        raise TraceFormatError(lineno, f"bad {what} JSON: nested too deeply") from None
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
+        raise TraceFormatError(lineno, f"bad {what} JSON: {getattr(e, 'msg', e)}") from None
+
+
+def load_trace(path: str) -> Trace:
+    """Parse a JSONL trace file, enforcing format and seq contiguity.
+
+    Any malformed line, including bytes that are not UTF-8, raises
+    ``TraceFormatError`` with its 1-based line number. Lines end at
+    ``\\n`` only, so a U+2028 or U+0085 written raw inside a JSON string
+    stays within its line.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise TraceFormatError(lineno, f"invalid UTF-8: {e.reason}") from None
+    if not lines[0].strip():
+        raise TraceFormatError(1, "missing trace header")
+    head_obj = _json_line(lines[0], 1, "header")
     if not isinstance(head_obj, dict) or "format_version" not in head_obj:
         raise TraceFormatError(1, "header must be an object with format_version")
     if head_obj["format_version"] != TRACE_FORMAT_VERSION:
         raise TraceFormatError(1, f"unsupported format_version {head_obj['format_version']!r}")
     try:
         header = TraceHeader.from_json(head_obj)
-    except (KeyError, TypeError, ValueError) as e:
+    except _BAD_FIELDS as e:
         raise TraceFormatError(1, f"bad header: {e}") from None
 
     events: list[TrajectoryEvent] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise TraceFormatError(lineno, f"bad event JSON: {e.msg}") from None
+        obj = _json_line(line, lineno, "event")
         try:
             event = TrajectoryEvent.from_json(obj)
-        except (KeyError, TypeError, ValueError) as e:
+        except _BAD_FIELDS as e:
             raise TraceFormatError(lineno, f"bad event: {e}") from None
         if event.seq != len(events):
             raise SeqGapError(expected=len(events), got=event.seq)
@@ -289,7 +331,8 @@ def replay(trace: Trace, g: Gazetteer) -> ReplayReport:
                 _check(event.state_hash == state.snapshot_hash(), seq, "state hash mismatch")
         except HashMismatchError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError, GeoprobeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+                GeoprobeError) as exc:
             raise HashMismatchError(
                 seq, f"malformed event payload ({type(exc).__name__}: {exc})"
             ) from None

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -724,6 +725,25 @@ def test_run_benchmark_writes_replayable_traces(tmp_path, world, bench_samples):
         trace = load_trace(entry.trace_path)
         report = replay(trace, world.gazetteer)
         assert report.events_verified == len(trace.events)
+
+
+def test_rerun_into_one_trace_dir_rewrites_equal_traces(tmp_path, world, bench_samples):
+    trace_dir = tmp_path / "traces"
+
+    def traces_without_wall_time():
+        return {p.name: re.sub(r'"wall_time": [^,}]+', '"wall_time": 0',
+                               p.read_text(encoding="utf-8"))
+                for p in trace_dir.glob("*.trace.jsonl")}
+
+    backend = scripted_salience_policy()
+    run_benchmark(bench_samples, backend, world, trace_dir=trace_dir)
+    first = traces_without_wall_time()
+    run = run_benchmark(bench_samples, backend, world, trace_dir=trace_dir)
+    assert len(first) == len(bench_samples)
+    assert traces_without_wall_time() == first
+    for entry in run.entries:
+        trace = load_trace(entry.trace_path)
+        assert replay(trace, world.gazetteer).events_verified == len(trace.events)
 
 
 class _ExplodingBackend:

@@ -324,6 +324,26 @@ def test_replay_malformed_trace(workspace, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("how", [
+    "invalid-utf8", "seq-infinity", "seq-fraction", "deep-nesting"])
+def test_replay_malformed_event_exits_config_naming_the_line(workspace, capsys, how):
+    trace = trace_from_run(workspace)
+    lines = trace.read_bytes().split(b"\n")
+    assert b'"seq": 0,' in lines[1]
+    lines[1] = {
+        "invalid-utf8": lines[1].replace(b'"kind"', b'"k\xffind"'),
+        "seq-infinity": lines[1].replace(b'"seq": 0,', b'"seq": Infinity,'),
+        "seq-fraction": lines[1].replace(b'"seq": 0,', b'"seq": 0.5,'),
+        "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    }[how]
+    trace.write_bytes(b"\n".join(lines))
+    code = main(["replay", "--trace", str(trace), "--world", str(workspace["world"])])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert err.count("\n") == 1
+
+
 def test_replay_bad_gazetteer_names_the_file(workspace, capsys):
     trace = trace_from_run(workspace)
     bad = workspace["root"] / "bad.json"
@@ -410,6 +430,28 @@ def test_live_bench_writes_replayable_traces(live_workspace, capsys):
     assert len(traces) == 4
     for trace in traces:
         assert replays_clean(trace, live_workspace["gazetteer"])
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_live_commands_close_their_connections(live_workspace, monkeypatch, command):
+    from geoprobe.live_tools import HttpTransport
+
+    closed = []
+    close = HttpTransport.close
+
+    def recording_close(transport):
+        closed.append(transport)
+        close(transport)
+
+    monkeypatch.setattr(HttpTransport, "close", recording_close)
+    if command == "run":
+        code = main(["run", "--config", str(live_workspace["config"]),
+                     "--image", live_workspace["samples"][0].image,
+                     "--out", str(live_workspace["root"] / "live-run")])
+    else:
+        code, _ = run_bench(live_workspace, "live-bench")
+    assert code == EXIT_OK
+    assert len(closed) == 1  # the adapters' one shared transport
 
 
 def live_argv_with_tag_table(workspace, command, text):

@@ -8,7 +8,6 @@ over real localhost HTTP.
 from __future__ import annotations
 
 import base64
-import http.client
 import logging
 import socket
 import socketserver
@@ -535,27 +534,50 @@ def test_sequential_benchmark_uses_one_connection(world, stub, accepted):
 
 
 @pytest.mark.parametrize("in_place", [False, True], ids=["threaded", "in-place"])
-def test_stop_is_prompt_with_an_idle_kept_connection(world, monkeypatch, in_place):
+def test_stop_is_prompt_with_an_idle_kept_connection(world, monkeypatch, accepted,
+                                                     in_place):
     if in_place:  # as perfbench/stub_host.py serves
         monkeypatch.setattr(stub_server._StubHTTPServer, "process_request",
                             socketserver.BaseServer.process_request)
     with StubToolServer(world) as server:
-        client = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        url = server.base_url + "/geocode"
+        transport = HttpTransport([url])
+
+        def post():
+            return transport.post(url, body=b'{"name": "x"}', headers={}, timeout=5)
+
         stopper = threading.Thread(target=server.stop)
         try:
-            client.request("POST", "/geocode", body=b'{"name": "x"}')
-            assert client.getresponse().read()  # the connection stays open, idle
+            assert post().status_code == 200
+            assert post().status_code == 200
+            assert accepted[0] == 1  # the connection stays open, idle
             t0 = time.perf_counter()
             stopper.start()
             stopper.join(1.0)
             elapsed = time.perf_counter() - t0
             assert not stopper.is_alive(), "stop() waits on the idle connection"
-            assert client.sock.recv(1) == b""  # the server closed it
+            # Had the server left the connection open, this post would be
+            # answered on it; closed, it needs a new one, which is refused.
+            with pytest.raises(requests.ConnectionError):
+                post()
+            assert accepted[0] == 1
         finally:
-            client.close()  # ends a stop() that waits on this connection
+            transport.close()  # ends a stop() that waits on this connection
             if stopper.ident is not None:
                 stopper.join(5.0)
     assert elapsed < 1.0
+
+
+def test_closing_the_transport_closes_the_adapters_connections(stub, accepted):
+    stub.set_canned(Tool.GEOCODE, {"matches": []})
+    endpoints = fast_endpoints(stub)
+    transport = HttpTransport(ep.url for ep in endpoints.values())
+    adapters = live_adapters(endpoints, transport)
+    assert geocode(adapters, "x").ok
+    transport.close()
+    assert geocode(adapters, "y", action_id=2).ok
+    assert accepted[0] == 2  # the kept connection was closed, not reused
+    transport.close()
 
 
 # -- environment: proxies and .netrc, read when the adapters are built -------

@@ -1,10 +1,13 @@
 """Trace recording, replay verification, tamper detection, compression."""
 
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from geoprobe import state as state_module
 from geoprobe.canonical import canonical_hash, sha256_hex
@@ -133,7 +136,115 @@ class TestRecorder:
         assert len(rec.trace().events) == 1
 
 
+class TestRerecording:
+    """A trace path that holds a file gets a new file, not a truncated one."""
+
+    LONG = [[ev(1, ["cn-a"])], [ev(2, ["cn-a-1"])], [ev(3, ["cn-a-1-x"])]]
+    SHORT = [[ev(1, ["cn-b"])]]
+
+    def test_hard_link_to_the_old_trace_keeps_its_bytes(self, gaz, tmp_path):
+        path = tmp_path / "t.jsonl"
+        snapshot = tmp_path / "snapshot.jsonl"
+        record_episode(gaz, str(path), steps=self.LONG)
+        old = path.read_bytes()
+        os.link(path, snapshot)
+        record_episode(gaz, str(path), steps=self.SHORT)
+        assert snapshot.read_bytes() == old
+        assert path.read_bytes() != old
+        assert not path.samefile(snapshot)
+
+    def test_shorter_rerecording_leaves_no_stale_tail(self, gaz, tmp_path):
+        path = tmp_path / "t.jsonl"
+        record_episode(gaz, str(path), steps=self.LONG)
+        trace, final_state = record_episode(gaz, str(path), steps=self.SHORT)
+        assert len(path.read_text().splitlines()) == 1 + len(trace.events)
+        loaded = load_trace(str(path))
+        assert loaded.events == trace.events
+        report = replay(loaded, gaz)
+        assert report.final_state.snapshot_hash() == final_state.snapshot_hash()
+
+    def test_symlink_at_the_path_is_replaced_not_followed(self, gaz, tmp_path):
+        target = tmp_path / "elsewhere.jsonl"
+        target.write_text("keep me\n")
+        path = tmp_path / "t.jsonl"
+        path.symlink_to(target)
+        trace, _ = record_episode(gaz, str(path), steps=self.SHORT)
+        assert not path.is_symlink()
+        assert target.read_text() == "keep me\n"
+        assert load_trace(str(path)).events == trace.events
+
+
+HEADER_LINE = json.dumps(TraceHeader("g", "c").to_json())
+
+
+def event_line(**fields):
+    obj = {"seq": 0, "kind": "Error", "step": 0, "wall_time": 1.5,
+           "payload": {}, "state_hash": "h"}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+#: Malformed traces, as lines, each with the 1-based line load_trace must name.
+MALFORMED_TRACES = {
+    "invalid-utf8": ([HEADER_LINE, event_line(), b'{"seq": 1, "kind": "\xff\xfe"}'], 3),
+    "seq-infinity": ([HEADER_LINE, event_line(seq=float("inf"))], 2),
+    "seq-fraction": ([HEADER_LINE, event_line(seq=0.5)], 2),
+    "seq-bool": ([HEADER_LINE, event_line(seq=False)], 2),
+    "step-string": ([HEADER_LINE, event_line(step="0")], 2),
+    "wall-time-overflow": ([HEADER_LINE, event_line(wall_time=10 ** 400)], 2),
+    "integer-too-long": ([HEADER_LINE, '{"seq": ' + "9" * 5000 + "}"], 2),
+    "deep-nesting": ([HEADER_LINE, "[" * 100_000 + "]" * 100_000], 2),
+    "deep-header": (["[" * 100_000 + "]" * 100_000], 1),
+}
+
+
+def write_trace(path, lines):
+    """Write ``lines`` (str or bytes), each ended by a newline; returns the path."""
+    path.write_bytes(b"".join(
+        (line.encode("utf-8") if isinstance(line, str) else line) + b"\n" for line in lines))
+    return str(path)
+
+
 class TestLoadTrace:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+    def test_malformed_line_is_named(self, tmp_path, case):
+        lines, line = MALFORMED_TRACES[case]
+        with pytest.raises(TraceFormatError) as ei:
+            load_trace(write_trace(tmp_path / "t.jsonl", lines))
+        assert ei.value.line == line
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_separators_stay_inside_their_event(self, gaz, tmp_path, separator):
+        path = tmp_path / "t.jsonl"
+        header = TraceHeader(gaz.content_hash(), "c")
+        with TraceRecorder(header, str(path)) as rec:
+            rec.record(EventKind.ERROR, EpisodeState(), {"message": f"a{separator}b"})
+        assert load_trace(str(path)).events == tuple(rec.events)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(prefix=st.sampled_from([b"", HEADER_LINE.encode() + b"\n"]), data=st.binary())
+    def test_arbitrary_bytes_load_or_raise_format_errors(self, tmp_path, prefix, data):
+        path = tmp_path / "fuzz.jsonl"
+        path.write_bytes(prefix + data)
+        try:
+            load_trace(str(path))
+        except (TraceFormatError, SeqGapError):
+            pass
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=st.dictionaries(
+        st.sampled_from(["seq", "kind", "step", "wall_time", "payload", "state_hash"]),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+            max_leaves=4),
+    ))
+    def test_arbitrary_event_fields_load_or_raise_format_errors(self, tmp_path, fields):
+        try:
+            load_trace(write_trace(tmp_path / "fuzz.jsonl", [HEADER_LINE, event_line(**fields)]))
+        except (TraceFormatError, SeqGapError):
+            pass
+
     def test_roundtrip(self, gaz, tmp_path):
         path = tmp_path / "t.jsonl"
         trace, _ = record_episode(gaz, str(path))
@@ -276,6 +387,19 @@ class TestReplay:
             replay(load_trace(str(path)), gaz)
         # The doctored confidence changes the chain, so the state hash breaks
         # at that same projection event.
+        assert ei.value.seq == seq
+
+    @pytest.mark.parametrize("field, value", [("confidence", 10 ** 400), ("id", float("inf"))])
+    def test_evidence_number_out_of_range_pinpointed(self, gaz, tmp_path, field, value):
+        path = tmp_path / "t.jsonl"
+        record_episode(gaz, str(path))
+
+        def mutate(obj):
+            obj["payload"]["evidence"][0][field] = value
+
+        seq = self._tamper(path, lambda o: o.get("kind") == "Projection", mutate)
+        with pytest.raises(HashMismatchError) as ei:
+            replay(load_trace(str(path)), gaz)
         assert ei.value.seq == seq
 
 
