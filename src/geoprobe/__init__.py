@@ -26,292 +26,156 @@ The package is organized in layers:
   the command-line entry points.
 """
 
-from .actions import (
-    ARG_SCHEMAS,
-    COMPOSITION,
-    Action,
-    ActionIssue,
-    CapabilityModule,
-    Decision,
-    Tool,
-    parse_decision,
-    render_action_schema,
-    validate_action,
-)
-from .bench import (
-    DATASET_SUFFIX,
-    DEFAULT_MIX,
-    DEFAULT_THRESHOLDS_KM,
-    BenchEntry,
-    BenchmarkRun,
-    BenchmarkSample,
-    MetricBlock,
-    MetricsReport,
-    SceneCategory,
-    acc_city,
-    acc_loglat,
-    classify_scene,
-    compute_report,
-    difficulty_counts,
-    load_dataset,
-    location_compliance,
-    make_benchmark,
-    render_text_table,
-    round2,
-    run_benchmark,
-    save_dataset,
-    stratify,
-    threshold_accuracy,
-)
-from .canonical import canonical_hash, canonical_json, sha256_hex
-from .config import (
-    BackendSpec,
-    RunConfig,
-    ToolsSpec,
-    build_backend,
-    load_config,
-    validate_files,
-)
-from .engine import (
-    DEFAULT_CONTEXT_BUDGET,
-    DEFAULT_MAX_STEPS,
-    EpisodeResult,
-    derive_poi_hint,
-    record_episode,
-    run_episode,
-    run_synthetic_episode,
-)
-from .errors import (
-    BackendUnavailableError,
-    BudgetTooSmallError,
-    ConfigError,
-    DatasetError,
-    DecisionParseError,
-    EmptyDatasetError,
-    EmptyPredictionsError,
-    GazetteerFileError,
-    GeoprobeError,
-    HashMismatchError,
-    InsufficientEvidenceError,
-    SeqGapError,
-    TraceFormatError,
-    UnknownRegionError,
-    UnmatchedPredictionError,
-)
-from .executor import (
-    ALL_TOOLS,
-    LABEL_FULL,
-    LABEL_NO_IMAGE_SEARCH,
-    LABEL_NO_TEXT_SEARCH,
-    LABEL_NO_TOOLS,
-    AblationConfig,
-    ToolResult,
-    execute_batch,
-    extract_evidence,
-    load_tag_table,
-    save_tag_table,
-)
-from .geo import (
-    EARTH_RADIUS_KM,
-    AdminRegion,
-    Gazetteer,
-    GeoPoint,
-    RegionLevel,
-    haversine_km,
-    load_gazetteer,
-    normalize_city_name,
-    region_contains,
-    reverse_geocode,
-    save_gazetteer,
-)
-from .live_tools import (
-    EndpointConfig,
-    LiveAdapter,
-    LocalCropAdapter,
-    endpoints_for_base,
-    live_adapters,
-)
-from .planner import (
-    LlmBackend,
-    PlannerContext,
-    ScriptedBackend,
-    scripted_salience_policy,
-)
-from .recorder import (
-    CompressedContext,
-    EventKind,
-    ReplayReport,
-    Trace,
-    TraceHeader,
-    TraceRecorder,
-    TrajectoryEvent,
-    compress,
-    load_trace,
-    replay,
-)
-from .state import (
-    ApplyReport,
-    CandidateSpace,
-    EpisodeState,
-    EpisodeStatus,
-    Evidence,
-    PoiHint,
-    Prediction,
-    Provenance,
-    apply_evidence,
-    apply_evidence_report,
-    finalize,
-    project,
-)
-from .stub_server import StubToolServer
-from .synthworld import (
-    Clue,
-    ClueKind,
-    Difficulty,
-    SceneDescriptor,
-    SynthWorld,
-    SyntheticToolbox,
-    Truth,
-    compatible_cities,
-    generate_world,
-    load_world,
-    sample_episode,
-    save_world,
-    synthetic_adapters,
-)
+import importlib
+
+#: Each public name and the submodule that defines it. ``import geoprobe``
+#: loads no submodule; a name's module is imported on its first access.
+_EXPORTS = {
+    "ARG_SCHEMAS": "actions",
+    "COMPOSITION": "actions",
+    "Action": "actions",
+    "ActionIssue": "actions",
+    "CapabilityModule": "actions",
+    "Decision": "actions",
+    "Tool": "actions",
+    "parse_decision": "actions",
+    "render_action_schema": "actions",
+    "validate_action": "actions",
+    "DATASET_SUFFIX": "bench",
+    "DEFAULT_MIX": "bench",
+    "DEFAULT_THRESHOLDS_KM": "bench",
+    "BenchEntry": "bench",
+    "BenchmarkRun": "bench",
+    "BenchmarkSample": "bench",
+    "MetricBlock": "bench",
+    "MetricsReport": "bench",
+    "SceneCategory": "bench",
+    "acc_city": "bench",
+    "acc_loglat": "bench",
+    "classify_scene": "bench",
+    "compute_report": "bench",
+    "difficulty_counts": "bench",
+    "load_dataset": "bench",
+    "location_compliance": "bench",
+    "make_benchmark": "bench",
+    "render_text_table": "bench",
+    "round2": "bench",
+    "run_benchmark": "bench",
+    "save_dataset": "bench",
+    "stratify": "bench",
+    "threshold_accuracy": "bench",
+    "canonical_hash": "canonical",
+    "canonical_json": "canonical",
+    "sha256_hex": "canonical",
+    "BackendSpec": "config",
+    "RunConfig": "config",
+    "ToolsSpec": "config",
+    "build_backend": "config",
+    "load_config": "config",
+    "validate_files": "config",
+    "DEFAULT_CONTEXT_BUDGET": "defaults",
+    "DEFAULT_MAX_STEPS": "defaults",
+    "EpisodeResult": "engine",
+    "derive_poi_hint": "engine",
+    "record_episode": "engine",
+    "run_episode": "engine",
+    "run_synthetic_episode": "engine",
+    "BackendUnavailableError": "errors",
+    "BudgetTooSmallError": "errors",
+    "ConfigError": "errors",
+    "DatasetError": "errors",
+    "DecisionParseError": "errors",
+    "EmptyDatasetError": "errors",
+    "EmptyPredictionsError": "errors",
+    "GazetteerFileError": "errors",
+    "GeoprobeError": "errors",
+    "HashMismatchError": "errors",
+    "InsufficientEvidenceError": "errors",
+    "SeqGapError": "errors",
+    "TraceFormatError": "errors",
+    "UnknownRegionError": "errors",
+    "UnmatchedPredictionError": "errors",
+    "ALL_TOOLS": "executor",
+    "LABEL_FULL": "executor",
+    "LABEL_NO_IMAGE_SEARCH": "executor",
+    "LABEL_NO_TEXT_SEARCH": "executor",
+    "LABEL_NO_TOOLS": "executor",
+    "AblationConfig": "executor",
+    "ToolResult": "executor",
+    "execute_batch": "executor",
+    "extract_evidence": "executor",
+    "load_tag_table": "executor",
+    "save_tag_table": "executor",
+    "EARTH_RADIUS_KM": "geo",
+    "AdminRegion": "geo",
+    "Gazetteer": "geo",
+    "GeoPoint": "geo",
+    "RegionLevel": "geo",
+    "haversine_km": "geo",
+    "load_gazetteer": "geo",
+    "normalize_city_name": "geo",
+    "region_contains": "geo",
+    "reverse_geocode": "geo",
+    "save_gazetteer": "geo",
+    "EndpointConfig": "live_tools",
+    "LiveAdapter": "live_tools",
+    "LocalCropAdapter": "live_tools",
+    "endpoints_for_base": "live_tools",
+    "live_adapters": "live_tools",
+    "LlmBackend": "planner",
+    "PlannerContext": "planner",
+    "ScriptedBackend": "planner",
+    "scripted_salience_policy": "planner",
+    "CompressedContext": "recorder",
+    "EventKind": "recorder",
+    "ReplayReport": "recorder",
+    "Trace": "recorder",
+    "TraceHeader": "recorder",
+    "TraceRecorder": "recorder",
+    "TrajectoryEvent": "recorder",
+    "compress": "recorder",
+    "load_trace": "recorder",
+    "replay": "recorder",
+    "ApplyReport": "state",
+    "CandidateSpace": "state",
+    "EpisodeState": "state",
+    "EpisodeStatus": "state",
+    "Evidence": "state",
+    "PoiHint": "state",
+    "Prediction": "state",
+    "Provenance": "state",
+    "apply_evidence_report": "state",
+    "finalize": "state",
+    "project": "state",
+    "StubToolServer": "stub_server",
+    "Clue": "synthworld",
+    "ClueKind": "synthworld",
+    "Difficulty": "synthworld",
+    "SceneDescriptor": "synthworld",
+    "SynthWorld": "synthworld",
+    "SyntheticToolbox": "synthworld",
+    "Truth": "synthworld",
+    "compatible_cities": "synthworld",
+    "generate_world": "synthworld",
+    "load_world": "synthworld",
+    "sample_episode": "synthworld",
+    "save_world": "synthworld",
+    "synthetic_adapters": "synthworld",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARG_SCHEMAS",
-    "ALL_TOOLS",
-    "AblationConfig",
-    "Action",
-    "ActionIssue",
-    "AdminRegion",
-    "ApplyReport",
-    "BackendSpec",
-    "BackendUnavailableError",
-    "BenchEntry",
-    "BenchmarkRun",
-    "BenchmarkSample",
-    "BudgetTooSmallError",
-    "COMPOSITION",
-    "CandidateSpace",
-    "CapabilityModule",
-    "Clue",
-    "ClueKind",
-    "CompressedContext",
-    "ConfigError",
-    "DATASET_SUFFIX",
-    "DEFAULT_CONTEXT_BUDGET",
-    "DEFAULT_MAX_STEPS",
-    "DEFAULT_MIX",
-    "DEFAULT_THRESHOLDS_KM",
-    "DatasetError",
-    "Decision",
-    "DecisionParseError",
-    "Difficulty",
-    "EARTH_RADIUS_KM",
-    "EmptyDatasetError",
-    "EmptyPredictionsError",
-    "EndpointConfig",
-    "EpisodeResult",
-    "EpisodeState",
-    "EpisodeStatus",
-    "EventKind",
-    "Evidence",
-    "Gazetteer",
-    "GazetteerFileError",
-    "GeoPoint",
-    "GeoprobeError",
-    "HashMismatchError",
-    "InsufficientEvidenceError",
-    "LABEL_FULL",
-    "LABEL_NO_IMAGE_SEARCH",
-    "LABEL_NO_TEXT_SEARCH",
-    "LABEL_NO_TOOLS",
-    "LiveAdapter",
-    "LlmBackend",
-    "LocalCropAdapter",
-    "MetricBlock",
-    "MetricsReport",
-    "PlannerContext",
-    "PoiHint",
-    "Prediction",
-    "Provenance",
-    "RegionLevel",
-    "ReplayReport",
-    "RunConfig",
-    "SceneCategory",
-    "SceneDescriptor",
-    "ScriptedBackend",
-    "SeqGapError",
-    "StubToolServer",
-    "SynthWorld",
-    "SyntheticToolbox",
-    "Tool",
-    "ToolResult",
-    "ToolsSpec",
-    "Trace",
-    "TraceFormatError",
-    "TraceHeader",
-    "TraceRecorder",
-    "TrajectoryEvent",
-    "Truth",
-    "UnknownRegionError",
-    "UnmatchedPredictionError",
-    "acc_city",
-    "acc_loglat",
-    "apply_evidence",
-    "apply_evidence_report",
-    "build_backend",
-    "canonical_hash",
-    "canonical_json",
-    "classify_scene",
-    "compatible_cities",
-    "compress",
-    "compute_report",
-    "derive_poi_hint",
-    "difficulty_counts",
-    "endpoints_for_base",
-    "execute_batch",
-    "extract_evidence",
-    "finalize",
-    "generate_world",
-    "haversine_km",
-    "load_config",
-    "load_dataset",
-    "load_gazetteer",
-    "load_tag_table",
-    "load_trace",
-    "load_world",
-    "location_compliance",
-    "make_benchmark",
-    "normalize_city_name",
-    "parse_decision",
-    "project",
-    "record_episode",
-    "region_contains",
-    "render_action_schema",
-    "render_text_table",
-    "replay",
-    "reverse_geocode",
-    "round2",
-    "run_benchmark",
-    "run_episode",
-    "run_synthetic_episode",
-    "sample_episode",
-    "save_dataset",
-    "save_gazetteer",
-    "save_tag_table",
-    "save_world",
-    "scripted_salience_policy",
-    "sha256_hex",
-    "stratify",
-    "synthetic_adapters",
-    "threshold_accuracy",
-    "validate_action",
-    "validate_files",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

@@ -289,35 +289,9 @@ def acc_city(
     return 100.0 * hits / len(samples)
 
 
-def acc_loglat(
-    preds: Sequence[Prediction],
-    samples: Sequence[BenchmarkSample],
-    g: Gazetteer,
-    aliases: dict[str, str] | None = None,
-) -> float:
-    """Percentage whose predicted point reverse-geocodes to the truth city.
-
-    A point that reverse-geocodes to nothing counts as a miss.
-    """
-    return _acc_loglat(_pair(preds, samples), samples, _geocode_points(preds, g), aliases)
-
-
-def location_compliance(
-    preds: Sequence[Prediction],
-    g: Gazetteer,
-    aliases: dict[str, str] | None = None,
-) -> float:
-    """Agreement between the stated city name and the coordinate-derived one.
-
-    Truth is never consulted: this measures internal coherence of each
-    prediction. A point that reverse-geocodes to nothing is non-compliant.
-    """
-    if not preds:
-        raise EmptyPredictionsError("no predictions to check for compliance")
-    return _location_compliance(preds, _geocode_points(preds, g), aliases)
-
-
 #: Reverse-geocoded city of each predicted point (None: nothing qualifies).
+#: Passed as ``geocoded``, it must cover every prediction; the metric
+#: functions then reuse its lookups instead of making their own.
 Geocoded = Mapping[GeoPoint, AdminRegion | None]
 
 
@@ -330,12 +304,21 @@ def _geocode_points(preds: Iterable[Prediction], g: Gazetteer) -> Geocoded:
     return out
 
 
-def _acc_loglat(
-    by_id: Mapping[str, Prediction],
+def acc_loglat(
+    preds: Sequence[Prediction],
     samples: Sequence[BenchmarkSample],
-    geocoded: Geocoded,
-    aliases: dict[str, str] | None,
+    g: Gazetteer,
+    aliases: dict[str, str] | None = None,
+    *,
+    geocoded: Geocoded | None = None,
 ) -> float:
+    """Percentage whose predicted point reverse-geocodes to the truth city.
+
+    A point that reverse-geocodes to nothing counts as a miss.
+    """
+    by_id = _pair(preds, samples)
+    if geocoded is None:
+        geocoded = _geocode_points(preds, g)
     hits = 0
     for sample in samples:
         pred = by_id.get(sample.id)
@@ -349,9 +332,22 @@ def _acc_loglat(
     return 100.0 * hits / len(samples)
 
 
-def _location_compliance(
-    preds: Sequence[Prediction], geocoded: Geocoded, aliases: dict[str, str] | None
+def location_compliance(
+    preds: Sequence[Prediction],
+    g: Gazetteer,
+    aliases: dict[str, str] | None = None,
+    *,
+    geocoded: Geocoded | None = None,
 ) -> float:
+    """Agreement between the stated city name and the coordinate-derived one.
+
+    Truth is never consulted: this measures internal coherence of each
+    prediction. A point that reverse-geocodes to nothing is non-compliant.
+    """
+    if not preds:
+        raise EmptyPredictionsError("no predictions to check for compliance")
+    if geocoded is None:
+        geocoded = _geocode_points(preds, g)
     hits = 0
     for pred in preds:
         city = geocoded[pred.point]
@@ -402,6 +398,7 @@ class MetricBlock:
 def _block(
     preds: Sequence[Prediction],
     samples: Sequence[BenchmarkSample],
+    g: Gazetteer,
     geocoded: Geocoded,
     thresholds: Iterable[int],
     aliases: dict[str, str] | None = None,
@@ -411,14 +408,14 @@ def _block(
     if present and all(p.city_name == "" for p in present):
         compliance = None  # method emits no city names; rendered as "/"
     elif present:
-        compliance = _location_compliance(present, geocoded, aliases)
+        compliance = location_compliance(present, g, aliases, geocoded=geocoded)
     else:
         compliance = 0.0
     return MetricBlock(
         n=len(samples),
         threshold_acc=threshold_accuracy(preds, samples, thresholds),
         acc_city=acc_city(preds, samples, aliases),
-        acc_loglat=_acc_loglat(by_id, samples, geocoded, aliases),
+        acc_loglat=acc_loglat(preds, samples, g, aliases, geocoded=geocoded),
         location_compliance=compliance,
     )
 
@@ -429,18 +426,12 @@ def stratify(
     g: Gazetteer,
     thresholds: Iterable[int] = DEFAULT_THRESHOLDS_KM,
     aliases: dict[str, str] | None = None,
+    *,
+    geocoded: Geocoded | None = None,
 ) -> dict[str, dict[str, MetricBlock]]:
     """Recompute the metric set per scene category and per difficulty."""
-    return _stratify(preds, samples, _geocode_points(preds, g), thresholds, aliases)
-
-
-def _stratify(
-    preds: Sequence[Prediction],
-    samples: Sequence[BenchmarkSample],
-    geocoded: Geocoded,
-    thresholds: Iterable[int],
-    aliases: dict[str, str] | None,
-) -> dict[str, dict[str, MetricBlock]]:
+    if geocoded is None:
+        geocoded = _geocode_points(preds, g)
     by_id = _pair(preds, samples)
 
     def group(key: Callable[[BenchmarkSample], str]) -> dict[str, MetricBlock]:
@@ -451,7 +442,7 @@ def _stratify(
         for name in sorted(buckets):
             members = buckets[name]
             member_preds = [by_id[s.id] for s in members if s.id in by_id]
-            out[name] = _block(member_preds, members, geocoded, thresholds, aliases)
+            out[name] = _block(member_preds, members, g, geocoded, thresholds, aliases)
         return out
 
     return {
@@ -517,8 +508,8 @@ def compute_report(
     geocoded = _geocode_points(preds, g)
     return MetricsReport(
         label=label,
-        overall=_block(preds, samples, geocoded, thresholds, aliases),
-        strata=_stratify(preds, samples, geocoded, thresholds, aliases),
+        overall=_block(preds, samples, g, geocoded, thresholds, aliases),
+        strata=stratify(preds, samples, g, thresholds, aliases, geocoded=geocoded),
     )
 
 

@@ -26,3 +26,12 @@ def sha256_hex(data: str | bytes) -> str:
 def canonical_hash(obj: Any) -> str:
     """SHA-256 hex digest of the canonical JSON form of ``obj``."""
     return sha256_hex(canonical_json(obj))
+
+
+def json_int(obj: dict, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer: a bool, float or string
+    raises ``TypeError`` rather than being coerced."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {type(value).__name__}")
+    return value

@@ -30,7 +30,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .canonical import canonical_hash
+from .canonical import canonical_hash, json_int
 from .errors import (
     BudgetTooSmallError,
     GeoprobeError,
@@ -82,13 +82,10 @@ class TrajectoryEvent:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrajectoryEvent":
-        for key in ("seq", "step"):
-            if type(obj[key]) is not int:  # JSON integers only: no bool, float or str
-                raise TypeError(f"{key} must be an integer, got {type(obj[key]).__name__}")
         return cls(
-            seq=obj["seq"],
+            seq=json_int(obj, "seq"),
             kind=EventKind(obj["kind"]),
-            step=obj["step"],
+            step=json_int(obj, "step"),
             wall_time=float(obj["wall_time"]),
             payload=dict(obj["payload"]),
             state_hash=str(obj["state_hash"]),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .canonical import canonical_json, sha256_hex
+from .canonical import canonical_json, json_int, sha256_hex
 from .errors import InsufficientEvidenceError, UnknownRegionError
 from .geo import AdminRegion, Gazetteer, GeoPoint, reverse_geocode
 
@@ -72,7 +72,7 @@ class Provenance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Provenance":
-        return cls(int(obj["action_id"]), str(obj["payload_sha256"]))
+        return cls(json_int(obj, "action_id"), str(obj["payload_sha256"]))
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ class Evidence:
     @classmethod
     def from_json(cls, obj: dict) -> "Evidence":
         return cls(
-            id=int(obj["id"]),
-            source_action_id=int(obj["source_action_id"]),
+            id=json_int(obj, "id"),
+            source_action_id=json_int(obj, "source_action_id"),
             claim=str(obj["claim"]),
             constraint=frozenset(obj["constraint"]),
             confidence=float(obj["confidence"]),
@@ -352,10 +352,6 @@ def apply_evidence_report(state: EpisodeState, evs: list[Evidence], g: Gazetteer
         inactive_ids=frozenset(inactive),
     )
     return ApplyReport(new_state, tuple(backtracks))
-
-
-def apply_evidence(state: EpisodeState, evs: list[Evidence], g: Gazetteer) -> EpisodeState:
-    return apply_evidence_report(state, evs, g).state
 
 
 def finalize(

@@ -1,13 +1,17 @@
-"""The HTTP client stack (``requests``, ``urllib3``) loads only where a live
-tool or LLM call is made.
+"""What each import loads: ``import geoprobe`` loads no submodule, and the
+HTTP client stack (``requests``, ``urllib3``) loads only where a live tool
+or LLM call is made.
 
 Each check runs in a fresh interpreter, because the test process itself
-has long since imported both libraries.
+has long since imported all of them.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,33 +19,48 @@ from pathlib import Path
 
 import requests.adapters
 
+import geoprobe
 from geoprobe import live_tools
 from geoprobe.defaults import DEFAULT_MAX_PARALLEL
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 GOLDEN_TRACE = Path(__file__).parent / "data" / "synth_w11_3x5_medium_s4.trace.jsonl"
 
 HTTP_STACK = ("requests", "urllib3")
 
-#: Prints the HTTP-stack modules loaded so far, one top-level name per line.
-REPORT_LOADED = textwrap.dedent(f"""
+#: Prints the names in ``sys.modules``, one per line.
+REPORT_LOADED = textwrap.dedent("""
     import sys
-    for name in sorted({{m.split(".")[0] for m in sys.modules}}):
-        if name in {HTTP_STACK!r}:
-            print(name)
+    print("\\n".join(sys.modules))
 """)
 
 
-def loaded_after(code: str, cwd: Path) -> set[str]:
-    """Top-level HTTP-stack modules in ``sys.modules`` once ``code`` has run
-    in a fresh interpreter."""
+def run_fresh(code: str, cwd: Path) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports from ``src``."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code) + REPORT_LOADED],
+        [sys.executable, "-c", textwrap.dedent(code)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def modules_after(code: str, cwd: Path) -> set[str]:
+    """Names in ``sys.modules`` once ``code`` has run in a fresh interpreter."""
+    return set(run_fresh(textwrap.dedent(code) + REPORT_LOADED, cwd).split())
+
+
+def loaded_after(code: str, cwd: Path) -> set[str]:
+    """Top-level HTTP-stack modules loaded once ``code`` has run."""
+    return {name.split(".")[0] for name in modules_after(code, cwd)} & set(HTTP_STACK)
+
+
+def submodules_after(code: str, cwd: Path) -> set[str]:
+    """``geoprobe`` submodules (without the prefix) loaded once ``code`` has run."""
+    return {name.removeprefix("geoprobe.") for name in modules_after(code, cwd)
+            if name.startswith("geoprobe.")}
 
 
 def test_importing_the_package_loads_no_http_client(tmp_path):
@@ -82,3 +101,53 @@ def test_pool_size_matches_requests():
     assert live_tools.DEFAULT_POOLSIZE == requests.adapters.DEFAULT_POOLSIZE
     assert live_tools.POOL_MAXSIZE == max(DEFAULT_MAX_PARALLEL,
                                           requests.adapters.DEFAULT_POOLSIZE)
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    assert submodules_after("import geoprobe", tmp_path) == set()
+
+
+def test_stub_server_loads_no_episode_machinery(tmp_path):
+    loaded = submodules_after("from geoprobe.stub_server import StubToolServer", tmp_path)
+    assert "stub_server" in loaded
+    assert loaded.isdisjoint({"engine", "planner", "recorder", "config", "bench"})
+
+
+def defined_names(module) -> set[str]:
+    """Names bound at the top level of ``module``'s source by a def, a class
+    or an assignment (not by an import)."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_export_comes_from_the_module_that_defines_it():
+    for name, module in geoprobe._EXPORTS.items():
+        owner = importlib.import_module(f"geoprobe.{module}")
+        assert getattr(geoprobe, name) is getattr(owner, name), name
+        assert name in defined_names(owner), f"{name} is not defined in {owner.__name__}"
+
+
+def test_star_import_dir_and_unknown_names(tmp_path):
+    assert run_fresh("""
+        import geoprobe
+        namespace = {}
+        exec("from geoprobe import *", namespace)
+        assert set(geoprobe.__all__) <= set(namespace), set(geoprobe.__all__) - set(namespace)
+        assert set(geoprobe.__all__) <= set(dir(geoprobe))
+        assert not hasattr(geoprobe, "no_such_name")
+        print(len(geoprobe.__all__))
+    """, tmp_path).strip() == str(len(geoprobe.__all__))
+
+
+def test_readme_library_use_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block is not None
+    run_fresh(block.group(1), tmp_path)

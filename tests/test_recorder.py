@@ -296,6 +296,20 @@ class TestLoadTrace:
         assert len(load_trace(str(path)).events) == len(trace.events)
 
 
+def tamper(path, predicate, mutate):
+    """Rewrite the first event line of the trace at ``path`` that matches
+    ``predicate`` through ``mutate``; returns the edited event's seq."""
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        obj = json.loads(line)
+        if predicate(obj):
+            mutate(obj)
+            lines[i] = json.dumps(obj, ensure_ascii=False, sort_keys=True)
+            path.write_text("\n".join(lines) + "\n")
+            return obj["seq"]
+    raise AssertionError("no line matched")
+
+
 class TestReplay:
     def test_clean_trace_verifies(self, gaz, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -326,17 +340,6 @@ class TestReplay:
             replay(trace, Gazetteer(regions))
         assert ei.value.seq == -1
 
-    def _tamper(self, path, predicate, mutate):
-        lines = path.read_text().splitlines()
-        for i, line in enumerate(lines[1:], start=1):
-            obj = json.loads(line)
-            if predicate(obj):
-                mutate(obj)
-                lines[i] = json.dumps(obj, ensure_ascii=False, sort_keys=True)
-                path.write_text("\n".join(lines) + "\n")
-                return obj["seq"]
-        raise AssertionError("no line matched")
-
     def test_single_byte_payload_tamper_pinpointed(self, gaz, tmp_path):
         path = tmp_path / "t.jsonl"
         record_episode(gaz, str(path))
@@ -345,7 +348,7 @@ class TestReplay:
             text = obj["payload"]["results"][0]["payload"]["text"]
             obj["payload"]["results"][0]["payload"]["text"] = "X" + text[1:]
 
-        seq = self._tamper(path, lambda o: o.get("kind") == "Execution", mutate)
+        seq = tamper(path, lambda o: o.get("kind") == "Execution", mutate)
         with pytest.raises(HashMismatchError) as ei:
             replay(load_trace(str(path)), gaz)
         assert ei.value.seq == seq
@@ -358,7 +361,7 @@ class TestReplay:
         def mutate(obj):
             obj["payload"]["space"]["frontier"] = ["cn-b"]
 
-        seq = self._tamper(path, lambda o: o.get("kind") == "Projection", mutate)
+        seq = tamper(path, lambda o: o.get("kind") == "Projection", mutate)
         with pytest.raises(HashMismatchError) as ei:
             replay(load_trace(str(path)), gaz)
         assert ei.value.seq == seq
@@ -370,7 +373,7 @@ class TestReplay:
         def mutate(obj):
             obj["payload"]["prediction"]["lat"] += 1.0
 
-        seq = self._tamper(path, lambda o: o.get("kind") == "Finalize", mutate)
+        seq = tamper(path, lambda o: o.get("kind") == "Finalize", mutate)
         with pytest.raises(HashMismatchError) as ei:
             replay(load_trace(str(path)), gaz)
         assert ei.value.seq == seq
@@ -382,7 +385,7 @@ class TestReplay:
         def mutate(obj):
             obj["payload"]["evidence"][0]["confidence"] = 0.11
 
-        seq = self._tamper(path, lambda o: o.get("kind") == "Projection", mutate)
+        seq = tamper(path, lambda o: o.get("kind") == "Projection", mutate)
         with pytest.raises(HashMismatchError) as ei:
             replay(load_trace(str(path)), gaz)
         # The doctored confidence changes the chain, so the state hash breaks
@@ -397,7 +400,7 @@ class TestReplay:
         def mutate(obj):
             obj["payload"]["evidence"][0][field] = value
 
-        seq = self._tamper(path, lambda o: o.get("kind") == "Projection", mutate)
+        seq = tamper(path, lambda o: o.get("kind") == "Projection", mutate)
         with pytest.raises(HashMismatchError) as ei:
             replay(load_trace(str(path)), gaz)
         assert ei.value.seq == seq
@@ -464,6 +467,30 @@ class TestGoldenTrace:
         assert len({id(s) for s in states}) == len(states)
         assert len(states) == len({e.state_hash for e in events}) == 6 < len(events)
         assert len(serializations) == len(states) + len(result.state.chain)
+
+    @pytest.mark.parametrize("keys, value", [
+        (("id",), 1.5),
+        (("source_action_id",), 1.5),
+        (("provenance", "action_id"), 1.5),
+        (("id",), True),
+    ], ids=["id-float", "source_action_id-float", "provenance.action_id-float", "id-bool"])
+    def test_non_integer_evidence_id_pinpointed(self, tmp_path, keys, value):
+        """An id that is not a JSON integer is not coerced into one."""
+        path = tmp_path / "golden.trace.jsonl"
+        path.write_bytes(GOLDEN_TRACE.read_bytes())
+
+        def mutate(obj):
+            target = obj["payload"]["evidence"][0]
+            for key in keys[:-1]:
+                target = target[key]
+            assert target[keys[-1]] == 1
+            target[keys[-1]] = value
+
+        seq = tamper(path, lambda o: o.get("kind") == "Projection", mutate)
+        with pytest.raises(HashMismatchError) as ei:
+            replay(load_trace(str(path)), generate_world(11, 3, 5).gazetteer)
+        assert ei.value.seq == seq == 2
+        assert "malformed event payload" in str(ei.value)
 
 
 class TestIsRepetition:

@@ -27,7 +27,6 @@ from geoprobe.state import (
     Prediction,
     Provenance,
     antichain_reduce,
-    apply_evidence,
     apply_evidence_report,
     finalize,
     project,
@@ -301,7 +300,7 @@ class TestProjectEqualsOracle:
 
 
 def leafsim(g, steps):
-    """Independent model of apply_evidence over leaf sets.
+    """Independent model of apply_evidence_report over leaf sets.
 
     space: None means global; otherwise a set of leaf ids. Returns the final
     (space, inactive, backtracks) triple for comparison with the real thing.
@@ -349,23 +348,23 @@ def leafsim(g, steps):
 class TestApplyEvidence:
     def test_simple_narrowing(self, gaz):
         s0 = EpisodeState()
-        s1 = apply_evidence(s0, [ev(1, ["cn-a"])], gaz)
+        s1 = apply_evidence_report(s0, [ev(1, ["cn-a"])], gaz).state
         assert s1.step == 1
         assert s1.space.frontier == {"cn-a"}
-        s2 = apply_evidence(s1, [ev(2, ["cn-a-1"])], gaz)
+        s2 = apply_evidence_report(s1, [ev(2, ["cn-a-1"])], gaz).state
         assert s2.space.frontier == {"cn-a-1"}
         assert [e.id for e in s2.chain] == [1, 2]
         assert s2.inactive_ids == frozenset()
 
     def test_empty_step_advances_only_counter(self, gaz):
-        s0 = apply_evidence(EpisodeState(), [ev(1, ["cn-a"])], gaz)
-        s1 = apply_evidence(s0, [], gaz)
+        s0 = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a"])], gaz).state
+        s1 = apply_evidence_report(s0, [], gaz).state
         assert s1.step == s0.step + 1
         assert s1.space == s0.space
         assert s1.chain == s0.chain
 
     def test_step_evidence_sorted_by_id(self, gaz):
-        s = apply_evidence(EpisodeState(), [ev(5, ["cn-a"]), ev(3, ["cn"])], gaz)
+        s = apply_evidence_report(EpisodeState(), [ev(5, ["cn-a"]), ev(3, ["cn"])], gaz).state
         assert [e.id for e in s.chain] == [3, 5]
 
     def test_stage1_drops_lowest_confidence_this_step(self, gaz):
@@ -385,7 +384,7 @@ class TestApplyEvidence:
         assert rep.state.space.frontier == {"cn-a"}
 
     def test_stage2_reaches_into_prior_steps(self, gaz):
-        s1 = apply_evidence(EpisodeState(), [ev(1, ["cn-a-1"], conf=0.6)], gaz)
+        s1 = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a-1"], conf=0.6)], gaz).state
         rep = apply_evidence_report(
             s1, [ev(2, ["cn-b"], conf=0.9), ev(3, ["cn-b-1"], conf=0.8)], gaz
         )
@@ -398,15 +397,16 @@ class TestApplyEvidence:
         assert [e.id for e in rep.state.chain] == [1, 2, 3]
 
     def test_deactivated_not_deleted(self, gaz):
-        s1 = apply_evidence(EpisodeState(), [ev(1, ["cn-a"], conf=0.9), ev(2, ["jp"], conf=0.5)], gaz)
+        s1 = apply_evidence_report(
+            EpisodeState(), [ev(1, ["cn-a"], conf=0.9), ev(2, ["jp"], conf=0.5)], gaz).state
         assert len(s1.chain) == 2
         assert [e.id for e in s1.active_evidence()] == [1]
 
     def test_apply_after_finalize_rejected(self, gaz):
-        s = apply_evidence(EpisodeState(), [ev(1, ["cn-a-1"])], gaz)
+        s = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a-1"])], gaz).state
         s, _ = finalize(s, gaz)
         with pytest.raises(ValueError):
-            apply_evidence(s, [ev(2, ["cn"])], gaz)
+            apply_evidence_report(s, [ev(2, ["cn"])], gaz)
 
     def test_matches_leaf_set_simulator(self, gaz):
         # The load-bearing oracle: replay random multi-step scenarios through
@@ -447,7 +447,7 @@ class TestApplyEvidence:
     @given(st.lists(st.sampled_from(ALL_IDS), min_size=1, max_size=3, unique=True))
     def test_single_evidence_never_empties(self, constraint):
         g = small_gazetteer()
-        s = apply_evidence(EpisodeState(), [ev(1, constraint)], g)
+        s = apply_evidence_report(EpisodeState(), [ev(1, constraint)], g).state
         assert not s.space.is_empty
         assert space_cover(g, s.space) == cover(g, constraint)
 
@@ -458,7 +458,7 @@ class TestFinalize:
             finalize(EpisodeState(), gaz)
 
     def test_city_frontier(self, gaz):
-        s = apply_evidence(EpisodeState(), [ev(1, ["cn-a-1"])], gaz)
+        s = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a-1"])], gaz).state
         s, pred = finalize(s, gaz)
         assert s.status is EpisodeStatus.FINALIZED
         assert s.prediction == pred
@@ -466,13 +466,13 @@ class TestFinalize:
         assert pred.city_name == "Rivertown"
 
     def test_district_frontier_uses_city_ancestor(self, gaz):
-        s = apply_evidence(EpisodeState(), [ev(1, ["cn-a-1-x"])], gaz)
+        s = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a-1-x"])], gaz).state
         _, pred = finalize(s, gaz)
         assert pred.point == gaz.get("cn-a-1-x").centroid
         assert pred.city_name == "Rivertown"
 
     def test_province_frontier_reverse_geocodes(self, gaz):
-        s = apply_evidence(EpisodeState(), [ev(1, ["cn-a"])], gaz)
+        s = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a"])], gaz).state
         _, pred = finalize(s, gaz)
         assert pred.point == gaz.get("cn-a").centroid
         # (30, 114) is outside every city disc but within the 100 km
@@ -491,14 +491,14 @@ class TestFinalize:
         assert pred.city_name == "Rivertown"  # cn-a-1 < cn-b-1
 
     def test_poi_hint_wins(self, gaz):
-        s = apply_evidence(EpisodeState(), [ev(1, ["cn-a-1"])], gaz)
+        s = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a-1"])], gaz).state
         hint = PoiHint(GeoPoint(30.55, 114.28), "Rivertown")
         _, pred = finalize(s, gaz, poi_hint=hint)
         assert pred.point == GeoPoint(30.55, 114.28)
         assert pred.city_name == "Rivertown"
 
     def test_double_finalize_rejected(self, gaz):
-        s = apply_evidence(EpisodeState(), [ev(1, ["cn-a-1"])], gaz)
+        s = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a-1"])], gaz).state
         s, _ = finalize(s, gaz)
         with pytest.raises(ValueError):
             finalize(s, gaz)
@@ -506,17 +506,18 @@ class TestFinalize:
 
 class TestSnapshots:
     def test_hash_stable_for_equal_states(self, gaz):
-        a = apply_evidence(EpisodeState(), [ev(1, ["cn-a"])], gaz)
-        b = apply_evidence(EpisodeState(), [ev(1, ["cn-a"])], gaz)
+        a = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a"])], gaz).state
+        b = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a"])], gaz).state
         assert a.snapshot_hash() == b.snapshot_hash()
 
     def test_hash_changes_with_state(self, gaz):
-        a = apply_evidence(EpisodeState(), [ev(1, ["cn-a"])], gaz)
-        b = apply_evidence(a, [ev(2, ["cn-a-1"])], gaz)
+        a = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a"])], gaz).state
+        b = apply_evidence_report(a, [ev(2, ["cn-a-1"])], gaz).state
         assert a.snapshot_hash() != b.snapshot_hash()
 
     def test_canonical_is_deterministic(self, gaz):
-        a = apply_evidence(EpisodeState(), [ev(1, ["cn-a"], point=GeoPoint(30, 114))], gaz)
+        a = apply_evidence_report(
+            EpisodeState(), [ev(1, ["cn-a"], point=GeoPoint(30, 114))], gaz).state
         assert a.canonical() == a.canonical()
         assert '"step":1' in a.canonical()
 
