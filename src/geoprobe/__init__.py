@@ -13,9 +13,10 @@ The package is organized in layers:
 - :mod:`geoprobe.executor` — bounded-parallel tool execution, the
   evidence extractors, and ablation gating.
 - :mod:`geoprobe.recorder` — append-only episode traces (a state hash per
-  event, a payload hash per tool result), replay verification, and bounded
+  event, a payload hash per tool result), trace loading, and bounded
   context compression.
-- :mod:`geoprobe.engine` — the decision/execution/projection loop.
+- :mod:`geoprobe.engine` — the decision/execution/projection loop, and
+  replay verification, which re-runs the loop's transitions on a trace.
 - :mod:`geoprobe.synthworld` — deterministic synthetic worlds and
   in-process tool adapters for offline testing.
 - :mod:`geoprobe.live_tools` / :mod:`geoprobe.stub_server` — HTTP tool
@@ -76,8 +77,10 @@ _EXPORTS = {
     "DEFAULT_CONTEXT_BUDGET": "defaults",
     "DEFAULT_MAX_STEPS": "defaults",
     "EpisodeResult": "engine",
+    "ReplayReport": "engine",
     "derive_poi_hint": "engine",
     "record_episode": "engine",
+    "replay": "engine",
     "run_episode": "engine",
     "run_synthetic_episode": "engine",
     "BackendUnavailableError": "errors",
@@ -128,14 +131,12 @@ _EXPORTS = {
     "scripted_salience_policy": "planner",
     "CompressedContext": "recorder",
     "EventKind": "recorder",
-    "ReplayReport": "recorder",
     "Trace": "recorder",
     "TraceHeader": "recorder",
     "TraceRecorder": "recorder",
     "TrajectoryEvent": "recorder",
     "compress": "recorder",
     "load_trace": "recorder",
-    "replay": "recorder",
     "ApplyReport": "state",
     "CandidateSpace": "state",
     "EpisodeState": "state",

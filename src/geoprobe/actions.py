@@ -120,15 +120,6 @@ class Action:
             "args": dict(self.args),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Action":
-        return cls(
-            id=int(obj["id"]),
-            module=CapabilityModule(obj["module"]),
-            tool=Tool(obj["tool"]),
-            args=dict(obj.get("args", {})),
-        )
-
 
 def base_image_ref(ref: str) -> str:
     """The image a reference names, without any crop suffix."""

@@ -31,12 +31,12 @@ from .bench import (
 )
 from .canonical import canonical_json
 from .config import TOOLS_SYNTHETIC, RunConfig, build_backend, load_config
-from .engine import record_episode, run_synthetic_episode
+from .engine import record_episode, replay, run_synthetic_episode
 from .errors import ConfigError, GeoprobeError, HashMismatchError, TraceFormatError
 from .executor import load_tag_table
 from .geo import load_gazetteer
 from .live_tools import HttpTransport, live_adapters
-from .recorder import load_trace, replay
+from .recorder import load_trace
 from .state import EpisodeStatus
 from .synthworld import (
     Difficulty,
@@ -181,7 +181,7 @@ def cmd_replay(args) -> int:
     try:
         report = replay(trace, g)
     except HashMismatchError as exc:
-        print(f"HashMismatch at seq {exc.seq}: {exc}")
+        print(f"HashMismatch at {exc}")
         return EXIT_MISMATCH
     for event in trace.events:
         print(f"seq {event.seq}: {event.kind.value} verified")

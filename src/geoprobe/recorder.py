@@ -1,4 +1,4 @@
-"""Trajectory recording, replay verification, and context compression.
+"""Trajectory recording, trace loading, and context compression.
 
 Every episode writes a JSONL trace: one header line, then one event per
 line, each flushed to the operating system as it is written, so a process
@@ -15,11 +15,9 @@ written back on the kernel's normal schedule. This only matters when a run
 re-writes traces that already exist, e.g. a second run into one directory.
 
 Events carry a hash of the post-event episode state; execution results
-carry a hash of their own payload. Together these let ``replay`` recompute
-projection, backtracking and finalization from the recorded evidence and
-name the event where an altered payload, evidence item, frontier or
-prediction diverges. Decision contents and the order of events are not
-hashed (see ``replay``).
+carry a hash of their own payload. ``geoprobe.engine.replay`` re-runs the
+engine's transitions on a loaded trace and names the first event that
+diverges from them.
 """
 
 from __future__ import annotations
@@ -30,24 +28,10 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .canonical import canonical_hash, json_int
-from .errors import (
-    BudgetTooSmallError,
-    GeoprobeError,
-    HashMismatchError,
-    SeqGapError,
-    TraceFormatError,
-)
+from .canonical import json_int
+from .errors import BudgetTooSmallError, SeqGapError, TraceFormatError
 from .geo import Gazetteer
-from .state import (
-    CandidateSpace,
-    EpisodeState,
-    Evidence,
-    PoiHint,
-    Prediction,
-    apply_evidence_report,
-    finalize,
-)
+from .state import EpisodeState
 
 TRACE_FORMAT_VERSION = "1"
 
@@ -238,106 +222,6 @@ def load_trace(path: str) -> Trace:
             raise SeqGapError(expected=len(events), got=event.seq)
         events.append(event)
     return Trace(header, tuple(events))
-
-
-@dataclass(frozen=True)
-class ReplayReport:
-    final_state: EpisodeState
-    prediction: Prediction | None
-    events_verified: int
-
-
-def _check(cond: bool, seq: int, message: str) -> None:
-    if not cond:
-        raise HashMismatchError(seq, message)
-
-
-def replay(trace: Trace, g: Gazetteer) -> ReplayReport:
-    """Re-derive the episode from the trace and verify every hash.
-
-    Projections are recomputed from the recorded evidence, so an altered
-    result payload, evidence item, frontier or prediction fails with the
-    exact offending seq. Decision contents and the sequence of events are
-    not hashed, so edits to them are not caught (ROADMAP open item 2).
-    A gazetteer mismatch is reported as seq -1.
-    """
-    if g.content_hash() != trace.header.gazetteer_hash:
-        raise HashMismatchError(-1, "gazetteer hash does not match trace header")
-
-    state = EpisodeState()
-    prediction: Prediction | None = None
-    pending_backtracks: list[dict] | None = None
-    for event in trace.events:
-        seq = event.seq
-        if pending_backtracks is not None and event.kind is not EventKind.BACKTRACK:
-            raise HashMismatchError(seq, "expected a Backtrack event after that projection")
-
-        try:
-            if event.kind is EventKind.DECISION or event.kind is EventKind.ERROR:
-                _check(event.state_hash == state.snapshot_hash(), seq, "state hash mismatch")
-
-            elif event.kind is EventKind.EXECUTION:
-                for res in event.payload.get("results", []):
-                    _check(
-                        canonical_hash(res.get("payload")) == res.get("payload_sha256"),
-                        seq,
-                        f"result payload hash mismatch for action {res.get('action_id')}",
-                    )
-                _check(event.state_hash == state.snapshot_hash(), seq, "state hash mismatch")
-
-            elif event.kind is EventKind.PROJECTION:
-                evs = [Evidence.from_json(e) for e in event.payload.get("evidence", [])]
-                report = apply_evidence_report(state, evs, g)
-                state = report.state
-                _check(
-                    state.space.to_json() == event.payload.get("space"),
-                    seq,
-                    "recomputed candidate space diverges from trace",
-                )
-                _check(
-                    sorted(state.inactive_ids) == event.payload.get("inactive_ids"),
-                    seq,
-                    "recomputed inactive evidence diverges from trace",
-                )
-                _check(event.state_hash == state.snapshot_hash(), seq, "state hash mismatch")
-                if report.backtracks:
-                    pending_backtracks = [b.to_json() for b in report.backtracks]
-
-            elif event.kind is EventKind.BACKTRACK:
-                _check(pending_backtracks is not None, seq, "unexpected Backtrack event")
-                _check(
-                    event.payload.get("discards") == pending_backtracks,
-                    seq,
-                    "recorded discards diverge from recomputed backtracking",
-                )
-                _check(event.state_hash == state.snapshot_hash(), seq, "state hash mismatch")
-                pending_backtracks = None
-
-            elif event.kind is EventKind.FINALIZE:
-                hint_obj = event.payload.get("poi_hint")
-                hint = PoiHint.from_json(hint_obj) if hint_obj else None
-                state, pred = finalize(state, g, poi_hint=hint)
-                recorded = event.payload.get("prediction") or {}
-                _check(
-                    pred.point.to_json() == {"lat": recorded.get("lat"), "lon": recorded.get("lon")}
-                    and pred.city_name == recorded.get("city_name"),
-                    seq,
-                    "recomputed prediction diverges from trace",
-                )
-                prediction = pred
-                _check(event.state_hash == state.snapshot_hash(), seq, "state hash mismatch")
-        except HashMismatchError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
-                GeoprobeError) as exc:
-            raise HashMismatchError(
-                seq, f"malformed event payload ({type(exc).__name__}: {exc})"
-            ) from None
-
-    if pending_backtracks is not None:
-        last = trace.events[-1].seq if trace.events else 0
-        raise HashMismatchError(last, "trace ends while a Backtrack event is still expected")
-    return ReplayReport(state, prediction, len(trace.events))
 
 
 def is_repetition(events: list[TrajectoryEvent], module: str, tool: str, args: dict) -> bool:

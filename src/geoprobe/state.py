@@ -55,10 +55,6 @@ class CandidateSpace:
     def to_json(self) -> dict:
         return {"is_global": self.is_global, "frontier": sorted(self.frontier)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CandidateSpace":
-        return cls(frozenset(obj["frontier"]), bool(obj["is_global"]))
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -149,10 +145,6 @@ class PoiHint:
     def to_json(self) -> dict:
         return {"lat": self.point.lat, "lon": self.point.lon, "city": self.city}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PoiHint":
-        return cls(GeoPoint(float(obj["lat"]), float(obj["lon"])), str(obj["city"]))
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -168,15 +160,6 @@ class Prediction:
         if self.trace_ref is not None:
             out["trace_ref"] = self.trace_ref
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Prediction":
-        return cls(
-            point=GeoPoint(float(obj["lat"]), float(obj["lon"])),
-            city_name=str(obj.get("city_name", "")),
-            sample_id=obj.get("sample_id"),
-            trace_ref=obj.get("trace_ref"),
-        )
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from geoprobe.bench import (
 )
 from geoprobe.actions import Tool
 from geoprobe.canonical import canonical_json
-from geoprobe.engine import run_synthetic_episode
+from geoprobe.engine import replay, run_synthetic_episode
 from geoprobe.errors import HashMismatchError
 from geoprobe.executor import ALL_TOOLS, AblationConfig, LABEL_NO_IMAGE_SEARCH
 from geoprobe.geo import (
@@ -48,7 +48,7 @@ from geoprobe.geo import (
 )
 from geoprobe.live_tools import endpoints_for_base, live_adapters
 from geoprobe.planner import scripted_salience_policy
-from geoprobe.recorder import EventKind, compress, load_trace, replay
+from geoprobe.recorder import EventKind, compress, load_trace
 from geoprobe.state import EpisodeState, Evidence, Prediction, apply_evidence_report
 from geoprobe.stub_server import StubToolServer
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode

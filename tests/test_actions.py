@@ -297,7 +297,8 @@ class TestDecisionJson:
     def test_action_json_roundtrip(self):
         a = Action(3, CapabilityModule.IMAGE_MATCHING, Tool.CROP,
                    {"image": "scene/0", "box": [0.0, 0.0, 0.5, 0.5]})
-        assert Action.from_json(a.to_json()) == a
+        assert a.to_json() == {"id": 3, "module": "ImageMatching", "tool": "Crop",
+                               "args": {"image": "scene/0", "box": [0.0, 0.0, 0.5, 0.5]}}
 
 
 class TestSchemaRender:

@@ -43,6 +43,7 @@ from geoprobe.bench import (
     threshold_accuracy,
 )
 from geoprobe.canonical import canonical_json
+from geoprobe.engine import replay
 from geoprobe.errors import (
     ConfigError,
     DatasetError,
@@ -52,7 +53,7 @@ from geoprobe.errors import (
 )
 from geoprobe.geo import GeoPoint, haversine_km
 from geoprobe.planner import scripted_salience_policy
-from geoprobe.recorder import load_trace, replay
+from geoprobe.recorder import load_trace
 from geoprobe.state import EpisodeStatus, Prediction
 from geoprobe.synthworld import Clue, ClueKind, Difficulty, generate_world
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -305,7 +306,9 @@ def test_replay_detects_tampered_trace(workspace, capsys):
     code = main(["replay", "--trace", str(tampered),
                  "--world", str(workspace["world"])])
     assert code == EXIT_MISMATCH
-    assert "HashMismatch at seq" in capsys.readouterr().out
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"HashMismatch at seq \d+: malformed event payload \(.*\)", last)
+    assert last.count("seq") == 1
 
 
 def test_replay_requires_exactly_one_source(workspace, capsys):

@@ -6,19 +6,20 @@ from geoprobe.actions import Action, CapabilityModule, Decision, Tool
 from geoprobe.engine import (
     EpisodeResult,
     derive_poi_hint,
+    replay,
     run_episode,
     run_synthetic_episode,
 )
-from geoprobe.errors import BackendUnavailableError
+from geoprobe.errors import BackendUnavailableError, HashMismatchError
 from geoprobe.executor import AblationConfig
 from geoprobe.geo import GeoPoint, reverse_geocode
 from geoprobe.planner import scripted_salience_policy
 from geoprobe.recorder import (
     EventKind,
+    Trace,
     TraceHeader,
     TraceRecorder,
     load_trace,
-    replay,
 )
 from geoprobe.state import (
     CandidateSpace,
@@ -169,6 +170,9 @@ class TestFaults:
         assert decision_or_error is EventKind.ERROR
         error = res.trace.events[0]
         assert error.payload["error"] == "BackendUnavailable"
+        assert replay(res.trace, WORLD.gazetteer).final_state.status is EpisodeStatus.EXHAUSTED
+        with pytest.raises(HashMismatchError):  # an episode always records its end
+            replay(Trace(res.trace.header, ()), WORLD.gazetteer)
 
     def test_backend_down_after_evidence_concludes(self):
         desc = sample_episode(WORLD, 5, Difficulty.MEDIUM)
@@ -189,6 +193,7 @@ class TestFaults:
             if event.kind is EventKind.EXECUTION:
                 for r in event.payload["results"]:
                     assert r["error"] == "ToolDisabled"
+        assert replay(res.trace, WORLD.gazetteer).final_state.status is EpisodeStatus.EXHAUSTED
 
     def test_stubborn_repeating_backend_is_cut_off(self):
         action = Action(1, M.ENVIRONMENTAL, Tool.CAPTION, {"image": "scene/0"})
@@ -307,3 +312,28 @@ class TestRunEpisodeDirect:
         assert isinstance(res, EpisodeResult)
         # caption probe fails (no adapter), nothing to conclude from
         assert res.state.status is EpisodeStatus.EXHAUSTED
+        assert kinds(res.trace)[-1] is EventKind.ERROR
+        assert replay(res.trace, GAZ).final_state.snapshot_hash() == res.state.snapshot_hash()
+
+
+#: The helpers ``perfbench/tracing.py`` times by patching them on the engine
+#: module, where the episode loop looks them up.
+PATCHED_BY_PERFBENCH = ("apply_evidence_report", "finalize", "derive_poi_hint",
+                        "extract_evidence", "execute_batch", "compress", "decide_next",
+                        "reverse_geocode")
+
+
+def test_episode_reaches_every_helper_perfbench_patches(monkeypatch):
+    """A refactor that stops calling one of them through the engine module
+    would leave that layer untimed in the benchmark."""
+    from geoprobe import engine
+
+    counts = dict.fromkeys(PATCHED_BY_PERFBENCH, 0)
+    for name in PATCHED_BY_PERFBENCH:
+        def counting(*args, _name=name, _inner=getattr(engine, name), **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counting)
+    _, res = run_seeded(3, Difficulty.EASY)  # a POI clue: derive_poi_hint geocodes it
+    assert res.finalized
+    assert all(counts.values()), counts

