@@ -44,7 +44,6 @@ from .synthworld import (
     generate_world,
     load_world,
     save_world,
-    synthetic_adapters,
 )
 
 EXIT_OK = 0
@@ -77,25 +76,30 @@ def _load_descriptor(path: str) -> SceneDescriptor:
 
 @contextmanager
 def _tools(cfg: RunConfig):
-    """``(world, gazetteer, tag_table, adapters)`` for the config's tools.
+    """``(backend, world, gazetteer, tag_table, adapters)`` for the config.
 
     Synthetic mode loads the world, whose toolbox the runner wires per
-    scene, so it has no tag table or adapters here. Live mode has no world;
-    its adapters' shared connections are closed when the block ends.
+    scene, so it has no tag table or adapters here. Live mode has no world.
+    Every HTTP connection of the backend and adapters closes with the block.
     """
-    if cfg.tools.mode == TOOLS_SYNTHETIC:
-        world = load_world(cfg.tools.world)
-        yield world, world.gazetteer, None, None
-        return
-    assert cfg.gazetteer is not None  # enforced by RunConfig validation
-    g = load_gazetteer(cfg.gazetteer)
-    tag_table = load_tag_table(cfg.tag_table, g) if cfg.tag_table else None
-    endpoints = cfg.tools.endpoints()
-    transport = HttpTransport(ep.url for ep in endpoints.values())
+    backend = build_backend(cfg)
+    transport = None
     try:
-        yield None, g, tag_table, live_adapters(endpoints, transport)
+        if cfg.tools.mode == TOOLS_SYNTHETIC:
+            world = load_world(cfg.tools.world)
+            yield backend, world, world.gazetteer, None, None
+            return
+        assert cfg.gazetteer is not None  # enforced by RunConfig validation
+        g = load_gazetteer(cfg.gazetteer)
+        tag_table = load_tag_table(cfg.tag_table, g) if cfg.tag_table else None
+        endpoints = cfg.tools.endpoints()
+        transport = HttpTransport(ep.url for ep in endpoints.values())
+        yield backend, None, g, tag_table, live_adapters(endpoints, transport)
     finally:
-        transport.close()
+        if transport is not None:
+            transport.close()
+        if hasattr(backend, "close"):
+            backend.close()
 
 
 def _episode_settings(cfg: RunConfig) -> dict:
@@ -110,11 +114,10 @@ def _episode_settings(cfg: RunConfig) -> dict:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
-    backend = build_backend(cfg)
     trace_path = out / "run.trace.jsonl"
     settings = _episode_settings(cfg)
 
-    with _tools(cfg) as (world, g, tag_table, adapters):
+    with _tools(cfg) as (backend, world, g, tag_table, adapters):
         if world is not None:
             if not args.descriptor:
                 raise ConfigError("synthetic tools need --descriptor")
@@ -147,9 +150,9 @@ def cmd_bench(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     samples = load_dataset(args.dataset)
-    with _tools(cfg) as (world, g, tag_table, adapters):
+    with _tools(cfg) as (backend, world, g, tag_table, adapters):
         run = run_benchmark(
-            samples, build_backend(cfg), world,
+            samples, backend, world,
             g=g, adapters=adapters, tag_table=tag_table,
             workers=args.workers, trace_dir=out / "traces",
             **_episode_settings(cfg),

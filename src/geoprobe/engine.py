@@ -126,6 +126,12 @@ def _conclude(
     })
 
 
+def _with_wire(backend, payload: dict) -> dict:
+    """``payload`` plus the backend's undrained wire entries as ``llm_wire``."""
+    wire = backend.drain_wire_log() if hasattr(backend, "drain_wire_log") else None
+    return {**payload, "llm_wire": wire} if wire else payload
+
+
 def run_episode(
     backend,
     adapters,
@@ -178,18 +184,13 @@ def run_episode(
                     finalize=True,
                 )
             else:
-                recorder.record(EventKind.ERROR, state,
-                                {"error": "BackendUnavailable", "detail": str(e)})
+                recorder.record(EventKind.ERROR, state, _with_wire(
+                    backend, {"error": "BackendUnavailable", "detail": str(e)}))
                 state = replace(state, status=EpisodeStatus.EXHAUSTED)
                 break
 
-        payload = {"decision": decision.to_json()}
-        drain = getattr(backend, "drain_wire_log", None)
-        if drain is not None:
-            wire = drain()
-            if wire:
-                payload["llm_wire"] = wire
-        recorder.record(EventKind.DECISION, state, payload)
+        recorder.record(EventKind.DECISION, state,
+                        _with_wire(backend, {"decision": decision.to_json()}))
 
         if decision.finalize:
             state, prediction, event = _conclude(state, g, hint)

@@ -22,17 +22,16 @@ reads (caption/tags, spans, records, hits, candidates, matches).
 
 Transport: each ``live_adapters()`` call builds one ``HttpTransport``, a
 thread-safe urllib3 pool shared by all of its adapters, unless the caller
-passes one in and so owns its ``close()``. The environment is
-read once, when the transport is built, through ``requests``' own helpers:
-the proxy (``HTTP_PROXY``/``HTTPS_PROXY``/``ALL_PROXY``, ``NO_PROXY``), the
-CA bundle (``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``) and ``.netrc``
-credentials, which, as under ``requests``, replace the bearer header for
-their host. Changing them later does not affect built adapters; the bearer
-token named by ``auth_env`` is still read on every call. The adapters take
-no ``requests.Session``: the ``session`` parameters of ``live_adapters``,
-``LiveAdapter`` and ``live_adapter_request`` are gone. Redirects are not
-followed (``requests`` re-sent a 301/302/303 POST as a GET): a 3xx answer
-is a RequestRejected result. A NetworkError detail is the ``repr`` of a
+passes one in and so owns its ``close()``; ``planner.LlmBackend`` builds
+one for its endpoint. The environment is read once, when the transport is
+built, through ``requests``' own helpers: the proxy
+(``HTTP_PROXY``/``HTTPS_PROXY``/``ALL_PROXY``, ``NO_PROXY``), the CA bundle
+(``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``) and ``.netrc`` credentials,
+which, as under ``requests``, replace the bearer header for their host.
+Changing them later does not affect built adapters; the bearer token named
+by ``auth_env`` is still read on every call. Redirects are not followed
+(``requests`` re-sent a 301/302/303 POST as a GET): a 3xx answer is a
+RequestRejected result. A NetworkError detail is the ``repr`` of a
 ``requests.ConnectionError`` around the urllib3 error itself, such as
 ``ConnectionError(NewConnectionError(...))``, without the "Max retries
 exceeded" wrapper ``requests`` added. A 200 body is parsed as JSON from its
@@ -215,7 +214,7 @@ def _pool_manager(proxy: str | None, verify) -> urllib3.PoolManager:
         return urllib3.PoolManager(**pool)
     proxy = prepend_scheme_if_needed(proxy, "http")
     if not proxy.lower().startswith(("http://", "https://")):
-        raise ConfigError(f"unsupported proxy for tool endpoints: {proxy!r}")
+        raise ConfigError(f"unsupported proxy for HTTP endpoints: {proxy!r}")
     user, password = get_auth_from_url(proxy)
     headers = urllib3.make_headers(proxy_basic_auth=f"{user}:{password}") if user else None
     return urllib3.ProxyManager(proxy, proxy_headers=headers, **pool)

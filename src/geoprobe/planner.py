@@ -10,8 +10,10 @@ deterministic fallback.
 
 from __future__ import annotations
 
+import json
+import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .actions import (
     Action,
@@ -29,6 +31,8 @@ from .live_tools import (
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT_S,
+    HttpTransport,
+    _encode_json,
     auth_headers,
     post_with_retries,
 )
@@ -40,9 +44,6 @@ from .recorder import (
 )
 from .state import CandidateSpace, PoiHint
 from .synthworld import ClueKind, SceneDescriptor
-
-if TYPE_CHECKING:
-    import requests
 
 #: Prompt size beyond the compressed history stays under this many chars
 #: (role text, schema, scene and candidate sections are all bounded).
@@ -319,10 +320,17 @@ def _validate_decision(decision: Decision) -> list[ActionIssue]:
     return [issue for a in decision.actions for issue in validate_action(a)]
 
 
-def _new_session() -> requests.Session:
-    import requests
+#: Every chat request samples at temperature 0, and a reply that is not a
+#: valid decision envelope gets up to two corrective re-asks.
+TEMPERATURE = 0.0
+PARSE_RETRIES = 2
 
-    return requests.Session()
+
+class _WireLog(threading.local):
+    """Wire entries of the calling thread; an episode runs on one thread."""
+
+    def __init__(self):
+        self.entries: list[dict] = []
 
 
 @dataclass
@@ -330,60 +338,64 @@ class LlmBackend:
     """Chat-completions client with bounded parse retries and fallback.
 
     The auth token is read from ``auth_env`` and travels only in the
-    request header; logged wire bodies never contain it. Transport follows
-    the tool adapters' retry policy (``post_with_retries``), so a timeout
-    is not retried.
+    request header; logged wire bodies never contain it. Requests go through
+    one ``HttpTransport`` under the tool adapters' ``post_with_retries``, so
+    a timeout is not retried and a 3xx is not followed.
     """
 
     endpoint: str
     model: str
     auth_env: str = "GEOPROBE_API_TOKEN"
-    temperature: float = 0.0
     timeout_s: float = DEFAULT_TIMEOUT_S
-    parse_retries: int = 2
     transport_retries: int = DEFAULT_RETRIES
     backoff_s: float = DEFAULT_BACKOFF_S
-    session: requests.Session = field(default_factory=_new_session, repr=False)
-    _wire: list[dict] = field(default_factory=list, repr=False)
+
+    def __post_init__(self):
+        self._transport = HttpTransport([self.endpoint])
+        self._wire = _WireLog()
+
+    def close(self) -> None:
+        self._transport.close()
 
     def drain_wire_log(self) -> list[dict]:
-        out, self._wire = self._wire, []
+        """The calling thread's wire entries since its last drain."""
+        out, self._wire.entries = self._wire.entries, []
         return out
 
     def _chat(self, step: int, messages: list[dict]) -> str:
         import requests
 
-        body = {"model": self.model, "messages": messages, "temperature": self.temperature}
+        body = {"model": self.model, "messages": messages, "temperature": TEMPERATURE}
 
         def post(url, **kwargs):
             # One wire entry per attempt, so retried requests reach the trace.
-            self._wire.append(
+            self._wire.entries.append(
                 {"step": step, "kind": "request", "authorization": "redacted", "body": body}
             )
-            return self.session.post(url, **kwargs)
+            return self._transport.post(url, **kwargs)
 
         try:
             resp = post_with_retries(
                 post, self.endpoint,
                 retries=self.transport_retries, backoff_s=self.backoff_s,
-                json=body, headers=auth_headers(self.auth_env), timeout=self.timeout_s)
+                body=_encode_json(body), headers=auth_headers(self.auth_env),
+                timeout=self.timeout_s)
         except requests.RequestException as e:
             raise BackendUnavailableError(f"LLM endpoint unreachable: {e!r}")
         if resp.status_code != 200:
             raise BackendUnavailableError(f"LLM endpoint returned HTTP {resp.status_code}")
         try:
-            data = resp.json()
-            content = data["choices"][0]["message"]["content"]
+            content = json.loads(resp.content)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError):
             raise BackendUnavailableError("LLM response is not chat-completions shaped")
-        self._wire.append({"step": step, "kind": "response", "body": {"content": content}})
+        self._wire.entries.append({"step": step, "kind": "response", "body": {"content": content}})
         return str(content)
 
     def decide(self, ctx: PlannerContext) -> Decision:
         messages = [{"role": "user", "content": build_prompt(ctx)}]
         if ctx.feedback:
             messages.append({"role": "user", "content": ctx.feedback})
-        for _ in range(self.parse_retries + 1):
+        for _ in range(PARSE_RETRIES + 1):
             content = self._chat(ctx.step, messages)
             try:
                 decision = parse_decision(

@@ -8,11 +8,14 @@ run over real HTTP without leaving the machine.
 It speaks HTTP/1.1 and keeps connections open, as real tool services do,
 so the live adapters' pool reuses them; ``stop()`` ends idle ones first.
 
-Every route keeps a request counter, which is how ablation soundness is
-asserted: a disabled tool must show a count of zero after a run. Routes
-can also be told to misbehave — fail the next N requests with a chosen
-status, delay before answering, or return a fixed raw body — to exercise
-the retry, timeout, and malformed-response paths of the HTTP clients.
+Every tool route keeps a request counter, which is how ablation soundness
+is asserted: a disabled tool must show a count of zero after a run. The
+chat route ``CHAT_PATH`` (``POST /v1/chat/completions``) answers the LLM
+backend from a responder set with ``set_chat``; its requests show in
+``requests()``, not in the counters. Routes can also be told to misbehave
+— fail the next N requests with a chosen status, delay before answering,
+or return a fixed raw body — to exercise the retry, timeout, and
+malformed-response paths of the HTTP clients.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 
 from .actions import Action, CapabilityModule, Tool
 from .live_tools import TOOL_PATHS, EndpointConfig, endpoints_for_base
 from .synthworld import SceneDescriptor, SynthWorld, SyntheticToolbox
 
 _PATH_TOOLS = {path: tool for tool, path in TOOL_PATHS.items()}
+CHAT_PATH = "/v1/chat/completions"
 
 #: Module used when reconstructing an Action from a wire body. Any module
 #: that composes the tool works; extraction only looks at the tool.
@@ -138,6 +143,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         if behavior.raw_body is not None:
             self._send(200, behavior.raw_body, content_type="text/plain")
             return
+        if self.path == CHAT_PATH and owner._chat is not None:
+            reply = {"choices": [{"message": {"content": owner._chat(body)}}]}
+            self._send(200, json.dumps(reply).encode())
+            return
         tool = _PATH_TOOLS.get(self.path)
         if tool is None:
             self._send(404, b'{"error": "no such endpoint"}')
@@ -199,6 +208,7 @@ class StubToolServer:
         self._counters: dict[str, int] = {path: 0 for path in _PATH_TOOLS}
         self._behaviors: dict[str, RouteBehavior] = {}
         self._canned: dict[Tool, dict] = {}
+        self._chat: Callable[[dict], str] | None = None
         self._requests: list[RecordedRequest] = []
         self._server: _StubHTTPServer | None = None
         self._thread: threading.Thread | None = None
@@ -254,11 +264,16 @@ class StubToolServer:
             raise RuntimeError("no world attached; cannot register scenes")
         self._toolbox.register(ref, desc)
 
-    def set_behavior(self, tool: Tool, **kwargs) -> None:
-        self._behaviors[TOOL_PATHS[tool]] = RouteBehavior(**kwargs)
+    def set_behavior(self, route: Tool | str, **kwargs) -> None:
+        path = TOOL_PATHS[route] if isinstance(route, Tool) else route
+        self._behaviors[path] = RouteBehavior(**kwargs)
 
     def set_canned(self, tool: Tool, payload: dict) -> None:
         self._canned[tool] = payload
+
+    def set_chat(self, responder: Callable[[dict], str]) -> None:
+        """Answer each chat request with ``responder(request body)``."""
+        self._chat = responder
 
     # -- observation -------------------------------------------------------
 

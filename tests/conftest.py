@@ -1,8 +1,10 @@
+import socket
 import time
 
 import pytest
 from hypothesis import settings
 
+from geoprobe import stub_server
 from geoprobe.geo import AdminRegion, Gazetteer, GeoPoint, RegionLevel
 
 SESSION_START = time.monotonic()
@@ -58,3 +60,24 @@ def small_gazetteer() -> Gazetteer:
 @pytest.fixture
 def gaz() -> Gazetteer:
     return small_gazetteer()
+
+
+def dead_port() -> int:
+    """A local port with nothing listening on it."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+@pytest.fixture()
+def accepted(monkeypatch):
+    """Counts the connections the stub server accepts, in ``accepted[0]``."""
+    count = [0]
+    get_request = stub_server._StubHTTPServer.get_request
+
+    def counting_get_request(server):
+        count[0] += 1
+        return get_request(server)
+
+    monkeypatch.setattr(stub_server._StubHTTPServer, "get_request", counting_get_request)
+    return count

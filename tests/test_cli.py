@@ -407,7 +407,7 @@ def live_workspace(workspace):
         }))
         yield {**workspace, "config": config, "samples": samples,
                "dataset": root / f"photos{DATASET_SUFFIX}",
-               "gazetteer": root / "gazetteer.json"}
+               "gazetteer": root / "gazetteer.json", "server": server}
 
 
 def replays_clean(trace, gazetteer) -> bool:
@@ -435,8 +435,9 @@ def test_live_bench_writes_replayable_traces(live_workspace, capsys):
         assert replays_clean(trace, live_workspace["gazetteer"])
 
 
-@pytest.mark.parametrize("command", ["run", "bench"])
-def test_live_commands_close_their_connections(live_workspace, monkeypatch, command):
+@pytest.fixture()
+def closed_transports(monkeypatch):
+    """Every ``HttpTransport`` closed during the test, in order."""
     from geoprobe.live_tools import HttpTransport
 
     closed = []
@@ -447,14 +448,39 @@ def test_live_commands_close_their_connections(live_workspace, monkeypatch, comm
         close(transport)
 
     monkeypatch.setattr(HttpTransport, "close", recording_close)
+    return closed
+
+
+def run_live(workspace, command):
     if command == "run":
-        code = main(["run", "--config", str(live_workspace["config"]),
-                     "--image", live_workspace["samples"][0].image,
-                     "--out", str(live_workspace["root"] / "live-run")])
-    else:
-        code, _ = run_bench(live_workspace, "live-bench")
-    assert code == EXIT_OK
-    assert len(closed) == 1  # the adapters' one shared transport
+        return main(["run", "--config", str(workspace["config"]),
+                     "--image", workspace["samples"][0].image,
+                     "--out", str(workspace["root"] / "live-run")])
+    return run_bench(workspace, "live-bench")[0]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_live_commands_close_their_connections(live_workspace, closed_transports, command):
+    assert run_live(live_workspace, command) == EXIT_OK
+    assert len(closed_transports) == 1  # the adapters' one shared transport
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_llm_backend_connections_close_with_the_tools(live_workspace, closed_transports,
+                                                      command):
+    from geoprobe.stub_server import CHAT_PATH
+
+    server = live_workspace["server"]
+    server.set_chat(lambda body: json.dumps(
+        {"version": "1", "thought": "done", "finalize": True, "actions": []}))
+    config = json.loads(live_workspace["config"].read_text())
+    config["backend"] = {"kind": "llm", "endpoint": server.base_url + CHAT_PATH, "model": "m"}
+    live_workspace["config"].write_text(json.dumps(config))
+    # Finalizing before any probe exhausts the episode.
+    expected = EXIT_EXHAUSTED if command == "run" else EXIT_OK
+    assert run_live(live_workspace, command) == expected
+    assert CHAT_PATH in {r.path for r in server.requests()}
+    assert len(closed_transports) == 2  # the adapters' and the backend's
 
 
 def live_argv_with_tag_table(workspace, command, text):

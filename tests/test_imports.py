@@ -97,6 +97,18 @@ def test_llm_backend_loads_the_http_client(tmp_path):
     """, tmp_path) == set(HTTP_STACK)
 
 
+def test_only_live_tools_builds_an_http_client():
+    """Tools and the LLM share ``live_tools.HttpTransport``; no other module
+    opens a client stack of its own."""
+    constructors = ("requests.Session(", "urllib3.PoolManager(", "urllib3.ProxyManager(")
+    offenders = [
+        f"{path.name}: {ctor}"
+        for path in sorted((SRC / "geoprobe").glob("*.py")) if path.name != "live_tools.py"
+        for ctor in constructors if ctor in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
 def test_pool_size_matches_requests():
     assert live_tools.DEFAULT_POOLSIZE == requests.adapters.DEFAULT_POOLSIZE
     assert live_tools.POOL_MAXSIZE == max(DEFAULT_MAX_PARALLEL,

@@ -49,6 +49,8 @@ from geoprobe import stub_server
 from geoprobe.stub_server import StubToolServer
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
+from conftest import dead_port
+
 
 @pytest.fixture(scope="module")
 def world():
@@ -60,12 +62,6 @@ def stub(world):
     server = StubToolServer(world).start()
     yield server
     server.stop()
-
-
-def dead_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
 
 
 def fast_endpoints(stub, **kwargs):
@@ -447,20 +443,6 @@ def test_sequential_calls_reuse_one_connection(stub, monkeypatch):
 
 
 # -- keep-alive: fault paths on a reused connection, prompt shutdown ---------
-
-
-@pytest.fixture()
-def accepted(monkeypatch):
-    """Counts the connections the stub server accepts, in ``accepted[0]``."""
-    count = [0]
-    get_request = stub_server._StubHTTPServer.get_request
-
-    def counting_get_request(server):
-        count[0] += 1
-        return get_request(server)
-
-    monkeypatch.setattr(stub_server._StubHTTPServer, "get_request", counting_get_request)
-    return count
 
 
 def geocode(adapters, name, action_id=1):

@@ -1,11 +1,11 @@
-"""Planning policies: prompt building, scripted rules, LLM backend, gate."""
+"""Planning policies: prompt building, scripted rules, LLM backend (over the
+stub server's chat route), gate."""
 
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-import requests
 
 from geoprobe.actions import (
     Action,
@@ -14,7 +14,9 @@ from geoprobe.actions import (
     Tool,
     render_action_schema,
 )
+from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.canonical import canonical_hash
+from geoprobe.engine import replay, run_synthetic_episode
 from geoprobe.errors import BackendUnavailableError, DecisionParseError
 from geoprobe.geo import GeoPoint
 from geoprobe.planner import (
@@ -27,8 +29,9 @@ from geoprobe.planner import (
     scripted_salience_policy,
     summarize_space,
 )
-from geoprobe.recorder import EventKind, TrajectoryEvent, compress
+from geoprobe.recorder import EventKind, TrajectoryEvent, compress, load_trace
 from geoprobe.state import CandidateSpace, EpisodeState, PoiHint
+from geoprobe.stub_server import CHAT_PATH, StubToolServer
 from geoprobe.synthworld import (
     Clue,
     ClueKind,
@@ -39,7 +42,7 @@ from geoprobe.synthworld import (
     sample_episode,
 )
 
-from conftest import small_gazetteer
+from conftest import dead_port, small_gazetteer
 
 M = CapabilityModule
 DATA = Path(__file__).parent / "data"
@@ -406,32 +409,7 @@ class TestDecideNext:
 
 
 # ---------------------------------------------------------------------------
-# LLM backend
-
-
-class FakeResponse:
-    def __init__(self, status_code=200, content=None, body=None):
-        self.status_code = status_code
-        self._body = body if body is not None else {
-            "choices": [{"message": {"content": content}}]
-        }
-
-    def json(self):
-        return self._body
-
-
-class FakeSession:
-    def __init__(self, script):
-        self.script = list(script)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers,
-                              "timeout": timeout})
-        item = self.script.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
+# LLM backend, over the stub server's chat route
 
 
 def envelope(actions=(), finalize=False):
@@ -441,118 +419,217 @@ def envelope(actions=(), finalize=False):
     })
 
 
-def llm(script, **kw):
-    kw.setdefault("backoff_s", 0.0)
-    backend = LlmBackend(endpoint="http://llm.test/v1/chat", model="geo-test", **kw)
-    backend.session = FakeSession(script)
-    return backend
-
-
 CAPTION_ACT = {"module": "Environmental", "tool": "Caption", "args": {"image": "scene/0"}}
 
 
+@pytest.fixture()
+def chat_stub():
+    with StubToolServer() as server:
+        yield server
+
+
+@pytest.fixture()
+def llm(chat_stub):
+    """Builds backends for the stub's chat route, answering ``replies`` in
+    order when given; closes them at teardown."""
+    built = []
+
+    def make(*replies, endpoint=None, **kw):
+        if replies:
+            queue = list(replies)
+            chat_stub.set_chat(lambda body: queue.pop(0))
+        kw.setdefault("backoff_s", 0.0)
+        backend = LlmBackend(endpoint=endpoint or chat_stub.base_url + CHAT_PATH,
+                             model="geo-test", **kw)
+        built.append(backend)
+        return backend
+
+    yield make
+    for backend in built:
+        backend.close()
+
+
+def sent(stub) -> list[dict]:
+    """Bodies of the chat requests the stub received, in order."""
+    return [r.body for r in stub.requests() if r.path == CHAT_PATH]
+
+
 class TestLlmBackend:
-    def test_valid_reply_parses_and_renumbers(self):
-        backend = llm([FakeResponse(content=envelope([CAPTION_ACT]))])
+    def test_valid_reply_parses_and_renumbers(self, chat_stub, llm):
+        backend = llm(envelope([CAPTION_ACT]))
         d = backend.decide(make_ctx(make_desc(VEG), next_action_id=5))
         [a] = d.actions
         assert a.id == 5 and a.tool is Tool.CAPTION
-        [req] = backend.session.requests
-        assert req["json"]["model"] == "geo-test"
-        assert req["json"]["temperature"] == 0
-        assert req["json"]["messages"][0]["role"] == "user"
+        [req] = sent(chat_stub)
+        assert req["model"] == "geo-test"
+        assert req["temperature"] == 0
+        assert req["messages"][0]["role"] == "user"
 
-    def test_auth_header_sent_but_never_logged(self, monkeypatch):
+    def test_auth_header_sent_but_never_logged(self, chat_stub, llm, monkeypatch):
         monkeypatch.setenv("GEOPROBE_API_TOKEN", "sk-secret-123")
-        backend = llm([FakeResponse(content=envelope(finalize=True))])
+        backend = llm(envelope(finalize=True))
         backend.decide(make_ctx(make_desc(VEG)))
-        [req] = backend.session.requests
-        assert req["headers"]["Authorization"] == "Bearer sk-secret-123"
+        [req] = chat_stub.requests()
+        assert req.authorization == "Bearer sk-secret-123"
         wire = backend.drain_wire_log()
         assert wire, "wire log must capture the exchange"
         assert "sk-secret-123" not in json.dumps(wire)
         assert any(e.get("authorization") == "redacted" for e in wire)
 
-    def test_parse_retry_with_corrective_reprompt(self):
-        backend = llm([
-            FakeResponse(content="no json here at all"),
-            FakeResponse(content=envelope([CAPTION_ACT])),
-        ])
+    def test_parse_retry_with_corrective_reprompt(self, chat_stub, llm):
+        backend = llm("no json here at all", envelope([CAPTION_ACT]))
         d = backend.decide(make_ctx(make_desc(VEG)))
         assert d.actions
-        second = backend.session.requests[1]["json"]["messages"]
+        second = sent(chat_stub)[1]["messages"]
         assert second[-1]["role"] == "user"
         assert "not a valid decision envelope" in second[-1]["content"]
         assert second[-2]["role"] == "assistant"
 
-    def test_fallback_to_caption_when_global(self):
-        backend = llm([FakeResponse(content="garbage")] * 3)
+    def test_fallback_to_caption_when_global(self, chat_stub, llm):
+        backend = llm(*["garbage"] * 3)
         d = backend.decide(make_ctx(make_desc(VEG)))
         [a] = d.actions
         assert a.tool is Tool.CAPTION and a.module is M.ENVIRONMENTAL
-        assert len(backend.session.requests) == 3  # 1 + 2 retries
+        assert len(sent(chat_stub)) == 3  # 1 + 2 retries
 
-    def test_fallback_to_finalize_when_narrowed(self):
-        backend = llm([FakeResponse(content="garbage")] * 3)
+    def test_fallback_to_finalize_when_narrowed(self, llm):
+        backend = llm(*["garbage"] * 3)
         space = CandidateSpace(frozenset({"cn-a"}), False)
         d = backend.decide(make_ctx(make_desc(VEG), space=space))
         assert d.finalize
 
-    def test_invalid_actions_also_retry(self):
+    def test_invalid_actions_also_retry(self, chat_stub, llm):
         bad = {"module": "Environmental", "tool": "Ocr", "args": {"image": "x"}}
-        backend = llm([
-            FakeResponse(content=envelope([bad])),
-            FakeResponse(content=envelope(finalize=True)),
-        ])
+        backend = llm(envelope([bad]), envelope(finalize=True))
         d = backend.decide(make_ctx(make_desc(VEG)))
         assert d.finalize
-        assert len(backend.session.requests) == 2
+        assert len(sent(chat_stub)) == 2
 
-    def test_transport_retry_then_success(self):
-        backend = llm([
-            requests.ConnectionError("refused"),
-            FakeResponse(status_code=503, body={}),
-            FakeResponse(content=envelope(finalize=True)),
-        ])
+    def test_transport_retry_then_success(self, chat_stub, llm):
+        chat_stub.set_behavior(CHAT_PATH, fail_times=2, fail_status=503)
+        backend = llm(envelope(finalize=True))
         d = backend.decide(make_ctx(make_desc(VEG)))
         assert d.finalize
-        assert len(backend.session.requests) == 3
+        assert len(sent(chat_stub)) == 3
 
-    def test_wire_log_records_every_transport_attempt(self):
-        backend = llm([
-            requests.ConnectionError("refused"),
-            FakeResponse(status_code=503, body={}),
-            FakeResponse(content=envelope(finalize=True)),
-        ])
+    def test_wire_log_records_every_transport_attempt(self, chat_stub, llm):
+        chat_stub.set_behavior(CHAT_PATH, fail_times=2, fail_status=503)
+        backend = llm(envelope(finalize=True))
         backend.decide(make_ctx(make_desc(VEG)))
         wire = backend.drain_wire_log()
         assert [e["kind"] for e in wire] == ["request", "request", "request", "response"]
         assert all(e["authorization"] == "redacted" for e in wire if e["kind"] == "request")
 
-    def test_transport_exhaustion_raises_unavailable(self):
-        backend = llm([requests.ConnectionError("refused")] * 3)
-        with pytest.raises(BackendUnavailableError):
+    def test_transport_exhaustion_raises_unavailable(self, llm):
+        backend = llm(endpoint=f"http://127.0.0.1:{dead_port()}{CHAT_PATH}")
+        with pytest.raises(BackendUnavailableError, match="LLM endpoint unreachable"):
+            backend.decide(make_ctx(make_desc(VEG)))
+        assert [e["kind"] for e in backend.drain_wire_log()] == ["request"] * 3
+
+    def test_5xx_exhaustion_names_the_status(self, chat_stub, llm):
+        chat_stub.set_behavior(CHAT_PATH, fail_times=3, fail_status=503)
+        backend = llm(envelope(finalize=True))
+        with pytest.raises(BackendUnavailableError, match="LLM endpoint returned HTTP 503"):
+            backend.decide(make_ctx(make_desc(VEG)))
+        assert len(sent(chat_stub)) == 3
+
+    def test_hard_4xx_is_unavailable_without_retry(self, chat_stub, llm):
+        chat_stub.set_behavior(CHAT_PATH, fail_times=1, fail_status=401)
+        backend = llm(envelope(finalize=True))
+        with pytest.raises(BackendUnavailableError, match="LLM endpoint returned HTTP 401"):
+            backend.decide(make_ctx(make_desc(VEG)))
+        assert len(sent(chat_stub)) == 1
+
+    def test_redirect_is_not_followed(self, chat_stub, llm):
+        chat_stub.set_behavior(CHAT_PATH, fail_times=1, fail_status=302)
+        backend = llm(envelope(finalize=True))
+        with pytest.raises(BackendUnavailableError, match="LLM endpoint returned HTTP 302"):
+            backend.decide(make_ctx(make_desc(VEG)))
+        assert len(chat_stub.requests()) == 1
+
+    def test_malformed_response_body_is_unavailable(self, chat_stub, llm):
+        chat_stub.set_behavior(CHAT_PATH, raw_body=b'{"unexpected": true}')
+        backend = llm(envelope(finalize=True))
+        with pytest.raises(BackendUnavailableError, match="not chat-completions shaped"):
             backend.decide(make_ctx(make_desc(VEG)))
 
-    def test_hard_4xx_is_unavailable_without_retry(self):
-        backend = llm([FakeResponse(status_code=401, body={})])
-        with pytest.raises(BackendUnavailableError):
-            backend.decide(make_ctx(make_desc(VEG)))
-        assert len(backend.session.requests) == 1
-
-    def test_malformed_response_body_is_unavailable(self):
-        backend = llm([FakeResponse(body={"unexpected": True})])
-        with pytest.raises(BackendUnavailableError):
-            backend.decide(make_ctx(make_desc(VEG)))
-
-    def test_feedback_appended_as_extra_message(self):
-        backend = llm([FakeResponse(content=envelope(finalize=True))])
+    def test_feedback_appended_as_extra_message(self, chat_stub, llm):
+        backend = llm(envelope(finalize=True))
         backend.decide(make_ctx(make_desc(VEG), feedback="do better"))
-        [req] = backend.session.requests
-        assert req["json"]["messages"][-1]["content"] == "do better"
+        [req] = sent(chat_stub)
+        assert req["messages"][-1]["content"] == "do better"
 
-    def test_timeout_is_not_retried(self):
-        backend = llm([requests.Timeout("slow"), FakeResponse(content=envelope(finalize=True))])
-        with pytest.raises(BackendUnavailableError):
+    def test_timeout_is_not_retried(self, chat_stub, llm):
+        chat_stub.set_behavior(CHAT_PATH, delay_s=0.3)
+        backend = llm(envelope(finalize=True), envelope(finalize=True), timeout_s=0.05)
+        with pytest.raises(BackendUnavailableError, match="unreachable"):
             backend.decide(make_ctx(make_desc(VEG)))
-        assert len(backend.session.requests) == 1
+        assert len(sent(chat_stub)) == 1
+
+    def test_sequential_decisions_share_one_connection(self, chat_stub, llm, accepted):
+        backend = llm(*[envelope(finalize=True)] * 5)
+        for step in range(1, 6):
+            assert backend.decide(make_ctx(make_desc(VEG), step=step)).finalize
+        assert len(sent(chat_stub)) == 5
+        assert accepted[0] == 1
+
+    def test_chat_requests_leave_tool_counters_alone(self, chat_stub, llm):
+        before = chat_stub.counts()
+        llm(envelope(finalize=True)).decide(make_ctx(make_desc(VEG)))
+        assert chat_stub.counts() == before
+        assert chat_stub.total_requests() == 0
+        assert [r.path for r in chat_stub.requests()] == [CHAT_PATH]
+
+
+# ---------------------------------------------------------------------------
+# LLM backend driving whole episodes
+
+WORLD = generate_world(2026, 3, 5)
+
+
+def caption_then_finalize(body: dict) -> str:
+    """Probe with a caption while the frontier is global, then finalize."""
+    if "(global: no constraints applied yet)" in body["messages"][0]["content"]:
+        return envelope([CAPTION_ACT])
+    return envelope(finalize=True)
+
+
+def wire_kinds(event) -> list[str]:
+    return [e["kind"] for e in event.payload.get("llm_wire", [])]
+
+
+class TestLlmEpisodes:
+    def test_failed_episode_keeps_its_wire_log(self, chat_stub, llm):
+        chat_stub.set_chat(caption_then_finalize)
+        chat_stub.set_behavior(CHAT_PATH, fail_times=3, fail_status=503)
+        backend = llm()
+        failed, ok = (
+            run_synthetic_episode(WORLD, sample_episode(WORLD, seed, Difficulty.EASY),
+                                  backend, max_steps=3)
+            for seed in (1, 2))
+        [error] = failed.trace.events
+        assert error.payload["error"] == "BackendUnavailable"
+        assert wire_kinds(error) == ["request"] * 3
+        first = ok.trace.events[0]
+        assert first.kind is EventKind.DECISION
+        assert wire_kinds(first) == ["request", "response"]
+        for res in (failed, ok):
+            assert replay(res.trace, WORLD.gazetteer).final_state == res.state
+
+    def test_parallel_episodes_keep_their_own_wire_logs(self, chat_stub, llm, tmp_path):
+        chat_stub.set_chat(caption_then_finalize)
+        samples = make_benchmark(WORLD, 20, seed=5)
+        run_benchmark(samples, llm(), WORLD, workers=2, max_steps=3,
+                      trace_dir=tmp_path)
+        decisions = 0
+        for sample in samples:
+            trace = load_trace(tmp_path / f"{sample.id}.trace.jsonl")
+            for event in trace.events:
+                if event.kind is not EventKind.DECISION:
+                    continue
+                decisions += 1
+                kinds = wire_kinds(event)
+                assert kinds and kinds == ["request", "response"] * (len(kinds) // 2)
+                # A Decision carries the state it was made in, one step behind.
+                assert {e["step"] for e in event.payload["llm_wire"]} == {event.step + 1}
+        assert decisions >= 2 * len(samples)
