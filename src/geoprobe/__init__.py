@@ -161,7 +161,6 @@ _EXPORTS = {
     "load_world": "synthworld",
     "sample_episode": "synthworld",
     "save_world": "synthworld",
-    "synthetic_adapters": "synthworld",
 }
 
 __version__ = "0.1.0"

@@ -44,7 +44,7 @@ from .state import (
     apply_evidence_report,
     finalize,
 )
-from .synthworld import SceneDescriptor, SynthWorld, synthetic_adapters
+from .synthworld import SceneDescriptor, SynthWorld, SyntheticToolbox
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def run_synthetic_episode(
     ``image_ref``. The rest goes to ``record_episode``.
     """
     if adapters is None:
-        toolbox = synthetic_adapters(world)
+        toolbox = SyntheticToolbox(world)
         toolbox.register(image_ref, desc)
         adapters = toolbox.adapters()
     return record_episode(

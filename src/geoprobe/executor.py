@@ -237,6 +237,7 @@ def extract_evidence(
       - Geocode: one per match, by region id (0.9) or by point (0.7).
       - Crop produces imagery, not evidence.
 
+    A payload with a field of the wrong type or range yields nothing.
     Region ids returned by adapters must exist in the gazetteer; anything
     else is adapter misconfiguration and raises UnknownRegionError.
     """
@@ -247,75 +248,78 @@ def extract_evidence(
     drafts: list[tuple[str, frozenset[str], float, GeoPoint | None]] = []
     payload = result.payload
 
-    if result.tool is Tool.OCR:
-        for span in payload.get("spans", []):
-            text = str(span.get("text", ""))
-            ids = find_region_names(text, g)
-            if ids:
-                drafts.append((text, ids, CONF_NAME_MATCH, None))
+    try:
+        if result.tool is Tool.OCR:
+            for span in payload.get("spans", []):
+                text = str(span.get("text", ""))
+                ids = find_region_names(text, g)
+                if ids:
+                    drafts.append((text, ids, CONF_NAME_MATCH, None))
 
-    elif result.tool is Tool.KNOWLEDGE_BASE:
-        for rec in payload.get("records", []):
-            text = f"{rec.get('title', '')} {rec.get('body', '')}"
-            ids = find_region_names(text, g)
-            if ids:
-                drafts.append((str(rec.get("title", "")), ids, CONF_NAME_MATCH, _coord(rec)))
+        elif result.tool is Tool.KNOWLEDGE_BASE:
+            for rec in payload.get("records", []):
+                text = f"{rec.get('title', '')} {rec.get('body', '')}"
+                ids = find_region_names(text, g)
+                if ids:
+                    drafts.append((str(rec.get("title", "")), ids, CONF_NAME_MATCH, _coord(rec)))
 
-    elif result.tool is Tool.TEXT_SEARCH:
-        cities: set[str] = set()
-        for hit in payload.get("hits", []):
-            p = _coord(hit)
-            if p is not None:
-                containing = _cities_containing(g, p)
-                if len(containing) == 1:
-                    cities.add(containing[0])
-        if cities:
-            claim = "search hits near " + ", ".join(sorted(g.get(c).name for c in cities))
-            drafts.append((claim, frozenset(cities), CONF_COORD_MATCH, None))
+        elif result.tool is Tool.TEXT_SEARCH:
+            cities: set[str] = set()
+            for hit in payload.get("hits", []):
+                p = _coord(hit)
+                if p is not None:
+                    containing = _cities_containing(g, p)
+                    if len(containing) == 1:
+                        cities.add(containing[0])
+            if cities:
+                claim = "search hits near " + ", ".join(sorted(g.get(c).name for c in cities))
+                drafts.append((claim, frozenset(cities), CONF_COORD_MATCH, None))
 
-    elif result.tool is Tool.IMAGE_SEARCH:
-        for cand in payload.get("candidates", []):
-            score = max(0.0, min(float(cand.get("score", 0.0)), 1.0))
-            rid = cand.get("region_id")
-            if rid is not None:
-                if rid not in g:
-                    raise UnknownRegionError(rid)
-                drafts.append((f"visual match: {g.get(rid).name}", frozenset({rid}), score, None))
-            else:
-                p = _coord(cand)
-                if p is None:
+        elif result.tool is Tool.IMAGE_SEARCH:
+            for cand in payload.get("candidates", []):
+                score = max(0.0, min(float(cand.get("score", 0.0)), 1.0))
+                rid = cand.get("region_id")
+                if rid is not None:
+                    if rid not in g:
+                        raise UnknownRegionError(rid)
+                    drafts.append((f"visual match: {g.get(rid).name}", frozenset({rid}), score, None))
+                else:
+                    p = _coord(cand)
+                    if p is None:
+                        continue
+                    containing = _cities_containing(g, p)
+                    if len(containing) == 1:
+                        name = g.get(containing[0]).name
+                        drafts.append(
+                            (f"visual match near {name}", frozenset(containing), score, p)
+                        )
+
+        elif result.tool is Tool.CAPTION:
+            table = tag_table or {}
+            for tag in payload.get("tags", []):
+                rids = table.get(tag)
+                if not rids:
                     continue
-                containing = _cities_containing(g, p)
-                if len(containing) == 1:
-                    name = g.get(containing[0]).name
-                    drafts.append(
-                        (f"visual match near {name}", frozenset(containing), score, p)
-                    )
+                for rid in rids:
+                    if rid not in g:
+                        raise UnknownRegionError(rid)
+                drafts.append((f"scene tag: {tag}", frozenset(rids), CONF_TAG_MATCH, None))
 
-    elif result.tool is Tool.CAPTION:
-        table = tag_table or {}
-        for tag in payload.get("tags", []):
-            rids = table.get(tag)
-            if not rids:
-                continue
-            for rid in rids:
-                if rid not in g:
-                    raise UnknownRegionError(rid)
-            drafts.append((f"scene tag: {tag}", frozenset(rids), CONF_TAG_MATCH, None))
-
-    elif result.tool is Tool.GEOCODE:
-        for match in payload.get("matches", []):
-            name = str(match.get("name", ""))
-            p = _coord(match)
-            rid = match.get("region_id")
-            if rid is not None:
-                if rid not in g:
-                    raise UnknownRegionError(rid)
-                drafts.append((name, frozenset({rid}), CONF_NAME_MATCH, p))
-            elif p is not None:
-                containing = _cities_containing(g, p)
-                if len(containing) == 1:
-                    drafts.append((name, frozenset(containing), CONF_COORD_MATCH, p))
+        elif result.tool is Tool.GEOCODE:
+            for match in payload.get("matches", []):
+                name = str(match.get("name", ""))
+                p = _coord(match)
+                rid = match.get("region_id")
+                if rid is not None:
+                    if rid not in g:
+                        raise UnknownRegionError(rid)
+                    drafts.append((name, frozenset({rid}), CONF_NAME_MATCH, p))
+                elif p is not None:
+                    containing = _cities_containing(g, p)
+                    if len(containing) == 1:
+                        drafts.append((name, frozenset(containing), CONF_COORD_MATCH, p))
+    except (TypeError, ValueError, AttributeError, OverflowError):
+        return []
 
     return [
         Evidence(

@@ -7,18 +7,15 @@ in-band ToolResult values, so an episode keeps running under partial
 outages. Crop stays local — it only rewrites image references and never
 touches the network.
 
-Wire format (all JSON over POST):
-
-    caption       {"image", "focus"?}
-    ocr           {"image", "bbox"?}
-    kb            {"query"}
-    text_search   {"query", "top_k", "region_scope"?}
-    image_search  {"image", "top_k"}     # image may be a crop reference
-    geocode       {"name"}
+Wire format: each tool POSTs its action args as a JSON object, renamed by
+``WIRE_FIELDS``, plus the endpoint's ``top_k`` for ``TOP_K_TOOLS``; the
+bundled stub server inverts the same table. An image may be a crop reference.
 
 The response body of a 200 is used verbatim as the result payload, so a
 conformant server answers with the same shapes the evidence extractor
-reads (caption/tags, spans, records, hits, candidates, matches).
+reads (caption/tags, spans, records, hits, candidates, matches). A body
+holding NaN or an infinite number, which a trace cannot record, is a
+BadResponse.
 
 Transport: each ``live_adapters()`` call builds one ``HttpTransport``, a
 thread-safe urllib3 pool shared by all of its adapters, unless the caller
@@ -88,6 +85,20 @@ TOOL_PATHS: dict[Tool, str] = {
 
 NETWORK_TOOLS: frozenset[Tool] = frozenset(TOOL_PATHS)
 
+#: Wire field for each action arg, per network tool; the one definition of
+#: the request bodies, read by ``request_body`` and by the stub server.
+WIRE_FIELDS: dict[Tool, dict[str, str]] = {
+    Tool.CAPTION: {"image": "image", "focus": "focus"},
+    Tool.OCR: {"image": "image", "box": "bbox"},
+    Tool.KNOWLEDGE_BASE: {"query": "query"},
+    Tool.TEXT_SEARCH: {"query": "query", "region": "region_scope"},
+    Tool.IMAGE_SEARCH: {"image": "image"},
+    Tool.GEOCODE: {"query": "name"},
+}
+
+#: Tools whose body also carries the endpoint's ``top_k``.
+TOP_K_TOOLS: frozenset[Tool] = frozenset({Tool.TEXT_SEARCH, Tool.IMAGE_SEARCH})
+
 
 @dataclass(frozen=True)
 class EndpointConfig:
@@ -134,30 +145,17 @@ def endpoints_for_base(
 
 
 def request_body(tool: Tool, action: Action, top_k: int = DEFAULT_TOP_K) -> dict:
-    """Translate an action's args into the documented wire body."""
+    """``action``'s wire body, its args renamed by ``WIRE_FIELDS``. An arg
+    the action lacks is left out: the server rejects a missing required one."""
+    if tool not in WIRE_FIELDS:
+        raise ValueError(f"{tool.value} has no network wire format")
     args = action.args
-    if tool is Tool.CAPTION:
-        body = {"image": args["image"]}
-        if "focus" in args:
-            body["focus"] = args["focus"]
-        return body
-    if tool is Tool.OCR:
-        body = {"image": args["image"]}
-        if "box" in args:
-            body["bbox"] = list(args["box"])
-        return body
-    if tool is Tool.KNOWLEDGE_BASE:
-        return {"query": args["query"]}
-    if tool is Tool.TEXT_SEARCH:
-        body = {"query": args["query"], "top_k": top_k}
-        if "region" in args:
-            body["region_scope"] = args["region"]
-        return body
-    if tool is Tool.IMAGE_SEARCH:
-        return {"image": args["image"], "top_k": top_k}
-    if tool is Tool.GEOCODE:
-        return {"name": args["query"]}
-    raise ValueError(f"{tool.value} has no network wire format")
+    # A tuple box goes into the body as the JSON array it is sent as.
+    body = {wire: list(args[arg]) if isinstance(args[arg], tuple) else args[arg]
+            for arg, wire in WIRE_FIELDS[tool].items() if arg in args}
+    if tool in TOP_K_TOOLS:
+        body["top_k"] = top_k
+    return body
 
 
 def auth_headers(auth_env: str) -> dict[str, str]:
@@ -337,9 +335,10 @@ def live_adapter_request(
     not retried: the caller already paid the full timeout budget, and the
     in-band Timeout result lets the planner move on instead of tripling the
     stall. Client errors (4xx) and redirects (3xx) fail immediately. A 200
-    whose body is not a JSON object becomes BadResponse with the raw body
-    preserved. An args body that cannot be JSON-encoded is a NetworkError,
-    not retried. Without a ``transport``, one is built for ``cfg.url``.
+    whose body is not a JSON object, or holds NaN or an infinity, becomes
+    BadResponse with the raw body preserved. An args body that cannot be
+    JSON-encoded is a NetworkError, not retried. Without a ``transport``,
+    one is built for ``cfg.url``.
     """
     import requests
 
@@ -370,10 +369,12 @@ def live_adapter_request(
         payload = json.loads(resp.content)
         if not isinstance(payload, dict):
             raise ValueError("payload is not an object")
+        result = ToolResult.succeed(action, payload, latency_ms=_elapsed_ms(t0))
+        result.payload_sha256  # hash now: a NaN or an infinity raises ValueError
     except ValueError:
         return ToolResult.fail(action, "BadResponse", detail=resp.text,
                                latency_ms=_elapsed_ms(t0))
-    return ToolResult.succeed(action, payload, latency_ms=_elapsed_ms(t0))
+    return result
 
 
 class LiveAdapter:

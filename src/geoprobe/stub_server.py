@@ -1,9 +1,9 @@
 """Local HTTP stub implementing all six network tool endpoints.
 
 Integration tests and offline demos point the live adapter family at this
-server instead of real services. Answers come from a synthetic world (the
-same logic the in-process synthetic adapters use), so a full episode can
-run over real HTTP without leaving the machine.
+server instead of real services. It reads bodies by ``live_tools.WIRE_FIELDS``
+and answers through ``SyntheticToolbox.answer``, as the in-process adapters
+do, so a full episode can run over real HTTP without leaving the machine.
 
 It speaks HTTP/1.1 and keeps connections open, as real tool services do,
 so the live adapters' pool reuses them; ``stop()`` ends idle ones first.
@@ -28,58 +28,24 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
-from .actions import Action, CapabilityModule, Tool
-from .live_tools import TOOL_PATHS, EndpointConfig, endpoints_for_base
+from .actions import ARG_SCHEMAS, Tool
+from .live_tools import TOOL_PATHS, WIRE_FIELDS, EndpointConfig, endpoints_for_base
 from .synthworld import SceneDescriptor, SynthWorld, SyntheticToolbox
 
 _PATH_TOOLS = {path: tool for tool, path in TOOL_PATHS.items()}
 CHAT_PATH = "/v1/chat/completions"
 
-#: Module used when reconstructing an Action from a wire body. Any module
-#: that composes the tool works; extraction only looks at the tool.
-_MODULE_FOR: dict[Tool, CapabilityModule] = {
-    Tool.CAPTION: CapabilityModule.ENVIRONMENTAL,
-    Tool.OCR: CapabilityModule.SEMANTIC_SYMBOL,
-    Tool.KNOWLEDGE_BASE: CapabilityModule.SEMANTIC_SYMBOL,
-    Tool.TEXT_SEARCH: CapabilityModule.ENVIRONMENTAL,
-    Tool.IMAGE_SEARCH: CapabilityModule.IMAGE_MATCHING,
-    Tool.GEOCODE: CapabilityModule.SEMANTIC_SYMBOL,
-}
-
-_EMPTY_PAYLOADS: dict[Tool, dict] = {
-    Tool.CAPTION: {"caption": "", "tags": []},
-    Tool.OCR: {"spans": []},
-    Tool.KNOWLEDGE_BASE: {"records": []},
-    Tool.TEXT_SEARCH: {"hits": []},
-    Tool.IMAGE_SEARCH: {"candidates": [], "count": 0},
-    Tool.GEOCODE: {"matches": []},
-}
-
 
 def _wire_args(tool: Tool, body: dict) -> dict:
-    """Invert the wire body back into internal action args."""
-    if tool is Tool.CAPTION:
-        args = {"image": body["image"]}
-        if "focus" in body:
-            args["focus"] = body["focus"]
-        return args
-    if tool is Tool.OCR:
-        args = {"image": body["image"]}
-        if "bbox" in body:
-            args["box"] = tuple(body["bbox"])
-        return args
-    if tool is Tool.KNOWLEDGE_BASE:
-        return {"query": body["query"]}
-    if tool is Tool.TEXT_SEARCH:
-        args = {"query": body["query"]}
-        if "region_scope" in body:
-            args["region"] = body["region_scope"]
-        return args
-    if tool is Tool.IMAGE_SEARCH:
-        return {"image": body["image"]}
-    if tool is Tool.GEOCODE:
-        return {"query": body["name"]}
-    raise KeyError(tool)
+    """Invert the wire body back into action args. A body missing a
+    required field raises KeyError; one that is not an object, TypeError."""
+    args = {}
+    for arg, wire in WIRE_FIELDS[tool].items():
+        if wire in body:
+            args[arg] = body[wire]
+        elif ARG_SCHEMAS[tool][arg].required:
+            raise KeyError(wire)
+    return args
 
 
 @dataclass
@@ -196,13 +162,11 @@ class StubToolServer:
 
     With a world attached, answers mirror the synthetic adapters; scenes
     must be registered under their image references first. Without one,
-    every route answers the tool's empty payload shape (still countable).
-    Canned payloads override both.
+    tool routes answer 404 (still countable). Canned payloads override both.
     """
 
     def __init__(self, world: SynthWorld | None = None, host: str = "127.0.0.1"):
         self._toolbox = SyntheticToolbox(world) if world is not None else None
-        self._adapters = self._toolbox.adapters() if self._toolbox else {}
         self._host = host
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {path: 0 for path in _PATH_TOOLS}
@@ -320,15 +284,13 @@ class StubToolServer:
     def _answer(self, tool: Tool, body: dict) -> tuple[int, dict]:
         if tool in self._canned:
             return 200, self._canned[tool]
+        if self._toolbox is None:
+            return 404, {"error": "no world attached"}
         try:
             args = _wire_args(tool, body)
         except (KeyError, TypeError):
             return 400, {"error": f"malformed {tool.value} request"}
-        if not self._adapters:
-            return 200, _EMPTY_PAYLOADS[tool]
-        action = Action(id=0, module=_MODULE_FOR[tool], tool=tool, args=args)
-        result = self._adapters[tool].execute(action)
-        if result.ok:
-            assert result.payload is not None
-            return 200, result.payload
-        return 404, {"error": result.error, "detail": result.detail}
+        try:
+            return 200, self._toolbox.answer(tool, args)
+        except KeyError as e:
+            return 404, {"error": "UnknownImage", "detail": str(e)}

@@ -1,10 +1,11 @@
-"""Deterministic synthetic geography: worlds, scenes, and pure tool adapters.
+"""Deterministic synthetic geography: worlds, scenes, and pure tool answers.
 
 A world is a seeded three-level region tree (country, provinces, cities)
 plus clue material: per-region attribute tags, per-city sign texts, and
 per-city POIs with exact coordinates. Scene descriptors stand in for
-images; the adapter family answers every tool from world content alone, so
-whole episodes run offline and reproducibly.
+images; ``SyntheticToolbox`` answers every tool from world content alone,
+in process or behind the stub server, so whole episodes run offline and
+reproducibly.
 
 Construction guarantees the properties the clue system leans on: region
 names are unique equal-length words (no accidental substring matches), sign
@@ -25,7 +26,7 @@ import random
 from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .actions import Action, Tool, base_image_ref, crop_payload
 from .errors import ConfigError
@@ -506,7 +507,7 @@ def compatible_cities(world: SynthWorld, desc: SceneDescriptor) -> frozenset[str
 
 
 # ---------------------------------------------------------------------------
-# Synthetic adapters
+# Synthetic tools
 
 _RANK_WINDOW = {Difficulty.EASY: 1, Difficulty.MEDIUM: 3, Difficulty.HARD: 5}
 _MATCH_SCORES = (0.95, 0.87, 0.79, 0.71, 0.63)
@@ -555,184 +556,164 @@ def match_candidates(world: SynthWorld, desc: SceneDescriptor) -> list[dict]:
     ]
 
 
+def _caption(toolbox: SyntheticToolbox, args: dict) -> dict:
+    desc = toolbox.resolve(str(args["image"]))
+    tags = [
+        c.value
+        for c in desc.clues_of(
+            ClueKind.VEGETATION, ClueKind.TERRAIN, ClueKind.ARCHITECTURE, ClueKind.VEHICLE
+        )
+    ]
+    caption = "A scene with " + (", ".join(tags) if tags else "no distinctive features")
+    return {"caption": caption, "tags": tags}
+
+
+def _ocr(toolbox: SyntheticToolbox, args: dict) -> dict:
+    desc = toolbox.resolve(str(args["image"]))
+    spans = [
+        {"text": c.value, "box": [0.1, round(min(0.1 + 0.2 * i, 0.7), 2), 0.6,
+                                  round(min(0.25 + 0.2 * i, 0.85), 2)]}
+        for i, c in enumerate(desc.clues_of(ClueKind.SIGN_TEXT))
+    ]
+    return {"spans": spans}
+
+
+def _knowledge_base(toolbox: SyntheticToolbox, args: dict) -> dict:
+    q = str(args["query"]).strip().casefold()
+    world = toolbox.world
+    g = world.gazetteer
+    records = []
+    cid = world.sign_city(q)
+    if cid is not None:
+        records.append({
+            "title": q,
+            "body": f"Shopfront signage registered in {g.get(cid).name}.",
+        })
+    poi_hit = world.find_poi(q)
+    if poi_hit is not None:
+        cid, poi = poi_hit
+        records.append({
+            "title": poi.name,
+            "body": f"{poi.name}, a landmark in {g.get(cid).name}.",
+            "lat": poi.point.lat,
+            "lon": poi.point.lon,
+        })
+    for rid in g.lookup_name(q):
+        r = g.get(rid)
+        parent = g.get(r.parent_id).name if r.parent_id else "no parent"
+        records.append({
+            "title": r.name,
+            "body": f"{r.name} is a {r.level.value} ({parent}).",
+        })
+    records.sort(key=lambda rec: rec["title"])
+    return {"query": str(args["query"]), "records": records}
+
+
+def _text_search(toolbox: SyntheticToolbox, args: dict) -> dict:
+    q = str(args["query"]).strip().casefold()
+    world = toolbox.world
+    g = world.gazetteer
+    hits = []
+    cid = world.sign_city(q)
+    if cid is not None:
+        c = g.get(cid)
+        hits.append({
+            "title": q,
+            "snippet": f"Local directory listing in {c.name}.",
+            "lat": c.centroid.lat,
+            "lon": c.centroid.lon,
+        })
+    poi_hit = world.find_poi(q)
+    if poi_hit is not None:
+        _, poi = poi_hit
+        hits.append({
+            "title": poi.name,
+            "snippet": f"Visitor guide for {poi.name}.",
+            "lat": poi.point.lat,
+            "lon": poi.point.lon,
+        })
+    for rid in g.lookup_name(q):
+        r = g.get(rid)
+        hit = {"title": r.name, "snippet": f"About {r.name}, a {r.level.value}."}
+        if r.level is RegionLevel.CITY:
+            hit["lat"] = r.centroid.lat
+            hit["lon"] = r.centroid.lon
+        hits.append(hit)
+    carriers = world.regions_with_tag(q)
+    for rid in sorted(carriers):
+        r = g.get(rid)
+        hits.append({
+            "title": r.name,
+            "snippet": f"{r.name}: known for {q}.",
+        })
+    hits.sort(key=lambda h: (h["title"], h["snippet"]))
+    return {"query": str(args["query"]), "hits": hits}
+
+
+def _image_search(toolbox: SyntheticToolbox, args: dict) -> dict:
+    candidates = match_candidates(toolbox.world, toolbox.resolve(str(args["image"])))
+    return {"candidates": candidates, "count": len(candidates)}
+
+
+def _geocode(toolbox: SyntheticToolbox, args: dict) -> dict:
+    q = str(args["query"]).strip().casefold()
+    world = toolbox.world
+    g = world.gazetteer
+    matches = []
+    poi_hit = world.find_poi(q)
+    if poi_hit is not None:
+        cid, poi = poi_hit
+        matches.append({
+            "name": poi.name,
+            "lat": poi.point.lat,
+            "lon": poi.point.lon,
+            "region_id": cid,
+        })
+    for rid in g.lookup_name(q):
+        r = g.get(rid)
+        matches.append({
+            "name": r.name,
+            "lat": r.centroid.lat,
+            "lon": r.centroid.lon,
+            "region_id": rid,
+        })
+    matches.sort(key=lambda m: (m["name"], m["region_id"]))
+    return {"query": str(args["query"]), "matches": matches}
+
+
+def _crop(toolbox: SyntheticToolbox, args: dict) -> dict:
+    ref = str(args["image"])
+    toolbox.resolve(ref)  # validate the ref
+    return crop_payload(ref, args["box"])
+
+
+#: The synthetic answer of every tool: ``(toolbox, args) -> payload``.
+_ANSWERS: dict[Tool, Callable[[SyntheticToolbox, dict], dict]] = {
+    Tool.CAPTION: _caption,
+    Tool.CROP: _crop,
+    Tool.OCR: _ocr,
+    Tool.KNOWLEDGE_BASE: _knowledge_base,
+    Tool.TEXT_SEARCH: _text_search,
+    Tool.IMAGE_SEARCH: _image_search,
+    Tool.GEOCODE: _geocode,
+}
+
+
+@dataclass(frozen=True)
 class _SynthAdapter:
+    toolbox: SyntheticToolbox
     tool: Tool
-
-    def __init__(self, toolbox: "SyntheticToolbox"):
-        self._box = toolbox
-
-    @property
-    def world(self) -> SynthWorld:
-        return self._box.world
 
     def execute(self, action: Action) -> ToolResult:
         try:
-            payload = self.run(action)
+            payload = self.toolbox.answer(self.tool, action.args)
         except KeyError as e:
             return ToolResult.fail(action, "UnknownImage", detail=str(e))
         return ToolResult.succeed(action, payload)
 
-    def run(self, action: Action) -> dict:
-        raise NotImplementedError
-
-    def scene(self, action: Action) -> SceneDescriptor:
-        return self._box.resolve(str(action.args["image"]))
-
-
-class _CaptionAdapter(_SynthAdapter):
-    tool = Tool.CAPTION
-
-    def run(self, action: Action) -> dict:
-        desc = self.scene(action)
-        tags = [
-            c.value
-            for c in desc.clues_of(
-                ClueKind.VEGETATION, ClueKind.TERRAIN, ClueKind.ARCHITECTURE, ClueKind.VEHICLE
-            )
-        ]
-        caption = "A scene with " + (", ".join(tags) if tags else "no distinctive features")
-        return {"caption": caption, "tags": tags}
-
-
-class _OcrAdapter(_SynthAdapter):
-    tool = Tool.OCR
-
-    def run(self, action: Action) -> dict:
-        desc = self.scene(action)
-        spans = [
-            {"text": c.value, "box": [0.1, round(min(0.1 + 0.2 * i, 0.7), 2), 0.6,
-                                      round(min(0.25 + 0.2 * i, 0.85), 2)]}
-            for i, c in enumerate(desc.clues_of(ClueKind.SIGN_TEXT))
-        ]
-        return {"spans": spans}
-
-
-class _KnowledgeBaseAdapter(_SynthAdapter):
-    tool = Tool.KNOWLEDGE_BASE
-
-    def run(self, action: Action) -> dict:
-        q = str(action.args["query"]).strip().casefold()
-        g = self.world.gazetteer
-        records = []
-        cid = self.world.sign_city(q)
-        if cid is not None:
-            records.append({
-                "title": q,
-                "body": f"Shopfront signage registered in {g.get(cid).name}.",
-            })
-        poi_hit = self.world.find_poi(q)
-        if poi_hit is not None:
-            cid, poi = poi_hit
-            records.append({
-                "title": poi.name,
-                "body": f"{poi.name}, a landmark in {g.get(cid).name}.",
-                "lat": poi.point.lat,
-                "lon": poi.point.lon,
-            })
-        for rid in g.lookup_name(q):
-            r = g.get(rid)
-            parent = g.get(r.parent_id).name if r.parent_id else "no parent"
-            records.append({
-                "title": r.name,
-                "body": f"{r.name} is a {r.level.value} ({parent}).",
-            })
-        records.sort(key=lambda rec: rec["title"])
-        return {"query": str(action.args["query"]), "records": records}
-
-
-class _TextSearchAdapter(_SynthAdapter):
-    tool = Tool.TEXT_SEARCH
-
-    def run(self, action: Action) -> dict:
-        q = str(action.args["query"]).strip().casefold()
-        world = self.world
-        g = world.gazetteer
-        hits = []
-        cid = world.sign_city(q)
-        if cid is not None:
-            c = g.get(cid)
-            hits.append({
-                "title": q,
-                "snippet": f"Local directory listing in {c.name}.",
-                "lat": c.centroid.lat,
-                "lon": c.centroid.lon,
-            })
-        poi_hit = world.find_poi(q)
-        if poi_hit is not None:
-            _, poi = poi_hit
-            hits.append({
-                "title": poi.name,
-                "snippet": f"Visitor guide for {poi.name}.",
-                "lat": poi.point.lat,
-                "lon": poi.point.lon,
-            })
-        for rid in g.lookup_name(q):
-            r = g.get(rid)
-            hit = {"title": r.name, "snippet": f"About {r.name}, a {r.level.value}."}
-            if r.level is RegionLevel.CITY:
-                hit["lat"] = r.centroid.lat
-                hit["lon"] = r.centroid.lon
-            hits.append(hit)
-        carriers = world.regions_with_tag(q)
-        for rid in sorted(carriers):
-            r = g.get(rid)
-            hits.append({
-                "title": r.name,
-                "snippet": f"{r.name}: known for {q}.",
-            })
-        hits.sort(key=lambda h: (h["title"], h["snippet"]))
-        return {"query": str(action.args["query"]), "hits": hits}
-
-
-class _ImageSearchAdapter(_SynthAdapter):
-    tool = Tool.IMAGE_SEARCH
-
-    def run(self, action: Action) -> dict:
-        desc = self.scene(action)
-        candidates = match_candidates(self.world, desc)
-        return {"candidates": candidates, "count": len(candidates)}
-
-
-class _GeocodeAdapter(_SynthAdapter):
-    tool = Tool.GEOCODE
-
-    def run(self, action: Action) -> dict:
-        q = str(action.args["query"]).strip().casefold()
-        world = self.world
-        g = world.gazetteer
-        matches = []
-        poi_hit = world.find_poi(q)
-        if poi_hit is not None:
-            cid, poi = poi_hit
-            matches.append({
-                "name": poi.name,
-                "lat": poi.point.lat,
-                "lon": poi.point.lon,
-                "region_id": cid,
-            })
-        for rid in g.lookup_name(q):
-            r = g.get(rid)
-            matches.append({
-                "name": r.name,
-                "lat": r.centroid.lat,
-                "lon": r.centroid.lon,
-                "region_id": rid,
-            })
-        matches.sort(key=lambda m: (m["name"], m["region_id"]))
-        return {"query": str(action.args["query"]), "matches": matches}
-
-
-class _CropAdapter(_SynthAdapter):
-    tool = Tool.CROP
-
-    def run(self, action: Action) -> dict:
-        ref = str(action.args["image"])
-        self._box.resolve(ref)  # validate the ref
-        return crop_payload(ref, action.args["box"])
-
 
 class SyntheticToolbox:
-    """Adapter set answering all seven tools from one world.
+    """All seven tools answered from one world.
 
     Scene descriptors are registered under reference strings (the values
     that flow through image args); crop-derived refs resolve back to their
@@ -752,13 +733,9 @@ class SyntheticToolbox:
             raise KeyError(f"unregistered image ref: {base!r}")
         return self._scenes[base]
 
+    def answer(self, tool: Tool, args: dict) -> dict:
+        """``tool``'s payload for ``args``; an unknown image raises KeyError."""
+        return _ANSWERS[tool](self, args)
+
     def adapters(self) -> dict[Tool, _SynthAdapter]:
-        kinds = (
-            _CaptionAdapter, _CropAdapter, _OcrAdapter, _KnowledgeBaseAdapter,
-            _TextSearchAdapter, _ImageSearchAdapter, _GeocodeAdapter,
-        )
-        return {cls.tool: cls(self) for cls in kinds}
-
-
-def synthetic_adapters(world: SynthWorld) -> SyntheticToolbox:
-    return SyntheticToolbox(world)
+        return {tool: _SynthAdapter(self, tool) for tool in _ANSWERS}

@@ -435,6 +435,27 @@ def test_live_bench_writes_replayable_traces(live_workspace, capsys):
         assert replays_clean(trace, live_workspace["gazetteer"])
 
 
+@pytest.mark.parametrize("answer", ["non-finite number", "mistyped tags"])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_live_commands_survive_a_malformed_caption(live_workspace, capsys, command, answer):
+    from geoprobe.actions import Tool
+
+    server = live_workspace["server"]
+    if answer == "non-finite number":
+        server.set_behavior(Tool.CAPTION, raw_body=b'{"caption": "x", "tags": [], "score": NaN}')
+    else:
+        server.set_canned(Tool.CAPTION, {"caption": "x", "tags": 5})
+    # Without its caption's tags, the first sample's episode cannot finalize.
+    expected = EXIT_EXHAUSTED if command == "run" else EXIT_OK
+    assert run_live(live_workspace, command) == expected
+    assert server.count(Tool.CAPTION) > 0
+    out = live_workspace["root"] / ("live-run" if command == "run" else "live-bench")
+    traces = sorted(out.rglob("*.trace.jsonl"))
+    assert len(traces) == (1 if command == "run" else 4)
+    for trace in traces:
+        assert replays_clean(trace, live_workspace["gazetteer"])
+
+
 @pytest.fixture()
 def closed_transports(monkeypatch):
     """Every ``HttpTransport`` closed during the test, in order."""

@@ -417,6 +417,21 @@ class TestExtraction:
                {"image": "scene/0#crop(0.10,0.10,0.50,0.50)", "box": [0.1, 0.1, 0.5, 0.5]})
         assert extract_evidence(r, gaz) == []
 
+    @pytest.mark.parametrize("tool, payload", [
+        (Tool.IMAGE_SEARCH, {"candidates": [{"region_id": "cn-a-1", "score": "high"}]}),
+        (Tool.TEXT_SEARCH, {"hits": [{"title": "a", "lat": "north", "lon": 114.3}]}),
+        (Tool.GEOCODE, {"matches": [{"name": "pier", "lat": 95.0, "lon": 117.2}]}),
+        (Tool.KNOWLEDGE_BASE, {"records": [{"title": "Rivertown", "lat": [30.5], "lon": 114.3}]}),
+        (Tool.GEOCODE, {"matches": [{"name": "Rivertown", "region_id": ["cn-a-1"]}]}),
+        (Tool.IMAGE_SEARCH, {"candidates": [{"region_id": "cn-a-1", "score": 0.9}, "cn-a-2"]}),
+        (Tool.CAPTION, {"caption": "x", "tags": 5}),
+    ], ids=["string score", "string lat", "lat 95", "list lat", "list region id",
+            "string candidate", "int tags"])
+    def test_mistyped_payload_yields_nothing(self, gaz, tool, payload):
+        table = {"rice-paddies": frozenset({"cn-a"})}
+        r = ok(Action(1, M.SEMANTIC_SYMBOL, tool, {}), payload)
+        assert extract_evidence(r, gaz, tag_table=table) == []
+
     def test_ids_sequential_from_start(self, gaz):
         r = ok(act(1, Tool.OCR, M.SEMANTIC_SYMBOL),
                {"spans": [{"text": "Rivertown"}, {"text": "Lakeside"}, {"text": "Edotown"}]})

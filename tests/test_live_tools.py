@@ -8,6 +8,7 @@ over real localhost HTTP.
 from __future__ import annotations
 
 import base64
+import json
 import logging
 import socket
 import socketserver
@@ -17,8 +18,10 @@ import time
 import pytest
 import requests
 import urllib3
+from hypothesis import given
+from hypothesis import strategies as st
 
-from geoprobe.actions import Action, CapabilityModule, Tool
+from geoprobe.actions import ARG_SCHEMAS, Action, ArgKind, CapabilityModule, Tool
 from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.defaults import DEFAULT_MAX_PARALLEL
 from geoprobe.errors import ConfigError
@@ -37,7 +40,10 @@ from geoprobe.live_tools import (
     HttpTransport,
     LiveAdapter,
     LocalCropAdapter,
+    NETWORK_TOOLS,
     TOOL_PATHS,
+    WIRE_FIELDS,
+    _encode_json,
     endpoints_for_base,
     live_adapter_request,
     live_adapters,
@@ -151,6 +157,38 @@ def test_crop_has_no_wire_format():
         request_body(Tool.CROP, act)
 
 
+def test_wire_fields_cover_every_network_tool_and_arg():
+    assert set(WIRE_FIELDS) == NETWORK_TOOLS == set(TOOL_PATHS)
+    for tool, fields in WIRE_FIELDS.items():
+        assert set(fields) == set(ARG_SCHEMAS[tool]), tool
+
+
+_ARG_VALUES = {
+    ArgKind.TEXT: st.text(),
+    ArgKind.REGION_ID: st.text(),
+    ArgKind.IMAGE_REF: st.text(),
+    ArgKind.BOUNDING_BOX: st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+}
+
+
+@st.composite
+def network_probes(draw):
+    tool = draw(st.sampled_from(sorted(NETWORK_TOOLS, key=lambda t: t.value)))
+    schema = ARG_SCHEMAS[tool]
+    args = draw(st.fixed_dictionaries(
+        {arg: _ARG_VALUES[spec.kind] for arg, spec in schema.items() if spec.required},
+        optional={arg: _ARG_VALUES[spec.kind]
+                  for arg, spec in schema.items() if not spec.required}))
+    return probe(tool, args)
+
+
+@given(network_probes(), st.integers(1, 50))
+def test_stub_reads_back_the_args_the_client_sends(action, top_k):
+    sent = json.loads(_encode_json(request_body(action.tool, action, top_k=top_k)))
+    expected = {arg: list(v) if arg == "box" else v for arg, v in action.args.items()}
+    assert stub_server._wire_args(action.tool, sent) == expected
+
+
 # -- endpoint configuration -------------------------------------------------
 
 
@@ -209,8 +247,8 @@ def test_world_backed_ocr_matches_in_process_adapter(world, stub):
     eps = fast_endpoints(stub)
     act = probe(Tool.OCR, {"image": "scene/0"})
     over_http = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(act)
-    from geoprobe.synthworld import synthetic_adapters
-    toolbox = synthetic_adapters(world)
+    from geoprobe.synthworld import SyntheticToolbox
+    toolbox = SyntheticToolbox(world)
     toolbox.register("scene/0", desc)
     in_process = toolbox.adapters()[Tool.OCR].execute(act)
     assert over_http.ok and over_http.payload == in_process.payload
@@ -333,6 +371,17 @@ def test_json_array_body_is_bad_response(stub):
     assert result.detail == "[1, 2, 3]"
 
 
+@pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e999"])
+def test_non_finite_number_is_bad_response_with_raw_body(stub, number):
+    raw = b'{"caption": "x", "tags": [], "score": ' + number + b"}"
+    stub.set_behavior(Tool.CAPTION, raw_body=raw)
+    eps = fast_endpoints(stub, retries=0)
+    result = LiveAdapter(Tool.CAPTION, eps[Tool.CAPTION]).execute(
+        probe(Tool.CAPTION, {"image": "scene/0"}))
+    assert result.error == "BadResponse"
+    assert result.detail == raw.decode()
+
+
 def test_connection_refused_becomes_network_error():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -360,6 +409,18 @@ def test_malformed_request_body_is_rejected_in_band(world, stub):
     act = Action(1, CapabilityModule.SEMANTIC_SYMBOL, Tool.OCR, {})
     result = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(act)
     assert result.status is ToolStatus.TOOL_ERROR
+    assert result.error == "RequestRejected"
+    assert result.detail.startswith("HTTP 400")
+    assert stub.count(Tool.OCR) == 1
+
+
+def test_worldless_stub_answers_tool_routes_404():
+    with StubToolServer() as server:
+        result = LiveAdapter(Tool.GEOCODE, server.endpoints()[Tool.GEOCODE]).execute(
+            probe(Tool.GEOCODE, {"query": "x"}))
+        assert result.error == "RequestRejected"
+        assert result.detail == 'HTTP 404: {"error": "no world attached"}'
+        assert server.count(Tool.GEOCODE) == 1
 
 
 def test_redirect_is_rejected_not_followed(stub):

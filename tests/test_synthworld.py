@@ -21,6 +21,7 @@ from geoprobe.synthworld import (
     Poi,
     SceneDescriptor,
     SynthWorld,
+    SyntheticToolbox,
     Truth,
     compatible_cities,
     generate_world,
@@ -28,7 +29,6 @@ from geoprobe.synthworld import (
     match_candidates,
     sample_episode,
     save_world,
-    synthetic_adapters,
     tag_kind,
 )
 
@@ -41,7 +41,7 @@ MACRO_KINDS = {ClueKind.VEGETATION, ClueKind.TERRAIN}
 
 
 def scene_adapters(world, desc, ref="scene/0"):
-    box = synthetic_adapters(world)
+    box = SyntheticToolbox(world)
     box.register(ref, desc)
     return box.adapters()
 
