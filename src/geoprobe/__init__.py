@@ -16,7 +16,7 @@ The package is organized in layers:
   event, a payload hash per tool result), trace loading, and bounded
   context compression.
 - :mod:`geoprobe.engine` — the decision/execution/projection loop, and
-  replay verification, which re-runs the loop's transitions on a trace.
+  replay verification, which runs the loop again on a trace's inputs.
 - :mod:`geoprobe.synthworld` — deterministic synthetic worlds and
   in-process tool adapters for offline testing.
 - :mod:`geoprobe.live_tools` / :mod:`geoprobe.stub_server` — HTTP tool
@@ -104,6 +104,7 @@ _EXPORTS = {
     "LABEL_NO_TEXT_SEARCH": "executor",
     "LABEL_NO_TOOLS": "executor",
     "AblationConfig": "executor",
+    "EpisodeSettings": "executor",
     "ToolResult": "executor",
     "execute_batch": "executor",
     "extract_evidence": "executor",

@@ -22,7 +22,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .defaults import DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS
 from .errors import (
     ConfigError,
     DatasetError,
@@ -30,7 +29,7 @@ from .errors import (
     EmptyPredictionsError,
     UnmatchedPredictionError,
 )
-from .executor import AblationConfig
+from .executor import EpisodeSettings
 from .geo import (
     AdminRegion,
     Gazetteer,
@@ -652,10 +651,7 @@ def run_benchmark(
     g: Gazetteer | None = None,
     adapters=None,
     tag_table=None,
-    ablation: AblationConfig = AblationConfig(),
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_parallel: int = DEFAULT_MAX_PARALLEL,
-    context_budget: int = DEFAULT_CONTEXT_BUDGET,
+    settings: EpisodeSettings = EpisodeSettings(),
     workers: int = 1,
     trace_dir=None,
     config_hash: str = "bench",
@@ -693,6 +689,7 @@ def run_benchmark(
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
+    label = settings.ablation.label()
 
     def run_one(sample: BenchmarkSample) -> BenchEntry:
         trace_path = (
@@ -700,9 +697,7 @@ def run_benchmark(
         )
         episode = dict(
             trace_path=trace_path, config_hash=config_hash,
-            meta={"sample_id": sample.id, "label": ablation.label()},
-            max_steps=max_steps, max_parallel=max_parallel,
-            context_budget=context_budget, ablation=ablation,
+            meta={"sample_id": sample.id, "label": label}, settings=settings,
         )
         try:
             if sample.descriptor is not None:
@@ -740,6 +735,6 @@ def run_benchmark(
             entries = tuple(pool.map(run_one, samples))
     preds = [e.prediction for e in entries if e.prediction is not None]
     report = compute_report(
-        preds, samples, gazetteer, label=ablation.label(),
+        preds, samples, gazetteer, label=label,
         thresholds=thresholds, aliases=aliases)
     return BenchmarkRun(entries=entries, report=report)

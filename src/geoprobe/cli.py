@@ -21,14 +21,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .bench import (
-    DEFAULT_MIX,
-    load_dataset,
-    make_benchmark,
-    render_text_table,
-    run_benchmark,
-    save_dataset,
-)
 from .canonical import canonical_json
 from .config import TOOLS_SYNTHETIC, RunConfig, build_backend, load_config
 from .engine import record_episode, replay, run_synthetic_episode
@@ -102,12 +94,6 @@ def _tools(cfg: RunConfig):
             backend.close()
 
 
-def _episode_settings(cfg: RunConfig) -> dict:
-    return dict(max_steps=cfg.max_steps, max_parallel=cfg.max_parallel,
-                context_budget=cfg.context_budget, ablation=cfg.ablation,
-                config_hash=cfg.config_hash())
-
-
 # -- run --------------------------------------------------------------------
 
 
@@ -115,7 +101,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     trace_path = out / "run.trace.jsonl"
-    settings = _episode_settings(cfg)
+    recording = dict(settings=cfg.episode, config_hash=cfg.config_hash())
 
     with _tools(cfg) as (backend, world, g, tag_table, adapters):
         if world is not None:
@@ -124,13 +110,13 @@ def cmd_run(args) -> int:
             result = run_synthetic_episode(
                 world, _load_descriptor(args.descriptor), backend,
                 image_ref=args.image or "scene/0", trace_path=str(trace_path),
-                **settings)
+                **recording)
         else:
             if not args.image:
                 raise ConfigError("live tools need --image")
             result = record_episode(
                 backend, adapters, g, image_ref=args.image, tag_table=tag_table,
-                trace_path=str(trace_path), **settings)
+                trace_path=str(trace_path), **recording)
 
     if result.prediction is None:
         print(f"exhausted; trace: {trace_path}")
@@ -147,6 +133,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import load_dataset, render_text_table, run_benchmark
+
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     samples = load_dataset(args.dataset)
@@ -155,7 +143,7 @@ def cmd_bench(args) -> int:
             samples, backend, world,
             g=g, adapters=adapters, tag_table=tag_table,
             workers=args.workers, trace_dir=out / "traces",
-            **_episode_settings(cfg),
+            settings=cfg.episode, config_hash=cfg.config_hash(),
         )
     (out / "report.json").write_text(canonical_json(run.report.to_json()) + "\n")
     (out / "report.txt").write_text(render_text_table(run.report))
@@ -176,13 +164,17 @@ def cmd_bench(args) -> int:
 def cmd_replay(args) -> int:
     if bool(args.gazetteer) == bool(args.world):
         raise ConfigError("replay needs exactly one of --gazetteer / --world")
-    g = (
-        load_gazetteer(args.gazetteer) if args.gazetteer
-        else load_world(args.world).gazetteer
-    )
+    if args.tag_table and not args.gazetteer:
+        raise ConfigError("--tag-table goes with --gazetteer; a world has its own")
+    if args.gazetteer:
+        g = load_gazetteer(args.gazetteer)
+        tag_table = load_tag_table(args.tag_table, g) if args.tag_table else None
+    else:
+        world = load_world(args.world)
+        g, tag_table = world.gazetteer, world.tag_table()
     trace = load_trace(args.trace)
     try:
-        report = replay(trace, g)
+        report = replay(trace, g, tag_table)
     except HashMismatchError as exc:
         print(f"HashMismatch at {exc}")
         return EXIT_MISMATCH
@@ -213,6 +205,8 @@ def _parse_mix(raw: str) -> dict[Difficulty, float]:
 
 
 def cmd_synth(args) -> int:
+    from .bench import DEFAULT_MIX, make_benchmark, save_dataset
+
     if args.provinces < 1 or args.cities < 1:
         raise ConfigError("sizes must be >= 1")
     if args.samples < 1:
@@ -267,6 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--trace", required=True, help="trace JSONL file")
     rep.add_argument("--gazetteer", help="gazetteer JSON file")
     rep.add_argument("--world", help="synthetic world JSON file")
+    rep.add_argument("--tag-table", help="the tag table JSON file the run used "
+                                         "(with --gazetteer)")
     rep.set_defaults(func=cmd_replay)
 
     synth = sub.add_parser("synth", help="generate a world and benchmark")

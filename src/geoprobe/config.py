@@ -19,9 +19,8 @@ from pathlib import Path
 
 from .actions import Tool
 from .canonical import canonical_hash
-from .defaults import DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS
 from .errors import ConfigError
-from .executor import ALL_TOOLS, AblationConfig
+from .executor import EpisodeSettings
 from .live_tools import (
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
@@ -132,20 +131,6 @@ class ToolsSpec:
             raise ConfigError(f"bad tools settings: {exc}")
 
 
-def _ablation_from_json(obj) -> AblationConfig:
-    if obj is None:
-        return AblationConfig()
-    if not isinstance(obj, list) or not all(isinstance(t, str) for t in obj):
-        raise ConfigError("ablation must be a list of enabled tool names")
-    enabled = set()
-    for name in obj:
-        try:
-            enabled.add(Tool(name))
-        except ValueError:
-            raise ConfigError(f"unknown tool in ablation list: {name!r}")
-    return AblationConfig(frozenset(enabled))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run or benchmark needs, minus the secrets."""
@@ -153,33 +138,22 @@ class RunConfig:
     gazetteer: str | None = None
     backend: BackendSpec = field(default_factory=BackendSpec)
     tools: ToolsSpec = field(default_factory=lambda: ToolsSpec(world="world.json"))
-    ablation: AblationConfig = field(default_factory=AblationConfig)
     tag_table: str | None = None
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_parallel: int = DEFAULT_MAX_PARALLEL
-    context_budget: int = DEFAULT_CONTEXT_BUDGET
+    episode: EpisodeSettings = EpisodeSettings()
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be >= 1")
-        if self.max_parallel < 1:
-            raise ConfigError("max_parallel must be >= 1")
-        if self.context_budget < 1:
-            raise ConfigError("context_budget must be >= 1")
         if self.gazetteer is None and self.tools.mode != TOOLS_SYNTHETIC:
             raise ConfigError("a gazetteer path is required outside synthetic mode")
 
     def to_json(self) -> dict:
+        """One flat object: the episode settings sit beside the other keys."""
         return {
             "gazetteer": self.gazetteer,
             "backend": self.backend.to_json(),
             "tools": self.tools.to_json(),
-            "ablation": sorted(t.value for t in self.ablation.enabled_tools),
             "tag_table": self.tag_table,
-            "max_steps": self.max_steps,
-            "max_parallel": self.max_parallel,
-            "context_budget": self.context_budget,
+            **self.episode.to_json(),
             "out_dir": self.out_dir,
         }
 
@@ -213,11 +187,8 @@ class RunConfig:
                 gazetteer=path_of(obj.get("gazetteer")),
                 backend=BackendSpec.from_json(obj.get("backend", {})),
                 tools=tools,
-                ablation=_ablation_from_json(obj.get("ablation")),
                 tag_table=path_of(obj.get("tag_table")),
-                max_steps=int(obj.get("max_steps", DEFAULT_MAX_STEPS)),
-                max_parallel=int(obj.get("max_parallel", DEFAULT_MAX_PARALLEL)),
-                context_budget=int(obj.get("context_budget", DEFAULT_CONTEXT_BUDGET)),
+                episode=EpisodeSettings.from_json(obj),
                 out_dir=path_of(obj.get("out_dir", "out")),
             )
         except (TypeError, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""Run defaults shared by the config, the engine, the planner and the executor."""
+"""Episode defaults, shared by ``EpisodeSettings``, the planner and the HTTP pool."""
 
 DEFAULT_MAX_STEPS = 12
 DEFAULT_MAX_PARALLEL = 4

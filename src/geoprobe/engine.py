@@ -6,25 +6,26 @@ projection had to discard evidence — a Backtrack event. Each event carries
 the hash of the post-event state and each tool result the hash of its
 payload. Every event derived from the state is built by ``_project``
 (Projection, Backtrack) or ``_conclude`` (Finalize, InsufficientEvidence
-Error): ``run_episode`` records the events they return, and ``replay``
-re-runs them on a trace and requires each recorded event to equal the one
-they emit. The events are not hash-chained (ROADMAP open item 2).
+Error). ``replay`` is the same loop fed from a trace: it runs
+``run_episode`` on the recorded decisions and tool results and requires it
+to record exactly the trace's events. The events are not hash-chained
+(ROADMAP open item 3).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
-from .actions import Decision, render_action_schema
-from .canonical import canonical_hash
-from .defaults import DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS
+from .actions import Action, Decision, Tool, parse_decision, render_action_schema
 from .errors import (
     BackendUnavailableError,
+    ConfigError,
     GeoprobeError,
     HashMismatchError,
     InsufficientEvidenceError,
 )
-from .executor import AblationConfig, execute_batch, extract_evidence
+from .executor import EpisodeSettings, ToolResult, ToolStatus, execute_batch, extract_evidence
 from .geo import Gazetteer, reverse_geocode
 from .planner import PlannerContext, decide_next, describe_scene, summarize_space
 from .recorder import (
@@ -141,14 +142,9 @@ def run_episode(
     image_ref: str = "scene/0",
     descriptor: SceneDescriptor | None = None,
     tag_table=None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_parallel: int = DEFAULT_MAX_PARALLEL,
-    context_budget: int = DEFAULT_CONTEXT_BUDGET,
-    ablation: AblationConfig = AblationConfig(),
+    settings: EpisodeSettings = EpisodeSettings(),
 ) -> EpisodeResult:
-    """Run one episode to Finalized or Exhausted within ``max_steps``."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    """Run one episode to Finalized or Exhausted within ``settings.max_steps``."""
     schema = render_action_schema()
     scene_text = describe_scene(descriptor, image_ref)
     state = EpisodeState()
@@ -156,15 +152,16 @@ def run_episode(
     next_evidence_id = 1
     next_action_id = 1
 
-    for step_no in range(1, max_steps + 1):
+    for step_no in range(1, settings.max_steps + 1):
         hint = derive_poi_hint(state, g)
         ctx = PlannerContext(
             image_descriptor=scene_text,
-            compressed_history=compress(state, recorder.events, g, budget=context_budget),
+            compressed_history=compress(state, recorder.events, g,
+                                        budget=settings.context_budget),
             candidate_summary=summarize_space(state.space, g),
             schema_text=schema,
             step=step_no,
-            remaining_steps=max_steps - step_no,
+            remaining_steps=settings.max_steps - step_no,
             image_ref=image_ref,
             descriptor=descriptor,
             space=state.space,
@@ -173,7 +170,7 @@ def run_episode(
             active_evidence_ids=tuple(e.id for e in state.active_evidence()),
             events=tuple(recorder.events),
             next_action_id=next_action_id,
-            max_parallel=max_parallel,
+            max_parallel=settings.max_parallel,
         )
         try:
             decision = decide_next(backend, ctx)
@@ -197,8 +194,8 @@ def run_episode(
             recorder.record(*event)
             break
 
-        results = execute_batch(decision.actions, adapters, ablation,
-                                max_workers=max_parallel)
+        results = execute_batch(decision.actions, adapters, settings.ablation,
+                                max_workers=settings.max_parallel)
         recorder.record(EventKind.EXECUTION, state,
                         {"results": [r.to_json() for r in results]})
 
@@ -228,22 +225,25 @@ def record_episode(
     config_hash: str,
     trace_path: str | None = None,
     meta: dict | None = None,
+    settings: EpisodeSettings = EpisodeSettings(),
     **episode,
 ) -> EpisodeResult:
     """Run one episode under its own trace header and recorder.
 
-    The header ties the trace to the gazetteer, the config and ``image_ref``
-    plus ``meta``. Given ``trace_path``, the trace is also written there as
-    JSONL. ``episode`` goes to ``run_episode``.
+    The header ties the trace to the gazetteer, the config, the episode
+    ``settings`` and ``image_ref`` plus ``meta``. Given ``trace_path``, the
+    trace is also written there as JSONL. ``settings`` and ``episode`` go
+    to ``run_episode``.
     """
     header = TraceHeader(
         gazetteer_hash=g.content_hash(),
         config_hash=config_hash,
         meta={"image_ref": image_ref, **(meta or {})},
+        episode=settings.to_json(),
     )
     with TraceRecorder(header, trace_path) as recorder:
         return run_episode(backend, adapters, g, recorder,
-                           image_ref=image_ref, **episode)
+                           image_ref=image_ref, settings=settings, **episode)
 
 
 def run_synthetic_episode(
@@ -279,91 +279,87 @@ class ReplayReport:
     events_verified: int
 
 
-def _expect(
-    events: tuple[TrajectoryEvent, ...],
-    seq: int,
-    kind: EventKind,
-    state: EpisodeState | None = None,
-    payload: dict | None = None,
-) -> TrajectoryEvent:
-    """The event at ``seq``, which must be a ``kind`` recorded for ``state``
-    and with ``payload``, each when given. A Decision's, Execution's or
-    BackendUnavailable Error's payload is an input, not derived."""
-    if seq >= len(events):
-        raise HashMismatchError(seq, f"trace ends where {kind.value} is expected")
-    event = events[seq]
-    if event.kind is not kind:
-        raise HashMismatchError(seq, f"expected {kind.value}, found {event.kind.value}")
-    if payload is not None and event.payload != payload:
-        raise HashMismatchError(seq, f"recorded {kind.value} diverges from the recomputed one")
-    if state is not None and (event.step != state.step
-                              or event.state_hash != state.snapshot_hash()):
-        raise HashMismatchError(seq, "state hash mismatch")
-    return event
+class TraceBackend:
+    """A trace's recorded inputs, fed back to ``run_episode``: as its backend,
+    the Decision recorded at the seq being decided, parsed again (where none
+    is, an unavailable backend); as every tool's adapter, the result the next
+    event records for the action's id, rebuilt with the action's id and tool."""
+
+    def __init__(self, events: tuple[TrajectoryEvent, ...]):
+        self._events = events
+        self._seq = 0
+        self._wire = None
+
+    def decide(self, ctx: PlannerContext) -> Decision:
+        self._seq = len(ctx.events)
+        payload = self._events[self._seq].payload if self._seq < len(self._events) else {}
+        self._wire = payload.get("llm_wire")
+        if "decision" not in payload:
+            raise BackendUnavailableError(payload.get("detail"))
+        return parse_decision(json.dumps(payload["decision"]),
+                              start_id=ctx.next_action_id, max_parallel=ctx.max_parallel)
+
+    def drain_wire_log(self):
+        wire, self._wire = self._wire, None
+        return wire
+
+    def execute(self, action: Action) -> ToolResult:
+        results = self._events[self._seq + 1].payload["results"]
+        r = {r["action_id"]: r for r in results}[action.id]
+        return ToolResult(action.id, action.tool, ToolStatus(r["status"]), r["payload"],
+                          r["error"], r["detail"], r["latency_ms"])
 
 
-def replay(trace: Trace, g: Gazetteer) -> ReplayReport:
-    """Re-run the episode's transitions on the trace and verify every event.
+#: What recorded inputs that no run could have produced make the run raise.
+_UNREPLAYABLE = (GeoprobeError, LookupError, TypeError, ValueError, AttributeError,
+                 OverflowError)
 
-    A step opens with a Decision, or with the BackendUnavailable Error of a
-    backend that could not decide. A probe Decision is followed by the
-    Execution answering exactly its actions, then by what ``_project`` emits
-    for the recorded evidence; a finalize Decision by what ``_conclude``
-    emits for the POI hint derived from the replayed state. The step budget
-    makes the last step conclude, so a trace ends with its episode, at a
-    Finalize or an Error. Decision ``thought`` and ``args``, result fields
-    other than the tool and the payload and its hash, and the evidence
-    itself are accepted as recorded (ROADMAP open item 2). A gazetteer
-    mismatch is reported as seq -1.
+
+def _compared(event: TrajectoryEvent) -> str:
+    """Kind, step, payload and state hash as JSON, where ``true`` and ``1`` differ."""
+    return json.dumps([event.kind.value, event.step, event.payload, event.state_hash],
+                      sort_keys=True)
+
+
+def replay(trace: Trace, g: Gazetteer, tag_table=None) -> ReplayReport:
+    """Run the episode again on the trace's inputs and require it to record
+    the trace's events, ``wall_time`` aside.
+
+    ``run_episode`` runs under the header's episode settings (the defaults
+    if it has none), fed by a ``TraceBackend`` and extracting evidence with
+    the run's ``tag_table``, so all but the inputs is derived again (ROADMAP
+    open item 3). The first seq that differs is named: for a trace that ends
+    early its first missing seq, for an input that cannot be replayed the
+    seq being recorded, for the gazetteer or the settings -1.
     """
     if g.content_hash() != trace.header.gazetteer_hash:
         raise HashMismatchError(-1, "gazetteer hash does not match trace header")
-
-    events = trace.events
-    state = EpisodeState()
-    prediction: Prediction | None = None
-    seq = 0
     try:
-        while state.status is EpisodeStatus.RUNNING:
-            if seq < len(events) and events[seq].kind is EventKind.ERROR:
-                error = _expect(events, seq, EventKind.ERROR, state)
-                if error.payload["error"] != "BackendUnavailable":
-                    raise HashMismatchError(seq, "only a BackendUnavailable Error may open a step")
-                state = replace(state, status=EpisodeStatus.EXHAUSTED)
-                seq += 1
-                continue
+        settings = EpisodeSettings.from_json(
+            {} if trace.header.episode is None else trace.header.episode)
+    except ConfigError as exc:
+        raise HashMismatchError(-1, f"bad episode settings: {exc}") from None
 
-            decision = _expect(events, seq, EventKind.DECISION, state).payload["decision"]
-            seq += 1
-            if decision["finalize"] is True:
-                state, prediction, event = _conclude(state, g, derive_poi_hint(state, g))
-                _expect(events, seq, *event)
-                seq += 1
-                continue
+    recorded = trace.events
+    backend = TraceBackend(recorded)
+    recorder = TraceRecorder(trace.header)
+    failure = None
+    try:
+        result = run_episode(backend, dict.fromkeys(Tool, backend), g, recorder,
+                             tag_table=tag_table, settings=settings)
+    except _UNREPLAYABLE as exc:
+        failure = exc
 
-            results = _expect(events, seq, EventKind.EXECUTION, state).payload["results"]
-            for res in results:
-                if canonical_hash(res["payload"]) != res["payload_sha256"]:
-                    raise HashMismatchError(
-                        seq, f"result payload hash mismatch for action {res['action_id']}")
-            if (sorted((r["action_id"], r["tool"]) for r in results)
-                    != sorted((a["id"], a["tool"]) for a in decision["actions"])):
-                raise HashMismatchError(seq, "results do not answer the decided actions")
-            seq += 1
-
-            recorded = _expect(events, seq, EventKind.PROJECTION).payload["evidence"]
-            state, step_events = _project(state, [Evidence.from_json(e) for e in recorded], g)
-            for event in step_events:
-                _expect(events, seq, *event)
-                seq += 1
-    except HashMismatchError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
-            GeoprobeError) as exc:
-        raise HashMismatchError(
-            seq, f"malformed event payload ({type(exc).__name__}: {exc})"
-        ) from None
-
-    if seq < len(events):
-        raise HashMismatchError(seq, "event after the episode ended")
-    return ReplayReport(state, prediction, len(events))
+    emitted = recorder.events
+    for seq, (mine, theirs) in enumerate(zip(emitted, recorded)):
+        if _compared(mine) != _compared(theirs):
+            raise HashMismatchError(
+                seq, f"recorded {theirs.kind.value} diverges from the replayed one")
+    if len(emitted) > len(recorded):
+        raise HashMismatchError(len(recorded), "trace ends before the episode does")
+    if failure is not None:
+        raise HashMismatchError(len(emitted), f"recorded input cannot be replayed "
+                                              f"({type(failure).__name__}: {failure})")
+    if len(emitted) < len(recorded):
+        raise HashMismatchError(len(emitted), "event after the episode ended")
+    return ReplayReport(result.state, result.prediction, len(recorded))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 from .actions import Action, Tool
-from .canonical import canonical_hash
-from .defaults import DEFAULT_MAX_PARALLEL
+from .canonical import canonical_hash, json_int
+from .defaults import DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS
 from .errors import ConfigError, UnknownRegionError
 from .geo import Gazetteer, GeoPoint, region_contains
 from .state import Evidence, Provenance
@@ -134,17 +134,48 @@ class AblationConfig:
             return LABEL_NO_TOOLS
         return "custom: " + ", ".join(sorted(t.value for t in self.enabled_tools))
 
+
+#: The settings that count something; each must be at least 1.
+_COUNTS = ("max_steps", "max_parallel", "context_budget")
+
+
+@dataclass(frozen=True)
+class EpisodeSettings:
+    """What one episode runs under. A trace header records it, and replay
+    runs under what the header recorded."""
+
+    max_steps: int = DEFAULT_MAX_STEPS
+    max_parallel: int = DEFAULT_MAX_PARALLEL
+    context_budget: int = DEFAULT_CONTEXT_BUDGET
+    ablation: AblationConfig = AblationConfig()
+
+    def __post_init__(self):
+        for name in _COUNTS:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+
+    def to_json(self) -> dict:
+        return {**{name: getattr(self, name) for name in _COUNTS},
+                "ablation": sorted(t.value for t in self.ablation.enabled_tools)}
+
     @classmethod
-    def from_label(cls, label: str) -> "AblationConfig":
-        table = {
-            LABEL_FULL: ALL_TOOLS,
-            LABEL_NO_IMAGE_SEARCH: ALL_TOOLS - {Tool.IMAGE_SEARCH},
-            LABEL_NO_TEXT_SEARCH: ALL_TOOLS - {Tool.TEXT_SEARCH},
-            LABEL_NO_TOOLS: frozenset(),
-        }
-        if label not in table:
-            raise ConfigError(f"unknown ablation label: {label!r}")
-        return cls(table[label])
+    def from_json(cls, obj) -> "EpisodeSettings":
+        """Missing keys take their defaults; ``ablation`` lists the enabled
+        tools. A bad value raises ConfigError naming its key or tool."""
+        if not isinstance(obj, dict):
+            raise ConfigError("episode settings must be an object")
+        names = obj.get("ablation")
+        if names is not None and not (
+                isinstance(names, list) and all(isinstance(t, str) for t in names)):
+            raise ConfigError("ablation must be a list of enabled tool names")
+        try:
+            counts = {name: json_int(obj, name) for name in _COUNTS if name in obj}
+            enabled = ALL_TOOLS if names is None else frozenset(map(Tool, names))
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
+        except ValueError as exc:
+            raise ConfigError(f"unknown tool in ablation list: {exc}") from None
+        return cls(**counts, ablation=AblationConfig(enabled))
 
 
 def execute_batch(

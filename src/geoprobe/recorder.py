@@ -15,9 +15,10 @@ written back on the kernel's normal schedule. This only matters when a run
 re-writes traces that already exist, e.g. a second run into one directory.
 
 Events carry a hash of the post-event episode state; execution results
-carry a hash of their own payload. ``geoprobe.engine.replay`` re-runs the
-engine's transitions on a loaded trace and names the first event that
-diverges from them.
+carry a hash of their own payload. ``geoprobe.engine.replay`` runs the
+episode again from a loaded trace's recorded inputs and names the first
+event that diverges from what it records. The events are not hash-chained
+(ROADMAP open item 3).
 """
 
 from __future__ import annotations
@@ -78,10 +79,14 @@ class TrajectoryEvent:
 
 @dataclass(frozen=True)
 class TraceHeader:
+    """What a trace was recorded against. ``episode`` is the episode
+    settings' JSON; ``None`` stands for the defaults."""
+
     gazetteer_hash: str
     config_hash: str
     format_version: str = TRACE_FORMAT_VERSION
     meta: dict = field(default_factory=dict)
+    episode: dict | None = None
 
     def to_json(self) -> dict:
         return {
@@ -89,6 +94,7 @@ class TraceHeader:
             "gazetteer_hash": self.gazetteer_hash,
             "config_hash": self.config_hash,
             "meta": dict(self.meta),
+            "episode": self.episode,
         }
 
     @classmethod
@@ -98,6 +104,7 @@ class TraceHeader:
             config_hash=str(obj["config_hash"]),
             format_version=str(obj["format_version"]),
             meta=dict(obj.get("meta", {})),
+            episode=obj.get("episode"),
         )
 
 

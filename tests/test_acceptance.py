@@ -35,7 +35,12 @@ from geoprobe.actions import Tool
 from geoprobe.canonical import canonical_json
 from geoprobe.engine import replay, run_synthetic_episode
 from geoprobe.errors import HashMismatchError
-from geoprobe.executor import ALL_TOOLS, AblationConfig, LABEL_NO_IMAGE_SEARCH
+from geoprobe.executor import (
+    ALL_TOOLS,
+    LABEL_NO_IMAGE_SEARCH,
+    AblationConfig,
+    EpisodeSettings,
+)
 from geoprobe.geo import (
     EARTH_RADIUS_KM,
     AdminRegion,
@@ -353,14 +358,14 @@ def test_04_replay_fidelity_100_episodes(tmp_path):
         run_synthetic_episode(world, desc, backend, trace_path=str(path))
         paths.append(path)
         try:
-            replay(load_trace(str(path)), world.gazetteer)
+            replay(load_trace(str(path)), world.gazetteer, world.tag_table())
         except HashMismatchError:
             mismatches += 1
 
     tampered = paths[0]
     seq = _tamper_one_payload_byte(tampered)
     with pytest.raises(HashMismatchError) as caught:
-        replay(load_trace(str(tampered)), world.gazetteer)
+        replay(load_trace(str(tampered)), world.gazetteer, world.tag_table())
     pinpointed = caught.value.seq == seq
 
     verdict(
@@ -485,7 +490,7 @@ def test_06_disabled_image_search_never_reaches_server():
             backend,
             world,
             adapters=live_adapters(server.endpoints()),
-            ablation=AblationConfig(ALL_TOOLS - {Tool.IMAGE_SEARCH}),
+            settings=EpisodeSettings(ablation=AblationConfig(ALL_TOOLS - {Tool.IMAGE_SEARCH})),
         )
         image_search_hits = server.count(Tool.IMAGE_SEARCH)
         total = server.total_requests()

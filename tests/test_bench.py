@@ -724,7 +724,7 @@ def test_run_benchmark_writes_replayable_traces(tmp_path, world, bench_samples):
         assert entry.trace_path is not None
         assert entry.prediction.trace_ref == entry.trace_path
         trace = load_trace(entry.trace_path)
-        report = replay(trace, world.gazetteer)
+        report = replay(trace, world.gazetteer, world.tag_table())
         assert report.events_verified == len(trace.events)
 
 
@@ -744,7 +744,8 @@ def test_rerun_into_one_trace_dir_rewrites_equal_traces(tmp_path, world, bench_s
     assert traces_without_wall_time() == first
     for entry in run.entries:
         trace = load_trace(entry.trace_path)
-        assert replay(trace, world.gazetteer).events_verified == len(trace.events)
+        report = replay(trace, world.gazetteer, world.tag_table())
+        assert report.events_verified == len(trace.events)
 
 
 class _ExplodingBackend:
@@ -787,10 +788,10 @@ def test_run_benchmark_rejects_empty_set(world):
 
 def test_ablation_label_lands_in_report(world, bench_samples):
     from geoprobe.actions import Tool
-    from geoprobe.executor import ALL_TOOLS, AblationConfig
+    from geoprobe.executor import ALL_TOOLS, AblationConfig, EpisodeSettings
     ablation = AblationConfig(frozenset(ALL_TOOLS - {Tool.IMAGE_SEARCH}))
     run = run_benchmark(bench_samples[:5], scripted_salience_policy(), world,
-                        ablation=ablation)
+                        settings=EpisodeSettings(ablation=ablation))
     assert run.report.label == "w/o image search"
     assert "w/o image search" in render_text_table(run.report)
     assert run.report.to_json()["label"] == "w/o image search"
@@ -865,6 +866,6 @@ def test_image_benchmark_over_stub_adapters_records_and_replays(
         assert trace.header.config_hash == "cfg-images"
         assert trace.header.meta == {
             "image_ref": s.image, "label": "full", "sample_id": s.id}
-        report = replay(trace, world.gazetteer)
+        report = replay(trace, world.gazetteer, world.tag_table())
         assert report.events_verified == len(trace.events)
         assert report.prediction.city_name == entry.prediction.city_name

@@ -307,7 +307,8 @@ def test_replay_detects_tampered_trace(workspace, capsys):
                  "--world", str(workspace["world"])])
     assert code == EXIT_MISMATCH
     last = capsys.readouterr().out.splitlines()[-1]
-    assert re.fullmatch(r"HashMismatch at seq \d+: malformed event payload \(.*\)", last)
+    assert re.fullmatch(r"HashMismatch at seq \d+: recorded Projection diverges from the "
+                        r"replayed one", last)
     assert last.count("seq") == 1
 
 
@@ -407,12 +408,21 @@ def live_workspace(workspace):
         }))
         yield {**workspace, "config": config, "samples": samples,
                "dataset": root / f"photos{DATASET_SUFFIX}",
-               "gazetteer": root / "gazetteer.json", "server": server}
+               "gazetteer": root / "gazetteer.json", "tags": root / "tags.json",
+               "server": server}
 
 
-def replays_clean(trace, gazetteer) -> bool:
+def replay_live(trace, workspace, *extra) -> int:
+    """Exit code of replaying ``trace`` against the live workspace's
+    gazetteer, with ``extra`` arguments."""
     return main(["replay", "--trace", str(trace),
-                 "--gazetteer", str(gazetteer)]) == EXIT_OK
+                 "--gazetteer", str(workspace["gazetteer"]), *map(str, extra)])
+
+
+def replays_clean(trace, workspace) -> bool:
+    """Whether ``trace`` replays against the gazetteer and tag table the
+    live run used."""
+    return replay_live(trace, workspace, "--tag-table", workspace["tags"]) == EXIT_OK
 
 
 def test_live_run_writes_replayable_trace(live_workspace, capsys):
@@ -422,7 +432,12 @@ def test_live_run_writes_replayable_trace(live_workspace, capsys):
                  "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "prediction.json").exists()
-    assert replays_clean(out / "run.trace.jsonl", live_workspace["gazetteer"])
+    trace = out / "run.trace.jsonl"
+    assert replays_clean(trace, live_workspace)
+    # The caption's evidence comes from the tag table, so replay needs it.
+    assert replay_live(trace, live_workspace) == EXIT_MISMATCH
+    assert main(["replay", "--trace", str(trace), "--world", str(live_workspace["world"]),
+                 "--tag-table", str(live_workspace["tags"])]) == EXIT_CONFIG
 
 
 def test_live_bench_writes_replayable_traces(live_workspace, capsys):
@@ -432,7 +447,7 @@ def test_live_bench_writes_replayable_traces(live_workspace, capsys):
     traces = sorted((out / "traces").glob("*.trace.jsonl"))
     assert len(traces) == 4
     for trace in traces:
-        assert replays_clean(trace, live_workspace["gazetteer"])
+        assert replays_clean(trace, live_workspace)
 
 
 @pytest.mark.parametrize("answer", ["non-finite number", "mistyped tags"])
@@ -453,7 +468,7 @@ def test_live_commands_survive_a_malformed_caption(live_workspace, capsys, comma
     traces = sorted(out.rglob("*.trace.jsonl"))
     assert len(traces) == (1 if command == "run" else 4)
     for trace in traces:
-        assert replays_clean(trace, live_workspace["gazetteer"])
+        assert replays_clean(trace, live_workspace)
 
 
 @pytest.fixture()

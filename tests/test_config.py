@@ -41,8 +41,8 @@ def test_load_minimal_synthetic_config(workspace):
     cfg = load_config(path)
     assert cfg.backend.kind == "scripted"
     assert cfg.tools.world == str(workspace / "world.json")
-    assert cfg.max_steps == 12
-    assert cfg.ablation.enabled_tools == ALL_TOOLS
+    assert cfg.episode.max_steps == 12
+    assert cfg.episode.ablation.enabled_tools == ALL_TOOLS
 
 
 def test_relative_paths_resolve_against_config_dir(workspace):
@@ -152,6 +152,18 @@ def test_bounds_validated(workspace, field, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", [2.7, True, "3"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("field", ["max_steps", "max_parallel", "context_budget"])
+def test_episode_counts_must_be_json_integers(workspace, field, value):
+    """Read as they are, not coerced: 2.7 is not 2, true is not 1."""
+    path = write_config(workspace, {
+        "tools": {"mode": "synthetic", "world": "world.json"},
+        field: value,
+    })
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        load_config(path)
+
+
 def test_backend_spec_validation():
     with pytest.raises(ConfigError):
         BackendSpec(kind="psychic")
@@ -193,7 +205,7 @@ def test_ablation_list_parsed(workspace):
         "ablation": [t.value for t in ALL_TOOLS if t is not Tool.IMAGE_SEARCH],
     })
     cfg = load_config(path)
-    assert cfg.ablation.label() == "w/o image search"
+    assert cfg.episode.ablation.label() == "w/o image search"
 
 
 def test_ablation_unknown_tool_rejected(workspace):

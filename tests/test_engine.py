@@ -1,5 +1,7 @@
 """Episode loop: end-to-end runs, termination, fault handling, determinism."""
 
+from dataclasses import replace
+
 import pytest
 
 from geoprobe.actions import Action, CapabilityModule, Decision, Tool
@@ -10,8 +12,8 @@ from geoprobe.engine import (
     run_episode,
     run_synthetic_episode,
 )
-from geoprobe.errors import BackendUnavailableError, HashMismatchError
-from geoprobe.executor import AblationConfig
+from geoprobe.errors import BackendUnavailableError, ConfigError, HashMismatchError
+from geoprobe.executor import AblationConfig, EpisodeSettings
 from geoprobe.geo import GeoPoint, reverse_geocode
 from geoprobe.planner import scripted_salience_policy
 from geoprobe.recorder import (
@@ -34,6 +36,7 @@ from conftest import small_gazetteer
 
 M = CapabilityModule
 WORLD = generate_world(2026, 3, 5)
+TAGS = WORLD.tag_table()
 GAZ = small_gazetteer()
 
 
@@ -70,7 +73,7 @@ class TestEndToEnd:
         for difficulty in Difficulty:
             for seed in (0, 7, 23):
                 _, res = run_seeded(seed, difficulty)
-                report = replay(res.trace, WORLD.gazetteer)
+                report = replay(res.trace, WORLD.gazetteer, TAGS)
                 assert report.events_verified == len(res.trace.events)
                 if res.prediction is not None:
                     assert report.prediction.point == res.prediction.point
@@ -95,7 +98,7 @@ class TestEndToEnd:
         _, res = run_seeded(4, Difficulty.EASY, trace_path=str(path))
         loaded = load_trace(str(path))
         assert [e.kind for e in loaded.events] == kinds(res.trace)
-        assert replay(loaded, WORLD.gazetteer).prediction is not None
+        assert replay(loaded, WORLD.gazetteer, TAGS).prediction is not None
 
     def test_poi_variant_predicts_exact_point(self):
         from geoprobe.synthworld import ClueKind
@@ -114,7 +117,7 @@ class TestTermination:
     def test_max_steps_one_with_no_evidence_exhausts(self):
         desc = sample_episode(WORLD, 0, Difficulty.HARD)
         res = run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
-                                    max_steps=1)
+                                    settings=EpisodeSettings(max_steps=1))
         assert res.state.status is EpisodeStatus.EXHAUSTED
         assert res.prediction is None
         ks = kinds(res.trace)
@@ -123,16 +126,15 @@ class TestTermination:
     def test_max_steps_two_forces_early_conclusion(self):
         desc = sample_episode(WORLD, 0, Difficulty.HARD)
         res = run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
-                                    max_steps=2)
+                                    settings=EpisodeSettings(max_steps=2))
         # one probe, then forced finalize on whatever frontier exists
         assert res.state.status in (EpisodeStatus.FINALIZED, EpisodeStatus.EXHAUSTED)
         decisions = [e for e in res.trace.events if e.kind is EventKind.DECISION]
         assert len(decisions) <= 2
 
     def test_invalid_max_steps(self):
-        desc = sample_episode(WORLD, 0, Difficulty.EASY)
-        with pytest.raises(ValueError):
-            run_synthetic_episode(WORLD, desc, scripted_salience_policy(), max_steps=0)
+        with pytest.raises(ConfigError, match="max_steps must be >= 1"):
+            EpisodeSettings(max_steps=0)
 
     def test_every_episode_terminates_within_budget(self):
         for difficulty in Difficulty:
@@ -170,9 +172,10 @@ class TestFaults:
         assert decision_or_error is EventKind.ERROR
         error = res.trace.events[0]
         assert error.payload["error"] == "BackendUnavailable"
-        assert replay(res.trace, WORLD.gazetteer).final_state.status is EpisodeStatus.EXHAUSTED
+        report = replay(res.trace, WORLD.gazetteer, TAGS)
+        assert report.final_state.status is EpisodeStatus.EXHAUSTED
         with pytest.raises(HashMismatchError):  # an episode always records its end
-            replay(Trace(res.trace.header, ()), WORLD.gazetteer)
+            replay(Trace(res.trace.header, ()), WORLD.gazetteer, TAGS)
 
     def test_backend_down_after_evidence_concludes(self):
         desc = sample_episode(WORLD, 5, Difficulty.MEDIUM)
@@ -182,18 +185,19 @@ class TestFaults:
         last_decision = [e for e in res.trace.events
                          if e.kind is EventKind.DECISION][-1]
         assert "backend unavailable" in last_decision.payload["decision"]["thought"]
-        replay(res.trace, WORLD.gazetteer)
+        replay(res.trace, WORLD.gazetteer, TAGS)
 
     def test_all_tools_disabled_exhausts(self):
         desc = sample_episode(WORLD, 2, Difficulty.EASY)
         res = run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
-                                    ablation=AblationConfig(frozenset()))
+                                    settings=EpisodeSettings(ablation=AblationConfig(frozenset())))
         assert res.state.status is EpisodeStatus.EXHAUSTED
         for event in res.trace.events:
             if event.kind is EventKind.EXECUTION:
                 for r in event.payload["results"]:
                     assert r["error"] == "ToolDisabled"
-        assert replay(res.trace, WORLD.gazetteer).final_state.status is EpisodeStatus.EXHAUSTED
+        report = replay(res.trace, WORLD.gazetteer, TAGS)
+        assert report.final_state.status is EpisodeStatus.EXHAUSTED
 
     def test_stubborn_repeating_backend_is_cut_off(self):
         action = Action(1, M.ENVIRONMENTAL, Tool.CAPTION, {"image": "scene/0"})
@@ -211,7 +215,7 @@ class TestFaults:
         assert len(decisions) == 2
         assert decisions[1].payload["decision"]["finalize"] is True
         assert res.state.status in (EpisodeStatus.FINALIZED, EpisodeStatus.EXHAUSTED)
-        replay(res.trace, WORLD.gazetteer)
+        replay(res.trace, WORLD.gazetteer, TAGS)
 
 
 class MultiProbeBackend:
@@ -245,7 +249,7 @@ class TestBatchBookkeeping:
         proj = next(e for e in res.trace.events if e.kind is EventKind.PROJECTION)
         ids = [ev["id"] for ev in proj.payload["evidence"]]
         assert ids == sorted(ids) and len(ids) == len(set(ids))
-        replay(res.trace, WORLD.gazetteer)
+        replay(res.trace, WORLD.gazetteer, TAGS)
 
     def test_action_ids_monotone_across_steps(self):
         _, res = run_seeded(9, Difficulty.MEDIUM)
@@ -254,6 +258,77 @@ class TestBatchBookkeeping:
             if event.kind is EventKind.DECISION:
                 seen.extend(a["id"] for a in event.payload["decision"]["actions"])
         assert seen == sorted(seen) and len(seen) == len(set(seen))
+
+
+class FiveProbeBackend:
+    """First turn: five parallel probes; then defer to the scripted rules."""
+
+    def __init__(self):
+        self.inner = scripted_salience_policy()
+
+    def decide(self, ctx):
+        if ctx.step > 1:
+            return self.inner.decide(ctx)
+        probes = [(M.SEMANTIC_SYMBOL, Tool.OCR, {"image": "scene/0"}),
+                  (M.ENVIRONMENTAL, Tool.CAPTION, {"image": "scene/0"}),
+                  (M.IMAGE_MATCHING, Tool.IMAGE_SEARCH, {"image": "scene/0"}),
+                  (M.INFRASTRUCTURE, Tool.KNOWLEDGE_BASE, {"query": "harbor"}),
+                  (M.ENVIRONMENTAL, Tool.TEXT_SEARCH, {"query": "harbor"})]
+        return Decision(thought="five probes", actions=tuple(
+            Action(ctx.next_action_id + i, module, tool, args)
+            for i, (module, tool, args) in enumerate(probes)))
+
+
+def with_episode(trace, **changes):
+    """``trace`` with its header's episode settings changed."""
+    header = replace(trace.header, episode={**trace.header.episode, **changes})
+    return Trace(header, trace.events)
+
+
+class TestReplayUnderRecordedSettings:
+    """Replay runs under the episode settings the trace header records."""
+
+    def replays(self, res):
+        report = replay(res.trace, WORLD.gazetteer, TAGS)
+        assert report.final_state == res.state
+        return report
+
+    def test_five_action_decision(self):
+        desc = sample_episode(WORLD, 3, Difficulty.EASY)
+        res = run_synthetic_episode(WORLD, desc, FiveProbeBackend(),
+                                    settings=EpisodeSettings(max_parallel=5))
+        assert len(res.trace.events[0].payload["decision"]["actions"]) == 5
+        self.replays(res)
+        with pytest.raises(HashMismatchError) as ei:  # a Decision parsed under 4
+            replay(with_episode(res.trace, max_parallel=4), WORLD.gazetteer, TAGS)
+        assert ei.value.seq == 0
+
+    def test_larger_context_budget(self):
+        desc = sample_episode(WORLD, 5, Difficulty.MEDIUM)
+        self.replays(run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
+                                           settings=EpisodeSettings(context_budget=50_000)))
+
+    def test_without_text_search(self):
+        from geoprobe.executor import ALL_TOOLS, LABEL_NO_TEXT_SEARCH
+
+        ablation = AblationConfig(ALL_TOOLS - {Tool.TEXT_SEARCH})
+        assert ablation.label() == LABEL_NO_TEXT_SEARCH
+        desc = sample_episode(WORLD, 9, Difficulty.MEDIUM)
+        res = run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
+                                    settings=EpisodeSettings(ablation=ablation))
+        results = [r for e in res.trace.events if e.kind is EventKind.EXECUTION
+                   for r in e.payload["results"]]
+        assert any(r["error"] == "ToolDisabled" for r in results)
+        self.replays(res)
+
+    def test_max_steps_below_the_recorded_turns_is_rejected(self):
+        desc = sample_episode(WORLD, 0, Difficulty.HARD)
+        res = run_synthetic_episode(WORLD, desc, scripted_salience_policy())
+        decisions = [e.seq for e in res.trace.events if e.kind is EventKind.DECISION]
+        assert len(decisions) > 2
+        with pytest.raises(HashMismatchError) as ei:  # the second step must conclude
+            replay(with_episode(res.trace, max_steps=2), WORLD.gazetteer, TAGS)
+        assert ei.value.seq == decisions[1]
 
 
 class TestPoiHintDerivation:
@@ -308,7 +383,8 @@ class TestRunEpisodeDirect:
         header = TraceHeader(gazetteer_hash=GAZ.content_hash(), config_hash="t")
         recorder = TraceRecorder(header)
         res = run_episode(scripted_salience_policy(), {}, GAZ, recorder,
-                          image_ref="img/1", descriptor=None, max_steps=3)
+                          image_ref="img/1", descriptor=None,
+                          settings=EpisodeSettings(max_steps=3))
         assert isinstance(res, EpisodeResult)
         # caption probe fails (no adapter), nothing to conclude from
         assert res.state.status is EpisodeStatus.EXHAUSTED

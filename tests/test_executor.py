@@ -18,6 +18,7 @@ from geoprobe.executor import (
     LABEL_NO_TEXT_SEARCH,
     LABEL_NO_TOOLS,
     AblationConfig,
+    EpisodeSettings,
     ToolResult,
     ToolStatus,
     execute_batch,
@@ -129,13 +130,18 @@ class TestAblation:
         label = AblationConfig(frozenset({Tool.OCR, Tool.CAPTION})).label()
         assert label == "custom: Caption, Ocr"
 
-    def test_from_label_roundtrip(self):
-        for label in (LABEL_FULL, LABEL_NO_IMAGE_SEARCH, LABEL_NO_TEXT_SEARCH, LABEL_NO_TOOLS):
-            assert AblationConfig.from_label(label).label() == label
+    def test_settings_json_roundtrip(self):
+        """A trace header records the ablation as a tool list, which reads
+        back as the same condition."""
+        for enabled in (ALL_TOOLS, ALL_TOOLS - {Tool.IMAGE_SEARCH},
+                        ALL_TOOLS - {Tool.TEXT_SEARCH}, frozenset()):
+            settings = EpisodeSettings(max_steps=3, ablation=AblationConfig(enabled))
+            assert EpisodeSettings.from_json(settings.to_json()) == settings
+        assert EpisodeSettings.from_json({}) == EpisodeSettings()
 
-    def test_from_label_unknown(self):
-        with pytest.raises(ConfigError):
-            AblationConfig.from_label("w/o ocr")
+    def test_settings_unknown_tool(self):
+        with pytest.raises(ConfigError, match="Teleport"):
+            EpisodeSettings.from_json({"ablation": ["Teleport"]})
 
     def test_empty_config_disables_everything(self):
         cfg = AblationConfig(frozenset())

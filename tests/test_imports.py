@@ -83,6 +83,34 @@ def test_offline_commands_load_no_http_client(tmp_path):
     """, tmp_path) == set()
 
 
+def test_replay_and_run_load_no_bench(tmp_path):
+    """``geoprobe.bench`` (metrics, datasets) is imported by ``bench`` and
+    ``synth`` only."""
+    import json
+
+    from geoprobe.synthworld import Difficulty, generate_world, sample_episode, save_world
+
+    world = generate_world(11, 3, 5)
+    save_world(world, str(tmp_path / "world.json"))
+    (tmp_path / "scene.json").write_text(
+        json.dumps(sample_episode(world, 4, Difficulty.MEDIUM).to_json()))
+    (tmp_path / "config.json").write_text(
+        json.dumps({"tools": {"mode": "synthetic", "world": "world.json"}}))
+    loaded = submodules_after(f"""
+        import contextlib, io
+        from geoprobe import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "--config", "config.json", "--descriptor", "scene.json",
+                             "--out", "out"]) == 0
+            assert cli.main(["replay", "--trace", "out/run.trace.jsonl",
+                             "--world", "world.json"]) == 0
+            assert cli.main(["replay", "--trace", {str(GOLDEN_TRACE)!r},
+                             "--world", "world.json"]) == 0
+    """, tmp_path)
+    assert "engine" in loaded
+    assert "bench" not in loaded
+
+
 def test_live_adapters_load_the_http_client(tmp_path):
     assert loaded_after("""
         from geoprobe.live_tools import endpoints_for_base, live_adapters

@@ -29,6 +29,7 @@ from geoprobe.engine import replay, run_synthetic_episode
 from geoprobe.executor import (
     ALL_TOOLS,
     AblationConfig,
+    EpisodeSettings,
     ToolStatus,
     execute_batch,
     extract_evidence,
@@ -737,7 +738,7 @@ def test_full_episode_over_http_finds_truth_city(world, stub):
         world, desc, backend, image_ref="scene/e", adapters=adapters)
     assert result.state.status is EpisodeStatus.FINALIZED
     assert result.prediction.city_name == world.gazetteer.get(desc.truth.city_id).name
-    report = replay(result.trace, world.gazetteer)
+    report = replay(result.trace, world.gazetteer, world.tag_table())
     assert report.events_verified == len(result.trace.events)
 
 
@@ -749,7 +750,7 @@ def test_ablated_episode_over_http_never_calls_disabled_endpoint(world, stub):
     ablation = AblationConfig(frozenset(ALL_TOOLS - {Tool.IMAGE_SEARCH}))
     result = run_synthetic_episode(
         world, desc, backend, image_ref="scene/h", adapters=adapters,
-        ablation=ablation)
+        settings=EpisodeSettings(ablation=ablation))
     assert result.state.status is EpisodeStatus.FINALIZED
     assert stub.count(Tool.IMAGE_SEARCH) == 0
     assert stub.total_requests() > 0

@@ -18,6 +18,7 @@ from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.canonical import canonical_hash
 from geoprobe.engine import replay, run_synthetic_episode
 from geoprobe.errors import BackendUnavailableError, DecisionParseError
+from geoprobe.executor import EpisodeSettings
 from geoprobe.geo import GeoPoint
 from geoprobe.planner import (
     PROMPT_OVERHEAD_BUDGET,
@@ -605,7 +606,7 @@ class TestLlmEpisodes:
         backend = llm()
         failed, ok = (
             run_synthetic_episode(WORLD, sample_episode(WORLD, seed, Difficulty.EASY),
-                                  backend, max_steps=3)
+                                  backend, settings=EpisodeSettings(max_steps=3))
             for seed in (1, 2))
         [error] = failed.trace.events
         assert error.payload["error"] == "BackendUnavailable"
@@ -614,12 +615,12 @@ class TestLlmEpisodes:
         assert first.kind is EventKind.DECISION
         assert wire_kinds(first) == ["request", "response"]
         for res in (failed, ok):
-            assert replay(res.trace, WORLD.gazetteer).final_state == res.state
+            assert replay(res.trace, WORLD.gazetteer, WORLD.tag_table()).final_state == res.state
 
     def test_parallel_episodes_keep_their_own_wire_logs(self, chat_stub, llm, tmp_path):
         chat_stub.set_chat(caption_then_finalize)
         samples = make_benchmark(WORLD, 20, seed=5)
-        run_benchmark(samples, llm(), WORLD, workers=2, max_steps=3,
+        run_benchmark(samples, llm(), WORLD, workers=2, settings=EpisodeSettings(max_steps=3),
                       trace_dir=tmp_path)
         decisions = 0
         for sample in samples:

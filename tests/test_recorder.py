@@ -10,10 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from geoprobe import engine
 from geoprobe import state as state_module
+from geoprobe.actions import Action, CapabilityModule, Decision, Tool
 from geoprobe.canonical import canonical_hash, sha256_hex
 from geoprobe.defaults import DEFAULT_MAX_STEPS
 from geoprobe.engine import replay, run_synthetic_episode
+from geoprobe.executor import EpisodeSettings, ToolResult
 from geoprobe.errors import (
     BudgetTooSmallError,
     HashMismatchError,
@@ -68,7 +71,10 @@ def result_payload(action_id, payload):
 
 
 def record_episode(gaz, path=None, steps=None, finalize_at_end=True):
-    """Drive a recorder through decision/execution/projection rounds."""
+    """Drive a recorder through decision/execution/projection rounds.
+
+    The events are written by hand, not by the engine, so replay rejects
+    them; ``engine_episode`` records the same steps through ``run_episode``."""
     steps = steps if steps is not None else [[ev(1, ["cn-a"])], [ev(2, ["cn-a-1"])]]
     header = TraceHeader(gazetteer_hash=gaz.content_hash(), config_hash="cfg" * 8)
     rec = TraceRecorder(header, path)
@@ -114,6 +120,41 @@ def record_episode(gaz, path=None, steps=None, finalize_at_end=True):
         )
     rec.close()
     return rec.trace(), state
+
+
+class EvidenceScript:
+    """Backend, and adapter of every tool, that make ``run_episode`` record
+    ``steps``: each ``ev(id, [region], conf)`` is one ImageSearch probe
+    answered by the candidate ``{"region_id": region, "score": conf}``, and
+    the episode finalizes after the last step."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.answers = {f"scene/{e.id}": e for evs in steps for e in evs}
+
+    def decide(self, ctx):
+        if ctx.step > len(self.steps):
+            return Decision(thought="conclude", finalize=True)
+        return Decision(thought=f"step {ctx.step - 1}", actions=tuple(
+            Action(ctx.next_action_id + i, CapabilityModule.IMAGE_MATCHING,
+                   Tool.IMAGE_SEARCH, {"image": f"scene/{e.id}"})
+            for i, e in enumerate(self.steps[ctx.step - 1])))
+
+    def execute(self, action):
+        e = self.answers[action.args["image"]]
+        [region] = e.constraint
+        return ToolResult.succeed(
+            action, {"candidates": [{"region_id": region, "score": e.confidence}]})
+
+
+def engine_episode(gaz, path=None, steps=None):
+    """``record_episode``'s steps, recorded by the engine: ``(trace, final state)``."""
+    script = EvidenceScript(steps if steps is not None
+                            else [[ev(1, ["cn-a"])], [ev(2, ["cn-a-1"])]])
+    result = engine.record_episode(script, dict.fromkeys(Tool, script), gaz,
+                                   image_ref="scene/0", config_hash="cfg" * 8,
+                                   trace_path=path)
+    return result.trace, result.state
 
 
 class TestRecorder:
@@ -167,8 +208,8 @@ class TestRerecording:
 
     def test_shorter_rerecording_leaves_no_stale_tail(self, gaz, tmp_path):
         path = tmp_path / "t.jsonl"
-        record_episode(gaz, str(path), steps=self.LONG)
-        trace, final_state = record_episode(gaz, str(path), steps=self.SHORT)
+        engine_episode(gaz, str(path), steps=self.LONG)
+        trace, final_state = engine_episode(gaz, str(path), steps=self.SHORT)
         assert len(path.read_text().splitlines()) == 1 + len(trace.events)
         loaded = load_trace(str(path))
         assert loaded.events == trace.events
@@ -325,7 +366,7 @@ def tamper(path, predicate, mutate):
 class TestReplay:
     def test_clean_trace_verifies(self, gaz, tmp_path):
         path = tmp_path / "t.jsonl"
-        trace, final_state = record_episode(gaz, str(path))
+        trace, final_state = engine_episode(gaz, str(path))
         report = replay(load_trace(str(path)), gaz)
         assert report.events_verified == len(trace.events)
         assert report.final_state.snapshot_hash() == final_state.snapshot_hash()
@@ -336,13 +377,13 @@ class TestReplay:
             [ev(1, ["cn-a-1"], conf=0.6)],
             [ev(2, ["cn-b"], conf=0.9), ev(3, ["cn-b-1"], conf=0.8)],
         ]
-        trace, final_state = record_episode(gaz, steps=steps)
+        trace, final_state = engine_episode(gaz, steps=steps)
         assert any(e.kind is EventKind.BACKTRACK for e in trace.events)
         report = replay(trace, gaz)
         assert report.final_state.inactive_ids == final_state.inactive_ids == {1, 3}
 
     def test_gazetteer_mismatch(self, gaz):
-        trace, _ = record_episode(gaz)
+        trace, _ = engine_episode(gaz)
         regions = gaz.regions()
         from geoprobe.geo import AdminRegion, Gazetteer
         regions[0] = AdminRegion(
@@ -354,21 +395,21 @@ class TestReplay:
 
     def test_single_byte_payload_tamper_pinpointed(self, gaz, tmp_path):
         path = tmp_path / "t.jsonl"
-        record_episode(gaz, str(path))
+        engine_episode(gaz, str(path))
 
         def mutate(obj):
-            text = obj["payload"]["results"][0]["payload"]["text"]
-            obj["payload"]["results"][0]["payload"]["text"] = "X" + text[1:]
+            candidate = obj["payload"]["results"][0]["payload"]["candidates"][0]
+            candidate["region_id"] = "cn-b"  # was "cn-a"
 
         seq = tamper(path, lambda o: o.get("kind") == "Execution", mutate)
         with pytest.raises(HashMismatchError) as ei:
             replay(load_trace(str(path)), gaz)
         assert ei.value.seq == seq
-        assert "payload hash" in str(ei.value)
+        assert "recorded Execution diverges" in str(ei.value)
 
     def test_doctored_frontier_pinpointed(self, gaz, tmp_path):
         path = tmp_path / "t.jsonl"
-        record_episode(gaz, str(path))
+        engine_episode(gaz, str(path))
 
         def mutate(obj):
             obj["payload"]["space"]["frontier"] = ["cn-b"]
@@ -380,7 +421,7 @@ class TestReplay:
 
     def test_forged_prediction_pinpointed(self, gaz, tmp_path):
         path = tmp_path / "t.jsonl"
-        record_episode(gaz, str(path))
+        engine_episode(gaz, str(path))
 
         def mutate(obj):
             obj["payload"]["prediction"]["lat"] += 1.0
@@ -392,7 +433,7 @@ class TestReplay:
 
     def test_tampered_evidence_confidence_pinpointed(self, gaz, tmp_path):
         path = tmp_path / "t.jsonl"
-        record_episode(gaz, str(path))
+        engine_episode(gaz, str(path))
 
         def mutate(obj):
             obj["payload"]["evidence"][0]["confidence"] = 0.11
@@ -407,7 +448,7 @@ class TestReplay:
     @pytest.mark.parametrize("field, value", [("confidence", 10 ** 400), ("id", float("inf"))])
     def test_evidence_number_out_of_range_pinpointed(self, gaz, tmp_path, field, value):
         path = tmp_path / "t.jsonl"
-        record_episode(gaz, str(path))
+        engine_episode(gaz, str(path))
 
         def mutate(obj):
             obj["payload"]["evidence"][0][field] = value
@@ -426,14 +467,16 @@ class TestReplay:
 GOLDEN_TRACE = Path(__file__).parent / "data" / "synth_w11_3x5_medium_s4.trace.jsonl"
 #: SHA-256 of the golden trace's state hashes joined by newlines.
 GOLDEN_STATE_HASHES_SHA256 = "67129e52c606ab5953c64ff8016fd4aec6c67ac9d80b50768995e038e2b9cb5d"
+#: The golden trace's world and its tag table.
+WORLD_3X5 = generate_world(11, 3, 5)
+TAGS_3X5 = WORLD_3X5.tag_table()
 
 
 def forge_hint(events):
     """Make the Finalize name another city through its POI hint, with the
     state hash recomputed for the forged prediction."""
-    world = generate_world(11, 3, 5)
-    honest = replay(load_trace(str(GOLDEN_TRACE)), world.gazetteer).final_state
-    other = next(r for r in world.gazetteer.regions()
+    honest = replay(load_trace(str(GOLDEN_TRACE)), WORLD_3X5.gazetteer, TAGS_3X5).final_state
+    other = next(r for r in WORLD_3X5.gazetteer.regions()
                  if r.level is RegionLevel.CITY and r.name != "Pumadi")
     forged = replace(honest, prediction=Prediction(other.centroid, other.name))
     events[-1]["payload"] = {"prediction": forged.prediction.to_json(),
@@ -441,11 +484,21 @@ def forge_hint(events):
     events[-1]["state_hash"] = forged.snapshot_hash()
 
 
+def rewrite_caption(events):
+    """Drop the caption's first tag and recompute its payload hash, so that
+    only extracting the evidence again shows the edit."""
+    result = events[1]["payload"]["results"][0]
+    result["payload"]["tags"] = result["payload"]["tags"][1:]
+    result["payload_sha256"] = canonical_hash(result["payload"])
+
+
 #: Edits of the golden trace, each with the seq replay must name. Events are
 #: renumbered after a deletion, so only the order of kinds gives it away.
 GOLDEN_EDITS = {
     "forged-hint": (forge_hint, 14),
+    "caption-rewritten": (rewrite_caption, 2),
     "finalize-dropped": (lambda events: events.pop(14), 14),
+    "event-appended": (lambda events: events.append(dict(events[14])), 15),
     "decision-deleted": (lambda events: events.pop(3), 3),
     "execution-deleted": (lambda events: events.pop(4), 4),
     "result-tool-changed": (
@@ -454,15 +507,14 @@ GOLDEN_EDITS = {
 
 
 def record_golden_episode(path=None):
-    world = generate_world(11, 3, 5)
-    desc = sample_episode(world, 4, Difficulty.MEDIUM)
-    return run_synthetic_episode(world, desc, scripted_salience_policy(), trace_path=path)
+    desc = sample_episode(WORLD_3X5, 4, Difficulty.MEDIUM)
+    return run_synthetic_episode(WORLD_3X5, desc, scripted_salience_policy(), trace_path=path)
 
 
 class TestGoldenTrace:
     def test_replays_under_current_code(self):
         trace = load_trace(str(GOLDEN_TRACE))
-        report = replay(trace, generate_world(11, 3, 5).gazetteer)
+        report = replay(trace, WORLD_3X5.gazetteer, TAGS_3X5)
         assert report.events_verified == len(trace.events) == 15
         assert report.prediction is not None and report.prediction.city_name == "Pumadi"
         assert [e.kind for e in trace.events].count(EventKind.BACKTRACK) == 1
@@ -472,14 +524,20 @@ class TestGoldenTrace:
         assert sha256_hex("\n".join(hashes)) == GOLDEN_STATE_HASHES_SHA256
 
     def test_rerecording_matches_apart_from_wall_time(self, tmp_path):
+        """The events match byte for byte; the header gains the episode
+        settings, the defaults the golden trace was recorded under."""
         path = tmp_path / "again.trace.jsonl"
         record_golden_episode(str(path))
 
         def without_wall_time(p):
             return re.sub(r'"wall_time": [^,}]+', '"wall_time": 0',
-                          Path(p).read_text(encoding="utf-8"))
+                          Path(p).read_text(encoding="utf-8")).splitlines()
 
-        assert without_wall_time(path) == without_wall_time(GOLDEN_TRACE)
+        header, *events = without_wall_time(path)
+        golden_header, *golden_events = without_wall_time(GOLDEN_TRACE)
+        assert events == golden_events
+        assert json.loads(header) == {**json.loads(golden_header),
+                                      "episode": EpisodeSettings().to_json()}
 
     def test_each_state_and_evidence_serialized_once(self, monkeypatch):
         """Events that record the same state object share one serialization,
@@ -525,9 +583,22 @@ class TestGoldenTrace:
 
         seq = tamper(path, lambda o: o.get("kind") == "Projection", mutate)
         with pytest.raises(HashMismatchError) as ei:
-            replay(load_trace(str(path)), generate_world(11, 3, 5).gazetteer)
+            replay(load_trace(str(path)), WORLD_3X5.gazetteer, TAGS_3X5)
         assert ei.value.seq == seq == 2
-        assert "malformed event payload" in str(ei.value)
+        assert "recorded Projection diverges from the replayed one" in str(ei.value)
+
+    @pytest.mark.parametrize("value", [2.7, True, "3"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("field", ["max_steps", "max_parallel", "context_budget"])
+    def test_episode_counts_must_be_json_integers(self, tmp_path, field, value):
+        lines = GOLDEN_TRACE.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["episode"] = {**EpisodeSettings().to_json(), field: value}
+        path = tmp_path / "edited.trace.jsonl"
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n", encoding="utf-8")
+        with pytest.raises(HashMismatchError) as ei:
+            replay(load_trace(str(path)), WORLD_3X5.gazetteer, TAGS_3X5)
+        assert ei.value.seq == -1
+        assert f"{field} must be an integer" in str(ei.value)
 
     @pytest.mark.parametrize("edit, seq", GOLDEN_EDITS.values(), ids=GOLDEN_EDITS)
     def test_edited_trace_pinpointed(self, tmp_path, edit, seq):
@@ -541,11 +612,8 @@ class TestGoldenTrace:
             [lines[0], *(json.dumps(o, ensure_ascii=False, sort_keys=True) for o in events)]
         ) + "\n", encoding="utf-8")
         with pytest.raises(HashMismatchError) as ei:
-            replay(load_trace(str(path)), generate_world(11, 3, 5).gazetteer)
+            replay(load_trace(str(path)), WORLD_3X5.gazetteer, TAGS_3X5)
         assert ei.value.seq == seq
-
-
-WORLD_3X5 = generate_world(11, 3, 5)
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
@@ -557,8 +625,9 @@ def test_engine_traces_replay_and_every_single_deletion_is_rejected(seed, diffic
     is caught."""
     g = WORLD_3X5.gazetteer
     result = run_synthetic_episode(WORLD_3X5, sample_episode(WORLD_3X5, seed, difficulty),
-                                   scripted_salience_policy(), max_steps=max_steps)
-    report = replay(result.trace, g)
+                                   scripted_salience_policy(),
+                                   settings=EpisodeSettings(max_steps=max_steps))
+    report = replay(result.trace, g, TAGS_3X5)
     assert report.final_state.snapshot_hash() == result.state.snapshot_hash()
     assert report.prediction == result.prediction
     events = result.trace.events
@@ -566,7 +635,7 @@ def test_engine_traces_replay_and_every_single_deletion_is_rejected(seed, diffic
         kept = events[:gone] + events[gone + 1:]
         edited = Trace(result.trace.header, tuple(replace(e, seq=i) for i, e in enumerate(kept)))
         with pytest.raises(HashMismatchError):
-            replay(edited, g)
+            replay(edited, g, TAGS_3X5)
 
 
 class TestIsRepetition:
