@@ -17,6 +17,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 
+from .canonical import json_get
 from .errors import DecisionParseError
 
 
@@ -261,17 +262,12 @@ def parse_decision(text: str, start_id: int, max_parallel: int) -> Decision:
     if obj.get("version") != DECISION_VERSION:
         raise bad(f"unsupported envelope version: {obj.get('version')!r}")
 
-    thought = obj.get("thought", "")
-    if not isinstance(thought, str):
-        raise bad("thought must be a string")
-
-    finalize = obj.get("finalize", False)
-    if not isinstance(finalize, bool):
-        raise bad("finalize must be a boolean")
-
-    raw_actions = obj.get("actions", [])
-    if not isinstance(raw_actions, list):
-        raise bad("actions must be an array")
+    try:
+        thought = json_get(obj, "thought", str, "")
+        finalize = json_get(obj, "finalize", bool, False)
+        raw_actions = json_get(obj, "actions", list, [])
+    except TypeError as exc:
+        raise bad(str(exc)) from None
     if len(raw_actions) > max_parallel:
         raise bad(f"at most {max_parallel} actions per step, got {len(raw_actions)}")
     if finalize and raw_actions:

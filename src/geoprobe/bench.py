@@ -22,6 +22,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .canonical import json_get, json_strs
 from .errors import (
     ConfigError,
     DatasetError,
@@ -122,6 +123,20 @@ class BenchmarkSample:
 _REQUIRED_FIELDS = ("id", "truth", "truth_city", "truth_province",
                     "scene_category", "difficulty")
 
+#: How each key of a dataset line is read, in ``BenchmarkSample``'s field order.
+_FIELDS: tuple[tuple[str, Callable[[dict, str], object]], ...] = (
+    ("id", lambda o, k: json_get(o, k, str)),
+    ("truth", lambda o, k: GeoPoint.from_json(json_get(o, k, dict))),
+    ("truth_city", lambda o, k: json_get(o, k, str)),
+    ("truth_province", lambda o, k: json_get(o, k, str)),
+    ("scene_category", lambda o, k: SceneCategory(json_get(o, k, str))),
+    ("difficulty", lambda o, k: Difficulty(json_get(o, k, str))),
+    ("image", lambda o, k: json_get(o, k, str, None)),
+    ("descriptor", lambda o, k: (SceneDescriptor.from_json(json_get(o, k, dict))
+                                 if k in o else None)),
+    ("clue_tags", lambda o, k: json_strs(o, k, ())),
+)
+
 
 def _sample_from_line(line_no: int, obj) -> BenchmarkSample:
     if not isinstance(obj, dict):
@@ -133,44 +148,14 @@ def _sample_from_line(line_no: int, obj) -> BenchmarkSample:
         raise DatasetError(
             line_no, "exactly one of image / descriptor must be present",
             field="image")
-    try:
-        truth = GeoPoint.from_json(obj["truth"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(line_no, f"bad truth point: {exc}", field="truth")
-    try:
-        category = SceneCategory(obj["scene_category"])
-    except ValueError:
-        raise DatasetError(
-            line_no, f"unknown scene category: {obj['scene_category']!r}",
-            field="scene_category")
-    try:
-        difficulty = Difficulty(obj["difficulty"])
-    except ValueError:
-        raise DatasetError(
-            line_no, f"unknown difficulty: {obj['difficulty']!r}",
-            field="difficulty")
-    descriptor = None
-    if "descriptor" in obj:
+    values = []
+    for key, read in _FIELDS:
         try:
-            descriptor = SceneDescriptor.from_json(obj["descriptor"])
+            values.append(read(obj, key))
         except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(line_no, f"bad descriptor: {exc}", field="descriptor")
-    tags = obj.get("clue_tags", [])
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        raise DatasetError(line_no, "clue_tags must be a list of strings",
-                           field="clue_tags")
+            raise DatasetError(line_no, f"bad {key}: {exc}", field=key) from None
     try:
-        return BenchmarkSample(
-            id=str(obj["id"]),
-            truth_point=truth,
-            truth_city=str(obj["truth_city"]),
-            truth_province=str(obj["truth_province"]),
-            scene_category=category,
-            difficulty=difficulty,
-            image=obj.get("image"),
-            descriptor=descriptor,
-            clue_tags=tuple(tags),
-        )
+        return BenchmarkSample(*values)
     except ValueError as exc:
         raise DatasetError(line_no, str(exc))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 
@@ -28,10 +29,40 @@ def canonical_hash(obj: Any) -> str:
     return sha256_hex(canonical_json(obj))
 
 
-def json_int(obj: dict, key: str) -> int:
-    """``obj[key]``, which must be a JSON integer: a bool, float or string
-    raises ``TypeError`` rather than being coerced."""
+#: What each JSON type is called in a reader's errors.
+_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean",
+          dict: "an object", list: "an array", None: "null", type(None): "null"}
+_FLOAT_MAX = math.nextafter(math.inf, 0)
+_REQUIRED = object()
+
+
+def json_get(obj: dict, key: str, kind, default: Any = _REQUIRED) -> Any:
+    """``obj[key]`` as the JSON type ``kind``, never coerced: ``int`` (not a
+    bool), ``float`` (a finite number, returned as a float), ``str``,
+    ``bool``, ``dict``, ``list``, or a tuple of them in which ``None`` admits
+    null. An absent key gives ``default`` (``KeyError`` if there is none).
+    Any other value, or an ``obj`` that is no object, raises ``TypeError``
+    naming the key but not the value, so no nesting can break the message."""
+    if type(obj) is not dict:
+        raise TypeError(f"{key} must be read from an object, not {_NAMES.get(type(obj))}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
     value = obj[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {type(value).__name__}")
-    return value
+    t = type(value)
+    kinds = kind if type(kind) is tuple else (kind,)
+    if t in kinds and t is not float or value is None and None in kinds:
+        return value
+    if float in kinds and t in (int, float) and abs(value) <= _FLOAT_MAX:
+        return float(value)
+    got = repr(value) if t is float else _NAMES.get(t)
+    raise TypeError(f"{key} must be {' or '.join(_NAMES[k] for k in kinds)}, got {got}")
+
+
+def json_strs(obj: dict, key: str, default: Any = _REQUIRED) -> Any:
+    """``obj[key]`` as a JSON array of strings, returned as a tuple."""
+    value = json_get(obj, key, list, default)
+    if value is not default and not all(type(item) is str for item in value):
+        raise TypeError(f"{key} must be an array of strings")
+    return value if value is default else tuple(value)

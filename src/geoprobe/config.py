@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .actions import Tool
-from .canonical import canonical_hash
+from .canonical import canonical_hash, json_get
 from .errors import ConfigError
 from .executor import EpisodeSettings
 from .live_tools import (
@@ -61,14 +61,15 @@ class BackendSpec:
 
     @classmethod
     def from_json(cls, obj) -> "BackendSpec":
-        if not isinstance(obj, dict):
-            raise ConfigError("backend must be an object")
-        return cls(
-            kind=obj.get("kind", BACKEND_SCRIPTED),
-            endpoint=obj.get("endpoint", ""),
-            model=obj.get("model", ""),
-            auth_env=obj.get("auth_env", "GEOPROBE_API_TOKEN"),
-        )
+        try:
+            return cls(
+                kind=json_get(obj, "kind", str, BACKEND_SCRIPTED),
+                endpoint=json_get(obj, "endpoint", str, ""),
+                model=json_get(obj, "model", str, ""),
+                auth_env=json_get(obj, "auth_env", str, "GEOPROBE_API_TOKEN"),
+            )
+        except TypeError as exc:
+            raise ConfigError(f"bad backend settings: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,11 @@ class ToolsSpec:
             raise ConfigError("live tools need a base_url")
         if self.mode == TOOLS_SYNTHETIC and not self.world:
             raise ConfigError("synthetic tools need a world file")
+        if not self.timeout_s > 0:
+            raise ConfigError("timeout_s must be > 0")
+        for name, low in (("retries", 0), ("backoff_s", 0), ("top_k", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
 
     def endpoints(self) -> dict[Tool, EndpointConfig]:
         if self.mode != TOOLS_LIVE:
@@ -114,21 +120,19 @@ class ToolsSpec:
 
     @classmethod
     def from_json(cls, obj) -> "ToolsSpec":
-        if not isinstance(obj, dict):
-            raise ConfigError("tools must be an object")
         try:
             return cls(
-                mode=obj.get("mode", TOOLS_SYNTHETIC),
-                world=obj.get("world"),
-                base_url=obj.get("base_url", ""),
-                auth_env=obj.get("auth_env", ""),
-                timeout_s=float(obj.get("timeout_s", DEFAULT_TIMEOUT_S)),
-                retries=int(obj.get("retries", DEFAULT_RETRIES)),
-                backoff_s=float(obj.get("backoff_s", DEFAULT_BACKOFF_S)),
-                top_k=int(obj.get("top_k", DEFAULT_TOP_K)),
+                mode=json_get(obj, "mode", str, TOOLS_SYNTHETIC),
+                world=json_get(obj, "world", (str, None), None),
+                base_url=json_get(obj, "base_url", str, ""),
+                auth_env=json_get(obj, "auth_env", str, ""),
+                timeout_s=json_get(obj, "timeout_s", float, DEFAULT_TIMEOUT_S),
+                retries=json_get(obj, "retries", int, DEFAULT_RETRIES),
+                backoff_s=json_get(obj, "backoff_s", float, DEFAULT_BACKOFF_S),
+                top_k=json_get(obj, "top_k", int, DEFAULT_TOP_K),
             )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad tools settings: {exc}")
+        except TypeError as exc:
+            raise ConfigError(f"bad tools settings: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -171,28 +175,23 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
         def path_of(value):
-            if value is None:
-                return None
-            value = str(value)
-            if base_dir is not None and not Path(value).is_absolute():
+            if base_dir is not None and value is not None and not Path(value).is_absolute():
                 return str(base_dir / value)
             return value
 
-        tools = ToolsSpec.from_json(obj.get("tools", {"mode": TOOLS_SYNTHETIC,
-                                                      "world": "world.json"}))
-        if tools.world is not None:
-            tools = dataclasses.replace(tools, world=path_of(tools.world))
         try:
+            tools = ToolsSpec.from_json(json_get(
+                obj, "tools", dict, {"mode": TOOLS_SYNTHETIC, "world": "world.json"}))
             return cls(
-                gazetteer=path_of(obj.get("gazetteer")),
-                backend=BackendSpec.from_json(obj.get("backend", {})),
-                tools=tools,
-                tag_table=path_of(obj.get("tag_table")),
+                gazetteer=path_of(json_get(obj, "gazetteer", (str, None), None)),
+                backend=BackendSpec.from_json(json_get(obj, "backend", dict, {})),
+                tools=dataclasses.replace(tools, world=path_of(tools.world)),
+                tag_table=path_of(json_get(obj, "tag_table", (str, None), None)),
                 episode=EpisodeSettings.from_json(obj),
-                out_dir=path_of(obj.get("out_dir", "out")),
+                out_dir=path_of(json_get(obj, "out_dir", str, "out")),
             )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}")
+        except TypeError as exc:
+            raise ConfigError(f"bad config value: {exc}") from None
 
 
 def load_config(path) -> RunConfig:

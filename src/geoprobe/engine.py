@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .actions import Action, Decision, Tool, parse_decision, render_action_schema
+from .canonical import json_get
 from .errors import (
     BackendUnavailableError,
     ConfigError,
@@ -304,15 +305,15 @@ class TraceBackend:
         return wire
 
     def execute(self, action: Action) -> ToolResult:
-        results = self._events[self._seq + 1].payload["results"]
-        r = {r["action_id"]: r for r in results}[action.id]
-        return ToolResult(action.id, action.tool, ToolStatus(r["status"]), r["payload"],
-                          r["error"], r["detail"], r["latency_ms"])
+        results = json_get(self._events[self._seq + 1].payload, "results", list)
+        r = {json_get(r, "action_id", int): r for r in results}[action.id]
+        return ToolResult(action.id, action.tool, ToolStatus(json_get(r, "status", str)),
+                          json_get(r, "payload", (dict, None)), json_get(r, "error", (str, None)),
+                          json_get(r, "detail", (str, None)), json_get(r, "latency_ms", float))
 
 
 #: What recorded inputs that no run could have produced make the run raise.
-_UNREPLAYABLE = (GeoprobeError, LookupError, TypeError, ValueError, AttributeError,
-                 OverflowError)
+_UNREPLAYABLE = (GeoprobeError, LookupError, TypeError, ValueError)
 
 
 def _compared(event: TrajectoryEvent) -> str:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 from .actions import Action, Tool
-from .canonical import canonical_hash, json_int
-from .defaults import DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS
+from .canonical import canonical_hash, json_get, json_strs
+from .defaults import (DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS,
+                       MAX_PARALLEL_LIMIT)
 from .errors import ConfigError, UnknownRegionError
 from .geo import Gazetteer, GeoPoint, region_contains
 from .state import Evidence, Provenance
@@ -153,6 +154,8 @@ class EpisodeSettings:
         for name in _COUNTS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.max_parallel > MAX_PARALLEL_LIMIT:
+            raise ConfigError(f"max_parallel must be <= {MAX_PARALLEL_LIMIT}")
 
     def to_json(self) -> dict:
         return {**{name: getattr(self, name) for name in _COUNTS},
@@ -164,12 +167,9 @@ class EpisodeSettings:
         tools. A bad value raises ConfigError naming its key or tool."""
         if not isinstance(obj, dict):
             raise ConfigError("episode settings must be an object")
-        names = obj.get("ablation")
-        if names is not None and not (
-                isinstance(names, list) and all(isinstance(t, str) for t in names)):
-            raise ConfigError("ablation must be a list of enabled tool names")
         try:
-            counts = {name: json_int(obj, name) for name in _COUNTS if name in obj}
+            counts = {name: json_get(obj, name, int) for name in _COUNTS if name in obj}
+            names = json_strs(obj, "ablation", None)
             enabled = ALL_TOOLS if names is None else frozenset(map(Tool, names))
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
@@ -243,9 +243,9 @@ def _cities_containing(g: Gazetteer, p: GeoPoint) -> list[str]:
 
 
 def _coord(obj: dict) -> GeoPoint | None:
-    if obj.get("lat") is None or obj.get("lon") is None:
-        return None
-    return GeoPoint(float(obj["lat"]), float(obj["lon"]))
+    lat = json_get(obj, "lat", (float, None), None)
+    lon = json_get(obj, "lon", (float, None), None)
+    return None if lat is None or lon is None else GeoPoint(lat, lon)
 
 
 def extract_evidence(
@@ -281,22 +281,22 @@ def extract_evidence(
 
     try:
         if result.tool is Tool.OCR:
-            for span in payload.get("spans", []):
-                text = str(span.get("text", ""))
+            for span in json_get(payload, "spans", list, []):
+                text = json_get(span, "text", str, "")
                 ids = find_region_names(text, g)
                 if ids:
                     drafts.append((text, ids, CONF_NAME_MATCH, None))
 
         elif result.tool is Tool.KNOWLEDGE_BASE:
-            for rec in payload.get("records", []):
-                text = f"{rec.get('title', '')} {rec.get('body', '')}"
-                ids = find_region_names(text, g)
+            for rec in json_get(payload, "records", list, []):
+                title = json_get(rec, "title", str, "")
+                ids = find_region_names(f"{title} {json_get(rec, 'body', str, '')}", g)
                 if ids:
-                    drafts.append((str(rec.get("title", "")), ids, CONF_NAME_MATCH, _coord(rec)))
+                    drafts.append((title, ids, CONF_NAME_MATCH, _coord(rec)))
 
         elif result.tool is Tool.TEXT_SEARCH:
             cities: set[str] = set()
-            for hit in payload.get("hits", []):
+            for hit in json_get(payload, "hits", list, []):
                 p = _coord(hit)
                 if p is not None:
                     containing = _cities_containing(g, p)
@@ -307,9 +307,9 @@ def extract_evidence(
                 drafts.append((claim, frozenset(cities), CONF_COORD_MATCH, None))
 
         elif result.tool is Tool.IMAGE_SEARCH:
-            for cand in payload.get("candidates", []):
-                score = max(0.0, min(float(cand.get("score", 0.0)), 1.0))
-                rid = cand.get("region_id")
+            for cand in json_get(payload, "candidates", list, []):
+                score = max(0.0, min(json_get(cand, "score", float, 0.0), 1.0))
+                rid = json_get(cand, "region_id", (str, None), None)
                 if rid is not None:
                     if rid not in g:
                         raise UnknownRegionError(rid)
@@ -327,7 +327,7 @@ def extract_evidence(
 
         elif result.tool is Tool.CAPTION:
             table = tag_table or {}
-            for tag in payload.get("tags", []):
+            for tag in json_strs(payload, "tags", ()):
                 rids = table.get(tag)
                 if not rids:
                     continue
@@ -337,10 +337,10 @@ def extract_evidence(
                 drafts.append((f"scene tag: {tag}", frozenset(rids), CONF_TAG_MATCH, None))
 
         elif result.tool is Tool.GEOCODE:
-            for match in payload.get("matches", []):
-                name = str(match.get("name", ""))
+            for match in json_get(payload, "matches", list, []):
+                name = json_get(match, "name", str, "")
                 p = _coord(match)
-                rid = match.get("region_id")
+                rid = json_get(match, "region_id", (str, None), None)
                 if rid is not None:
                     if rid not in g:
                         raise UnknownRegionError(rid)
@@ -349,7 +349,7 @@ def extract_evidence(
                     containing = _cities_containing(g, p)
                     if len(containing) == 1:
                         drafts.append((name, frozenset(containing), CONF_COORD_MATCH, p))
-    except (TypeError, ValueError, AttributeError, OverflowError):
+    except (TypeError, ValueError):
         return []
 
     return [
@@ -384,12 +384,11 @@ def load_tag_table(path, g: Gazetteer) -> dict[str, frozenset[str]]:
         raise ConfigError(
             f"bad tag table {path}: must be a JSON object, got {type(raw).__name__}")
     table: dict[str, frozenset[str]] = {}
-    for tag, region_ids in raw.items():
-        if not isinstance(region_ids, list) or not all(
-            isinstance(r, str) for r in region_ids
-        ):
-            raise ConfigError(
-                f"bad tag table {path}: tag {tag!r} must map to a list of region-id strings")
+    for tag in raw:
+        try:
+            region_ids = json_strs(raw, tag)
+        except TypeError as exc:
+            raise ConfigError(f"bad tag table {path}: {exc}") from None
         for rid in region_ids:
             if rid not in g:
                 raise UnknownRegionError(rid, f"tag table {path}, tag {tag!r}")

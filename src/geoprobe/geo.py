@@ -15,7 +15,7 @@ import math
 from collections.abc import ItemsView, Sequence
 from dataclasses import dataclass
 
-from .canonical import canonical_hash
+from .canonical import canonical_hash, json_get
 from .errors import GazetteerFileError, UnknownRegionError
 
 EARTH_RADIUS_KM = 6371.0
@@ -51,7 +51,7 @@ class GeoPoint:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GeoPoint":
-        return cls(lat=float(obj["lat"]), lon=float(obj["lon"]))
+        return cls(lat=json_get(obj, "lat", float), lon=json_get(obj, "lon", float))
 
 
 class RegionLevel(enum.Enum):
@@ -104,12 +104,12 @@ class AdminRegion:
     @classmethod
     def from_json(cls, obj: dict) -> "AdminRegion":
         return cls(
-            id=str(obj["id"]),
-            level=RegionLevel(obj["level"]),
-            name=str(obj["name"]),
-            parent_id=obj.get("parent_id"),
-            centroid=GeoPoint(float(obj["lat"]), float(obj["lon"])),
-            radius_km=float(obj["radius_km"]),
+            id=json_get(obj, "id", str),
+            level=RegionLevel(json_get(obj, "level", str)),
+            name=json_get(obj, "name", str),
+            parent_id=json_get(obj, "parent_id", (str, None), None),
+            centroid=GeoPoint.from_json(obj),
+            radius_km=json_get(obj, "radius_km", float),
         )
 
 

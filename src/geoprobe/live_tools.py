@@ -102,7 +102,8 @@ TOP_K_TOOLS: frozenset[Tool] = frozenset({Tool.TEXT_SEARCH, Tool.IMAGE_SEARCH})
 
 @dataclass(frozen=True)
 class EndpointConfig:
-    """Where one tool's service lives and how patiently to call it."""
+    """Where one tool's service lives and how patiently to call it. The
+    values are not checked here: ``config.ToolsSpec`` checks their ranges."""
 
     url: str
     auth_env: str = ""
@@ -110,14 +111,6 @@ class EndpointConfig:
     retries: int = DEFAULT_RETRIES
     backoff_s: float = DEFAULT_BACKOFF_S
     top_k: int = DEFAULT_TOP_K
-
-    def __post_init__(self):
-        if not self.url:
-            raise ValueError("endpoint url must be non-empty")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
 
 
 def endpoints_for_base(

@@ -29,7 +29,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .canonical import json_int
+from .canonical import json_get
 from .errors import BudgetTooSmallError, SeqGapError, TraceFormatError
 from .geo import Gazetteer
 from .state import EpisodeState
@@ -68,12 +68,12 @@ class TrajectoryEvent:
     @classmethod
     def from_json(cls, obj: dict) -> "TrajectoryEvent":
         return cls(
-            seq=json_int(obj, "seq"),
-            kind=EventKind(obj["kind"]),
-            step=json_int(obj, "step"),
-            wall_time=float(obj["wall_time"]),
-            payload=dict(obj["payload"]),
-            state_hash=str(obj["state_hash"]),
+            seq=json_get(obj, "seq", int),
+            kind=EventKind(json_get(obj, "kind", str)),
+            step=json_get(obj, "step", int),
+            wall_time=json_get(obj, "wall_time", float),
+            payload=json_get(obj, "payload", dict),
+            state_hash=json_get(obj, "state_hash", str),
         )
 
 
@@ -99,12 +99,15 @@ class TraceHeader:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TraceHeader":
+        meta = json_get(obj, "meta", dict, {})
+        for key in meta:
+            json_get(meta, key, str)
         return cls(
-            gazetteer_hash=str(obj["gazetteer_hash"]),
-            config_hash=str(obj["config_hash"]),
-            format_version=str(obj["format_version"]),
-            meta=dict(obj.get("meta", {})),
-            episode=obj.get("episode"),
+            gazetteer_hash=json_get(obj, "gazetteer_hash", str),
+            config_hash=json_get(obj, "config_hash", str),
+            format_version=json_get(obj, "format_version", str),
+            meta=meta,
+            episode=json_get(obj, "episode", (dict, None), None),
         )
 
 
@@ -175,9 +178,8 @@ class TraceRecorder:
 
 
 #: What converting a parsed line into a header or event can raise: a missing
-#: key, a wrong type or value, a number too large for a float, or a value
-#: nested too deeply to print.
-_BAD_FIELDS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+#: key, a value of the wrong JSON type, or an unknown event kind.
+_BAD_FIELDS = (KeyError, TypeError, ValueError)
 
 
 def _json_line(line: str, lineno: int, what: str):

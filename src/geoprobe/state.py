@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .canonical import canonical_json, json_int, sha256_hex
+from .canonical import canonical_json, json_get, json_strs, sha256_hex
 from .errors import InsufficientEvidenceError, UnknownRegionError
 from .geo import AdminRegion, Gazetteer, GeoPoint, reverse_geocode
 
@@ -68,7 +68,7 @@ class Provenance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Provenance":
-        return cls(json_int(obj, "action_id"), str(obj["payload_sha256"]))
+        return cls(json_get(obj, "action_id", int), json_get(obj, "payload_sha256", str))
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,15 @@ class Evidence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Evidence":
+        point = json_get(obj, "point", (dict, None), None)
         return cls(
-            id=json_int(obj, "id"),
-            source_action_id=json_int(obj, "source_action_id"),
-            claim=str(obj["claim"]),
-            constraint=frozenset(obj["constraint"]),
-            confidence=float(obj["confidence"]),
-            provenance=Provenance.from_json(obj["provenance"]),
-            point=GeoPoint.from_json(obj["point"]) if obj.get("point") else None,
+            id=json_get(obj, "id", int),
+            source_action_id=json_get(obj, "source_action_id", int),
+            claim=json_get(obj, "claim", str),
+            constraint=frozenset(json_strs(obj, "constraint")),
+            confidence=json_get(obj, "confidence", float),
+            provenance=Provenance.from_json(json_get(obj, "provenance", dict)),
+            point=None if point is None else GeoPoint.from_json(point),
         )
 
 

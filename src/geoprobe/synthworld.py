@@ -29,6 +29,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .actions import Action, Tool, base_image_ref, crop_payload
+from .canonical import json_get, json_strs
 from .errors import ConfigError
 from .executor import ToolResult
 from .geo import (
@@ -87,12 +88,17 @@ class Clue:
     value: str
     salience: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.salience <= 1.0:
+            raise ValueError(f"clue salience out of [0,1]: {self.salience}")
+
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "value": self.value, "salience": self.salience}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Clue":
-        return cls(ClueKind(obj["kind"]), str(obj["value"]), float(obj["salience"]))
+        return cls(ClueKind(json_get(obj, "kind", str)), json_get(obj, "value", str),
+                   json_get(obj, "salience", float))
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ class Poi:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poi":
-        return cls(str(obj["name"]), GeoPoint(float(obj["lat"]), float(obj["lon"])))
+        return cls(json_get(obj, "name", str), GeoPoint.from_json(obj))
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ class Truth:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Truth":
-        return cls(GeoPoint(float(obj["lat"]), float(obj["lon"])), str(obj["city_id"]))
+        return cls(GeoPoint.from_json(obj), json_get(obj, "city_id", str))
 
 
 @dataclass(frozen=True)
@@ -146,9 +152,9 @@ class SceneDescriptor:
     @classmethod
     def from_json(cls, obj: dict) -> "SceneDescriptor":
         return cls(
-            clues=tuple(Clue.from_json(c) for c in obj["clues"]),
-            truth=Truth.from_json(obj["truth"]),
-            difficulty=Difficulty(obj["difficulty"]),
+            clues=tuple(Clue.from_json(c) for c in json_get(obj, "clues", list)),
+            truth=Truth.from_json(json_get(obj, "truth", dict)),
+            difficulty=Difficulty(json_get(obj, "difficulty", str)),
         )
 
 
@@ -227,17 +233,16 @@ class SynthWorld:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthWorld":
-        if obj.get("format") != "synthworld/1":
+        if json_get(obj, "format", str, None) != "synthworld/1":
             raise ValueError(f"unsupported world format: {obj.get('format')!r}")
+        attributes, signs, pois = (json_get(obj, key, dict)
+                                   for key in ("attributes", "signs", "pois"))
         return cls(
-            seed=int(obj["seed"]),
-            gazetteer=Gazetteer([AdminRegion.from_json(r) for r in obj["regions"]]),
-            attributes={rid: tuple(tags) for rid, tags in obj["attributes"].items()},
-            signs={cid: tuple(texts) for cid, texts in obj["signs"].items()},
-            pois={
-                cid: tuple(Poi.from_json(p) for p in plist)
-                for cid, plist in obj["pois"].items()
-            },
+            seed=json_get(obj, "seed", int),
+            gazetteer=Gazetteer([AdminRegion.from_json(r) for r in json_get(obj, "regions", list)]),
+            attributes={rid: json_strs(attributes, rid) for rid in attributes},
+            signs={cid: json_strs(signs, cid) for cid in signs},
+            pois={cid: tuple(map(Poi.from_json, json_get(pois, cid, list))) for cid in pois},
         )
 
 
@@ -260,7 +265,7 @@ def load_world(path: str) -> SynthWorld:
     try:
         with open(path, encoding="utf-8") as f:
             return SynthWorld.from_json(json.load(f))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad world file {path}: {type(exc).__name__}: {exc}") from exc
 
 

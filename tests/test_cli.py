@@ -190,6 +190,28 @@ def test_run_missing_world_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, name", [
+    ({"timeout_s": 0}, "timeout_s"),
+    ({"retries": -1}, "retries"),
+    ({"timeout_s": float("nan")}, "timeout_s"),
+    ({"backoff_s": -1}, "backoff_s"),
+    ({"top_k": 0}, "top_k"),
+], ids=["timeout-0", "retries-neg", "timeout-nan", "backoff-neg", "top_k-0"])
+def test_run_bad_tool_setting_exits_config(tmp_path, capsys, setting, name):
+    """Each tool setting is checked at the config, before any endpoint or
+    trace exists; nothing listens on the discard port it names."""
+    config = tmp_path / "live.json"
+    config.write_text(json.dumps({
+        "gazetteer": "gazetteer.json",
+        "tools": {"mode": "live", "base_url": "http://127.0.0.1:9", **setting}}))
+    code = main(["run", "--config", str(config), "--image", "photos/a.jpg",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
+
+
 # -- bench --------------------------------------------------------------------
 
 

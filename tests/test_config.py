@@ -15,6 +15,7 @@ from geoprobe.config import (
     load_config,
     validate_files,
 )
+from geoprobe.defaults import MAX_PARALLEL_LIMIT
 from geoprobe.errors import ConfigError
 from geoprobe.executor import ALL_TOOLS
 from geoprobe.planner import LlmBackend, ScriptedBackend
@@ -164,6 +165,21 @@ def test_episode_counts_must_be_json_integers(workspace, field, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("value, ok", [(5, True), (MAX_PARALLEL_LIMIT, True),
+                                       (MAX_PARALLEL_LIMIT + 1, False), (10**6, False)])
+def test_max_parallel_bounded(workspace, value, ok):
+    """Parsing only: no episode runs, so no thread is started."""
+    path = write_config(workspace, {
+        "tools": {"mode": "synthetic", "world": "world.json"},
+        "max_parallel": value,
+    })
+    if ok:
+        assert load_config(path).episode.max_parallel == value
+        return
+    with pytest.raises(ConfigError, match=f"max_parallel must be <= {MAX_PARALLEL_LIMIT}"):
+        load_config(path)
+
+
 def test_backend_spec_validation():
     with pytest.raises(ConfigError):
         BackendSpec(kind="psychic")
@@ -182,6 +198,29 @@ def test_tools_spec_validation():
         ToolsSpec(mode="live", base_url="")
     with pytest.raises(ConfigError):
         ToolsSpec(mode="synthetic", world=None)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"base_url": ""},
+    {"timeout_s": 0.0},
+    {"retries": -1},
+    {"timeout_s": float("nan")},
+    {"backoff_s": -1.0},
+    {"top_k": 0},
+])
+def test_tools_spec_rejects_bad_values(kwargs):
+    """The tool settings' ranges are checked once, at the config."""
+    with pytest.raises(ConfigError):
+        ToolsSpec(**{"mode": "live", "base_url": "http://x", **kwargs})
+
+
+@pytest.mark.parametrize("tools", [
+    {"mode": "live", "base_url": "http://x", "timeout_s": 0},
+    {"mode": "synthetic", "world": "world.json", "top_k": 0},
+], ids=["live", "synthetic"])
+def test_tool_setting_range_rejected_at_load(tools):
+    with pytest.raises(ConfigError, match="must be"):
+        RunConfig.from_json({"gazetteer": "g.json", "tools": tools})
 
 
 def test_live_endpoints_built_from_spec():

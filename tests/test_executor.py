@@ -431,8 +431,13 @@ class TestExtraction:
         (Tool.GEOCODE, {"matches": [{"name": "Rivertown", "region_id": ["cn-a-1"]}]}),
         (Tool.IMAGE_SEARCH, {"candidates": [{"region_id": "cn-a-1", "score": 0.9}, "cn-a-2"]}),
         (Tool.CAPTION, {"caption": "x", "tags": 5}),
+        (Tool.TEXT_SEARCH, {"hits": [{"title": "a", "lat": "30.5", "lon": 114.3}]}),
+        (Tool.IMAGE_SEARCH, {"candidates": [{"region_id": "cn-a-1", "score": "0.9"}]}),
+        (Tool.IMAGE_SEARCH, {"candidates": [{"region_id": "cn-a-1", "score": True}]}),
+        (Tool.KNOWLEDGE_BASE, {"records": [{"title": ["Rivertown"], "body": ""}]}),
     ], ids=["string score", "string lat", "lat 95", "list lat", "list region id",
-            "string candidate", "int tags"])
+            "string candidate", "int tags", "numeric string lat", "numeric string score",
+            "bool score", "list title"])
     def test_mistyped_payload_yields_nothing(self, gaz, tool, payload):
         table = {"rice-paddies": frozenset({"cn-a"})}
         r = ok(Action(1, M.SEMANTIC_SYMBOL, tool, {}), payload)

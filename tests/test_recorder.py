@@ -14,7 +14,7 @@ from geoprobe import engine
 from geoprobe import state as state_module
 from geoprobe.actions import Action, CapabilityModule, Decision, Tool
 from geoprobe.canonical import canonical_hash, sha256_hex
-from geoprobe.defaults import DEFAULT_MAX_STEPS
+from geoprobe.defaults import DEFAULT_MAX_STEPS, MAX_PARALLEL_LIMIT
 from geoprobe.engine import replay, run_synthetic_episode
 from geoprobe.executor import EpisodeSettings, ToolResult
 from geoprobe.errors import (
@@ -599,6 +599,24 @@ class TestGoldenTrace:
             replay(load_trace(str(path)), WORLD_3X5.gazetteer, TAGS_3X5)
         assert ei.value.seq == -1
         assert f"{field} must be an integer" in str(ei.value)
+
+    @pytest.mark.parametrize("value, ok", [(5, True), (MAX_PARALLEL_LIMIT, True),
+                                           (MAX_PARALLEL_LIMIT + 1, False), (10**6, False)])
+    def test_max_parallel_bounded(self, tmp_path, value, ok):
+        """A header may not ask for more threads than ``MAX_PARALLEL_LIMIT``;
+        the settings are parsed, and refused, before any tool call runs."""
+        lines = GOLDEN_TRACE.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["episode"] = {**EpisodeSettings().to_json(), "max_parallel": value}
+        path = tmp_path / "edited.trace.jsonl"
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n", encoding="utf-8")
+        if ok:
+            replay(load_trace(str(path)), WORLD_3X5.gazetteer, TAGS_3X5)
+            return
+        with pytest.raises(HashMismatchError) as ei:
+            replay(load_trace(str(path)), WORLD_3X5.gazetteer, TAGS_3X5)
+        assert ei.value.seq == -1
+        assert f"max_parallel must be <= {MAX_PARALLEL_LIMIT}" in str(ei.value)
 
     @pytest.mark.parametrize("edit, seq", GOLDEN_EDITS.values(), ids=GOLDEN_EDITS)
     def test_edited_trace_pinpointed(self, tmp_path, edit, seq):

@@ -586,7 +586,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text,cause", [
         ('{"format": "synthworld/1", "seed": 1, "regions": [{"id": "r0"}]}', "KeyError"),
-        ("[]", "AttributeError"),
+        ("[]", "TypeError"),
         ('{"format": "synthworld/1", "se', "JSONDecodeError"),
     ], ids=["missing-level", "array", "truncated"])
     def test_malformed_file_raises_config_error(self, tmp_path, text, cause):

@@ -1,8 +1,10 @@
-"""Aim 3's number: one edit per JSON leaf of engine traces, and the classes
+"""Aim 3's number: one edit per JSON value of engine traces, and the classes
 of edits that replay still accepts.
 
-An edit flips a bool, adds 1 to a number, appends "x" to a string or turns
-null into 0. It is caught when ``load_trace`` or ``replay`` raises
+The leaf sweep edits each leaf within its type: it flips a bool, adds 1 to a
+number, appends "x" to a string or turns null into 0. The type sweep gives
+each value below a line's top object another JSON type (``retyped``). An
+edit is caught when ``load_trace`` or ``replay`` raises
 ``TraceFormatError``, ``SeqGapError`` or ``HashMismatchError``. An accepted
 edit is classed by its line (``"header"`` or the event kind) and its key
 path, list indices left out. The allow-lists are exactly the accepted
@@ -26,16 +28,16 @@ WORLD = generate_world(11, 3, 5)
 TAGS = WORLD.tag_table()
 
 #: What replay takes as recorded: the inputs no re-execution can check (a
-#: Decision's thought and action args, a result's detail and latency, the
-#: header's config hash and meta; ROADMAP open item 3) and ``wall_time``,
-#: which it does not compare.
+#: Decision's thought and action args, a result's latency, the header's
+#: config hash and meta; ROADMAP open item 3) and ``wall_time``, which it
+#: does not compare. A result's ``detail`` is such an input too, but every
+#: golden ``detail`` is null, and null edited to 0 is not a string.
 GOLDEN_ALLOWED = {
     ("header", "config_hash"),
     ("header", "meta.image_ref"),
     ("Decision", "payload.decision.thought"),
     ("Decision", "payload.decision.actions.args.image"),
     ("Decision", "payload.decision.actions.args.query"),
-    ("Execution", "payload.results.detail"),
     ("Execution", "payload.results.latency_ms"),
     ("Decision", "wall_time"),
     ("Execution", "wall_time"),
@@ -44,7 +46,9 @@ GOLDEN_ALLOWED = {
     ("Finalize", "wall_time"),
 }
 #: Accepted edits of the golden trace, and all its edits.
-GOLDEN_COUNTS = (34, 267)
+GOLDEN_COUNTS = (30, 267)
+#: Edits of the type sweep of the golden trace; it accepts none of them.
+GOLDEN_TYPE_EDITS = 372
 
 #: Traces recorded now also carry the episode settings in their header. A
 #: count one higher changes nothing these episodes did, so it is accepted;
@@ -75,28 +79,49 @@ def edited(value):
     return 0
 
 
-def leaves(obj, keys=()):
-    """The key path of every JSON leaf under ``obj``."""
+def retyped(value):
+    """``value`` as another JSON type: a number as its string, a string in
+    an array, a bool as 0 or 1, null as [], an object as its [key, value]
+    pairs and an array as an object keyed by index."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (int, float)):
+        return json.dumps(value)
+    if isinstance(value, str):
+        return [value]
+    if value is None:
+        return []
+    if isinstance(value, dict):
+        return [[key, item] for key, item in value.items()]
+    return {str(i): item for i, item in enumerate(value)}
+
+
+def paths(obj, keys=(), containers=False):
+    """The key path of every JSON leaf under ``obj`` and, with
+    ``containers``, of every object and array below it as well."""
     if isinstance(obj, (dict, list)):
+        if containers and keys:
+            yield keys
         for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
-            yield from leaves(value, keys + (key,))
+            yield from paths(value, keys + (key,), containers)
     else:
         yield keys
 
 
-def sweep(lines, tmp_path) -> tuple[Counter, int]:
+def sweep(lines, tmp_path, edit=edited, containers=False) -> tuple[Counter, int]:
     """Accepted edits per class, and the number of edits, of the trace whose
-    lines are ``lines``."""
+    lines are ``lines``: ``edit`` is applied to each leaf in turn and, with
+    ``containers``, to each object and array below a line's object too."""
     path = tmp_path / "edited.trace.jsonl"
     accepted, total = Counter(), 0
     for i, line in enumerate(lines):
-        for keys in leaves(json.loads(line)):
+        for keys in paths(json.loads(line), containers=containers):
             total += 1
             obj = json.loads(line)
             target = obj
             for key in keys[:-1]:
                 target = target[key]
-            target[keys[-1]] = edited(target[keys[-1]])
+            target[keys[-1]] = edit(target[keys[-1]])
             path.write_text("\n".join([*lines[:i], json.dumps(obj), *lines[i + 1:]]) + "\n")
             try:
                 replay(load_trace(str(path)), WORLD.gazetteer, TAGS)
@@ -111,6 +136,13 @@ def test_golden_trace_sweep(tmp_path):
     accepted, total = sweep(GOLDEN_TRACE.read_text(encoding="utf-8").splitlines(), tmp_path)
     assert set(accepted) == GOLDEN_ALLOWED
     assert (sum(accepted.values()), total) == GOLDEN_COUNTS
+
+
+def test_golden_trace_type_sweep(tmp_path):
+    """No value of the golden trace can change its JSON type unnoticed."""
+    accepted, total = sweep(GOLDEN_TRACE.read_text(encoding="utf-8").splitlines(), tmp_path,
+                            retyped, containers=True)
+    assert (dict(accepted), total) == ({}, GOLDEN_TYPE_EDITS)
 
 
 def test_fresh_traces_sweep(tmp_path):
