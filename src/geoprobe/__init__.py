@@ -82,7 +82,6 @@ _EXPORTS = {
     "record_episode": "engine",
     "replay": "engine",
     "run_episode": "engine",
-    "run_synthetic_episode": "engine",
     "BackendUnavailableError": "errors",
     "BudgetTooSmallError": "errors",
     "ConfigError": "errors",

@@ -40,7 +40,8 @@ from .geo import (
     reverse_geocode,
 )
 from .state import EpisodeStatus, Prediction
-from .synthworld import ClueKind, Difficulty, SceneDescriptor, SynthWorld, sample_episode
+from .synthworld import (ClueKind, Difficulty, SceneDescriptor, SynthWorld, SyntheticToolbox,
+                         sample_episode)
 
 DEFAULT_THRESHOLDS_KM: tuple[int, ...] = (1, 25, 200, 750, 2500)
 
@@ -102,6 +103,11 @@ class BenchmarkSample:
         if (self.image is None) == (self.descriptor is None):
             raise ValueError("exactly one of image / descriptor must be present")
 
+    @property
+    def image_ref(self) -> str:
+        """What the tools are asked about: the image, or ``scene/<id>``."""
+        return self.image if self.image is not None else f"scene/{self.id}"
+
     def to_json(self) -> dict:
         out = {
             "id": self.id,
@@ -141,6 +147,9 @@ _FIELDS: tuple[tuple[str, Callable[[dict, str], object]], ...] = (
 def _sample_from_line(line_no: int, obj) -> BenchmarkSample:
     if not isinstance(obj, dict):
         raise DatasetError(line_no, "sample must be a JSON object")
+    unknown = sorted(set(obj) - {key for key, _ in _FIELDS})
+    if unknown:
+        raise DatasetError(line_no, "unknown field", field=unknown[0])
     for name in _REQUIRED_FIELDS:
         if name not in obj:
             raise DatasetError(line_no, "missing required field", field=name)
@@ -443,26 +452,6 @@ class MetricsReport:
     overall: MetricBlock
     strata: dict[str, dict[str, MetricBlock]]
 
-    @property
-    def n(self) -> int:
-        return self.overall.n
-
-    @property
-    def threshold_acc(self) -> dict[int, float]:
-        return self.overall.threshold_acc
-
-    @property
-    def acc_city(self) -> float:
-        return self.overall.acc_city
-
-    @property
-    def acc_loglat(self) -> float:
-        return self.overall.acc_loglat
-
-    @property
-    def location_compliance(self) -> float | None:
-        return self.overall.location_compliance
-
     def to_json(self) -> dict:
         return {
             "label": self.label,
@@ -597,6 +586,11 @@ def make_benchmark(
 # -- benchmark execution ----------------------------------------------------
 
 
+def sample_scenes(samples: Iterable[BenchmarkSample]) -> dict[str, SceneDescriptor]:
+    """Each descriptor sample's scene under its ``image_ref``."""
+    return {s.image_ref: s.descriptor for s in samples if s.descriptor is not None}
+
+
 @dataclass(frozen=True)
 class BenchEntry:
     """Outcome of one benchmark sample: a prediction or an exhaustion."""
@@ -645,63 +639,46 @@ def run_benchmark(
 ) -> BenchmarkRun:
     """Run every sample as one episode and aggregate the metric suite.
 
-    Descriptor-embedded samples need ``world``; they run over in-process
-    synthetic adapters unless ``adapters`` is given, in which case those
-    adapters serve the tool calls and must resolve image refs of the form
-    ``scene/<sample id>``. Image-path samples need ``adapters`` plus a
-    gazetteer (``g``, or the world's); ``tag_table`` serves their evidence
-    extraction. A sample whose requirements are missing becomes an
-    Exhausted entry.
+    Every sample is one ``engine.record_episode`` over the same adapters,
+    asked about the sample's ``image_ref``, with its descriptor (if any)
+    for the planner. ``world`` supplies the gazetteer, the tag table and,
+    unless ``adapters`` is given, one ``SyntheticToolbox`` holding every
+    descriptor sample's scene (``sample_scenes``). Without a world, ``g``
+    and ``adapters`` (and ``tag_table``) must be given, else ``ConfigError``.
 
-    Every episode is recorded by ``engine.record_episode``: its trace header
-    carries ``config_hash`` and the meta ``{image_ref, label, sample_id}``,
-    and with ``trace_dir`` set the trace is written to
+    Each trace header carries ``config_hash`` and the meta ``{image_ref,
+    label, sample_id}``, and with ``trace_dir`` set the trace is written to
     ``<trace_dir>/<sample id>.trace.jsonl``.
 
-    Episode-level parallelism: each worker owns its episode state, toolbox,
-    and recorder, and results are assembled in dataset order, so a scripted
+    Episode-level parallelism: each worker owns its episode state and
+    recorder, and results are assembled in dataset order, so a scripted
     backend yields byte-identical report JSON across runs regardless of the
     worker count. One sample's failure becomes an Exhausted entry; the run
     continues.
     """
-    from .engine import record_episode, run_synthetic_episode
+    from .engine import record_episode
 
     if not samples:
         raise EmptyDatasetError("no samples to run")
-    gazetteer = world.gazetteer if world is not None else g
-    if gazetteer is None:
-        raise ConfigError("run_benchmark needs a world or a gazetteer")
+    if world is not None:
+        g, tag_table = world.gazetteer, world.tag_table()
+        if adapters is None:
+            adapters = SyntheticToolbox(world, sample_scenes(samples)).adapters()
+    if g is None or adapters is None:
+        raise ConfigError("run_benchmark needs a world, or a gazetteer and adapters")
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
     label = settings.ablation.label()
 
     def run_one(sample: BenchmarkSample) -> BenchEntry:
-        trace_path = (
-            str(trace_dir / f"{sample.id}.trace.jsonl") if trace_dir else None
-        )
-        episode = dict(
-            trace_path=trace_path, config_hash=config_hash,
-            meta={"sample_id": sample.id, "label": label}, settings=settings,
-        )
+        trace_path = str(trace_dir / f"{sample.id}.trace.jsonl") if trace_dir else None
         try:
-            if sample.descriptor is not None:
-                if world is None:
-                    return BenchEntry(
-                        sample.id, EpisodeStatus.EXHAUSTED, None,
-                        error="descriptor sample needs a synthetic world")
-                result = run_synthetic_episode(
-                    world, sample.descriptor, backend,
-                    image_ref=f"scene/{sample.id}", adapters=adapters, **episode)
-            else:
-                if adapters is None:
-                    return BenchEntry(
-                        sample.id, EpisodeStatus.EXHAUSTED, None,
-                        error="image sample needs tool adapters; "
-                              "sample has no embedded descriptor")
-                result = record_episode(
-                    backend, adapters, gazetteer,
-                    image_ref=sample.image, tag_table=tag_table, **episode)
+            result = record_episode(
+                backend, adapters, g, image_ref=sample.image_ref,
+                descriptor=sample.descriptor, tag_table=tag_table,
+                trace_path=trace_path, config_hash=config_hash,
+                meta={"sample_id": sample.id, "label": label}, settings=settings)
         except Exception as exc:  # per-sample isolation: one failure never
             return BenchEntry(  # aborts the benchmark run
                 sample.id, EpisodeStatus.EXHAUSTED, None,
@@ -720,6 +697,6 @@ def run_benchmark(
             entries = tuple(pool.map(run_one, samples))
     preds = [e.prediction for e in entries if e.prediction is not None]
     report = compute_report(
-        preds, samples, gazetteer, label=label,
+        preds, samples, g, label=label,
         thresholds=thresholds, aliases=aliases)
     return BenchmarkRun(entries=entries, report=report)

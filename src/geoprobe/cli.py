@@ -11,6 +11,11 @@ can be scripted without guessing paths:
     run:    prediction.json, run.trace.jsonl
     bench:  report.json, report.txt, predictions.jsonl, traces/<id>.trace.jsonl
     synth:  world.json, synthetic.bench.jsonl
+
+``run`` and ``bench`` record every episode with ``engine.record_episode``
+over the live endpoints or one synthetic toolbox holding the command's
+scenes: ``--descriptor`` under ``--image`` (default ``scene/0``), or each
+descriptor sample under ``scene/<id>``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pathlib import Path
 
 from .canonical import canonical_json
 from .config import TOOLS_SYNTHETIC, RunConfig, build_backend, load_config
-from .engine import record_episode, replay, run_synthetic_episode
+from .engine import record_episode, replay
 from .errors import ConfigError, GeoprobeError, HashMismatchError, TraceFormatError
 from .executor import load_tag_table
 from .geo import load_gazetteer
@@ -33,6 +38,7 @@ from .state import EpisodeStatus
 from .synthworld import (
     Difficulty,
     SceneDescriptor,
+    SyntheticToolbox,
     generate_world,
     load_world,
     save_world,
@@ -67,26 +73,25 @@ def _load_descriptor(path: str) -> SceneDescriptor:
 
 
 @contextmanager
-def _tools(cfg: RunConfig):
-    """``(backend, world, gazetteer, tag_table, adapters)`` for the config.
-
-    Synthetic mode loads the world, whose toolbox the runner wires per
-    scene, so it has no tag table or adapters here. Live mode has no world.
-    Every HTTP connection of the backend and adapters closes with the block.
-    """
+def _tools(cfg: RunConfig, scenes: dict[str, SceneDescriptor]):
+    """``(backend, gazetteer, tag_table, adapters)`` for the config: the
+    adapters of one toolbox over the world holding ``scenes`` (image ref to
+    descriptor), or of the live endpoints. Every HTTP connection of the
+    backend and adapters closes with the block."""
     backend = build_backend(cfg)
     transport = None
     try:
         if cfg.tools.mode == TOOLS_SYNTHETIC:
             world = load_world(cfg.tools.world)
-            yield backend, world, world.gazetteer, None, None
+            yield (backend, world.gazetteer, world.tag_table(),
+                   SyntheticToolbox(world, scenes).adapters())
             return
         assert cfg.gazetteer is not None  # enforced by RunConfig validation
         g = load_gazetteer(cfg.gazetteer)
         tag_table = load_tag_table(cfg.tag_table, g) if cfg.tag_table else None
         endpoints = cfg.tools.endpoints()
         transport = HttpTransport(ep.url for ep in endpoints.values())
-        yield backend, None, g, tag_table, live_adapters(endpoints, transport)
+        yield backend, g, tag_table, live_adapters(endpoints, transport)
     finally:
         if transport is not None:
             transport.close()
@@ -101,22 +106,19 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     trace_path = out / "run.trace.jsonl"
-    recording = dict(settings=cfg.episode, config_hash=cfg.config_hash())
-
-    with _tools(cfg) as (backend, world, g, tag_table, adapters):
-        if world is not None:
-            if not args.descriptor:
-                raise ConfigError("synthetic tools need --descriptor")
-            result = run_synthetic_episode(
-                world, _load_descriptor(args.descriptor), backend,
-                image_ref=args.image or "scene/0", trace_path=str(trace_path),
-                **recording)
-        else:
-            if not args.image:
-                raise ConfigError("live tools need --image")
-            result = record_episode(
-                backend, adapters, g, image_ref=args.image, tag_table=tag_table,
-                trace_path=str(trace_path), **recording)
+    desc = _load_descriptor(args.descriptor) if args.descriptor else None
+    image_ref = args.image or "scene/0"
+    scenes = {image_ref: desc} if desc is not None else {}
+    with _tools(cfg, scenes) as (backend, g, tag_table, adapters):
+        # Checked once the tools load, so a bad world or gazetteer is named first.
+        if cfg.tools.mode == TOOLS_SYNTHETIC and desc is None:
+            raise ConfigError("synthetic tools need --descriptor")
+        if cfg.tools.mode != TOOLS_SYNTHETIC and not args.image:
+            raise ConfigError("live tools need --image")
+        result = record_episode(
+            backend, adapters, g, image_ref=image_ref, descriptor=desc,
+            tag_table=tag_table, trace_path=str(trace_path),
+            settings=cfg.episode, config_hash=cfg.config_hash())
 
     if result.prediction is None:
         print(f"exhausted; trace: {trace_path}")
@@ -133,15 +135,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import load_dataset, render_text_table, run_benchmark
+    from .bench import load_dataset, render_text_table, run_benchmark, sample_scenes
 
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     samples = load_dataset(args.dataset)
-    with _tools(cfg) as (backend, world, g, tag_table, adapters):
+    with _tools(cfg, sample_scenes(samples)) as (backend, g, tag_table, adapters):
         run = run_benchmark(
-            samples, backend, world,
-            g=g, adapters=adapters, tag_table=tag_table,
+            samples, backend, g=g, adapters=adapters, tag_table=tag_table,
             workers=args.workers, trace_dir=out / "traces",
             settings=cfg.episode, config_hash=cfg.config_hash(),
         )
@@ -244,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one localization episode")
     run.add_argument("--config", required=True, help="run config JSON")
-    run.add_argument("--descriptor", help="scene descriptor JSON (synthetic mode)")
-    run.add_argument("--image", help="image reference (live mode)")
+    run.add_argument("--descriptor", help="scene descriptor JSON (needed in synthetic mode)")
+    run.add_argument("--image", help="image reference (needed in live mode; default scene/0)")
     run.add_argument("--out", help="output directory")
     run.set_defaults(func=cmd_run)
 

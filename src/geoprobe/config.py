@@ -37,6 +37,13 @@ TOOLS_SYNTHETIC = "synthetic"
 TOOLS_LIVE = "live"
 
 
+def _reject_unknown(obj, known, what: str) -> None:
+    """``ConfigError`` naming the keys of the object ``obj`` outside ``known``."""
+    unknown = sorted(set(obj) - set(known)) if isinstance(obj, dict) else []
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+
+
 @dataclass(frozen=True)
 class BackendSpec:
     """Which planner produces decisions: the scripted policy or a chat API."""
@@ -61,6 +68,7 @@ class BackendSpec:
 
     @classmethod
     def from_json(cls, obj) -> "BackendSpec":
+        _reject_unknown(obj, (f.name for f in dataclasses.fields(cls)), "backend")
         try:
             return cls(
                 kind=json_get(obj, "kind", str, BACKEND_SCRIPTED),
@@ -120,6 +128,7 @@ class ToolsSpec:
 
     @classmethod
     def from_json(cls, obj) -> "ToolsSpec":
+        _reject_unknown(obj, (f.name for f in dataclasses.fields(cls)), "tools")
         try:
             return cls(
                 mode=json_get(obj, "mode", str, TOOLS_SYNTHETIC),
@@ -168,11 +177,9 @@ class RunConfig:
     def from_json(cls, obj, base_dir: Path | None = None) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"gazetteer", "backend", "tools", "ablation", "tag_table",
-                 "max_steps", "max_parallel", "context_budget", "out_dir"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown(obj, ("gazetteer", "backend", "tools", "ablation", "tag_table",
+                              "max_steps", "max_parallel", "context_budget", "out_dir"),
+                        "config")
 
         def path_of(value):
             if base_dir is not None and value is not None and not Path(value).is_absolute():

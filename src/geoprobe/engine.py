@@ -46,7 +46,7 @@ from .state import (
     apply_evidence_report,
     finalize,
 )
-from .synthworld import SceneDescriptor, SynthWorld, SyntheticToolbox
+from .synthworld import SceneDescriptor
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,8 @@ def record_episode(
 
     The header ties the trace to the gazetteer, the config, the episode
     ``settings`` and ``image_ref`` plus ``meta``. Given ``trace_path``, the
-    trace is also written there as JSONL. ``settings`` and ``episode`` go
-    to ``run_episode``.
+    trace is also written there as JSONL. ``settings`` and ``episode``
+    (the planner's ``descriptor``, the ``tag_table``) go to ``run_episode``.
     """
     header = TraceHeader(
         gazetteer_hash=g.content_hash(),
@@ -245,32 +245,6 @@ def record_episode(
     with TraceRecorder(header, trace_path) as recorder:
         return run_episode(backend, adapters, g, recorder,
                            image_ref=image_ref, settings=settings, **episode)
-
-
-def run_synthetic_episode(
-    world: SynthWorld,
-    desc: SceneDescriptor,
-    backend,
-    *,
-    image_ref: str = "scene/0",
-    config_hash: str = "synthetic",
-    adapters=None,
-    **episode,
-) -> EpisodeResult:
-    """Wire a descriptor into the synthetic toolbox and record one episode.
-
-    ``adapters``, when given, serve the tool calls instead and must resolve
-    ``image_ref``. The rest goes to ``record_episode``.
-    """
-    if adapters is None:
-        toolbox = SyntheticToolbox(world)
-        toolbox.register(image_ref, desc)
-        adapters = toolbox.adapters()
-    return record_episode(
-        backend, adapters, world.gazetteer,
-        image_ref=image_ref, config_hash=config_hash,
-        descriptor=desc, tag_table=world.tag_table(), **episode,
-    )
 
 
 @dataclass(frozen=True)

@@ -721,13 +721,15 @@ class SyntheticToolbox:
     """All seven tools answered from one world.
 
     Scene descriptors are registered under reference strings (the values
-    that flow through image args); crop-derived refs resolve back to their
-    base scene.
+    that flow through image args), ``scenes`` at construction or one by one
+    with ``register``; crop-derived refs resolve back to their base scene.
+    One toolbox serves every episode of a run.
     """
 
-    def __init__(self, world: SynthWorld):
+    def __init__(self, world: SynthWorld,
+                 scenes: Mapping[str, SceneDescriptor] | None = None):
         self.world = world
-        self._scenes: dict[str, SceneDescriptor] = {}
+        self._scenes: dict[str, SceneDescriptor] = dict(scenes or {})
 
     def register(self, ref: str, desc: SceneDescriptor) -> None:
         self._scenes[ref] = desc

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import settings
 
 from geoprobe import stub_server
+from geoprobe.engine import EpisodeResult, record_episode
 from geoprobe.geo import AdminRegion, Gazetteer, GeoPoint, RegionLevel
+from geoprobe.synthworld import SceneDescriptor, SynthWorld, SyntheticToolbox
 
 SESSION_START = time.monotonic()
 
@@ -60,6 +62,26 @@ def small_gazetteer() -> Gazetteer:
 @pytest.fixture
 def gaz() -> Gazetteer:
     return small_gazetteer()
+
+
+def synthetic_episode(
+    world: SynthWorld,
+    desc: SceneDescriptor,
+    backend,
+    *,
+    image_ref: str = "scene/0",
+    config_hash: str = "synthetic",
+    adapters=None,
+    **episode,
+) -> EpisodeResult:
+    """One recorded episode on ``desc`` under ``image_ref``, over the
+    world's synthetic tools unless ``adapters`` is given, with the world's
+    gazetteer and tag table. The rest goes to ``record_episode``."""
+    if adapters is None:
+        adapters = SyntheticToolbox(world, {image_ref: desc}).adapters()
+    return record_episode(
+        backend, adapters, world.gazetteer, image_ref=image_ref, config_hash=config_hash,
+        descriptor=desc, tag_table=world.tag_table(), **episode)
 
 
 def dead_port() -> int:

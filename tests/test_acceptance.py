@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from conftest import SESSION_START, small_gazetteer
+from conftest import SESSION_START, small_gazetteer, synthetic_episode
 from test_recorder import ev as trace_ev, record_episode
 from test_state import ALL_IDS, ev as state_ev, leafsim, space_cover
 
@@ -33,7 +33,7 @@ from geoprobe.bench import (
 )
 from geoprobe.actions import Tool
 from geoprobe.canonical import canonical_json
-from geoprobe.engine import replay, run_synthetic_episode
+from geoprobe.engine import replay
 from geoprobe.errors import HashMismatchError
 from geoprobe.executor import (
     ALL_TOOLS,
@@ -97,7 +97,7 @@ def test_01_projection_soundness_1000_episodes():
     steps_checked = 0
     for i in range(1000):
         desc = sample_episode(world, 9_000 + i, cycle[i % 3])
-        result = run_synthetic_episode(world, desc, backend)
+        result = synthetic_episode(world, desc, backend)
 
         state = EpisodeState()
         for event in result.trace.events:
@@ -355,7 +355,7 @@ def test_04_replay_fidelity_100_episodes(tmp_path):
     for i in range(100):
         desc = sample_episode(world, 40_000 + i, cycle[i % 3])
         path = tmp_path / f"ep{i:03d}.trace.jsonl"
-        run_synthetic_episode(world, desc, backend, trace_path=str(path))
+        synthetic_episode(world, desc, backend, trace_path=str(path))
         paths.append(path)
         try:
             replay(load_trace(str(path)), world.gazetteer, world.tag_table())

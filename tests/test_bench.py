@@ -53,7 +53,7 @@ from geoprobe.errors import (
 )
 from geoprobe.geo import GeoPoint, haversine_km
 from geoprobe.planner import scripted_salience_policy
-from geoprobe.recorder import load_trace
+from geoprobe.recorder import EventKind, load_trace
 from geoprobe.state import EpisodeStatus, Prediction
 from geoprobe.synthworld import Clue, ClueKind, Difficulty, generate_world
 
@@ -276,7 +276,7 @@ def test_report_renders_slash_without_city_names():
     samples = [sample(i, c.centroid, c.name, "P") for i, c in enumerate(CITIES)]
     preds = [pred(s.id, s.truth_point, "") for s in samples]
     report = compute_report(preds, samples, GAZ)
-    assert report.location_compliance is None
+    assert report.overall.location_compliance is None
     assert " & /" in render_text_table(report)
     assert report.to_json()["overall"]["location_compliance"] is None
 
@@ -443,7 +443,7 @@ def test_rounding_happens_at_render_time_only():
     samples = [sample(i, RIVERTOWN.centroid, "Rivertown", "Aprov") for i in range(3)]
     preds = [pred("s0", RIVERTOWN.centroid, "Rivertown")]
     report = compute_report(preds, samples, GAZ)
-    assert report.acc_city == pytest.approx(100.0 / 3)  # raw value kept
+    assert report.overall.acc_city == pytest.approx(100.0 / 3)  # raw value kept
     assert report.to_json()["overall"]["acc_city"] == 33.33
 
 
@@ -517,6 +517,7 @@ def test_bad_json_names_line(tmp_path):
     (lambda o: o.update(truth={"lat": 95.0, "lon": 0.0}), "truth"),
     (lambda o: o.update(clue_tags="oops"), "clue_tags"),
     (lambda o: o.update(descriptor={"clues": []}), "image"),
+    (lambda o: o.update(imgae="img/0.jpg"), "imgae"),
 ])
 def test_field_validation(tmp_path, mutate, field_name):
     obj = sample(0, RIVERTOWN.centroid, "Rivertown", "Aprov").to_json()
@@ -654,7 +655,7 @@ def test_run_benchmark_produces_aligned_entries(world, bench_samples):
     run = run_benchmark(bench_samples, scripted_salience_policy(), world)
     assert [e.sample_id for e in run.entries] == [s.id for s in bench_samples]
     assert all(e.status is EpisodeStatus.FINALIZED for e in run.entries)
-    assert run.report.n == len(bench_samples)
+    assert run.report.overall.n == len(bench_samples)
     assert run.report.label == "full"
 
 
@@ -770,20 +771,33 @@ def test_one_sample_failure_never_aborts_the_run(world, bench_samples):
     assert "RuntimeError" in by_id[victim].error
     others = [e for e in run.entries if e.sample_id != victim]
     assert all(e.status is EpisodeStatus.FINALIZED for e in others)
-    assert run.report.n == len(bench_samples)
+    assert run.report.overall.n == len(bench_samples)
 
 
-def test_image_only_sample_becomes_exhausted_entry(world, bench_samples):
+def test_image_only_sample_becomes_exhausted_entry(tmp_path, world, bench_samples):
+    """An image sample runs over the world's toolbox, which holds no scene
+    for its image: every tool call answers UnknownImage."""
     mixed = list(bench_samples[:3])
     mixed.append(sample(99, RIVERTOWN.centroid, "Rivertown", "Aprov"))
-    run = run_benchmark(mixed, scripted_salience_policy(), world)
+    run = run_benchmark(mixed, scripted_salience_policy(), world, trace_dir=tmp_path)
     assert run.entries[-1].status is EpisodeStatus.EXHAUSTED
-    assert "descriptor" in run.entries[-1].error
+    results = [r for e in load_trace(run.entries[-1].trace_path).events
+               if e.kind is EventKind.EXECUTION for r in e.payload["results"]]
+    assert results
+    assert {(r["status"], r["error"]) for r in results} == {("ToolError", "UnknownImage")}
 
 
 def test_run_benchmark_rejects_empty_set(world):
     with pytest.raises(EmptyDatasetError):
         run_benchmark([], scripted_salience_policy(), world)
+
+
+@pytest.mark.parametrize("tools", ["none", "gazetteer only", "adapters only"])
+def test_run_benchmark_without_tools_raises(world, bench_samples, tools):
+    given = {"none": {}, "gazetteer only": {"g": world.gazetteer},
+             "adapters only": {"adapters": {}}}[tools]
+    with pytest.raises(ConfigError):
+        run_benchmark(bench_samples, scripted_salience_policy(), **given)
 
 
 def test_ablation_label_lands_in_report(world, bench_samples):

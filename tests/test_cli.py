@@ -11,7 +11,7 @@ import pytest
 from geoprobe.bench import DATASET_SUFFIX, load_dataset, save_dataset
 from geoprobe.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_MISMATCH, EXIT_OK, main
 from geoprobe.synthworld import load_world, sample_episode
-from geoprobe.synthworld import Difficulty
+from geoprobe.synthworld import Difficulty, SceneDescriptor
 
 
 def synth(out_dir, *, seed=11, provinces=3, cities=4, samples=12, mix=None):
@@ -470,6 +470,54 @@ def test_live_bench_writes_replayable_traces(live_workspace, capsys):
     assert len(traces) == 4
     for trace in traces:
         assert replays_clean(trace, live_workspace)
+
+
+def comparable_trace(path) -> list:
+    """A trace's lines as JSON without what differs between tool sources:
+    event and tool-call times, and the header's config hash."""
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items()
+                    if k not in ("wall_time", "latency_ms")}
+        return [strip(v) for v in obj] if isinstance(obj, list) else obj
+
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    del lines[0]["config_hash"]
+    return [strip(line) for line in lines]
+
+
+def test_descriptor_bench_is_the_same_over_either_tool_source(workspace, live_workspace):
+    """The world's tools in process, or served by the stub server with each
+    sample's scene under ``scene/<id>``: one report, the same traces."""
+    samples = load_dataset(workspace["dataset"])
+    for s in samples:
+        live_workspace["server"].register(s.image_ref, s.descriptor)
+    outs = {}
+    for config in (workspace["config"], live_workspace["config"]):
+        outs[config] = workspace["root"] / f"bench-{config.stem}"
+        assert main(["bench", "--config", str(config), "--dataset", str(workspace["dataset"]),
+                     "--out", str(outs[config])]) == EXIT_OK
+    synthetic, live = outs.values()
+    assert (live / "report.json").read_bytes() == (synthetic / "report.json").read_bytes()
+    for s in samples:
+        name = f"traces/{s.id}.trace.jsonl"
+        assert comparable_trace(live / name) == comparable_trace(synthetic / name)
+
+
+def test_descriptor_run_is_the_same_over_either_tool_source(workspace, live_workspace):
+    scene, _ = descriptor_file(workspace)
+    desc = SceneDescriptor.from_json(json.loads(scene.read_text(encoding="utf-8")))
+    live_workspace["server"].register("scene/0", desc)
+    outs = {}
+    for config in (workspace["config"], live_workspace["config"]):
+        outs[config] = workspace["root"] / f"run-{config.stem}"
+        assert main(["run", "--config", str(config), "--descriptor", str(scene),
+                     "--image", "scene/0", "--out", str(outs[config])]) == EXIT_OK
+    synthetic, live = outs.values()
+    assert (live / "prediction.json").read_bytes() == \
+        (synthetic / "prediction.json").read_bytes()
+    assert comparable_trace(live / "run.trace.jsonl") == \
+        comparable_trace(synthetic / "run.trace.jsonl")
 
 
 @pytest.mark.parametrize("answer", ["non-finite number", "mistyped tags"])

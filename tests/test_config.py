@@ -96,6 +96,20 @@ def test_unknown_keys_rejected(workspace):
             load_config(path)
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"gazetteer": "g.json", "tools": {"mode": "live", "base_url": "http://x",
+                                       "timeout": 3, "retry": 0}},
+     "unknown tools keys: ['retry', 'timeout']"),
+    ({"backend": {"kind": "llm", "endpoint": "http://x", "modle": "m"}},
+     "unknown backend keys: ['modle']"),
+])
+def test_unknown_nested_keys_rejected(obj, message):
+    """A misspelt setting is an error, not silently its default."""
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_json(obj)
+    assert str(err.value) == message
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "ghost.json")

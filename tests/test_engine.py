@@ -1,6 +1,8 @@
 """Episode loop: end-to-end runs, termination, fault handling, determinism."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,6 @@ from geoprobe.engine import (
     derive_poi_hint,
     replay,
     run_episode,
-    run_synthetic_episode,
 )
 from geoprobe.errors import BackendUnavailableError, ConfigError, HashMismatchError
 from geoprobe.executor import AblationConfig, EpisodeSettings
@@ -32,7 +33,7 @@ from geoprobe.state import (
 )
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
-from conftest import small_gazetteer
+from conftest import small_gazetteer, synthetic_episode
 
 M = CapabilityModule
 WORLD = generate_world(2026, 3, 5)
@@ -42,7 +43,7 @@ GAZ = small_gazetteer()
 
 def run_seeded(seed, difficulty, **kw):
     desc = sample_episode(WORLD, seed, difficulty)
-    return desc, run_synthetic_episode(WORLD, desc, scripted_salience_policy(), **kw)
+    return desc, synthetic_episode(WORLD, desc, scripted_salience_policy(), **kw)
 
 
 def kinds(trace):
@@ -106,7 +107,7 @@ class TestEndToEnd:
             desc = sample_episode(WORLD, seed, Difficulty.EASY)
             if not desc.clues_of(ClueKind.POI):
                 continue
-            res = run_synthetic_episode(WORLD, desc, scripted_salience_policy())
+            res = synthetic_episode(WORLD, desc, scripted_salience_policy())
             assert res.finalized
             assert res.prediction.point == desc.truth.point
             return
@@ -116,8 +117,8 @@ class TestEndToEnd:
 class TestTermination:
     def test_max_steps_one_with_no_evidence_exhausts(self):
         desc = sample_episode(WORLD, 0, Difficulty.HARD)
-        res = run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
-                                    settings=EpisodeSettings(max_steps=1))
+        res = synthetic_episode(WORLD, desc, scripted_salience_policy(),
+                                settings=EpisodeSettings(max_steps=1))
         assert res.state.status is EpisodeStatus.EXHAUSTED
         assert res.prediction is None
         ks = kinds(res.trace)
@@ -125,8 +126,8 @@ class TestTermination:
 
     def test_max_steps_two_forces_early_conclusion(self):
         desc = sample_episode(WORLD, 0, Difficulty.HARD)
-        res = run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
-                                    settings=EpisodeSettings(max_steps=2))
+        res = synthetic_episode(WORLD, desc, scripted_salience_policy(),
+                                settings=EpisodeSettings(max_steps=2))
         # one probe, then forced finalize on whatever frontier exists
         assert res.state.status in (EpisodeStatus.FINALIZED, EpisodeStatus.EXHAUSTED)
         decisions = [e for e in res.trace.events if e.kind is EventKind.DECISION]
@@ -166,7 +167,7 @@ class FailAfterFirst:
 class TestFaults:
     def test_backend_down_with_no_evidence_exhausts(self):
         desc = sample_episode(WORLD, 0, Difficulty.EASY)
-        res = run_synthetic_episode(WORLD, desc, FailingBackend())
+        res = synthetic_episode(WORLD, desc, FailingBackend())
         assert res.state.status is EpisodeStatus.EXHAUSTED
         [decision_or_error] = kinds(res.trace)
         assert decision_or_error is EventKind.ERROR
@@ -179,7 +180,7 @@ class TestFaults:
 
     def test_backend_down_after_evidence_concludes(self):
         desc = sample_episode(WORLD, 5, Difficulty.MEDIUM)
-        res = run_synthetic_episode(WORLD, desc, FailAfterFirst())
+        res = synthetic_episode(WORLD, desc, FailAfterFirst())
         assert res.finalized
         assert res.prediction is not None
         last_decision = [e for e in res.trace.events
@@ -189,8 +190,8 @@ class TestFaults:
 
     def test_all_tools_disabled_exhausts(self):
         desc = sample_episode(WORLD, 2, Difficulty.EASY)
-        res = run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
-                                    settings=EpisodeSettings(ablation=AblationConfig(frozenset())))
+        res = synthetic_episode(WORLD, desc, scripted_salience_policy(),
+                                settings=EpisodeSettings(ablation=AblationConfig(frozenset())))
         assert res.state.status is EpisodeStatus.EXHAUSTED
         for event in res.trace.events:
             if event.kind is EventKind.EXECUTION:
@@ -209,7 +210,7 @@ class TestFaults:
                                                 Tool.CAPTION, {"image": "scene/0"}),))
 
         desc = sample_episode(WORLD, 5, Difficulty.MEDIUM)
-        res = run_synthetic_episode(WORLD, desc, Stubborn())
+        res = synthetic_episode(WORLD, desc, Stubborn())
         decisions = [e for e in res.trace.events if e.kind is EventKind.DECISION]
         # first probe runs; second attempt repeats, is re-asked, then forced out
         assert len(decisions) == 2
@@ -241,7 +242,7 @@ class MultiProbeBackend:
 class TestBatchBookkeeping:
     def test_parallel_batch_keeps_ids_sequential(self):
         desc = sample_episode(WORLD, 3, Difficulty.EASY)
-        res = run_synthetic_episode(WORLD, desc, MultiProbeBackend())
+        res = synthetic_episode(WORLD, desc, MultiProbeBackend())
         assert res.finalized
         exec_event = next(e for e in res.trace.events
                           if e.kind is EventKind.EXECUTION)
@@ -295,8 +296,8 @@ class TestReplayUnderRecordedSettings:
 
     def test_five_action_decision(self):
         desc = sample_episode(WORLD, 3, Difficulty.EASY)
-        res = run_synthetic_episode(WORLD, desc, FiveProbeBackend(),
-                                    settings=EpisodeSettings(max_parallel=5))
+        res = synthetic_episode(WORLD, desc, FiveProbeBackend(),
+                                settings=EpisodeSettings(max_parallel=5))
         assert len(res.trace.events[0].payload["decision"]["actions"]) == 5
         self.replays(res)
         with pytest.raises(HashMismatchError) as ei:  # a Decision parsed under 4
@@ -305,8 +306,8 @@ class TestReplayUnderRecordedSettings:
 
     def test_larger_context_budget(self):
         desc = sample_episode(WORLD, 5, Difficulty.MEDIUM)
-        self.replays(run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
-                                           settings=EpisodeSettings(context_budget=50_000)))
+        self.replays(synthetic_episode(WORLD, desc, scripted_salience_policy(),
+                                       settings=EpisodeSettings(context_budget=50_000)))
 
     def test_without_text_search(self):
         from geoprobe.executor import ALL_TOOLS, LABEL_NO_TEXT_SEARCH
@@ -314,8 +315,8 @@ class TestReplayUnderRecordedSettings:
         ablation = AblationConfig(ALL_TOOLS - {Tool.TEXT_SEARCH})
         assert ablation.label() == LABEL_NO_TEXT_SEARCH
         desc = sample_episode(WORLD, 9, Difficulty.MEDIUM)
-        res = run_synthetic_episode(WORLD, desc, scripted_salience_policy(),
-                                    settings=EpisodeSettings(ablation=ablation))
+        res = synthetic_episode(WORLD, desc, scripted_salience_policy(),
+                                settings=EpisodeSettings(ablation=ablation))
         results = [r for e in res.trace.events if e.kind is EventKind.EXECUTION
                    for r in e.payload["results"]]
         assert any(r["error"] == "ToolDisabled" for r in results)
@@ -323,7 +324,7 @@ class TestReplayUnderRecordedSettings:
 
     def test_max_steps_below_the_recorded_turns_is_rejected(self):
         desc = sample_episode(WORLD, 0, Difficulty.HARD)
-        res = run_synthetic_episode(WORLD, desc, scripted_salience_policy())
+        res = synthetic_episode(WORLD, desc, scripted_salience_policy())
         decisions = [e.seq for e in res.trace.events if e.kind is EventKind.DECISION]
         assert len(decisions) > 2
         with pytest.raises(HashMismatchError) as ei:  # the second step must conclude
@@ -413,3 +414,48 @@ def test_episode_reaches_every_helper_perfbench_patches(monkeypatch):
     _, res = run_seeded(3, Difficulty.EASY)  # a POI clue: derive_poi_hint geocodes it
     assert res.finalized
     assert all(counts.values()), counts
+
+
+# -- one episode path ---------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "geoprobe"
+
+
+def referrers(name: str, sources: dict[str, str]) -> set[str]:
+    """Where ``sources`` (module name to text) name ``name``, as a plain
+    name or an attribute: ``module.function``, ``module.Class.method``, or
+    ``module.<statement>`` outside any function; a nested function counts
+    as the one it is nested in."""
+    found = set()
+
+    def scan(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                scan(node.body, f"{prefix}{node.name}.")
+            elif any(isinstance(n, ast.Name) and n.id == name
+                     or isinstance(n, ast.Attribute) and n.attr == name
+                     for n in ast.walk(node)):
+                found.add(prefix + getattr(node, "name", "<statement>"))
+
+    for module, text in sources.items():
+        scan(ast.parse(text).body, f"{module}.")
+    return found
+
+
+SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_episode_goes_through_record_episode_or_replay():
+    """No third episode path: the loop runs only under ``record_episode``
+    (the benchmark and ``geoprobe run``) and ``replay``."""
+    assert referrers("run_episode", SOURCES) == {"engine.record_episode", "engine.replay"}
+    assert referrers("record_episode", SOURCES) == {"bench.run_benchmark", "cli.cmd_run"}
+
+
+def test_episode_path_guard_sees_a_new_caller():
+    extra = {"extra": "class Runner:\n    def go(self, b):\n"
+                      "        def inner():\n            return engine.run_episode(b)\n"
+                      "        return inner()\n"
+                      "RUN = run_episode\n"}
+    assert referrers("run_episode", {**SOURCES, **extra}) == {
+        "engine.record_episode", "engine.replay", "extra.Runner.go", "extra.<statement>"}

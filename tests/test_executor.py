@@ -91,7 +91,7 @@ class TestToolResult:
         # The Execution event and the provenance of every evidence extracted
         # from a result share one hash of its payload.
         from geoprobe import executor
-        from geoprobe.engine import run_synthetic_episode
+        from conftest import synthetic_episode
         from geoprobe.planner import scripted_salience_policy
         from geoprobe.recorder import EventKind
         from geoprobe.synthworld import Difficulty, generate_world, sample_episode
@@ -102,7 +102,7 @@ class TestToolResult:
                             lambda obj: hashed.append(obj) or real_hash(obj))
         world = generate_world(11, 3, 5)
         desc = sample_episode(world, 4, Difficulty.MEDIUM)
-        trace = run_synthetic_episode(world, desc, scripted_salience_policy()).trace
+        trace = synthetic_episode(world, desc, scripted_salience_policy()).trace
         results = [r for e in trace.events if e.kind is EventKind.EXECUTION
                    for r in e.payload["results"]]
         evidence = [ev for e in trace.events if e.kind is EventKind.PROJECTION

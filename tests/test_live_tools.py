@@ -25,7 +25,7 @@ from geoprobe.actions import ARG_SCHEMAS, Action, ArgKind, CapabilityModule, Too
 from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.defaults import DEFAULT_MAX_PARALLEL
 from geoprobe.errors import ConfigError
-from geoprobe.engine import replay, run_synthetic_episode
+from geoprobe.engine import replay
 from geoprobe.executor import (
     ALL_TOOLS,
     AblationConfig,
@@ -56,7 +56,7 @@ from geoprobe import stub_server
 from geoprobe.stub_server import StubToolServer
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
-from conftest import dead_port
+from conftest import dead_port, synthetic_episode
 
 
 @pytest.fixture(scope="module")
@@ -724,7 +724,7 @@ def test_full_episode_over_http_finds_truth_city(world, stub):
     desc = sample_episode(world, 7, Difficulty.EASY)
     stub.register("scene/e", desc)
     adapters = live_adapters(fast_endpoints(stub))
-    result = run_synthetic_episode(
+    result = synthetic_episode(
         world, desc, backend, image_ref="scene/e", adapters=adapters)
     assert result.state.status is EpisodeStatus.FINALIZED
     assert result.prediction.city_name == world.gazetteer.get(desc.truth.city_id).name
@@ -738,7 +738,7 @@ def test_ablated_episode_over_http_never_calls_disabled_endpoint(world, stub):
     stub.register("scene/h", desc)
     adapters = live_adapters(fast_endpoints(stub))
     ablation = AblationConfig(frozenset(ALL_TOOLS - {Tool.IMAGE_SEARCH}))
-    result = run_synthetic_episode(
+    result = synthetic_episode(
         world, desc, backend, image_ref="scene/h", adapters=adapters,
         settings=EpisodeSettings(ablation=ablation))
     assert result.state.status is EpisodeStatus.FINALIZED

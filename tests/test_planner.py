@@ -16,7 +16,7 @@ from geoprobe.actions import (
 )
 from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.canonical import canonical_hash
-from geoprobe.engine import replay, run_synthetic_episode
+from geoprobe.engine import replay
 from geoprobe.errors import BackendUnavailableError, DecisionParseError
 from geoprobe.executor import EpisodeSettings
 from geoprobe.geo import GeoPoint
@@ -43,7 +43,7 @@ from geoprobe.synthworld import (
     sample_episode,
 )
 
-from conftest import dead_port, small_gazetteer
+from conftest import dead_port, small_gazetteer, synthetic_episode
 
 M = CapabilityModule
 DATA = Path(__file__).parent / "data"
@@ -183,7 +183,6 @@ class TestPrompt:
     def test_prompt_overhead_bounded_over_recorded_contexts(self):
         """Whatever got recorded, the prompt stays within history budget
         plus a fixed overhead — measured over 100 real episode contexts."""
-        from geoprobe.engine import run_synthetic_episode
         from geoprobe.planner import scripted_salience_policy as policy
 
         world = generate_world(13, 3, 5)
@@ -191,7 +190,7 @@ class TestPrompt:
         for seed in range(34):
             for difficulty in Difficulty:
                 desc = sample_episode(world, seed, difficulty)
-                res = run_synthetic_episode(world, desc, policy())
+                res = synthetic_episode(world, desc, policy())
                 state = res.state
                 history = compress(state, list(res.trace.events), world.gazetteer,
                                    budget=4000)
@@ -605,8 +604,8 @@ class TestLlmEpisodes:
         chat_stub.set_behavior(CHAT_PATH, fail_times=3, fail_status=503)
         backend = llm()
         failed, ok = (
-            run_synthetic_episode(WORLD, sample_episode(WORLD, seed, Difficulty.EASY),
-                                  backend, settings=EpisodeSettings(max_steps=3))
+            synthetic_episode(WORLD, sample_episode(WORLD, seed, Difficulty.EASY),
+                              backend, settings=EpisodeSettings(max_steps=3))
             for seed in (1, 2))
         [error] = failed.trace.events
         assert error.payload["error"] == "BackendUnavailable"

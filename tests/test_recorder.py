@@ -15,7 +15,7 @@ from geoprobe import state as state_module
 from geoprobe.actions import Action, CapabilityModule, Decision, Tool
 from geoprobe.canonical import canonical_hash, sha256_hex
 from geoprobe.defaults import DEFAULT_MAX_STEPS, MAX_PARALLEL_LIMIT
-from geoprobe.engine import replay, run_synthetic_episode
+from geoprobe.engine import replay
 from geoprobe.executor import EpisodeSettings, ToolResult
 from geoprobe.errors import (
     BudgetTooSmallError,
@@ -47,6 +47,8 @@ from geoprobe.state import (
     finalize,
 )
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
+
+from conftest import synthetic_episode
 
 
 def ev(eid, constraint, conf=0.9, claim=None):
@@ -508,7 +510,7 @@ GOLDEN_EDITS = {
 
 def record_golden_episode(path=None):
     desc = sample_episode(WORLD_3X5, 4, Difficulty.MEDIUM)
-    return run_synthetic_episode(WORLD_3X5, desc, scripted_salience_policy(), trace_path=path)
+    return synthetic_episode(WORLD_3X5, desc, scripted_salience_policy(), trace_path=path)
 
 
 class TestGoldenTrace:
@@ -642,9 +644,9 @@ def test_engine_traces_replay_and_every_single_deletion_is_rejected(seed, diffic
     engine's final state, and deleting any one event (``seq`` renumbered)
     is caught."""
     g = WORLD_3X5.gazetteer
-    result = run_synthetic_episode(WORLD_3X5, sample_episode(WORLD_3X5, seed, difficulty),
-                                   scripted_salience_policy(),
-                                   settings=EpisodeSettings(max_steps=max_steps))
+    result = synthetic_episode(WORLD_3X5, sample_episode(WORLD_3X5, seed, difficulty),
+                               scripted_salience_policy(),
+                               settings=EpisodeSettings(max_steps=max_steps))
     report = replay(result.trace, g, TAGS_3X5)
     assert report.final_state.snapshot_hash() == result.state.snapshot_hash()
     assert report.prediction == result.prediction

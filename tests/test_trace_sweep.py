@@ -16,12 +16,14 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from geoprobe.engine import replay, run_synthetic_episode
+from geoprobe.engine import replay
 from geoprobe.errors import HashMismatchError, SeqGapError, TraceFormatError
 from geoprobe.executor import AblationConfig, EpisodeSettings
 from geoprobe.planner import scripted_salience_policy
 from geoprobe.recorder import load_trace
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
+
+from conftest import synthetic_episode
 
 GOLDEN_TRACE = Path(__file__).parent / "data" / "synth_w11_3x5_medium_s4.trace.jsonl"
 WORLD = generate_world(11, 3, 5)
@@ -149,8 +151,8 @@ def test_fresh_traces_sweep(tmp_path):
     accepted = Counter()
     for difficulty, seed, settings in FRESH_EPISODES:
         path = tmp_path / "fresh.trace.jsonl"
-        run_synthetic_episode(WORLD, sample_episode(WORLD, seed, difficulty),
-                              scripted_salience_policy(), settings=settings,
-                              trace_path=str(path))
+        synthetic_episode(WORLD, sample_episode(WORLD, seed, difficulty),
+                          scripted_salience_policy(), settings=settings,
+                          trace_path=str(path))
         accepted += sweep(path.read_text(encoding="utf-8").splitlines(), tmp_path)[0]
     assert set(accepted) == FRESH_ALLOWED
