@@ -1,4 +1,4 @@
-"""Episode defaults, shared by ``EpisodeSettings``, the planner and the HTTP pool."""
+"""Episode defaults, shared by ``EpisodeSettings``, the executor and the HTTP pool."""
 
 DEFAULT_MAX_STEPS = 12
 DEFAULT_MAX_PARALLEL = 4

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .actions import Action, Decision, Tool, parse_decision, render_action_schema
+from .actions import Action, Decision, Tool, parse_decision
 from .canonical import json_get
 from .errors import (
     BackendUnavailableError,
@@ -28,14 +28,14 @@ from .errors import (
 )
 from .executor import EpisodeSettings, ToolResult, ToolStatus, execute_batch, extract_evidence
 from .geo import Gazetteer, reverse_geocode
-from .planner import PlannerContext, decide_next, describe_scene, summarize_space
+from .planner import PlannerContext, decide_next
 from .recorder import (
     EventKind,
     Trace,
     TraceHeader,
     TraceRecorder,
     TrajectoryEvent,
-    compress,
+    compress,  # not called here: kept because perfbench/tracing.py patches engine.compress
 )
 from .state import (
     EpisodeState,
@@ -145,34 +145,21 @@ def run_episode(
     tag_table=None,
     settings: EpisodeSettings = EpisodeSettings(),
 ) -> EpisodeResult:
-    """Run one episode to Finalized or Exhausted within ``settings.max_steps``."""
-    schema = render_action_schema()
-    scene_text = describe_scene(descriptor, image_ref)
+    """Run one episode to Finalized or Exhausted within ``settings.max_steps``.
+
+    Each step hands the backend a ``PlannerContext`` of the state, the
+    events recorded so far and the settings; only a backend that sends a
+    prompt renders one from it (``planner.build_prompt``).
+    """
     state = EpisodeState()
     prediction: Prediction | None = None
     next_evidence_id = 1
     next_action_id = 1
 
-    for step_no in range(1, settings.max_steps + 1):
+    for _ in range(settings.max_steps):
         hint = derive_poi_hint(state, g)
-        ctx = PlannerContext(
-            image_descriptor=scene_text,
-            compressed_history=compress(state, recorder.events, g,
-                                        budget=settings.context_budget),
-            candidate_summary=summarize_space(state.space, g),
-            schema_text=schema,
-            step=step_no,
-            remaining_steps=settings.max_steps - step_no,
-            image_ref=image_ref,
-            descriptor=descriptor,
-            space=state.space,
-            gazetteer=g,
-            poi_hint=hint,
-            active_evidence_ids=tuple(e.id for e in state.active_evidence()),
-            events=tuple(recorder.events),
-            next_action_id=next_action_id,
-            max_parallel=settings.max_parallel,
-        )
+        ctx = PlannerContext(state, tuple(recorder.events), g, settings, image_ref,
+                             descriptor=descriptor, poi_hint=hint, next_action_id=next_action_id)
         try:
             decision = decide_next(backend, ctx)
         except BackendUnavailableError as e:
@@ -271,8 +258,8 @@ class TraceBackend:
         self._wire = payload.get("llm_wire")
         if "decision" not in payload:
             raise BackendUnavailableError(payload.get("detail"))
-        return parse_decision(json.dumps(payload["decision"]),
-                              start_id=ctx.next_action_id, max_parallel=ctx.max_parallel)
+        return parse_decision(json.dumps(payload["decision"]), start_id=ctx.next_action_id,
+                              max_parallel=ctx.settings.max_parallel)
 
     def drain_wire_log(self):
         wire, self._wire = self._wire, None

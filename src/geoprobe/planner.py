@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .actions import (
@@ -22,11 +22,12 @@ from .actions import (
     Decision,
     Tool,
     parse_decision,
+    render_action_schema,
     validate_action,
 )
-from .defaults import DEFAULT_MAX_PARALLEL
 from .errors import BackendUnavailableError, DecisionParseError
-from .geo import Gazetteer, RegionLevel
+from .executor import EpisodeSettings
+from .geo import Gazetteer
 from .live_tools import (
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
@@ -36,13 +37,8 @@ from .live_tools import (
     auth_headers,
     post_with_retries,
 )
-from .recorder import (
-    CompressedContext,
-    TrajectoryEvent,
-    frontier_unchanged_steps,
-    is_repetition,
-)
-from .state import CandidateSpace, PoiHint
+from .recorder import TrajectoryEvent, compress, frontier_unchanged_steps, is_repetition
+from .state import CandidateSpace, EpisodeState, PoiHint
 from .synthworld import ClueKind, SceneDescriptor
 
 #: Prompt size beyond the compressed history stays under this many chars
@@ -57,35 +53,36 @@ _CANDIDATE_ROW_CAP = 40
 
 @dataclass(frozen=True)
 class PlannerContext:
-    """Everything a backend may look at when deciding the next step.
+    """Everything a backend may look at when deciding the next step: the
+    episode so far (its ``state`` and recorded ``events``), the gazetteer,
+    the ``settings`` it runs under and the image it is asked about.
 
-    The first six fields are the textual planning surface (what a prompt
-    is built from); the rest are structured views of the same episode so
-    deterministic policies can avoid string parsing.
+    Nothing here is rendered text. A backend that sends a prompt renders it
+    with ``build_prompt``; the scripted policy reads the structures.
     """
 
-    image_descriptor: str
-    compressed_history: CompressedContext
-    candidate_summary: str
-    schema_text: str
-    step: int
-    remaining_steps: int
-    image_ref: str = "image"
+    state: EpisodeState
+    events: tuple[TrajectoryEvent, ...]
+    gazetteer: Gazetteer
+    settings: EpisodeSettings
+    image_ref: str
     descriptor: SceneDescriptor | None = None
-    space: CandidateSpace = field(default_factory=CandidateSpace)
-    gazetteer: Gazetteer | None = None
     poi_hint: PoiHint | None = None
-    active_evidence_ids: tuple[int, ...] = ()
-    events: tuple[TrajectoryEvent, ...] = ()
     next_action_id: int = 1
-    max_parallel: int = DEFAULT_MAX_PARALLEL
     feedback: str | None = None
 
     def __post_init__(self):
         if self.remaining_steps < 0:
             raise ValueError("remaining_steps must be non-negative")
-        if not self.schema_text:
-            raise ValueError("schema_text must be non-empty")
+
+    @property
+    def step(self) -> int:
+        """The step being decided; every probe step applies evidence once."""
+        return self.state.step + 1
+
+    @property
+    def remaining_steps(self) -> int:
+        return self.settings.max_steps - self.step
 
 
 def describe_scene(desc: SceneDescriptor | None, media_ref: str = "") -> str:
@@ -98,55 +95,63 @@ def describe_scene(desc: SceneDescriptor | None, media_ref: str = "") -> str:
     return "\n".join(lines)
 
 
-def summarize_space(space: CandidateSpace, g: Gazetteer | None) -> str:
+def summarize_space(space: CandidateSpace, g: Gazetteer) -> str:
     """Human-readable frontier listing, capped to a bounded row count."""
     if space.is_global:
         return "(global: no constraints applied yet)"
     rows = []
     for rid in sorted(space.frontier):
-        if g is not None and rid in g:
-            r = g.get(rid)
-            rows.append(f"- {rid} ({r.level.value}) {r.name}")
-        else:
-            rows.append(f"- {rid}")
+        r = g.get(rid)
+        rows.append(f"- {rid} ({r.level.value}) {r.name}")
     if len(rows) > _CANDIDATE_ROW_CAP:
         hidden = len(rows) - _CANDIDATE_ROW_CAP
         rows = rows[:_CANDIDATE_ROW_CAP] + [f"- (+{hidden} more)"]
     return "\n".join(rows)
 
 
+#: The planning prompt around its rendered sections.
+PROMPT_TEMPLATE = (
+    "You are a geolocation agent. Work out where the scene is by probing "
+    "with tools and narrowing a candidate set of administrative regions.\n"
+    "\n"
+    "Strategy: reason from macro environment (vegetation, terrain, climate) "
+    "through meso context (architecture, infrastructure) down to micro "
+    "symbols (signs, storefronts, landmark names). When a salient micro "
+    "clue is already visible, skip the coarser levels and chase it "
+    "directly.\n"
+    "\n"
+    "Grounding rules: every claim must come from tool evidence gathered "
+    "in this episode. A finalize decision must rest on the evidence ids "
+    "listed in the working state below; if the candidates do not support "
+    "a conclusion, probe further instead of guessing.\n"
+    "\n"
+    "Decision envelope: v1. {schema}\n"
+    "## Scene\n{scene}\n\n"
+    "## Working state\n{history}\n\n"
+    "## Candidate regions\n{candidates}\n\n"
+    "## Budget\nThis is step {step}; {remaining} more "
+    "decision(s) remain after this one. Reply with one decision envelope "
+    "now.\n"
+)
+
+
 def build_prompt(ctx: PlannerContext) -> str:
-    """Deterministic planning prompt; golden-file stable."""
-    return (
-        "You are a geolocation agent. Work out where the scene is by probing "
-        "with tools and narrowing a candidate set of administrative regions.\n"
-        "\n"
-        "Strategy: reason from macro environment (vegetation, terrain, climate) "
-        "through meso context (architecture, infrastructure) down to micro "
-        "symbols (signs, storefronts, landmark names). When a salient micro "
-        "clue is already visible, skip the coarser levels and chase it "
-        "directly.\n"
-        "\n"
-        "Grounding rules: every claim must come from tool evidence gathered "
-        "in this episode. A finalize decision must rest on the evidence ids "
-        "listed in the working state below; if the candidates do not support "
-        "a conclusion, probe further instead of guessing.\n"
-        "\n"
-        "Decision envelope: v1. "
-        + ctx.schema_text
-        + "\n"
-        "## Scene\n"
-        + ctx.image_descriptor
-        + "\n\n"
-        "## Working state\n"
-        + ctx.compressed_history.render()
-        + "\n\n"
-        "## Candidate regions\n"
-        + ctx.candidate_summary
-        + "\n\n"
-        f"## Budget\nThis is step {ctx.step}; {ctx.remaining_steps} more "
-        "decision(s) remain after this one. Reply with one decision envelope "
-        "now.\n"
+    """Deterministic planning prompt; golden-file stable.
+
+    The only place a prompt's sections are rendered: the action schema, the
+    scene, the episode history compressed to ``settings.context_budget``
+    characters (``BudgetTooSmallError`` when even its floor does not fit)
+    and the candidate regions.
+    """
+    history = compress(ctx.state, ctx.events, ctx.gazetteer,
+                       budget=ctx.settings.context_budget)
+    return PROMPT_TEMPLATE.format(
+        schema=render_action_schema(),
+        scene=describe_scene(ctx.descriptor, ctx.image_ref),
+        history=history.render(),
+        candidates=summarize_space(ctx.state.space, ctx.gazetteer),
+        step=ctx.step,
+        remaining=ctx.remaining_steps,
     )
 
 
@@ -180,13 +185,13 @@ class ScriptedBackend:
 
 
 def _finalize_decision(ctx: PlannerContext, why: str) -> Decision:
-    ids = ", ".join(f"e{i}" for i in ctx.active_evidence_ids) or "none"
+    ids = ", ".join(f"e{e.id}" for e in ctx.state.active_evidence()) or "none"
     return Decision(thought=f"finalize ({why}); supporting evidence: {ids}", finalize=True)
 
 
 def _already_probed(ctx: PlannerContext, module: CapabilityModule, tool: Tool,
                     args: dict) -> bool:
-    return is_repetition(list(ctx.events), module.value, tool.value, args)
+    return is_repetition(ctx.events, module.value, tool.value, args)
 
 
 def _next_probe(ctx: PlannerContext, module: CapabilityModule,
@@ -203,8 +208,8 @@ def _next_probe(ctx: PlannerContext, module: CapabilityModule,
 
 def _at_city_level(ctx: PlannerContext) -> bool:
     """All frontier regions sit at or under one single city."""
-    space, g = ctx.space, ctx.gazetteer
-    if space.is_global or space.is_empty or g is None:
+    space, g = ctx.state.space, ctx.gazetteer
+    if space.is_global or space.is_empty:
         return False
     cities = set()
     for rid in space.frontier:
@@ -229,7 +234,8 @@ def _rule_finalize_city(ctx: PlannerContext) -> bool:
 
 def _image_match_available(ctx: PlannerContext) -> bool:
     """Visual matching makes sense: mid-level frontier, not yet tried."""
-    if ctx.space.is_global or ctx.space.is_empty or _at_city_level(ctx):
+    space = ctx.state.space
+    if space.is_global or space.is_empty or _at_city_level(ctx):
         return False
     return not _already_probed(ctx, CapabilityModule.IMAGE_MATCHING,
                                Tool.IMAGE_SEARCH, {"image": ctx.image_ref})
@@ -237,7 +243,7 @@ def _image_match_available(ctx: PlannerContext) -> bool:
 
 def _rule_image_match(ctx: PlannerContext) -> bool:
     return (_image_match_available(ctx)
-            and frontier_unchanged_steps(list(ctx.events)) >= 2)
+            and frontier_unchanged_steps(ctx.events) >= 2)
 
 
 def _rule_micro(ctx: PlannerContext) -> bool:
@@ -399,7 +405,8 @@ class LlmBackend:
             content = self._chat(ctx.step, messages)
             try:
                 decision = parse_decision(
-                    content, start_id=ctx.next_action_id, max_parallel=ctx.max_parallel
+                    content, start_id=ctx.next_action_id,
+                    max_parallel=ctx.settings.max_parallel
                 )
                 issues = _validate_decision(decision)
                 if issues:
@@ -418,7 +425,7 @@ class LlmBackend:
                         "version \"1\", nothing else."
                     ),
                 })
-        if not ctx.space.is_global and not ctx.space.is_empty:
+        if not ctx.state.space.is_global and not ctx.state.space.is_empty:
             return _finalize_decision(ctx, "unparseable replies; concluding from evidence")
         return Decision(
             thought="unparseable replies; falling back to a default probe",
@@ -461,7 +468,7 @@ def _all_repeats(ctx: PlannerContext, decision: Decision) -> bool:
     if not decision.actions:
         return False
     return all(
-        is_repetition(list(ctx.events), a.module.value, a.tool.value, a.args)
+        is_repetition(ctx.events, a.module.value, a.tool.value, a.args)
         for a in decision.actions
     )
 

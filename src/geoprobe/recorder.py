@@ -28,6 +28,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .canonical import json_get
 from .errors import BudgetTooSmallError, SeqGapError, TraceFormatError
@@ -233,7 +234,8 @@ def load_trace(path: str) -> Trace:
     return Trace(header, tuple(events))
 
 
-def is_repetition(events: list[TrajectoryEvent], module: str, tool: str, args: dict) -> bool:
+def is_repetition(events: Sequence[TrajectoryEvent], module: str, tool: str,
+                  args: dict) -> bool:
     """Whether an identical probe was already decided earlier in the episode."""
     for event in events:
         if event.kind is not EventKind.DECISION:
@@ -280,7 +282,7 @@ def _truncate(text: str, width: int) -> str:
     return text[: width - 1] + "…"
 
 
-def frontier_unchanged_steps(events: list[TrajectoryEvent]) -> int:
+def frontier_unchanged_steps(events: Sequence[TrajectoryEvent]) -> int:
     """Length of the trailing run of projections that left the space as-is."""
     spaces = [{"is_global": True, "frontier": []}]
     spaces += [e.payload.get("space") for e in events if e.kind is EventKind.PROJECTION]
@@ -294,7 +296,7 @@ def frontier_unchanged_steps(events: list[TrajectoryEvent]) -> int:
 
 def compress(
     state: EpisodeState,
-    events: list[TrajectoryEvent],
+    events: Sequence[TrajectoryEvent],
     g: Gazetteer,
     budget: int = 4000,
 ) -> CompressedContext:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .canonical import canonical_json, json_get, json_strs, sha256_hex
+from .canonical import canonical_json, sha256_hex
 from .errors import InsufficientEvidenceError, UnknownRegionError
 from .geo import AdminRegion, Gazetteer, GeoPoint, reverse_geocode
 
@@ -65,10 +65,6 @@ class Provenance:
 
     def to_json(self) -> dict:
         return {"action_id": self.action_id, "payload_sha256": self.payload_sha256}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Provenance":
-        return cls(json_get(obj, "action_id", int), json_get(obj, "payload_sha256", str))
 
 
 @dataclass(frozen=True)
@@ -121,19 +117,6 @@ class Evidence:
             "provenance": self.provenance.to_json(),
             "point": self.point.to_json() if self.point else None,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Evidence":
-        point = json_get(obj, "point", (dict, None), None)
-        return cls(
-            id=json_get(obj, "id", int),
-            source_action_id=json_get(obj, "source_action_id", int),
-            claim=json_get(obj, "claim", str),
-            constraint=frozenset(json_strs(obj, "constraint")),
-            confidence=json_get(obj, "confidence", float),
-            provenance=Provenance.from_json(json_get(obj, "provenance", dict)),
-            point=None if point is None else GeoPoint.from_json(point),
-        )
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from geoprobe.geo import (
 from geoprobe.live_tools import endpoints_for_base, live_adapters
 from geoprobe.planner import scripted_salience_policy
 from geoprobe.recorder import EventKind, compress, load_trace
-from geoprobe.state import EpisodeState, Evidence, Prediction, apply_evidence_report
+from geoprobe.state import EpisodeState, Prediction, apply_evidence_report
 from geoprobe.stub_server import StubToolServer
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
@@ -100,11 +100,12 @@ def test_01_projection_soundness_1000_episodes():
         result = synthetic_episode(world, desc, backend)
 
         state = EpisodeState()
+        chain = {e.id: e for e in result.state.chain}  # append-only: every item of the episode
         for event in result.trace.events:
             if event.kind is not EventKind.PROJECTION:
                 continue
             before = state.space.leaf_cover(g)
-            evs = [Evidence.from_json(e) for e in event.payload["evidence"]]
+            evs = [chain[e["id"]] for e in event.payload["evidence"]]
             report = apply_evidence_report(state, evs, g)
             state = report.state
             if not _is_antichain(g, state.space.frontier):

@@ -394,9 +394,11 @@ class TestRunEpisodeDirect:
 
 
 #: The helpers ``perfbench/tracing.py`` times by patching them on the engine
-#: module, where the episode loop looks them up.
+#: module, where the episode loop looks them up. It patches ``compress`` there
+#: too, but only ``planner.build_prompt`` calls it, so a scripted episode
+#: does not.
 PATCHED_BY_PERFBENCH = ("apply_evidence_report", "finalize", "derive_poi_hint",
-                        "extract_evidence", "execute_batch", "compress", "decide_next",
+                        "extract_evidence", "execute_batch", "decide_next",
                         "reverse_geocode")
 
 
@@ -459,3 +461,22 @@ def test_episode_path_guard_sees_a_new_caller():
                       "RUN = run_episode\n"}
     assert referrers("run_episode", {**SOURCES, **extra}) == {
         "engine.record_episode", "engine.replay", "extra.Runner.go", "extra.<statement>"}
+
+
+# -- one place renders a prompt -----------------------------------------------
+
+PROMPT_RENDERERS = ("compress", "summarize_space", "describe_scene", "render_action_schema")
+
+
+def test_prompt_sections_are_rendered_only_by_build_prompt():
+    """The episode loop hands backends structures; a prompt's text sections
+    are rendered where the prompt is built. Imports do not count."""
+    for name in PROMPT_RENDERERS:
+        assert referrers(name, SOURCES) == {"planner.build_prompt"}, name
+
+
+def test_prompt_guard_sees_a_new_caller():
+    extra = {"extra": "def step(state, events, g):\n"
+                      "    return recorder.compress(state, events, g)\n"}
+    assert referrers("compress", {**SOURCES, **extra}) == {
+        "planner.build_prompt", "extra.step"}

@@ -2,7 +2,6 @@
 stub server's chat route), gate."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,11 +16,12 @@ from geoprobe.actions import (
 from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.canonical import canonical_hash
 from geoprobe.engine import replay
-from geoprobe.errors import BackendUnavailableError, DecisionParseError
+from geoprobe.errors import BackendUnavailableError, BudgetTooSmallError, DecisionParseError
 from geoprobe.executor import EpisodeSettings
 from geoprobe.geo import GeoPoint
 from geoprobe.planner import (
     PROMPT_OVERHEAD_BUDGET,
+    PROMPT_TEMPLATE,
     LlmBackend,
     PlannerContext,
     build_prompt,
@@ -31,7 +31,7 @@ from geoprobe.planner import (
     summarize_space,
 )
 from geoprobe.recorder import EventKind, TrajectoryEvent, compress, load_trace
-from geoprobe.state import CandidateSpace, EpisodeState, PoiHint
+from geoprobe.state import CandidateSpace, EpisodeState, Evidence, PoiHint, Provenance
 from geoprobe.stub_server import CHAT_PATH, StubToolServer
 from geoprobe.synthworld import (
     Clue,
@@ -64,25 +64,14 @@ TERRAIN = Clue(ClueKind.TERRAIN, "karst-hills", 0.4)
 
 def make_ctx(desc=None, space=None, events=(), poi_hint=None, step=1,
              remaining=9, feedback=None, next_action_id=1, evidence_ids=()):
-    space = space if space is not None else CandidateSpace()
-    state = EpisodeState(space=space)
-    return PlannerContext(
-        image_descriptor=describe_scene(desc, "scene/0"),
-        compressed_history=compress(state, list(events), GAZ, budget=4000),
-        candidate_summary=summarize_space(space, GAZ),
-        schema_text=render_action_schema(),
-        step=step,
-        remaining_steps=remaining,
-        image_ref="scene/0",
-        descriptor=desc,
-        space=space,
-        gazetteer=GAZ,
-        poi_hint=poi_hint,
-        active_evidence_ids=tuple(evidence_ids),
-        events=tuple(events),
-        next_action_id=next_action_id,
-        feedback=feedback,
-    )
+    """The context of deciding ``step`` with ``remaining`` decisions left."""
+    chain = tuple(Evidence(i, i, f"claim {i}", frozenset({"cn"}), 0.5, Provenance(i, "h"))
+                  for i in evidence_ids)
+    state = EpisodeState(step=step - 1, space=space if space is not None else CandidateSpace(),
+                         chain=chain)
+    return PlannerContext(state, tuple(events), GAZ, EpisodeSettings(max_steps=step + remaining),
+                          "scene/0", descriptor=desc, poi_hint=poi_hint,
+                          next_action_id=next_action_id, feedback=feedback)
 
 
 def decision_event(*actions, seq=0, step=1):
@@ -125,12 +114,7 @@ def stalled_events(space, n_stalled):
 class TestContext:
     def test_negative_remaining_rejected(self):
         with pytest.raises(ValueError):
-            make_ctx(remaining=-1)
-
-    def test_empty_schema_rejected(self):
-        ctx = make_ctx()
-        with pytest.raises(ValueError):
-            replace(ctx, schema_text="")
+            make_ctx(step=3, remaining=-1)
 
     def test_describe_scene_lists_clues_only(self):
         desc = make_desc(SIGN, TERRAIN)
@@ -159,26 +143,27 @@ class TestContext:
 
 
 class TestPrompt:
-    def golden_ctx(self):
-        desc = make_desc(SIGN, TERRAIN)
+    def ctx(self):
         space = CandidateSpace(frozenset({"cn-a-1", "cn-b"}), False)
-        return PlannerContext(
-            image_descriptor=describe_scene(desc, "scene/0"),
-            compressed_history=compress(EpisodeState(), [], GAZ, budget=4000),
-            candidate_summary=summarize_space(space, GAZ),
-            schema_text=render_action_schema(),
-            step=3,
-            remaining_steps=9,
-        )
+        return make_ctx(make_desc(SIGN, TERRAIN), space=space, step=3, remaining=9)
 
     def test_matches_golden_file(self):
-        assert build_prompt(self.golden_ctx()) == (DATA / "prompt.txt").read_text()
+        """The template around sections rendered as ``build_prompt`` renders
+        them; the whole of an episode's prompt is pinned by
+        ``test_mid_episode_prompt_matches_golden_file``."""
+        prompt = PROMPT_TEMPLATE.format(
+            schema=render_action_schema(),
+            scene=describe_scene(make_desc(SIGN, TERRAIN), "scene/0"),
+            history=compress(EpisodeState(), [], GAZ, budget=4000).render(),
+            candidates=summarize_space(CandidateSpace(frozenset({"cn-a-1", "cn-b"}), False), GAZ),
+            step=3, remaining=9)
+        assert prompt == (DATA / "prompt.txt").read_text()
 
     def test_contains_envelope_version_tag(self):
-        assert "v1" in build_prompt(self.golden_ctx())
+        assert "v1" in build_prompt(self.ctx())
 
     def test_equal_contexts_build_identical_prompts(self):
-        assert build_prompt(self.golden_ctx()) == build_prompt(self.golden_ctx())
+        assert build_prompt(self.ctx()) == build_prompt(self.ctx())
 
     def test_prompt_overhead_bounded_over_recorded_contexts(self):
         """Whatever got recorded, the prompt stays within history budget
@@ -191,17 +176,9 @@ class TestPrompt:
             for difficulty in Difficulty:
                 desc = sample_episode(world, seed, difficulty)
                 res = synthetic_episode(world, desc, policy())
-                state = res.state
-                history = compress(state, list(res.trace.events), world.gazetteer,
-                                   budget=4000)
-                ctx = PlannerContext(
-                    image_descriptor=describe_scene(desc, "scene/0"),
-                    compressed_history=history,
-                    candidate_summary=summarize_space(state.space, world.gazetteer),
-                    schema_text=render_action_schema(),
-                    step=state.step,
-                    remaining_steps=0,
-                )
+                settings = EpisodeSettings(max_steps=res.state.step + 1, context_budget=4000)
+                ctx = PlannerContext(res.state, res.trace.events, world.gazetteer, settings,
+                                     "scene/0", descriptor=desc)
                 prompt = build_prompt(ctx)
                 assert len(prompt) <= 4000 + PROMPT_OVERHEAD_BUDGET
                 checked += 1
@@ -633,3 +610,41 @@ class TestLlmEpisodes:
                 # A Decision carries the state it was made in, one step behind.
                 assert {e["step"] for e in event.payload["llm_wire"]} == {event.step + 1}
         assert decisions >= 2 * len(samples)
+
+    def test_mid_episode_prompt_matches_golden_file(self, chat_stub, llm):
+        """The second prompt of an episode lists the recorded probe, its
+        evidence and the narrowed candidates."""
+        backend = llm(envelope([CAPTION_ACT]), envelope(finalize=True))
+        res = synthetic_episode(WORLD, sample_episode(WORLD, 1, Difficulty.MEDIUM), backend)
+        assert res.finalized
+        _, second = sent(chat_stub)
+        assert second["messages"][0]["content"] == (DATA / "prompt_step2.txt").read_text()
+
+    def test_budget_below_the_floor_fails_a_prompting_backend(self, chat_stub, llm):
+        backend = llm(envelope(finalize=True))
+        with pytest.raises(BudgetTooSmallError):
+            synthetic_episode(WORLD, sample_episode(WORLD, 1, Difficulty.MEDIUM), backend,
+                              settings=EpisodeSettings(context_budget=10))
+        assert sent(chat_stub) == []
+
+
+#: Renderers of a prompt's sections that cost time per call.
+PROMPT_SECTIONS = ("compress", "summarize_space", "describe_scene")
+
+
+def test_scripted_benchmark_renders_no_prompt(monkeypatch):
+    """The scripted policy reads structures; no prompt section is rendered
+    for it, wherever a module of the package binds the renderer."""
+    from geoprobe import engine, planner
+
+    counts = dict.fromkeys(PROMPT_SECTIONS, 0)
+    for module in (engine, planner):
+        for name in PROMPT_SECTIONS:
+            if hasattr(module, name):
+                def counting(*args, _name=name, _inner=getattr(module, name), **kwargs):
+                    counts[_name] += 1
+                    return _inner(*args, **kwargs)
+                monkeypatch.setattr(module, name, counting)
+    report = run_benchmark(make_benchmark(WORLD, 12, seed=5), scripted_salience_policy(), WORLD)
+    assert len(report.entries) == 12
+    assert counts == dict.fromkeys(PROMPT_SECTIONS, 0)

@@ -76,12 +76,6 @@ class TestEvidence:
         with pytest.raises(ValueError):
             ev(1, ["cn"], conf=-0.1)
 
-    def test_json_roundtrip(self):
-        e = ev(3, ["cn-a", "jp"], conf=0.7, point=GeoPoint(1, 2))
-        assert Evidence.from_json(e.to_json()) == e
-        e2 = ev(4, ["cn"])
-        assert Evidence.from_json(e2.to_json()) == e2
-
 
 def overlaps(region_id, constraint, g):
     """Whether a one-region frontier keeps anything after projection."""
