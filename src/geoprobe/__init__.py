@@ -104,6 +104,7 @@ _EXPORTS = {
     "LABEL_NO_TOOLS": "executor",
     "AblationConfig": "executor",
     "EpisodeSettings": "executor",
+    "LocalCropAdapter": "executor",
     "ToolResult": "executor",
     "execute_batch": "executor",
     "extract_evidence": "executor",
@@ -122,7 +123,6 @@ _EXPORTS = {
     "save_gazetteer": "geo",
     "EndpointConfig": "live_tools",
     "LiveAdapter": "live_tools",
-    "LocalCropAdapter": "live_tools",
     "endpoints_for_base": "live_tools",
     "live_adapters": "live_tools",
     "LlmBackend": "planner",

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Protocol
 
-from .actions import Action, Tool
+from .actions import Action, Tool, crop_payload
 from .canonical import canonical_hash, json_get, json_strs
 from .defaults import (DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS,
                        MAX_PARALLEL_LIMIT)
@@ -106,6 +106,25 @@ class ToolAdapter(Protocol):
     tool: Tool
 
     def execute(self, action: Action) -> ToolResult: ...
+
+
+class LocalCropAdapter:
+    """Crop without a network round trip: rewrites the image reference.
+
+    Downstream tools accept crop-derived references, so cropping is pure
+    bookkeeping — the derived ref names the base image plus the box. The
+    ref is not checked: a tool asked about a crop of an unknown image
+    rejects it. Every adapter map, live or synthetic, crops with this one.
+    """
+
+    tool = Tool.CROP
+
+    def execute(self, action: Action) -> ToolResult:
+        try:
+            payload = crop_payload(str(action.args["image"]), action.args["box"])
+            return ToolResult.succeed(action, payload)
+        except Exception as exc:  # defensive: adapter boundary must not throw
+            return ToolResult.fail(action, "InternalError", detail=repr(exc))
 
 
 ALL_TOOLS: frozenset[Tool] = frozenset(Tool)

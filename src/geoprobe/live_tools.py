@@ -47,10 +47,10 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .actions import Action, Tool, crop_payload
+from .actions import Action, Tool
 from .defaults import DEFAULT_MAX_PARALLEL
 from .errors import ConfigError
-from .executor import ToolAdapter, ToolResult
+from .executor import LocalCropAdapter, ToolAdapter, ToolResult
 
 if TYPE_CHECKING:
     import urllib3
@@ -387,23 +387,6 @@ class LiveAdapter:
     def execute(self, action: Action) -> ToolResult:
         try:
             return live_adapter_request(self.tool, action, self.cfg, self._transport)
-        except Exception as exc:  # defensive: adapter boundary must not throw
-            return ToolResult.fail(action, "InternalError", detail=repr(exc))
-
-
-class LocalCropAdapter:
-    """Crop without a network round trip: rewrites the image reference.
-
-    Downstream tools accept crop-derived references, so cropping is pure
-    bookkeeping — the derived ref names the base image plus the box.
-    """
-
-    tool = Tool.CROP
-
-    def execute(self, action: Action) -> ToolResult:
-        try:
-            payload = crop_payload(str(action.args["image"]), action.args["box"])
-            return ToolResult.succeed(action, payload)
         except Exception as exc:  # defensive: adapter boundary must not throw
             return ToolResult.fail(action, "InternalError", detail=repr(exc))
 

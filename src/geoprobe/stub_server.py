@@ -12,10 +12,10 @@ Every tool route keeps a request counter, which is how ablation soundness
 is asserted: a disabled tool must show a count of zero after a run. The
 chat route ``CHAT_PATH`` (``POST /v1/chat/completions``) answers the LLM
 backend from a responder set with ``set_chat``; its requests show in
-``requests()``, not in the counters. Routes can also be told to misbehave
-— fail the next N requests with a chosen status, delay before answering,
-or return a fixed raw body — to exercise the retry, timeout, and
-malformed-response paths of the HTTP clients.
+``requests()``, not in the counters. Any route's next requests can be
+given one ``Fault`` each (``schedule``) — a delay, a status or a raw body
+— to exercise the retry, timeout, and malformed-response paths of the
+HTTP clients; once its schedule runs out, the route answers healthily.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -48,14 +49,18 @@ def _wire_args(tool: Tool, body: dict) -> dict:
     return args
 
 
-@dataclass
-class RouteBehavior:
-    """Fault injection knobs for one route."""
+@dataclass(frozen=True)
+class Fault:
+    """How one request to a route misbehaves: wait ``delay_s``, then answer
+    a non-200 ``status`` with the injected-failure body, else ``body`` raw
+    at 200, else as a healthy route (``Fault()``)."""
 
-    fail_times: int = 0
-    fail_status: int = 500
+    status: int = 200
+    body: bytes | None = None
     delay_s: float = 0.0
-    raw_body: bytes | None = None
+
+
+_HEALTHY = Fault()
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,14 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             self._send(400, b'{"error": "unreadable body"}')
             return
-        behavior = owner._observe(self.path, body, self.headers.get("Authorization"))
-        if behavior.delay_s > 0:
-            time.sleep(behavior.delay_s)
-        if behavior.fail_times != 0:
-            self._send(behavior.fail_status, b'{"error": "injected failure"}')
+        fault = owner._observe(self.path, body, self.headers.get("Authorization"))
+        if fault.delay_s > 0:
+            time.sleep(fault.delay_s)
+        if fault.status != 200:
+            self._send(fault.status, b'{"error": "injected failure"}')
             return
-        if behavior.raw_body is not None:
-            self._send(200, behavior.raw_body, content_type="text/plain")
+        if fault.body is not None:
+            self._send(200, fault.body, content_type="text/plain")
             return
         if self.path == CHAT_PATH and owner._chat is not None:
             reply = {"choices": [{"message": {"content": owner._chat(body)}}]}
@@ -170,7 +175,7 @@ class StubToolServer:
         self._host = host
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {path: 0 for path in _PATH_TOOLS}
-        self._behaviors: dict[str, RouteBehavior] = {}
+        self._schedules: dict[str, deque[Fault]] = {}
         self._canned: dict[Tool, dict] = {}
         self._chat: Callable[[dict], str] | None = None
         self._requests: list[RecordedRequest] = []
@@ -221,16 +226,18 @@ class StubToolServer:
         """Endpoint configs pointing the live adapters at this server."""
         return endpoints_for_base(self.base_url, auth_env, **kwargs)
 
-    # -- scene and behavior configuration ----------------------------------
+    # -- scenes, answers and faults ----------------------------------------
 
     def register(self, ref: str, desc: SceneDescriptor) -> None:
         if self._toolbox is None:
             raise RuntimeError("no world attached; cannot register scenes")
         self._toolbox.register(ref, desc)
 
-    def set_behavior(self, route: Tool | str, **kwargs) -> None:
+    def schedule(self, route: Tool | str, *faults: Fault) -> None:
+        """The next ``len(faults)`` requests to ``route`` take ``faults`` in
+        order; this replaces what is left of the route's schedule."""
         path = TOOL_PATHS[route] if isinstance(route, Tool) else route
-        self._behaviors[path] = RouteBehavior(**kwargs)
+        self._schedules[path] = deque(faults)
 
     def set_canned(self, tool: Tool, payload: dict) -> None:
         self._canned[tool] = payload
@@ -264,22 +271,14 @@ class StubToolServer:
 
     # -- handler callbacks -------------------------------------------------
 
-    def _observe(self, path: str, body: dict, authorization: str | None) -> RouteBehavior:
-        """Count the request and decide how this one request behaves."""
+    def _observe(self, path: str, body: dict, authorization: str | None) -> Fault:
+        """Count the request and take the route's next scheduled fault."""
         with self._lock:
             if path in self._counters:
                 self._counters[path] += 1
             self._requests.append(RecordedRequest(path, body, authorization))
-            behavior = self._behaviors.get(path)
-            if behavior is None:
-                return RouteBehavior()
-            this = RouteBehavior(0, behavior.fail_status, behavior.delay_s, None)
-            if behavior.fail_times > 0:
-                behavior.fail_times -= 1
-                this.fail_times = 1
-            else:
-                this.raw_body = behavior.raw_body
-            return this
+            faults = self._schedules.get(path)
+            return faults.popleft() if faults else _HEALTHY
 
     def _answer(self, tool: Tool, body: dict) -> tuple[int, dict]:
         if tool in self._canned:

@@ -3,7 +3,7 @@
 A world is a seeded three-level region tree (country, provinces, cities)
 plus clue material: per-region attribute tags, per-city sign texts, and
 per-city POIs with exact coordinates. Scene descriptors stand in for
-images; ``SyntheticToolbox`` answers every tool from world content alone,
+images; ``SyntheticToolbox`` answers every network tool from world content,
 in process or behind the stub server, so whole episodes run offline and
 reproducibly.
 
@@ -28,10 +28,10 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .actions import Action, Tool, base_image_ref, crop_payload
+from .actions import Action, Tool, base_image_ref
 from .canonical import json_get, json_strs
 from .errors import ConfigError
-from .executor import ToolResult
+from .executor import LocalCropAdapter, ToolAdapter, ToolResult
 from .geo import (
     AdminRegion,
     Gazetteer,
@@ -686,16 +686,9 @@ def _geocode(toolbox: SyntheticToolbox, args: dict) -> dict:
     return {"query": str(args["query"]), "matches": matches}
 
 
-def _crop(toolbox: SyntheticToolbox, args: dict) -> dict:
-    ref = str(args["image"])
-    toolbox.resolve(ref)  # validate the ref
-    return crop_payload(ref, args["box"])
-
-
-#: The synthetic answer of every tool: ``(toolbox, args) -> payload``.
+#: The synthetic answer of every network tool: ``(toolbox, args) -> payload``.
 _ANSWERS: dict[Tool, Callable[[SyntheticToolbox, dict], dict]] = {
     Tool.CAPTION: _caption,
-    Tool.CROP: _crop,
     Tool.OCR: _ocr,
     Tool.KNOWLEDGE_BASE: _knowledge_base,
     Tool.TEXT_SEARCH: _text_search,
@@ -718,7 +711,7 @@ class _SynthAdapter:
 
 
 class SyntheticToolbox:
-    """All seven tools answered from one world.
+    """The six network tools answered from one world.
 
     Scene descriptors are registered under reference strings (the values
     that flow through image args), ``scenes`` at construction or one by one
@@ -744,5 +737,7 @@ class SyntheticToolbox:
         """``tool``'s payload for ``args``; an unknown image raises KeyError."""
         return _ANSWERS[tool](self, args)
 
-    def adapters(self) -> dict[Tool, _SynthAdapter]:
-        return {tool: _SynthAdapter(self, tool) for tool in _ANSWERS}
+    def adapters(self) -> dict[Tool, ToolAdapter]:
+        """An adapter for every tool; crop is ``LocalCropAdapter``, as live."""
+        return {**{tool: _SynthAdapter(self, tool) for tool in _ANSWERS},
+                Tool.CROP: LocalCropAdapter()}

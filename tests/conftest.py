@@ -1,5 +1,7 @@
 import socket
 import time
+from collections import deque
+from typing import Iterator
 
 import pytest
 from hypothesis import settings
@@ -7,7 +9,8 @@ from hypothesis import settings
 from geoprobe import stub_server
 from geoprobe.engine import EpisodeResult, record_episode
 from geoprobe.geo import AdminRegion, Gazetteer, GeoPoint, RegionLevel
-from geoprobe.synthworld import SceneDescriptor, SynthWorld, SyntheticToolbox
+from geoprobe.stub_server import Fault
+from geoprobe.synthworld import SceneDescriptor, SynthWorld, SyntheticToolbox, generate_world
 
 SESSION_START = time.monotonic()
 
@@ -103,3 +106,29 @@ def accepted(monkeypatch):
 
     monkeypatch.setattr(stub_server._StubHTTPServer, "get_request", counting_get_request)
     return count
+
+
+#: The world and the client timeout of the fault-schedule properties.
+FAULT_WORLD = generate_world(11, 3, 5)
+FAULT_TIMEOUT_S = 0.05
+
+#: What one request may meet in those properties: a retryable 5xx, a 4xx,
+#: a redirect, a raw non-JSON body, a stall past the timeout, or health.
+FAULTS = (Fault(status=503), Fault(status=404), Fault(status=302),
+          Fault(body=b"<html>gateway mishap</html>"), Fault(delay_s=2 * FAULT_TIMEOUT_S),
+          Fault())
+
+
+def client_calls(schedule, retries: int) -> Iterator[tuple[int, Fault]]:
+    """A model of ``live_tools.post_with_retries`` over a stub route that
+    takes ``schedule`` in order: for each call, the requests it sends and
+    the fault its last request met (``Fault()`` once the schedule has run
+    out). A call takes entries until one is not a 5xx, or until its retries
+    run out; a stall is no 5xx, so a timeout ends the call at once."""
+    queue = deque(schedule)
+    while True:
+        for attempt in range(retries + 1):
+            fault = queue.popleft() if queue else Fault()
+            if fault.status < 500:
+                break
+        yield attempt + 1, fault

@@ -524,10 +524,13 @@ def test_descriptor_run_is_the_same_over_either_tool_source(workspace, live_work
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_live_commands_survive_a_malformed_caption(live_workspace, capsys, command, answer):
     from geoprobe.actions import Tool
+    from geoprobe.stub_server import Fault
 
     server = live_workspace["server"]
     if answer == "non-finite number":
-        server.set_behavior(Tool.CAPTION, raw_body=b'{"caption": "x", "tags": [], "score": NaN}')
+        # One caption per episode: the samples carry no descriptor.
+        nan = Fault(body=b'{"caption": "x", "tags": [], "score": NaN}')
+        server.schedule(Tool.CAPTION, *[nan] * len(live_workspace["samples"]))
     else:
         server.set_canned(Tool.CAPTION, {"caption": "x", "tags": 5})
     # Without its caption's tags, the first sample's episode cannot finalize.

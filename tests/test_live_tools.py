@@ -12,17 +12,22 @@ import json
 import logging
 import socket
 import socketserver
+import tempfile
 import threading
 import time
+from collections import Counter
+from itertools import islice
+from pathlib import Path
 
 import pytest
 import requests
 import urllib3
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoprobe.actions import ARG_SCHEMAS, Action, ArgKind, CapabilityModule, Tool
-from geoprobe.bench import make_benchmark, run_benchmark
+from geoprobe.bench import make_benchmark, run_benchmark, sample_scenes
+from geoprobe.canonical import canonical_json
 from geoprobe.defaults import DEFAULT_MAX_PARALLEL
 from geoprobe.errors import ConfigError
 from geoprobe.engine import replay
@@ -30,6 +35,7 @@ from geoprobe.executor import (
     ALL_TOOLS,
     AblationConfig,
     EpisodeSettings,
+    LocalCropAdapter,
     ToolStatus,
     execute_batch,
     extract_evidence,
@@ -40,7 +46,6 @@ from geoprobe.live_tools import (
     EndpointConfig,
     HttpTransport,
     LiveAdapter,
-    LocalCropAdapter,
     NETWORK_TOOLS,
     TOOL_PATHS,
     WIRE_FIELDS,
@@ -51,12 +56,14 @@ from geoprobe.live_tools import (
     request_body,
 )
 from geoprobe.planner import scripted_salience_policy
+from geoprobe.recorder import EventKind, load_trace
 from geoprobe.state import EpisodeStatus
 from geoprobe import stub_server
-from geoprobe.stub_server import StubToolServer
+from geoprobe.stub_server import Fault, StubToolServer
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
-from conftest import dead_port, synthetic_episode
+from conftest import (FAULT_TIMEOUT_S, FAULT_WORLD, FAULTS, client_calls, dead_port,
+                      synthetic_episode)
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +310,7 @@ def test_token_never_appears_in_result(stub, monkeypatch):
 
 
 def test_server_error_thrice_fails_after_two_retries(stub):
-    stub.set_behavior(Tool.KNOWLEDGE_BASE, fail_times=3)
+    stub.schedule(Tool.KNOWLEDGE_BASE, *[Fault(status=500)] * 3)
     eps = fast_endpoints(stub)
     result = LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
         probe(Tool.KNOWLEDGE_BASE, {"query": "x"}))
@@ -313,7 +320,7 @@ def test_server_error_thrice_fails_after_two_retries(stub):
 
 
 def test_server_error_twice_then_recovers(stub):
-    stub.set_behavior(Tool.KNOWLEDGE_BASE, fail_times=2)
+    stub.schedule(Tool.KNOWLEDGE_BASE, *[Fault(status=500)] * 2)
     stub.set_canned(Tool.KNOWLEDGE_BASE, {"records": []})
     eps = fast_endpoints(stub)
     result = LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
@@ -323,7 +330,7 @@ def test_server_error_twice_then_recovers(stub):
 
 
 def test_client_error_fails_immediately_without_retry(stub):
-    stub.set_behavior(Tool.KNOWLEDGE_BASE, fail_times=5, fail_status=403)
+    stub.schedule(Tool.KNOWLEDGE_BASE, *[Fault(status=403)] * 5)
     eps = fast_endpoints(stub)
     result = LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
         probe(Tool.KNOWLEDGE_BASE, {"query": "x"}))
@@ -334,7 +341,7 @@ def test_client_error_fails_immediately_without_retry(stub):
 
 
 def test_slow_server_yields_timeout_with_latency_at_least_budget(stub):
-    stub.set_behavior(Tool.CAPTION, delay_s=0.5)
+    stub.schedule(Tool.CAPTION, Fault(delay_s=0.5))
     cfg = stub.endpoints(timeout_s=0.05)[Tool.CAPTION]
     result = LiveAdapter(Tool.CAPTION, cfg).execute(
         probe(Tool.CAPTION, {"image": "scene/0"}))
@@ -344,7 +351,7 @@ def test_slow_server_yields_timeout_with_latency_at_least_budget(stub):
 
 
 def test_non_json_body_is_bad_response_with_raw_body(stub):
-    stub.set_behavior(Tool.GEOCODE, raw_body=b"<html>gateway mishap</html>")
+    stub.schedule(Tool.GEOCODE, Fault(body=b"<html>gateway mishap</html>"))
     eps = fast_endpoints(stub)
     result = LiveAdapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
         probe(Tool.GEOCODE, {"query": "x"}))
@@ -354,7 +361,7 @@ def test_non_json_body_is_bad_response_with_raw_body(stub):
 
 
 def test_json_array_body_is_bad_response(stub):
-    stub.set_behavior(Tool.GEOCODE, raw_body=b"[1, 2, 3]")
+    stub.schedule(Tool.GEOCODE, Fault(body=b"[1, 2, 3]"))
     eps = fast_endpoints(stub)
     result = LiveAdapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
         probe(Tool.GEOCODE, {"query": "x"}))
@@ -365,7 +372,7 @@ def test_json_array_body_is_bad_response(stub):
 @pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e999"])
 def test_non_finite_number_is_bad_response_with_raw_body(stub, number):
     raw = b'{"caption": "x", "tags": [], "score": ' + number + b"}"
-    stub.set_behavior(Tool.CAPTION, raw_body=raw)
+    stub.schedule(Tool.CAPTION, Fault(body=raw))
     eps = fast_endpoints(stub, retries=0)
     result = LiveAdapter(Tool.CAPTION, eps[Tool.CAPTION]).execute(
         probe(Tool.CAPTION, {"image": "scene/0"}))
@@ -415,7 +422,7 @@ def test_worldless_stub_answers_tool_routes_404():
 
 
 def test_redirect_is_rejected_not_followed(stub):
-    stub.set_behavior(Tool.OCR, fail_times=1, fail_status=303)
+    stub.schedule(Tool.OCR, Fault(status=303))
     eps = fast_endpoints(stub)
     result = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(
         probe(Tool.OCR, {"image": "scene/0"}))
@@ -435,7 +442,7 @@ def test_transport_chains_connection_error_to_urllib3():
 
 
 def test_transport_chains_timeout_to_urllib3(stub):
-    stub.set_behavior(Tool.CAPTION, delay_s=0.5)
+    stub.schedule(Tool.CAPTION, Fault(delay_s=0.5))
     url = stub.endpoints()[Tool.CAPTION].url
     with pytest.raises(requests.Timeout) as info:
         HttpTransport([url]).post(url, body=b"{}", headers={}, timeout=0.05)
@@ -455,7 +462,8 @@ def test_parallel_batch_shares_one_pool_without_overflow(stub, caplog):
     tools = (Tool.CAPTION, Tool.OCR, Tool.KNOWLEDGE_BASE, Tool.GEOCODE)
     for tool in tools:
         stub.set_canned(tool, {"n": tool.value})
-        stub.set_behavior(tool, delay_s=0.05)  # keep the four calls in flight together
+        # Keep each batch's four calls in flight together.
+        stub.schedule(tool, *[Fault(delay_s=0.05)] * 3)
     adapters = live_adapters(stub.endpoints())
     args = {Tool.CAPTION: {"image": "scene/0"}, Tool.OCR: {"image": "scene/0"},
             Tool.KNOWLEDGE_BASE: {"query": "x"}, Tool.GEOCODE: {"query": "x"}}
@@ -502,7 +510,7 @@ def geocode(adapters, name, action_id=1):
 
 
 def test_injected_503_is_retried_on_the_kept_connection(stub, accepted):
-    stub.set_behavior(Tool.KNOWLEDGE_BASE, fail_times=1, fail_status=503)
+    stub.schedule(Tool.KNOWLEDGE_BASE, Fault(status=503))
     stub.set_canned(Tool.KNOWLEDGE_BASE, {"records": []})
     adapters = live_adapters(fast_endpoints(stub))
     for i in range(2):
@@ -515,10 +523,9 @@ def test_injected_503_is_retried_on_the_kept_connection(stub, accepted):
 
 def test_call_after_a_timeout_gets_its_own_answer(world, stub, accepted):
     first, second = (c.name for c in world.gazetteer.cities()[:2])
-    stub.set_behavior(Tool.GEOCODE, delay_s=0.3)
+    stub.schedule(Tool.GEOCODE, Fault(delay_s=0.3))
     adapters = live_adapters(fast_endpoints(stub, timeout_s=0.05))
     assert geocode(adapters, first).status is ToolStatus.TIMEOUT
-    stub.set_behavior(Tool.GEOCODE)
     result = geocode(adapters, second, action_id=2)
     assert result.ok
     assert result.payload["query"] == second  # not the late answer to the first
@@ -527,10 +534,9 @@ def test_call_after_a_timeout_gets_its_own_answer(world, stub, accepted):
 
 def test_raw_body_is_bad_response_and_keeps_the_connection(world, stub, accepted):
     name = world.gazetteer.cities()[0].name
-    stub.set_behavior(Tool.GEOCODE, raw_body=b"<html>gateway mishap</html>")
+    stub.schedule(Tool.GEOCODE, Fault(body=b"<html>gateway mishap</html>"))
     adapters = live_adapters(fast_endpoints(stub))
     assert geocode(adapters, name).error == "BadResponse"
-    stub.set_behavior(Tool.GEOCODE)
     assert geocode(adapters, name, action_id=2).payload["query"] == name
     assert accepted[0] == 1
 
@@ -611,6 +617,19 @@ def test_closing_the_transport_closes_the_adapters_connections(stub, accepted):
     assert geocode(adapters, "y", action_id=2).ok
     assert accepted[0] == 2  # the kept connection was closed, not reused
     transport.close()
+
+
+@pytest.mark.parametrize("retries", [0, 2])
+def test_call_after_the_server_drops_an_idle_connection(stub, accepted, retries):
+    stub.set_canned(Tool.GEOCODE, {"matches": []})
+    adapters = live_adapters(fast_endpoints(stub, retries=retries))
+    assert geocode(adapters, "x").ok
+    with stub._server._conn_lock:
+        [conn] = stub._server._open  # the kept connection, idle
+        conn.shutdown(socket.SHUT_RDWR)
+    assert geocode(adapters, "y", action_id=2).ok
+    assert stub.total_requests() == 2
+    assert accepted[0] == 2
 
 
 # -- environment: proxies and .netrc, read when the adapters are built -------
@@ -744,6 +763,62 @@ def test_ablated_episode_over_http_never_calls_disabled_endpoint(world, stub):
     assert result.state.status is EpisodeStatus.FINALIZED
     assert stub.count(Tool.IMAGE_SEARCH) == 0
     assert stub.total_requests() > 0
+
+
+# -- fault schedules drawn by hypothesis ------------------------------------
+
+FAULT_SAMPLES = make_benchmark(FAULT_WORLD, 4, seed=5)
+
+
+@pytest.fixture(scope="module")
+def fault_stub():
+    with StubToolServer(FAULT_WORLD) as server:
+        for ref, desc in sample_scenes(FAULT_SAMPLES).items():
+            server.register(ref, desc)
+        yield server
+
+
+def faulty_bench(stub, trace_dir):
+    """The fault samples run over ``stub``: two retries, no backoff, and
+    ``FAULT_TIMEOUT_S``."""
+    endpoints = stub.endpoints(retries=2, backoff_s=0, timeout_s=FAULT_TIMEOUT_S)
+    transport = HttpTransport(ep.url for ep in endpoints.values())
+    try:
+        return run_benchmark(FAULT_SAMPLES, scripted_salience_policy(), FAULT_WORLD,
+                             adapters=live_adapters(endpoints, transport), trace_dir=trace_dir)
+    finally:
+        transport.close()
+
+
+@pytest.fixture(scope="module")
+def fault_free_report(fault_stub):
+    with tempfile.TemporaryDirectory() as trace_dir:
+        return canonical_json(faulty_bench(fault_stub, trace_dir).report.to_json())
+
+
+@settings(max_examples=25)
+@given(schedules=st.fixed_dictionaries(
+    {tool: st.lists(st.sampled_from(FAULTS), max_size=3) for tool in TOOL_PATHS}))
+def test_drawn_tool_faults_follow_the_client_policy(fault_stub, fault_free_report, schedules):
+    fault_stub.reset_counters()
+    for tool, faults in schedules.items():
+        fault_stub.schedule(tool, *faults)
+    with tempfile.TemporaryDirectory() as trace_dir:
+        run = faulty_bench(fault_stub, trace_dir)
+        traces = [load_trace(Path(trace_dir) / f"{s.id}.trace.jsonl") for s in FAULT_SAMPLES]
+    assert {e.status for e in run.entries} <= {EpisodeStatus.FINALIZED, EpisodeStatus.EXHAUSTED}
+    assert {e.error for e in run.entries} <= {None, "episode exhausted"}
+    for trace in traces:
+        replay(trace, FAULT_WORLD.gazetteer, FAULT_WORLD.tag_table())
+    calls = Counter(r["tool"] for trace in traces for event in trace.events
+                    if event.kind is EventKind.EXECUTION for r in event.payload["results"])
+    healthy = True
+    for tool, faults in schedules.items():
+        outcomes = list(islice(client_calls(faults, retries=2), calls[tool.value]))
+        assert fault_stub.count(tool) == sum(n for n, _ in outcomes), tool
+        healthy = healthy and all(fault == Fault() for _, fault in outcomes)
+    if healthy:
+        assert canonical_json(run.report.to_json()) == fault_free_report
 
 
 # -- tag table file loading -------------------------------------------------

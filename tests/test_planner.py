@@ -2,16 +2,18 @@
 stub server's chat route), gate."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoprobe.actions import (
     Action,
     CapabilityModule,
     Decision,
     Tool,
-    render_action_schema,
 )
 from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.canonical import canonical_hash
@@ -21,7 +23,6 @@ from geoprobe.executor import EpisodeSettings
 from geoprobe.geo import GeoPoint
 from geoprobe.planner import (
     PROMPT_OVERHEAD_BUDGET,
-    PROMPT_TEMPLATE,
     LlmBackend,
     PlannerContext,
     build_prompt,
@@ -30,9 +31,16 @@ from geoprobe.planner import (
     scripted_salience_policy,
     summarize_space,
 )
-from geoprobe.recorder import EventKind, TrajectoryEvent, compress, load_trace
-from geoprobe.state import CandidateSpace, EpisodeState, Evidence, PoiHint, Provenance
-from geoprobe.stub_server import CHAT_PATH, StubToolServer
+from geoprobe.recorder import EventKind, TrajectoryEvent, load_trace
+from geoprobe.state import (
+    CandidateSpace,
+    EpisodeState,
+    EpisodeStatus,
+    Evidence,
+    PoiHint,
+    Provenance,
+)
+from geoprobe.stub_server import CHAT_PATH, Fault, StubToolServer
 from geoprobe.synthworld import (
     Clue,
     ClueKind,
@@ -43,11 +51,20 @@ from geoprobe.synthworld import (
     sample_episode,
 )
 
-from conftest import dead_port, small_gazetteer, synthetic_episode
+from conftest import (
+    FAULT_TIMEOUT_S,
+    FAULT_WORLD,
+    FAULTS,
+    client_calls,
+    dead_port,
+    small_gazetteer,
+    synthetic_episode,
+)
 
 M = CapabilityModule
 DATA = Path(__file__).parent / "data"
 GAZ = small_gazetteer()
+WORLD = generate_world(2026, 3, 5)
 
 
 def make_desc(*clues, city="cn-a-1", point=GeoPoint(30.5, 114.3),
@@ -148,16 +165,11 @@ class TestPrompt:
         return make_ctx(make_desc(SIGN, TERRAIN), space=space, step=3, remaining=9)
 
     def test_matches_golden_file(self):
-        """The template around sections rendered as ``build_prompt`` renders
-        them; the whole of an episode's prompt is pinned by
-        ``test_mid_episode_prompt_matches_golden_file``."""
-        prompt = PROMPT_TEMPLATE.format(
-            schema=render_action_schema(),
-            scene=describe_scene(make_desc(SIGN, TERRAIN), "scene/0"),
-            history=compress(EpisodeState(), [], GAZ, budget=4000).render(),
-            candidates=summarize_space(CandidateSpace(frozenset({"cn-a-1", "cn-b"}), False), GAZ),
-            step=3, remaining=9)
-        assert prompt == (DATA / "prompt.txt").read_text()
+        """The first prompt of the probe-then-finalize episode that
+        ``test_mid_episode_prompt_matches_golden_file`` sends."""
+        ctx = PlannerContext(EpisodeState(), (), WORLD.gazetteer, EpisodeSettings(), "scene/0",
+                             descriptor=sample_episode(WORLD, 1, Difficulty.MEDIUM))
+        assert build_prompt(ctx) == (DATA / "prompt.txt").read_text()
 
     def test_contains_envelope_version_tag(self):
         assert "v1" in build_prompt(self.ctx())
@@ -483,14 +495,14 @@ class TestLlmBackend:
         assert len(sent(chat_stub)) == 2
 
     def test_transport_retry_then_success(self, chat_stub, llm):
-        chat_stub.set_behavior(CHAT_PATH, fail_times=2, fail_status=503)
+        chat_stub.schedule(CHAT_PATH, *[Fault(status=503)] * 2)
         backend = llm(envelope(finalize=True))
         d = backend.decide(make_ctx(make_desc(VEG)))
         assert d.finalize
         assert len(sent(chat_stub)) == 3
 
     def test_wire_log_records_every_transport_attempt(self, chat_stub, llm):
-        chat_stub.set_behavior(CHAT_PATH, fail_times=2, fail_status=503)
+        chat_stub.schedule(CHAT_PATH, *[Fault(status=503)] * 2)
         backend = llm(envelope(finalize=True))
         backend.decide(make_ctx(make_desc(VEG)))
         wire = backend.drain_wire_log()
@@ -504,28 +516,28 @@ class TestLlmBackend:
         assert [e["kind"] for e in backend.drain_wire_log()] == ["request"] * 3
 
     def test_5xx_exhaustion_names_the_status(self, chat_stub, llm):
-        chat_stub.set_behavior(CHAT_PATH, fail_times=3, fail_status=503)
+        chat_stub.schedule(CHAT_PATH, *[Fault(status=503)] * 3)
         backend = llm(envelope(finalize=True))
         with pytest.raises(BackendUnavailableError, match="LLM endpoint returned HTTP 503"):
             backend.decide(make_ctx(make_desc(VEG)))
         assert len(sent(chat_stub)) == 3
 
     def test_hard_4xx_is_unavailable_without_retry(self, chat_stub, llm):
-        chat_stub.set_behavior(CHAT_PATH, fail_times=1, fail_status=401)
+        chat_stub.schedule(CHAT_PATH, Fault(status=401))
         backend = llm(envelope(finalize=True))
         with pytest.raises(BackendUnavailableError, match="LLM endpoint returned HTTP 401"):
             backend.decide(make_ctx(make_desc(VEG)))
         assert len(sent(chat_stub)) == 1
 
     def test_redirect_is_not_followed(self, chat_stub, llm):
-        chat_stub.set_behavior(CHAT_PATH, fail_times=1, fail_status=302)
+        chat_stub.schedule(CHAT_PATH, Fault(status=302))
         backend = llm(envelope(finalize=True))
         with pytest.raises(BackendUnavailableError, match="LLM endpoint returned HTTP 302"):
             backend.decide(make_ctx(make_desc(VEG)))
         assert len(chat_stub.requests()) == 1
 
     def test_malformed_response_body_is_unavailable(self, chat_stub, llm):
-        chat_stub.set_behavior(CHAT_PATH, raw_body=b'{"unexpected": true}')
+        chat_stub.schedule(CHAT_PATH, Fault(body=b'{"unexpected": true}'))
         backend = llm(envelope(finalize=True))
         with pytest.raises(BackendUnavailableError, match="not chat-completions shaped"):
             backend.decide(make_ctx(make_desc(VEG)))
@@ -537,7 +549,7 @@ class TestLlmBackend:
         assert req["messages"][-1]["content"] == "do better"
 
     def test_timeout_is_not_retried(self, chat_stub, llm):
-        chat_stub.set_behavior(CHAT_PATH, delay_s=0.3)
+        chat_stub.schedule(CHAT_PATH, Fault(delay_s=0.3))
         backend = llm(envelope(finalize=True), envelope(finalize=True), timeout_s=0.05)
         with pytest.raises(BackendUnavailableError, match="unreachable"):
             backend.decide(make_ctx(make_desc(VEG)))
@@ -561,8 +573,6 @@ class TestLlmBackend:
 # ---------------------------------------------------------------------------
 # LLM backend driving whole episodes
 
-WORLD = generate_world(2026, 3, 5)
-
 
 def caption_then_finalize(body: dict) -> str:
     """Probe with a caption while the frontier is global, then finalize."""
@@ -578,7 +588,7 @@ def wire_kinds(event) -> list[str]:
 class TestLlmEpisodes:
     def test_failed_episode_keeps_its_wire_log(self, chat_stub, llm):
         chat_stub.set_chat(caption_then_finalize)
-        chat_stub.set_behavior(CHAT_PATH, fail_times=3, fail_status=503)
+        chat_stub.schedule(CHAT_PATH, *[Fault(status=503)] * 3)
         backend = llm()
         failed, ok = (
             synthetic_episode(WORLD, sample_episode(WORLD, seed, Difficulty.EASY),
@@ -612,12 +622,13 @@ class TestLlmEpisodes:
         assert decisions >= 2 * len(samples)
 
     def test_mid_episode_prompt_matches_golden_file(self, chat_stub, llm):
-        """The second prompt of an episode lists the recorded probe, its
-        evidence and the narrowed candidates."""
+        """The first prompt of an episode has an empty history; the second
+        lists the recorded probe, its evidence and the narrowed candidates."""
         backend = llm(envelope([CAPTION_ACT]), envelope(finalize=True))
         res = synthetic_episode(WORLD, sample_episode(WORLD, 1, Difficulty.MEDIUM), backend)
         assert res.finalized
-        _, second = sent(chat_stub)
+        first, second = sent(chat_stub)
+        assert first["messages"][0]["content"] == (DATA / "prompt.txt").read_text()
         assert second["messages"][0]["content"] == (DATA / "prompt_step2.txt").read_text()
 
     def test_budget_below_the_floor_fails_a_prompting_backend(self, chat_stub, llm):
@@ -626,6 +637,51 @@ class TestLlmEpisodes:
             synthetic_episode(WORLD, sample_episode(WORLD, 1, Difficulty.MEDIUM), backend,
                               settings=EpisodeSettings(context_budget=10))
         assert sent(chat_stub) == []
+
+
+FAULT_SAMPLES = make_benchmark(FAULT_WORLD, 3, seed=5)
+
+
+def ended_unavailable(trace) -> bool:
+    """Whether the episode ended on the backend-unavailable fallback: a
+    BackendUnavailable Error, or the finalize decision made in its place."""
+    return any(
+        event.payload.get("error") == "BackendUnavailable"
+        or event.payload.get("decision", {}).get("thought", "").startswith("backend unavailable")
+        for event in trace.events)
+
+
+@settings(max_examples=20)
+@given(schedule=st.lists(st.sampled_from(FAULTS), max_size=3))
+def test_drawn_chat_faults_follow_the_client_policy(schedule):
+    with StubToolServer() as server, tempfile.TemporaryDirectory() as trace_dir:
+        server.set_chat(caption_then_finalize)
+        server.schedule(CHAT_PATH, *schedule)
+        backend = LlmBackend(endpoint=server.base_url + CHAT_PATH, model="geo-test",
+                             timeout_s=FAULT_TIMEOUT_S, transport_retries=2, backoff_s=0.0)
+        try:
+            run = run_benchmark(FAULT_SAMPLES, backend, FAULT_WORLD, trace_dir=trace_dir,
+                                settings=EpisodeSettings(max_steps=3))
+        finally:
+            backend.close()
+        traces = [load_trace(Path(trace_dir) / f"{s.id}.trace.jsonl") for s in FAULT_SAMPLES]
+        chat_requests = len(sent(server))
+    assert {e.status for e in run.entries} <= {EpisodeStatus.FINALIZED, EpisodeStatus.EXHAUSTED}
+    assert {e.error for e in run.entries} <= {None, "episode exhausted"}
+    # The episodes run in order, so the model walks one schedule through them:
+    # each answered chat call must end healthy, and a call that ends on a
+    # fault must end its episode through the fallback.
+    calls = client_calls(schedule, retries=2)
+    expected = 0
+    for trace in traces:
+        replay(trace, FAULT_WORLD.gazetteer, FAULT_WORLD.tag_table())
+        answered = sum(entry["kind"] == "response" for event in trace.events
+                       for entry in event.payload.get("llm_wire", []))
+        outcomes = [next(calls) for _ in range(answered + ended_unavailable(trace))]
+        expected += sum(n for n, _ in outcomes)
+        assert [fault == Fault() for _, fault in outcomes] == \
+            [True] * answered + [False] * ended_unavailable(trace)
+    assert chat_requests == expected
 
 
 #: Renderers of a prompt's sections that cost time per call.

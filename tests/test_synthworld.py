@@ -428,6 +428,21 @@ class TestAdapters:
         r = run(ads, Tool.OCR, M.SEMANTIC_SYMBOL, image=derived)
         assert r.ok
 
+    def test_crop_of_unknown_image_is_rejected_by_the_next_tool(self):
+        """Crop is the local adapter, as over live tools: it derives the ref
+        without checking it, and the tool asked about the crop rejects it."""
+        ads = scene_adapters(WORLD, sample_episode(WORLD, 1, Difficulty.EASY))
+        crop = run(ads, Tool.CROP, M.IMAGE_MATCHING, image="scene/999",
+                   box=[0.2, 0.2, 0.8, 0.8])
+        assert crop.ok and crop.payload["image"].startswith("scene/999#crop(")
+        r = run(ads, Tool.OCR, M.SEMANTIC_SYMBOL, image=crop.payload["image"])
+        assert not r.ok and r.error == "UnknownImage"
+
+    def test_crop_without_box_is_internal_error(self):
+        ads = scene_adapters(WORLD, sample_episode(WORLD, 1, Difficulty.EASY))
+        r = run(ads, Tool.CROP, M.IMAGE_MATCHING, image="scene/0")
+        assert not r.ok and r.error == "InternalError"
+
     def test_kb_resolves_sign_to_city(self):
         desc = sample_episode(WORLD, 2, Difficulty.EASY)
         signs = desc.clues_of(ClueKind.SIGN_TEXT)
