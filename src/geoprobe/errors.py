@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Tool failures are deliberately *not* exceptions: they travel in-band as
-ToolResult values so the episode loop keeps deciding under partial failure.
-The classes here cover programming errors, bad inputs, and integrity
-violations that should stop a run.
+ToolResult values (the transport errors here are turned into them), so the
+episode loop keeps deciding under partial failure. The other classes cover
+programming errors, bad inputs, and integrity violations that stop a run.
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ class DecisionParseError(GeoprobeError):
     def __init__(self, message: str, span: tuple[int, int] | None = None):
         super().__init__(message)
         self.span = span
+
+
+class TransportError(GeoprobeError):
+    """An HTTP call failed below HTTP; chained to the socket or ``http.client`` error."""
+
+
+class TransportTimeout(TransportError):
+    """An HTTP call's connect or read outlasted its timeout."""
 
 
 class BackendUnavailableError(GeoprobeError):

@@ -298,9 +298,6 @@ class Gazetteer:
         self.get(region_id)
         return self._leaves[region_id]
 
-    def is_ancestor(self, maybe_ancestor: str, region_id: str) -> bool:
-        return maybe_ancestor in self._ancestors.get(region_id, ())
-
     def cities(self) -> tuple[AdminRegion, ...]:
         return self._cities
 

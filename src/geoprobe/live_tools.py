@@ -17,43 +17,35 @@ reads (caption/tags, spans, records, hits, candidates, matches). A body
 holding NaN or an infinite number, which a trace cannot record, is a
 BadResponse.
 
-Transport: each ``live_adapters()`` call builds one ``HttpTransport``, a
-thread-safe urllib3 pool shared by all of its adapters, unless the caller
-passes one in and so owns its ``close()``; ``planner.LlmBackend`` builds
-one for its endpoint. The environment is read once, when the transport is
-built, through ``requests``' own helpers: the proxy
-(``HTTP_PROXY``/``HTTPS_PROXY``/``ALL_PROXY``, ``NO_PROXY``), the CA bundle
-(``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``) and ``.netrc`` credentials,
-which, as under ``requests``, replace the bearer header for their host.
-Changing them later does not affect built adapters; the bearer token named
-by ``auth_env`` is still read on every call. Redirects are not followed
-(``requests`` re-sent a 301/302/303 POST as a GET): a 3xx answer is a
-RequestRejected result. A NetworkError detail is the ``repr`` of a
-``requests.ConnectionError`` around the urllib3 error itself, such as
-``ConnectionError(NewConnectionError(...))``, without the "Max retries
-exceeded" wrapper ``requests`` added. A 200 body is parsed as JSON from its
-bytes (UTF-8, or UTF-16/32 detected by ``json.loads``).
-
-``requests`` and ``urllib3`` are imported inside the functions that make or
-handle an HTTP call, not by this module, so importing ``geoprobe`` (the CLI,
-the stub server, offline runs) does not load the HTTP client stack.
+Transport: each ``live_adapters()`` call builds one ``HttpTransport``
+shared by its adapters, unless the caller passes one in and so owns its
+``close()``; ``planner.LlmBackend`` builds one for its endpoint. The
+environment it reads is described there. Redirects are not followed: a 3xx
+answer is a RequestRejected result. A NetworkError detail is the ``repr``
+of the ``TransportError``, which names its cause. A 200 body is parsed as
+JSON from its bytes (UTF-8, or UTF-16/32 detected by ``json.loads``). The
+HTTP modules are imported by ``HttpTransport``, so importing ``geoprobe``
+(the CLI, offline runs) does not load them.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import select
+import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .actions import Action, Tool
-from .defaults import DEFAULT_MAX_PARALLEL
-from .errors import ConfigError
+from .errors import ConfigError, TransportError, TransportTimeout
 from .executor import LocalCropAdapter, ToolAdapter, ToolResult
 
 if TYPE_CHECKING:
-    import urllib3
+    import http.client
 
 DEFAULT_TIMEOUT_S = 20.0
 DEFAULT_RETRIES = 2
@@ -64,14 +56,6 @@ DEFAULT_TOP_K = 5
 #: exempt: its raw body is preserved in full so traces show exactly what
 #: the server sent.
 _ERROR_DETAIL_CAP = 500
-
-#: ``requests.adapters.DEFAULT_POOLSIZE``, copied so that this module need
-#: not import ``requests``; a test pins the two together.
-DEFAULT_POOLSIZE = 10
-
-#: Connections kept per host: a whole parallel batch fits, and never fewer
-#: than a ``requests`` adapter keeps.
-POOL_MAXSIZE = max(DEFAULT_MAX_PARALLEL, DEFAULT_POOLSIZE)
 
 #: URL path for each network tool, shared with the bundled stub server.
 TOOL_PATHS: dict[Tool, str] = {
@@ -113,28 +97,13 @@ class EndpointConfig:
     top_k: int = DEFAULT_TOP_K
 
 
-def endpoints_for_base(
-    base_url: str,
-    auth_env: str = "",
-    *,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    retries: int = DEFAULT_RETRIES,
-    backoff_s: float = DEFAULT_BACKOFF_S,
-    top_k: int = DEFAULT_TOP_K,
-) -> dict[Tool, EndpointConfig]:
-    """Endpoint set for a server exposing every tool under one base URL."""
+def endpoints_for_base(base_url: str, auth_env: str = "",
+                       **budget) -> dict[Tool, EndpointConfig]:
+    """Endpoint set for a server exposing every tool under one base URL;
+    ``budget`` sets the other ``EndpointConfig`` fields of every endpoint."""
     base = base_url.rstrip("/")
-    return {
-        tool: EndpointConfig(
-            url=base + path,
-            auth_env=auth_env,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            top_k=top_k,
-        )
-        for tool, path in TOOL_PATHS.items()
-    }
+    return {tool: EndpointConfig(base + path, auth_env, **budget)
+            for tool, path in TOOL_PATHS.items()}
 
 
 def request_body(tool: Tool, action: Action, top_k: int = DEFAULT_TOP_K) -> dict:
@@ -169,122 +138,162 @@ class HttpReply(NamedTuple):
 
     status_code: int
     content: bytes
-    headers: Mapping[str, str]
+    headers: http.client.HTTPMessage
 
     @property
     def text(self) -> str:
-        """The body decoded by its declared charset (``requests``' rule),
-        else as UTF-8; undecodable bytes are replaced."""
-        from requests.utils import get_encoding_from_headers
-
-        encoding = get_encoding_from_headers(self.headers) or "utf-8"
+        """The body decoded by its declared charset, else as UTF-8;
+        undecodable bytes are replaced."""
         try:
-            return self.content.decode(encoding, errors="replace")
+            return self.content.decode(self.headers.get_content_charset("utf-8"), "replace")
         except LookupError:
-            return self.content.decode("utf-8", errors="replace")
+            return self.content.decode("utf-8", "replace")
 
 
-def _tls_settings(verify) -> dict:
-    """Pool arguments for ``requests``' ``verify`` value (True, False or a
-    CA bundle path); urllib3 ignores them for plain-HTTP pools."""
-    from requests.utils import DEFAULT_CA_BUNDLE_PATH
-
-    if not verify:
-        return {"cert_reqs": "CERT_NONE"}
-    bundle = DEFAULT_CA_BUNDLE_PATH if verify is True else verify
-    where = "ca_cert_dir" if os.path.isdir(bundle) else "ca_certs"
-    return {"cert_reqs": "CERT_REQUIRED", where: bundle}
+def _basic_auth(user: str | None, password: str | None) -> str | None:
+    """A Basic credentials header value, or None without user or password."""
+    if not (user or password):
+        return None
+    return "Basic " + base64.b64encode(f"{user or ''}:{password or ''}".encode()).decode()
 
 
-def _pool_manager(proxy: str | None, verify) -> urllib3.PoolManager:
-    import urllib3
-    from requests.utils import get_auth_from_url, prepend_scheme_if_needed
+def _proxy_address(proxy: str) -> tuple[str, int, str | None]:
+    """Host, port and ``Proxy-Authorization`` value of an ``http://`` proxy."""
+    from urllib.parse import unquote, urlsplit
 
-    pool = dict(num_pools=DEFAULT_POOLSIZE, maxsize=POOL_MAXSIZE, **_tls_settings(verify))
-    if proxy is None:
-        return urllib3.PoolManager(**pool)
-    proxy = prepend_scheme_if_needed(proxy, "http")
-    if not proxy.lower().startswith(("http://", "https://")):
+    parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if parts.scheme.lower() != "http" or not parts.hostname:
         raise ConfigError(f"unsupported proxy for HTTP endpoints: {proxy!r}")
-    user, password = get_auth_from_url(proxy)
-    headers = urllib3.make_headers(proxy_basic_auth=f"{user}:{password}") if user else None
-    return urllib3.ProxyManager(proxy, proxy_headers=headers, **pool)
+    user, password = (unquote(s or "") for s in (parts.username, parts.password))
+    return parts.hostname, parts.port or 80, _basic_auth(user, password)
+
+
+def _dropped(sock) -> bool:
+    """Whether the server closed an idle connection: its socket reads EOF, or
+    bytes no request asked for. ``poll``, unlike ``select``, takes any fd."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _close_idle(idle: dict[tuple, list]) -> None:
+    for conns in idle.values():
+        for conn in conns:
+            conn.close()
+    idle.clear()
 
 
 class HttpTransport:
-    """Pooled JSON POSTs to a fixed set of URLs; safe to share across threads.
-
-    Each URL's proxy, CA bundle and credentials are resolved here, once, by
-    ``requests``' own environment rules, and URLs with the same settings
-    share one connection pool per host. ``post`` raises ``requests.Timeout``
-    for a connect or read timeout and ``requests.ConnectionError`` for any
-    other transport failure, chained to the urllib3 error.
+    """JSON POSTs over kept-alive ``http.client`` connections to a fixed set
+    of URLs; safe to share across threads. The environment is read here,
+    once: the proxy (``HTTP_PROXY``/``HTTPS_PROXY``/``ALL_PROXY``, and
+    ``NO_PROXY`` by ``urllib.request``'s rules), the CA bundle
+    (``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``, else the system's store) and
+    ``.netrc`` credentials, which replace the bearer header for their host.
+    A URL that is not http(s), or a proxy that is not ``http://``, is a
+    ``ConfigError``. Idle connections wait in one LIFO list per (scheme,
+    host, port, proxy); one the server has closed is dropped. ``post`` raises
+    ``TransportTimeout`` for a connect or read timeout, else
+    ``TransportError``, chained to the socket or ``http.client`` error.
     """
 
     def __init__(self, urls: Iterable[str]):
-        import requests
-        import urllib3
-        from requests.utils import (
-            get_auth_from_url,
-            get_netrc_auth,
-            select_proxy,
-            urldefragauth,
-        )
+        import netrc
+        import ssl
+        from urllib.parse import unquote, urlsplit, urlunsplit
+        from urllib.request import getproxies_environment, proxy_bypass_environment
 
-        #: url -> (pool manager, request target, default headers, credentials)
-        self._routes: dict[str, tuple[urllib3.PoolManager, str, dict, dict]] = {}
-        managers: dict[tuple, urllib3.PoolManager] = {}
-        with requests.Session() as session:
-            defaults = dict(session.headers)
-            for url in urls:
-                settings = session.merge_environment_settings(url, {}, None, None, None)
-                key = (select_proxy(url, settings["proxies"]), settings["verify"])
-                if key not in managers:
-                    managers[key] = _pool_manager(*key)
-                user, password = get_netrc_auth(url) or get_auth_from_url(url)
-                credentials = {}
-                if user or password:
-                    basic = urllib3.make_headers(basic_auth=f"{user}:{password}")
-                    credentials["Authorization"] = basic["authorization"]
-                self._routes[url] = (managers[key], urldefragauth(url), defaults, credentials)
+        proxies = getproxies_environment()
+        try:
+            logins = netrc.netrc(os.path.expanduser(os.environ.get("NETRC", "~/.netrc")))
+        except (OSError, netrc.NetrcParseError):
+            logins = None
+        #: url -> (pool key, request target, headers added to each request)
+        self._routes: dict[str, tuple[tuple, str, dict]] = {}
+        for url in urls:
+            parts = urlsplit(url)
+            scheme = parts.scheme.lower()
+            if scheme not in ("http", "https") or not parts.hostname:
+                raise ConfigError(f"unsupported URL for HTTP endpoints: {url!r}")
+            netloc = parts.netloc.rpartition("@")[2]
+            target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+            login = logins and logins.authenticators(parts.hostname)
+            user, password = ((login[0] or login[1], login[2]) if login else
+                              (unquote(s or "") for s in (parts.username, parts.password)))
+            headers = {"Authorization": _basic_auth(user, password)}
+            proxy = proxies.get(scheme) or proxies.get("all")
+            if proxy and not proxy_bypass_environment(netloc, proxies):
+                proxy = _proxy_address(proxy)
+                if scheme == "http":  # no tunnel: the proxy reads the request
+                    target = urlunsplit((scheme, netloc, parts.path or "/", parts.query, ""))
+                    headers["Proxy-Authorization"] = proxy[2]
+            else:
+                proxy = None
+            key = (scheme, parts.hostname, parts.port or (443 if scheme == "https" else 80), proxy)
+            self._routes[url] = (key, target, {k: v for k, v in headers.items() if v})
+        bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+        where = "capath" if bundle and os.path.isdir(bundle) else "cafile"
+        # Loading a CA store costs memory; a plain-HTTP transport never does.
+        self._tls = (ssl.create_default_context(**{where: bundle or None})
+                     if any(key[0] == "https" for key, _, _ in self._routes.values()) else None)
+        self._lock = threading.Lock()
+        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+        weakref.finalize(self, _close_idle, self._idle)
+
+    def _connect(self, key: tuple) -> http.client.HTTPConnection:
+        """A new, not yet connected, connection for a pool key; ``http.client``
+        connects on the first request, with ``TCP_NODELAY`` set."""
+        import http.client
+
+        scheme, host, port, proxy = key
+        address = proxy[:2] if proxy else (host, port)
+        if scheme == "http":
+            return http.client.HTTPConnection(*address)
+        conn = http.client.HTTPSConnection(*address, context=self._tls)
+        if proxy:  # credentials go in the CONNECT only, never to the host
+            conn.set_tunnel(host, port, {"Proxy-Authorization": proxy[2]} if proxy[2] else None)
+        return conn
 
     def post(self, url: str, *, body: bytes, headers: Mapping[str, str],
              timeout: float) -> HttpReply:
         """POST ``body`` to a URL given at construction; ``timeout`` bounds
         both the connect and each read. Redirects are returned, not followed."""
-        import requests
-        import urllib3
+        import http.client
 
-        manager, target, defaults, credentials = self._routes[url]
-        headers = {**defaults, **headers, **credentials}
+        key, target, route_headers = self._routes[url]
+        with self._lock:
+            idle = self._idle.setdefault(key, [])
+            while idle and _dropped(idle[-1].sock):
+                idle.pop().close()
+            conn = idle.pop() if idle else self._connect(key)
         try:
-            resp = manager.urlopen("POST", target, body=body, headers=headers,
-                                   timeout=timeout, retries=False, redirect=False)
-        except urllib3.exceptions.NewConnectionError as exc:
-            # A subclass of ConnectTimeoutError, but a refused or unresolvable
-            # connection is not a timeout (``requests`` draws the same line).
-            raise requests.ConnectionError(exc) from exc
-        except urllib3.exceptions.TimeoutError as exc:
-            raise requests.Timeout(exc) from exc
-        except urllib3.exceptions.HTTPError as exc:
-            raise requests.ConnectionError(exc) from exc
-        return HttpReply(resp.status, resp.data, resp.headers)
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            conn.request("POST", target, body=body, headers={**headers, **route_headers})
+            resp = conn.getresponse()
+            reply = HttpReply(resp.status, resp.read(), resp.headers)
+        except BaseException as exc:
+            conn.close()
+            if isinstance(exc, TimeoutError):
+                raise TransportTimeout(repr(exc)) from exc
+            if isinstance(exc, (OSError, http.client.HTTPException)):
+                raise TransportError(repr(exc)) from exc
+            raise
+        if conn.sock is not None:  # else the answer closed the connection
+            with self._lock:
+                self._idle.setdefault(key, []).append(conn)
+        return reply
 
     def close(self) -> None:
-        """Close every pooled connection; a later ``post`` opens new ones."""
-        for manager, *_ in self._routes.values():
-            manager.clear()
+        """Close every idle connection; a later ``post`` opens new ones."""
+        with self._lock:
+            _close_idle(self._idle)
 
 
 def _encode_json(body) -> bytes:
-    """``body`` as ``requests`` sends ``json=body``: no NaN or infinity,
-    UTF-8. Unencodable bodies raise ``requests.exceptions.InvalidJSONError``."""
-    import requests
-
-    try:
-        return json.dumps(body, allow_nan=False).encode("utf-8")
-    except (ValueError, TypeError) as exc:
-        raise requests.exceptions.InvalidJSONError(exc) from exc
+    """``body`` as UTF-8 JSON; a NaN or an infinity raises ``ValueError``."""
+    return json.dumps(body, allow_nan=False).encode("utf-8")
 
 
 def post_with_retries(post, url: str, *, retries: int, backoff_s: float,
@@ -293,34 +302,27 @@ def post_with_retries(post, url: str, *, retries: int, backoff_s: float,
 
     Transport errors and 5xx answers are retried ``retries`` times, after
     ``backoff_s * 2**attempt`` seconds each. A timeout is never retried:
-    ``requests.Timeout`` propagates at once. Once retries run out, the last
-    5xx response is returned or the last transport error raised. ``post``
-    returns anything with a ``status_code`` (a ``requests.Response`` or an
-    ``HttpReply``) and raises ``requests`` exceptions.
+    ``TransportTimeout`` propagates at once. Once retries run out, the last
+    5xx response is returned or the last ``TransportError`` raised. ``post``
+    returns anything with a ``status_code``, such as an ``HttpReply``.
     """
-    import requests
-
     attempt = 0
     while True:
         try:
             resp = post(url, **kwargs)
             if resp.status_code < 500 or attempt == retries:
                 return resp
-        except requests.Timeout:
+        except TransportTimeout:
             raise
-        except requests.RequestException:
+        except TransportError:
             if attempt == retries:
                 raise
         time.sleep(backoff_s * (2 ** attempt))
         attempt += 1
 
 
-def live_adapter_request(
-    tool: Tool,
-    action: Action,
-    cfg: EndpointConfig,
-    transport: HttpTransport | None = None,
-) -> ToolResult:
+def live_adapter_request(tool: Tool, action: Action, cfg: EndpointConfig,
+                         transport: HttpTransport | None = None) -> ToolResult:
     """One tool call over HTTP, with the full failure policy applied.
 
     Server errors (5xx) and transport failures are retried ``cfg.retries``
@@ -333,10 +335,7 @@ def live_adapter_request(
     JSON-encoded is a NetworkError, not retried. Without a ``transport``,
     one is built for ``cfg.url``.
     """
-    import requests
-
-    if transport is None:
-        transport = HttpTransport([cfg.url])
+    transport = transport or HttpTransport([cfg.url])
     t0 = time.perf_counter()
     try:
         body = _encode_json(request_body(tool, action, top_k=cfg.top_k))
@@ -344,12 +343,12 @@ def live_adapter_request(
             transport.post, cfg.url,
             retries=cfg.retries, backoff_s=cfg.backoff_s,
             body=body, headers=auth_headers(cfg.auth_env), timeout=cfg.timeout_s)
-    except requests.Timeout:
+    except TransportTimeout:
         latency = max(_elapsed_ms(t0), cfg.timeout_s * 1000.0)
         return ToolResult.timed_out(
             action, detail=f"no response within {cfg.timeout_s}s from {cfg.url}",
             latency_ms=latency)
-    except requests.RequestException as exc:
+    except (TransportError, ValueError) as exc:
         return ToolResult.fail(action, "NetworkError", detail=repr(exc),
                                latency_ms=_elapsed_ms(t0))
     if resp.status_code != 200:
@@ -371,10 +370,8 @@ def live_adapter_request(
 
 
 class LiveAdapter:
-    """Adapter for one network tool. Never raises past execute().
-
-    Without a ``transport``, the adapter builds its own for ``cfg.url``.
-    """
+    """Adapter for one network tool, over ``transport`` or, without one, its
+    own for ``cfg.url``. Never raises past execute()."""
 
     def __init__(self, tool: Tool, cfg: EndpointConfig,
                  transport: HttpTransport | None = None):

@@ -25,7 +25,7 @@ from .actions import (
     render_action_schema,
     validate_action,
 )
-from .errors import BackendUnavailableError, DecisionParseError
+from .errors import BackendUnavailableError, DecisionParseError, TransportError
 from .executor import EpisodeSettings
 from .geo import Gazetteer
 from .live_tools import (
@@ -369,8 +369,6 @@ class LlmBackend:
         return out
 
     def _chat(self, step: int, messages: list[dict]) -> str:
-        import requests
-
         body = {"model": self.model, "messages": messages, "temperature": TEMPERATURE}
 
         def post(url, **kwargs):
@@ -386,7 +384,7 @@ class LlmBackend:
                 retries=self.transport_retries, backoff_s=self.backoff_s,
                 body=_encode_json(body), headers=auth_headers(self.auth_env),
                 timeout=self.timeout_s)
-        except requests.RequestException as e:
+        except (TransportError, ValueError) as e:
             raise BackendUnavailableError(f"LLM endpoint unreachable: {e!r}")
         if resp.status_code != 200:
             raise BackendUnavailableError(f"LLM endpoint returned HTTP {resp.status_code}")

@@ -1,6 +1,6 @@
-"""What each import loads: ``import geoprobe`` loads no submodule, and the
-HTTP client stack (``requests``, ``urllib3``) loads only where a live tool
-or LLM call is made.
+"""What each import loads: ``import geoprobe`` loads no submodule, the HTTP
+client (``http.client``) loads only where a live tool or LLM call is made,
+and no third-party HTTP stack (``requests``, ``urllib3``) loads at all.
 
 Each check runs in a fresh interpreter, because the test process itself
 has long since imported all of them.
@@ -17,17 +17,13 @@ import sys
 import textwrap
 from pathlib import Path
 
-import requests.adapters
-
 import geoprobe
-from geoprobe import live_tools
-from geoprobe.defaults import DEFAULT_MAX_PARALLEL
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GOLDEN_TRACE = Path(__file__).parent / "data" / "synth_w11_3x5_medium_s4.trace.jsonl"
 
-HTTP_STACK = ("requests", "urllib3")
+HTTP_STACKS = ("http.client", "requests", "urllib3")
 
 #: Prints the names in ``sys.modules``, one per line.
 REPORT_LOADED = textwrap.dedent("""
@@ -53,8 +49,8 @@ def modules_after(code: str, cwd: Path) -> set[str]:
 
 
 def loaded_after(code: str, cwd: Path) -> set[str]:
-    """Top-level HTTP-stack modules loaded once ``code`` has run."""
-    return {name.split(".")[0] for name in modules_after(code, cwd)} & set(HTTP_STACK)
+    """Modules of ``HTTP_STACKS`` loaded once ``code`` has run."""
+    return modules_after(code, cwd) & set(HTTP_STACKS)
 
 
 def submodules_after(code: str, cwd: Path) -> set[str]:
@@ -67,8 +63,9 @@ def test_importing_the_package_loads_no_http_client(tmp_path):
     assert loaded_after("""
         import geoprobe
         import geoprobe.cli
-        from geoprobe import stub_server
     """, tmp_path) == set()
+    # The stub server is built on ``http.server``, which loads ``http.client``.
+    assert loaded_after("from geoprobe import stub_server", tmp_path) == {"http.client"}
 
 
 def test_offline_commands_load_no_http_client(tmp_path):
@@ -112,35 +109,49 @@ def test_replay_and_run_load_no_bench(tmp_path):
 
 
 def test_live_adapters_load_the_http_client(tmp_path):
+    """A live episode over the stub loads ``http.client`` and no third-party
+    HTTP stack."""
     assert loaded_after("""
-        from geoprobe.live_tools import endpoints_for_base, live_adapters
-        live_adapters(endpoints_for_base("http://127.0.0.1:9"))
-    """, tmp_path) == set(HTTP_STACK)
+        from geoprobe.bench import make_benchmark, run_benchmark, sample_scenes
+        from geoprobe.live_tools import live_adapters
+        from geoprobe.planner import scripted_salience_policy
+        from geoprobe.stub_server import StubToolServer
+        from geoprobe.synthworld import generate_world
+        world = generate_world(11, 3, 5)
+        samples = make_benchmark(world, 1, seed=5)
+        with StubToolServer(world) as server:
+            for ref, desc in sample_scenes(samples).items():
+                server.register(ref, desc)
+            run_benchmark(samples, scripted_salience_policy(), world,
+                          adapters=live_adapters(server.endpoints()))
+            assert server.total_requests() > 0
+    """, tmp_path) == {"http.client"}
 
 
 def test_llm_backend_loads_the_http_client(tmp_path):
+    """An ``LlmBackend`` chat over the stub loads ``http.client`` and no
+    third-party HTTP stack."""
     assert loaded_after("""
         from geoprobe.planner import LlmBackend
-        LlmBackend(endpoint="http://127.0.0.1:9/v1/chat/completions", model="m")
-    """, tmp_path) == set(HTTP_STACK)
+        from geoprobe.stub_server import CHAT_PATH, StubToolServer
+        with StubToolServer() as server:
+            server.set_chat(lambda body: "ok")
+            llm = LlmBackend(endpoint=server.base_url + CHAT_PATH, model="m")
+            assert llm._chat(0, [{"role": "user", "content": "hi"}]) == "ok"
+            llm.close()
+    """, tmp_path) == {"http.client"}
 
 
 def test_only_live_tools_builds_an_http_client():
     """Tools and the LLM share ``live_tools.HttpTransport``; no other module
-    opens a client stack of its own."""
-    constructors = ("requests.Session(", "urllib3.PoolManager(", "urllib3.ProxyManager(")
+    opens connections of its own."""
+    constructors = ("http.client.HTTPConnection(", "http.client.HTTPSConnection(")
     offenders = [
         f"{path.name}: {ctor}"
         for path in sorted((SRC / "geoprobe").glob("*.py")) if path.name != "live_tools.py"
         for ctor in constructors if ctor in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
-
-
-def test_pool_size_matches_requests():
-    assert live_tools.DEFAULT_POOLSIZE == requests.adapters.DEFAULT_POOLSIZE
-    assert live_tools.POOL_MAXSIZE == max(DEFAULT_MAX_PARALLEL,
-                                          requests.adapters.DEFAULT_POOLSIZE)
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):
