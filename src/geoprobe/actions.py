@@ -17,7 +17,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 
-from .canonical import json_get
+from .canonical import json_get, parse_json
 from .errors import DecisionParseError
 
 
@@ -225,11 +225,10 @@ def extract_json_object(text: str) -> tuple[dict, tuple[int, int]]:
     Non-object JSON values (arrays, strings) are skipped; prose around and
     between candidates is ignored.
     """
-    decoder = json.JSONDecoder()
     idx = text.find("{")
     while idx != -1:
         try:
-            value, end = decoder.raw_decode(text, idx)
+            value, end = parse_json(text, idx)
         except json.JSONDecodeError:
             idx = text.find("{", idx + 1)
             continue

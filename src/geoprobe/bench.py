@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .canonical import json_get, json_strs
+from .canonical import decode_text, json_get, json_strs, parse_json
 from .errors import (
     ConfigError,
     DatasetError,
@@ -171,6 +171,7 @@ def _sample_from_line(line_no: int, obj) -> BenchmarkSample:
 
 def load_dataset(path) -> list[BenchmarkSample]:
     """Parse a ``*.bench.jsonl`` file; every error names its 1-based line."""
+    import io
     import json
 
     path = Path(path)
@@ -180,20 +181,22 @@ def load_dataset(path) -> list[BenchmarkSample]:
         raise DatasetError(0, f"dataset file not found: {path}")
     samples: list[BenchmarkSample] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                raise DatasetError(line_no, f"invalid JSON: {exc}")
-            sample = _sample_from_line(line_no, obj)
-            if sample.id in seen:
-                raise DatasetError(line_no, f"duplicate sample id {sample.id!r}",
-                                   field="id")
-            seen.add(sample.id)
-            samples.append(sample)
+    try:
+        text = decode_text(path.read_bytes())
+    except json.JSONDecodeError as exc:
+        raise DatasetError(exc.lineno, exc.msg) from None
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = parse_json(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(line_no, f"invalid JSON: {exc}") from None
+        sample = _sample_from_line(line_no, obj)
+        if sample.id in seen:
+            raise DatasetError(line_no, f"duplicate sample id {sample.id!r}", field="id")
+        seen.add(sample.id)
+        samples.append(sample)
     if not samples:
         raise EmptyDatasetError(f"no samples in {path}")
     return samples

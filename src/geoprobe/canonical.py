@@ -29,6 +29,38 @@ def canonical_hash(obj: Any) -> str:
     return sha256_hex(canonical_json(obj))
 
 
+_DECODER = json.JSONDecoder()
+
+
+def parse_json(data: str | bytes, start: int | None = None) -> Any:
+    """JSON from outside the process; every malformed input raises
+    ``json.JSONDecodeError``. ``json`` itself lets nesting deeper than the
+    recursion limit escape as ``RecursionError`` and an integer too long to
+    convert as a bare ``ValueError``. Bytes are decoded in the encoding
+    ``json.loads`` detects (UTF-8, or UTF-16/32). With ``start``, only the
+    value that begins at ``data[start]`` (a str) is decoded, and
+    ``(value, end)`` returned, as from ``JSONDecoder.raw_decode``."""
+    text = data if isinstance(data, str) else decode_text(data, json.detect_encoding(data))
+    try:
+        return json.loads(text) if start is None else _DECODER.raw_decode(text, start)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, start or 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as e:
+        raise json.JSONDecodeError(str(e), text, start or 0) from None
+
+
+def decode_text(data: bytes, encoding: str = "utf-8") -> str:
+    """``data`` decoded; a bad byte raises ``json.JSONDecodeError`` at its line."""
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as e:
+        valid = data[:e.start].decode(encoding)
+        raise json.JSONDecodeError(f"invalid {encoding.upper()}: {e.reason}", valid,
+                                   len(valid)) from None
+
+
 #: What each JSON type is called in a reader's errors.
 _NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean",
           dict: "an object", list: "an array", None: "null", type(None): "null"}

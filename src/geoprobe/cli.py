@@ -26,7 +26,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .canonical import canonical_json
+from .canonical import canonical_json, parse_json
 from .config import TOOLS_SYNTHETIC, RunConfig, build_backend, load_config
 from .engine import record_episode, replay
 from .errors import ConfigError, GeoprobeError, HashMismatchError, TraceFormatError
@@ -64,12 +64,11 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path:
 
 def _load_descriptor(path: str) -> SceneDescriptor:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return SceneDescriptor.from_json(obj)
+        return SceneDescriptor.from_json(parse_json(Path(path).read_text(encoding="utf-8")))
     except OSError as exc:
         raise ConfigError(f"cannot read descriptor: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad descriptor file: {exc}")
+        raise ConfigError(f"bad descriptor file {path}: {exc}")
 
 
 @contextmanager

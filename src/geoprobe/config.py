@@ -13,12 +13,11 @@ directory, so a config directory can be moved as a unit.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .actions import Tool
-from .canonical import canonical_hash, json_get
+from .canonical import canonical_hash, json_get, parse_json
 from .errors import ConfigError
 from .executor import EpisodeSettings
 from .live_tools import (
@@ -38,10 +37,26 @@ TOOLS_LIVE = "live"
 
 
 def _reject_unknown(obj, known, what: str) -> None:
-    """``ConfigError`` naming the keys of the object ``obj`` outside ``known``."""
-    unknown = sorted(set(obj) - set(known)) if isinstance(obj, dict) else []
+    """``ConfigError`` unless ``obj`` is an object whose keys are all in ``known``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} settings must be an object")
+    unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ConfigError(f"unknown {what} keys: {unknown}")
+
+
+#: The JSON type each annotation of a spec field admits.
+_KINDS = {"str": str, "str | None": (str, None), "float": float, "int": int}
+
+
+def _spec_from_json(cls, obj, what: str):
+    """A ``cls`` from the keys ``obj`` holds; every other field keeps its default."""
+    kinds = {f.name: _KINDS[f.type] for f in dataclasses.fields(cls)}
+    _reject_unknown(obj, kinds, what)
+    try:
+        return cls(**{key: json_get(obj, key, kind) for key, kind in kinds.items() if key in obj})
+    except TypeError as exc:
+        raise ConfigError(f"bad {what} settings: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -68,16 +83,7 @@ class BackendSpec:
 
     @classmethod
     def from_json(cls, obj) -> "BackendSpec":
-        _reject_unknown(obj, (f.name for f in dataclasses.fields(cls)), "backend")
-        try:
-            return cls(
-                kind=json_get(obj, "kind", str, BACKEND_SCRIPTED),
-                endpoint=json_get(obj, "endpoint", str, ""),
-                model=json_get(obj, "model", str, ""),
-                auth_env=json_get(obj, "auth_env", str, "GEOPROBE_API_TOKEN"),
-            )
-        except TypeError as exc:
-            raise ConfigError(f"bad backend settings: {exc}") from None
+        return _spec_from_json(cls, obj, "backend")
 
 
 @dataclass(frozen=True)
@@ -128,20 +134,7 @@ class ToolsSpec:
 
     @classmethod
     def from_json(cls, obj) -> "ToolsSpec":
-        _reject_unknown(obj, (f.name for f in dataclasses.fields(cls)), "tools")
-        try:
-            return cls(
-                mode=json_get(obj, "mode", str, TOOLS_SYNTHETIC),
-                world=json_get(obj, "world", (str, None), None),
-                base_url=json_get(obj, "base_url", str, ""),
-                auth_env=json_get(obj, "auth_env", str, ""),
-                timeout_s=json_get(obj, "timeout_s", float, DEFAULT_TIMEOUT_S),
-                retries=json_get(obj, "retries", int, DEFAULT_RETRIES),
-                backoff_s=json_get(obj, "backoff_s", float, DEFAULT_BACKOFF_S),
-                top_k=json_get(obj, "top_k", int, DEFAULT_TOP_K),
-            )
-        except TypeError as exc:
-            raise ConfigError(f"bad tools settings: {exc}") from None
+        return _spec_from_json(cls, obj, "tools")
 
 
 @dataclass(frozen=True)
@@ -207,9 +200,9 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj = parse_json(path.read_text(encoding="utf-8"))
     except ValueError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     cfg = RunConfig.from_json(obj, base_dir=path.parent)
     validate_files(cfg)
     return cfg

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 from .actions import Action, Tool, crop_payload
-from .canonical import canonical_hash, json_get, json_strs
+from .canonical import canonical_hash, json_get, json_strs, parse_json
 from .defaults import (DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS,
                        MAX_PARALLEL_LIMIT)
 from .errors import ConfigError, UnknownRegionError
@@ -396,7 +396,7 @@ def load_tag_table(path, g: Gazetteer) -> dict[str, frozenset[str]]:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = parse_json(fh.read())
     except ValueError as exc:
         raise ConfigError(f"bad tag table {path}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(raw, dict):

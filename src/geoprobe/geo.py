@@ -15,7 +15,7 @@ import math
 from collections.abc import ItemsView, Sequence
 from dataclasses import dataclass
 
-from .canonical import canonical_hash, json_get
+from .canonical import canonical_hash, decode_text, json_get, parse_json
 from .errors import GazetteerFileError, UnknownRegionError
 
 EARTH_RADIUS_KM = 6371.0
@@ -376,7 +376,6 @@ def _iter_json_array(text: str, path: str):
     Elements are decoded one at a time so structural errors can be reported
     with the file's ``path`` and the line the offending record starts on.
     """
-    decoder = json.JSONDecoder()
     i = 0
     n = len(text)
 
@@ -398,7 +397,7 @@ def _iter_json_array(text: str, path: str):
     while True:
         start = i
         try:
-            value, i = decoder.raw_decode(text, i)
+            value, i = parse_json(text, i)
         except json.JSONDecodeError as e:
             raise GazetteerFileError(line_at(start), f"invalid JSON element: {e.msg}",
                                      path) from None
@@ -420,8 +419,12 @@ def load_gazetteer(path: str) -> Gazetteer:
     Any structural or invariant violation raises GazetteerFileError naming
     the file and the line of the offending record.
     """
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = decode_text(data)
+    except json.JSONDecodeError as e:
+        raise GazetteerFileError(e.lineno, e.msg, path) from None
 
     regions: list[AdminRegion] = []
     lines: dict[str, int] = {}

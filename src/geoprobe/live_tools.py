@@ -23,9 +23,10 @@ shared by its adapters, unless the caller passes one in and so owns its
 environment it reads is described there. Redirects are not followed: a 3xx
 answer is a RequestRejected result. A NetworkError detail is the ``repr``
 of the ``TransportError``, which names its cause. A 200 body is parsed as
-JSON from its bytes (UTF-8, or UTF-16/32 detected by ``json.loads``). The
-HTTP modules are imported by ``HttpTransport``, so importing ``geoprobe``
-(the CLI, offline runs) does not load them.
+JSON from its bytes by ``canonical.parse_json`` (UTF-8, or UTF-16/32 as
+``json.loads`` detects them). The HTTP modules are imported by
+``HttpTransport``, so importing ``geoprobe`` (the CLI, offline runs) does
+not load them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .actions import Action, Tool
+from .canonical import parse_json
 from .errors import ConfigError, TransportError, TransportTimeout
 from .executor import LocalCropAdapter, ToolAdapter, ToolResult
 
@@ -358,7 +360,7 @@ def live_adapter_request(tool: Tool, action: Action, cfg: EndpointConfig,
             detail=f"HTTP {resp.status_code}: {resp.text[:_ERROR_DETAIL_CAP]}",
             latency_ms=_elapsed_ms(t0))
     try:
-        payload = json.loads(resp.content)
+        payload = parse_json(resp.content)
         if not isinstance(payload, dict):
             raise ValueError("payload is not an object")
         result = ToolResult.succeed(action, payload, latency_ms=_elapsed_ms(t0))

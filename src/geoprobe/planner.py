@@ -1,19 +1,17 @@
-"""Decision policies: deterministic scripted rules and a live LLM backend.
+"""Decision policies: a deterministic scripted policy and a live LLM backend.
 
 Both backend families answer one question — given the current context, what
 is the next decision? — and both emit the same strict envelope, so the
-episode loop treats them identically. The scripted backend is a pure
-ordered rule list over the structured scene descriptor; the LLM backend
+episode loop treats them identically. The scripted backend is one pure
+function of the structured scene descriptor and the episode; the LLM backend
 speaks a chat-completions wire format with bounded parse retries and a
 deterministic fallback.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .actions import (
     Action,
@@ -25,6 +23,7 @@ from .actions import (
     render_action_schema,
     validate_action,
 )
+from .canonical import parse_json
 from .errors import BackendUnavailableError, DecisionParseError, TransportError
 from .executor import EpisodeSettings
 from .geo import Gazetteer
@@ -159,51 +158,64 @@ def build_prompt(ctx: PlannerContext) -> str:
 # Scripted backend
 
 
-@dataclass(frozen=True)
-class Rule:
-    """Ordered policy entry; ``build`` may decline (return None) so an
-    exhausted probe chain falls through to the next rule."""
-
-    name: str
-    applies: Callable[[PlannerContext], bool]
-    build: Callable[[PlannerContext], Decision | None]
-
-
 class ScriptedBackend:
-    """Pure, deterministic policy: first matching rule that yields wins."""
+    """Pure, deterministic policy over the scene descriptor's clues.
 
-    def __init__(self, rules: tuple[Rule, ...]):
-        self.rules = tuple(rules)
+    ``decide`` reads in the policy's order: conclude when a POI hint or a
+    single-city frontier exists; break a stalled mid-level frontier with
+    visual matching; otherwise take the next untried probe of the most
+    salient clue family — micro symbols, then architecture, then
+    environment. Once every chain is exhausted, visual matching is the last
+    probe; after that the policy concludes on whatever frontier remains.
+    """
 
     def decide(self, ctx: PlannerContext) -> Decision:
-        for rule in self.rules:
-            if rule.applies(ctx):
-                decision = rule.build(ctx)
-                if decision is not None:
-                    return decision
-        return _finalize_decision(ctx, "no rule matched")
+        if ctx.poi_hint is not None:
+            return _finalize_decision(ctx, "POI hint pins the location")
+        if _at_city_level(ctx):
+            return _finalize_decision(ctx, "single city remains")
+        image, space = {"image": ctx.image_ref}, ctx.state.space
+        can_match = not (space.is_global or space.is_empty or is_repetition(
+            ctx.events, CapabilityModule.IMAGE_MATCHING.value, Tool.IMAGE_SEARCH.value, image))
+        match = Decision(
+            thought="frontier stalled between province and city; trying visual match",
+            actions=(Action(ctx.next_action_id, CapabilityModule.IMAGE_MATCHING,
+                            Tool.IMAGE_SEARCH, image),))
+        if can_match and frontier_unchanged_steps(ctx.events) >= 2:
+            return match
+
+        clues = ctx.descriptor.clues if ctx.descriptor is not None else ()
+        micro = [c.value for c in clues if c.kind in _MICRO_CLUES]
+        arch = [c.value for c in clues if c.kind is ClueKind.ARCHITECTURE]
+        chains = []
+        if micro:
+            ocr = [(Tool.OCR, image)] if any(c.kind is ClueKind.SIGN_TEXT for c in clues) else []
+            chains.append((CapabilityModule.SEMANTIC_SYMBOL, "micro clue", ocr + _lookups(micro)))
+        if arch:
+            chains.append((CapabilityModule.INFRASTRUCTURE, "architecture clue",
+                           [(Tool.CAPTION, image)] + _lookups(arch)))
+        chains.append((CapabilityModule.ENVIRONMENTAL, "environment scan",
+                       [(Tool.CAPTION, image)] + [(Tool.TEXT_SEARCH, {"query": c.value})
+                                                   for c in clues if c.kind in _MACRO_CLUES]))
+        for module, why, chain in chains:
+            for tool, args in chain:
+                if not is_repetition(ctx.events, module.value, tool.value, args):
+                    return Decision(
+                        thought=f"{why}: probing {module.value}/{tool.value}",
+                        actions=(Action(ctx.next_action_id, module, tool, dict(args)),),
+                    )
+        return match if can_match else _finalize_decision(ctx, "no probes left")
+
+
+def _lookups(values: list[str]) -> list[tuple[Tool, dict]]:
+    """Knowledge-base probes of every value, then text searches of every value."""
+    return [(tool, {"query": v}) for tool in (Tool.KNOWLEDGE_BASE, Tool.TEXT_SEARCH)
+            for v in values]
 
 
 def _finalize_decision(ctx: PlannerContext, why: str) -> Decision:
     ids = ", ".join(f"e{e.id}" for e in ctx.state.active_evidence()) or "none"
     return Decision(thought=f"finalize ({why}); supporting evidence: {ids}", finalize=True)
-
-
-def _already_probed(ctx: PlannerContext, module: CapabilityModule, tool: Tool,
-                    args: dict) -> bool:
-    return is_repetition(ctx.events, module.value, tool.value, args)
-
-
-def _next_probe(ctx: PlannerContext, module: CapabilityModule,
-                chain: list[tuple[Tool, dict]], why: str) -> Decision | None:
-    """First not-yet-tried probe of a chain; None once exhausted."""
-    for tool, args in chain:
-        if not _already_probed(ctx, module, tool, args):
-            return Decision(
-                thought=f"{why}: probing {module.value}/{tool.value}",
-                actions=(Action(ctx.next_action_id, module, tool, dict(args)),),
-            )
-    return None
 
 
 def _at_city_level(ctx: PlannerContext) -> bool:
@@ -220,102 +232,9 @@ def _at_city_level(ctx: PlannerContext) -> bool:
     return len(cities) == 1
 
 
-def _micro_values(desc: SceneDescriptor) -> list[str]:
-    return [c.value for c in desc.clues if c.kind in _MICRO_CLUES]
-
-
-def _rule_finalize_hint(ctx: PlannerContext) -> bool:
-    return ctx.poi_hint is not None
-
-
-def _rule_finalize_city(ctx: PlannerContext) -> bool:
-    return _at_city_level(ctx)
-
-
-def _image_match_available(ctx: PlannerContext) -> bool:
-    """Visual matching makes sense: mid-level frontier, not yet tried."""
-    space = ctx.state.space
-    if space.is_global or space.is_empty or _at_city_level(ctx):
-        return False
-    return not _already_probed(ctx, CapabilityModule.IMAGE_MATCHING,
-                               Tool.IMAGE_SEARCH, {"image": ctx.image_ref})
-
-
-def _rule_image_match(ctx: PlannerContext) -> bool:
-    return (_image_match_available(ctx)
-            and frontier_unchanged_steps(ctx.events) >= 2)
-
-
-def _rule_micro(ctx: PlannerContext) -> bool:
-    return ctx.descriptor is not None and bool(_micro_values(ctx.descriptor))
-
-
-def _build_micro(ctx: PlannerContext) -> Decision:
-    desc = ctx.descriptor
-    assert desc is not None
-    chain: list[tuple[Tool, dict]] = []
-    if desc.clues_of(ClueKind.SIGN_TEXT):
-        chain.append((Tool.OCR, {"image": ctx.image_ref}))
-    values = _micro_values(desc)
-    chain.extend((Tool.KNOWLEDGE_BASE, {"query": v}) for v in values)
-    chain.extend((Tool.TEXT_SEARCH, {"query": v}) for v in values)
-    return _next_probe(ctx, CapabilityModule.SEMANTIC_SYMBOL, chain, "micro clue")
-
-
-def _rule_meso(ctx: PlannerContext) -> bool:
-    return ctx.descriptor is not None and bool(
-        ctx.descriptor.clues_of(ClueKind.ARCHITECTURE)
-    )
-
-
-def _build_meso(ctx: PlannerContext) -> Decision:
-    desc = ctx.descriptor
-    assert desc is not None
-    values = [c.value for c in desc.clues_of(ClueKind.ARCHITECTURE)]
-    chain: list[tuple[Tool, dict]] = [(Tool.CAPTION, {"image": ctx.image_ref})]
-    chain.extend((Tool.KNOWLEDGE_BASE, {"query": v}) for v in values)
-    chain.extend((Tool.TEXT_SEARCH, {"query": v}) for v in values)
-    return _next_probe(ctx, CapabilityModule.INFRASTRUCTURE, chain, "architecture clue")
-
-
-def _build_macro(ctx: PlannerContext) -> Decision:
-    chain: list[tuple[Tool, dict]] = [(Tool.CAPTION, {"image": ctx.image_ref})]
-    if ctx.descriptor is not None:
-        for c in ctx.descriptor.clues_of(*_MACRO_CLUES):
-            chain.append((Tool.TEXT_SEARCH, {"query": c.value}))
-    return _next_probe(ctx, CapabilityModule.ENVIRONMENTAL, chain, "environment scan")
-
-
-def _build_image_match(ctx: PlannerContext) -> Decision:
-    return Decision(
-        thought="frontier stalled between province and city; trying visual match",
-        actions=(Action(ctx.next_action_id, CapabilityModule.IMAGE_MATCHING,
-                        Tool.IMAGE_SEARCH, {"image": ctx.image_ref}),),
-    )
-
-
 def scripted_salience_policy() -> ScriptedBackend:
-    """Reference deterministic policy over descriptor clues.
-
-    Order: conclude when a POI hint or a single-city frontier exists; break
-    a stalled mid-level frontier with visual matching; otherwise follow the
-    most salient clue family — micro symbols, then architecture, then
-    environment. Once every chain is exhausted, visual matching is the last
-    probe; after that the policy concludes on whatever frontier remains.
-    """
-    return ScriptedBackend((
-        Rule("finalize-poi-hint", _rule_finalize_hint,
-             lambda ctx: _finalize_decision(ctx, "POI hint pins the location")),
-        Rule("finalize-city", _rule_finalize_city,
-             lambda ctx: _finalize_decision(ctx, "single city remains")),
-        Rule("image-match-on-stall", _rule_image_match, _build_image_match),
-        Rule("micro-symbols", _rule_micro, _build_micro),
-        Rule("architecture", _rule_meso, _build_meso),
-        Rule("environment", lambda ctx: True, _build_macro),
-        Rule("image-match-last-resort", _image_match_available, _build_image_match),
-        Rule("conclude", lambda ctx: True,
-             lambda ctx: _finalize_decision(ctx, "no probes left")),
-    ))
+    """The reference deterministic policy over descriptor clues."""
+    return ScriptedBackend()
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +308,7 @@ class LlmBackend:
         if resp.status_code != 200:
             raise BackendUnavailableError(f"LLM endpoint returned HTTP {resp.status_code}")
         try:
-            content = json.loads(resp.content)["choices"][0]["message"]["content"]
+            content = parse_json(resp.content)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError):
             raise BackendUnavailableError("LLM response is not chat-completions shaped")
         self._wire.entries.append({"step": step, "kind": "response", "body": {"content": content}})

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .canonical import json_get
+from .canonical import decode_text, json_get, parse_json
 from .errors import BudgetTooSmallError, SeqGapError, TraceFormatError
 from .geo import Gazetteer
 from .state import EpisodeState
@@ -185,11 +185,9 @@ _BAD_FIELDS = (KeyError, TypeError, ValueError)
 
 def _json_line(line: str, lineno: int, what: str):
     try:
-        return json.loads(line)
-    except RecursionError:
-        raise TraceFormatError(lineno, f"bad {what} JSON: nested too deeply") from None
-    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
-        raise TraceFormatError(lineno, f"bad {what} JSON: {getattr(e, 'msg', e)}") from None
+        return parse_json(line)
+    except json.JSONDecodeError as e:
+        raise TraceFormatError(lineno, f"bad {what} JSON: {e.msg}") from None
 
 
 def load_trace(path: str) -> Trace:
@@ -203,10 +201,9 @@ def load_trace(path: str) -> Trace:
     with open(path, "rb") as f:
         data = f.read()
     try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as e:
-        lineno = data.count(b"\n", 0, e.start) + 1
-        raise TraceFormatError(lineno, f"invalid UTF-8: {e.reason}") from None
+        lines = decode_text(data).split("\n")
+    except json.JSONDecodeError as e:
+        raise TraceFormatError(e.lineno, e.msg) from None
     if not lines[0].strip():
         raise TraceFormatError(1, "missing trace header")
     head_obj = _json_line(lines[0], 1, "header")

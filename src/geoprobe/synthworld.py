@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .actions import Action, Tool, base_image_ref
-from .canonical import json_get, json_strs
+from .canonical import json_get, json_strs, parse_json
 from .errors import ConfigError
 from .executor import LocalCropAdapter, ToolAdapter, ToolResult
 from .geo import (
@@ -264,7 +264,7 @@ def load_world(path: str) -> SynthWorld:
     """Load a world file; a malformed one raises ``ConfigError`` naming it."""
     try:
         with open(path, encoding="utf-8") as f:
-            return SynthWorld.from_json(json.load(f))
+            return SynthWorld.from_json(parse_json(f.read()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad world file {path}: {type(exc).__name__}: {exc}") from exc
 

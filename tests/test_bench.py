@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -850,6 +851,13 @@ def golden_run():
 
 def test_report_json_matches_golden():
     run = golden_run()
+    assert canonical_json(run.report.to_json()) == GOLDEN_JSON.read_text()
+
+
+def test_pickled_policy_reproduces_the_golden_report():
+    world = generate_world(2026, 3, 5)
+    policy = pickle.loads(pickle.dumps(scripted_salience_policy()))
+    run = run_benchmark(make_benchmark(world, 30, seed=5), policy, world)
     assert canonical_json(run.report.to_json()) == GOLDEN_JSON.read_text()
 
 

@@ -110,6 +110,20 @@ def test_unknown_nested_keys_rejected(obj, message):
     assert str(err.value) == message
 
 
+def test_absent_keys_take_the_dataclass_defaults():
+    assert BackendSpec.from_json({}) == BackendSpec()
+    assert ToolsSpec.from_json({"mode": "synthetic", "world": "w.json"}) == ToolsSpec(
+        mode="synthetic", world="w.json")
+    assert ToolsSpec.from_json({"mode": "live", "base_url": "http://x"}) == ToolsSpec(
+        mode="live", base_url="http://x")
+
+
+@pytest.mark.parametrize("spec", [BackendSpec, ToolsSpec])
+def test_spec_must_be_an_object(spec):
+    with pytest.raises(ConfigError, match="settings must be an object"):
+        spec.from_json("xyz")
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "ghost.json")

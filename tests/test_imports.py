@@ -1,6 +1,7 @@
 """What each import loads: ``import geoprobe`` loads no submodule, the HTTP
 client (``http.client``) loads only where a live tool or LLM call is made,
-and no third-party HTTP stack (``requests``, ``urllib3``) loads at all.
+and no third-party HTTP stack (``requests``, ``urllib3``) loads at all. And
+every ``geoprobe`` name the benchmark in ``perfbench/`` uses still exists.
 
 Each check runs in a fresh interpreter, because the test process itself
 has long since imported all of them.
@@ -10,12 +11,16 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
+
+import pytest
 
 import geoprobe
 
@@ -202,3 +207,32 @@ def test_readme_library_use_runs(tmp_path):
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block is not None
     run_fresh(block.group(1), tmp_path)
+
+
+def load_read_only(path: Path, monkeypatch) -> types.ModuleType:
+    """The module at ``path``, run without writing a bytecode cache beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_read_only_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["tracing", "workloads"])
+def test_benchmark_finds_every_name_it_uses(name, monkeypatch):
+    """The benchmark in ``perfbench/`` imports names from ``geoprobe``,
+    patches functions on its modules and classes (``tracing.PATCHES``) and
+    calls module attributes (``engine.record_episode``). A change that
+    deletes one of them fails here rather than in a benchmark run."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    module = load_read_only(path, monkeypatch)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in getattr(module, "PATCHES", ())
+               if not hasattr(owner, attr)]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = getattr(module, node.value.id, None)
+            if (isinstance(owner, types.ModuleType) and owner.__name__.startswith("geoprobe")
+                    and not hasattr(owner, node.attr)):
+                missing.append(f"{owner.__name__}.{node.attr}")
+    assert missing == []

@@ -361,6 +361,15 @@ def test_non_json_body_is_bad_response_with_raw_body(stub):
     assert result.detail == "<html>gateway mishap</html>"
 
 
+def test_deeply_nested_body_is_bad_response_with_raw_body(stub):
+    stub.schedule(Tool.GEOCODE, Fault(body=b"[" * 5000))
+    eps = fast_endpoints(stub)
+    result = LiveAdapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
+        probe(Tool.GEOCODE, {"query": "x"}))
+    assert result.error == "BadResponse"
+    assert result.detail == "[" * 5000
+
+
 def test_json_array_body_is_bad_response(stub):
     stub.schedule(Tool.GEOCODE, Fault(body=b"[1, 2, 3]"))
     eps = fast_endpoints(stub)

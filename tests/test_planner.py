@@ -2,6 +2,7 @@
 stub server's chat route), gate."""
 
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -302,6 +303,38 @@ class TestScriptedPolicy:
         d = self.backend.decide(make_ctx(desc, space=space, events=events, step=4))
         assert d.finalize
 
+    def test_walks_the_whole_policy_in_order(self):
+        """Every clue family present, a mid-level frontier that never stalls:
+        micro symbols, then architecture, then environment, each chain in
+        its order, then the last-resort visual match, then the conclusion."""
+        desc = make_desc(SIGN, POI, ARCH, VEG, TERRAIN)
+        space = CandidateSpace(frozenset({"cn-a", "cn-b"}), False)
+        image = {"image": "scene/0"}
+        expected = [
+            (M.SEMANTIC_SYMBOL, Tool.OCR, image),
+            *[(M.SEMANTIC_SYMBOL, tool, {"query": q})
+              for tool in (Tool.KNOWLEDGE_BASE, Tool.TEXT_SEARCH)
+              for q in ("Rivertown bakery", "Rivertown lighthouse")],
+            (M.INFRASTRUCTURE, Tool.CAPTION, image),
+            (M.INFRASTRUCTURE, Tool.KNOWLEDGE_BASE, {"query": "brick-rowhouses"}),
+            (M.INFRASTRUCTURE, Tool.TEXT_SEARCH, {"query": "brick-rowhouses"}),
+            (M.ENVIRONMENTAL, Tool.CAPTION, image),
+            (M.ENVIRONMENTAL, Tool.TEXT_SEARCH, {"query": "palm-groves"}),
+            (M.ENVIRONMENTAL, Tool.TEXT_SEARCH, {"query": "karst-hills"}),
+            (M.IMAGE_MATCHING, Tool.IMAGE_SEARCH, image),
+        ]
+        events, probes = [], []
+        for step in range(1, len(expected) + 2):
+            d = self.backend.decide(make_ctx(desc, space=space, events=tuple(events), step=step,
+                                             next_action_id=step))
+            if d.finalize:
+                break
+            [a] = d.actions
+            probes.append((a.module, a.tool, a.args))
+            events.append(decision_event(a, seq=len(events), step=step))
+        assert probes == expected
+        assert d.thought == "finalize (no probes left); supporting evidence: none"
+
     def test_actions_numbered_from_context(self):
         d = self.backend.decide(make_ctx(make_desc(SIGN), next_action_id=17))
         assert d.actions[0].id == 17
@@ -311,6 +344,15 @@ class TestScriptedPolicy:
         a = canonical_hash(self.backend.decide(ctx).to_json())
         b = canonical_hash(self.backend.decide(ctx).to_json())
         assert a == b
+
+    def test_pickled_policy_decides_as_the_original(self):
+        """Process workers ship the policy by pickle."""
+        copy = pickle.loads(pickle.dumps(self.backend))
+        world = generate_world(21, 3, 5)
+        for seed in range(20):
+            for difficulty in Difficulty:
+                ctx = make_ctx(sample_episode(world, seed, difficulty))
+                assert copy.decide(ctx) == self.backend.decide(ctx)
 
     def test_outcomes_over_descriptor_corpus(self):
         """Micro clues always route to SemanticSymbol first; pure-macro
@@ -542,6 +584,19 @@ class TestLlmBackend:
         with pytest.raises(BackendUnavailableError, match="not chat-completions shaped"):
             backend.decide(make_ctx(make_desc(VEG)))
 
+    def test_deeply_nested_reply_is_asked_again(self, chat_stub, llm):
+        """A reply nested past the recursion limit is a parse failure, so
+        the corrective re-ask runs."""
+        backend = llm('{"thought": ' + "[" * 5000, envelope([CAPTION_ACT]))
+        d = backend.decide(make_ctx(make_desc(VEG)))
+        assert d.actions and len(sent(chat_stub)) == 2
+
+    def test_deeply_nested_response_body_is_unavailable(self, chat_stub, llm):
+        chat_stub.schedule(CHAT_PATH, Fault(body=b"[" * 5000))
+        backend = llm(envelope(finalize=True))
+        with pytest.raises(BackendUnavailableError, match="not chat-completions shaped"):
+            backend.decide(make_ctx(make_desc(VEG)))
+
     def test_feedback_appended_as_extra_message(self, chat_stub, llm):
         backend = llm(envelope(finalize=True))
         backend.decide(make_ctx(make_desc(VEG), feedback="do better"))
@@ -602,6 +657,14 @@ class TestLlmEpisodes:
         assert wire_kinds(first) == ["request", "response"]
         for res in (failed, ok):
             assert replay(res.trace, WORLD.gazetteer, WORLD.tag_table()).final_state == res.state
+
+    def test_deeply_nested_response_body_ends_the_episode(self, chat_stub, llm):
+        """The episode records the backend's failure as its terminal event."""
+        chat_stub.schedule(CHAT_PATH, Fault(body=b"[" * 5000))
+        res = synthetic_episode(WORLD, sample_episode(WORLD, 1, Difficulty.EASY), llm())
+        [error] = res.trace.events
+        assert error.kind is EventKind.ERROR
+        assert error.payload["error"] == "BackendUnavailable"
 
     def test_parallel_episodes_keep_their_own_wire_logs(self, chat_stub, llm, tmp_path):
         chat_stub.set_chat(caption_then_finalize)

@@ -22,15 +22,21 @@ from hypothesis import strategies as st
 from geoprobe.actions import CapabilityModule, Tool, parse_decision
 from geoprobe.bench import DATASET_SUFFIX, BenchmarkSample, classify_scene, load_dataset
 from geoprobe.canonical import json_get, json_strs
-from geoprobe.config import RunConfig
+from geoprobe.cli import EXIT_CONFIG, _load_descriptor, main
+from geoprobe.config import RunConfig, load_config
 from geoprobe.errors import (
     ConfigError,
     DatasetError,
     DecisionParseError,
+    EmptyDatasetError,
     GazetteerFileError,
+    SeqGapError,
+    TraceFormatError,
+    UnknownRegionError,
 )
 from geoprobe.executor import load_tag_table
 from geoprobe.geo import load_gazetteer
+from geoprobe.recorder import load_trace
 from geoprobe.synthworld import (
     Difficulty,
     SceneDescriptor,
@@ -380,3 +386,99 @@ def test_any_decision_parses_or_raises_decision_parse_error(doc):
         parse_decision(json.dumps(doc), start_id=1, max_parallel=4)
     except DecisionParseError:
         pass
+
+
+# -- any bytes at all: each file reader returns or raises its own error -------
+
+#: Not UTF-8, and nested past the recursion limit.
+MALFORMED = {"not-utf8": b"\xff", "deep": b"[" * 5000}
+
+#: Each file reader: (file name, reader, the errors it documents). The
+#: first error is the one a malformed file raises.
+FILE_READERS = {
+    "dataset": (f"d{DATASET_SUFFIX}", load_dataset, (DatasetError, EmptyDatasetError)),
+    "gazetteer": ("g.json", load_gazetteer, (GazetteerFileError,)),
+    "config": ("c.json", load_config, (ConfigError,)),
+    "world": ("w.json", load_world, (ConfigError,)),
+    "tag-table": ("t.json", lambda path: load_tag_table(path, WORLD.gazetteer),
+                  (ConfigError, UnknownRegionError)),
+    "descriptor": ("s.json", _load_descriptor, (ConfigError,)),
+    "trace": ("r.trace.jsonl", load_trace, (TraceFormatError, SeqGapError)),
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("reader", FILE_READERS)
+def test_malformed_file_raises_the_readers_error(tmp_path, reader, data):
+    name, read, errors = FILE_READERS[reader]
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(errors[0]) as ei:
+        read(str(path))
+    if hasattr(ei.value, "line"):
+        assert ei.value.line == 1
+    else:
+        assert str(path) in str(ei.value)
+
+
+#: Arbitrary bytes, deep nesting (open or closed), a bad byte after some
+#: JSON, and JSON values as text.
+DOCUMENTS = st.one_of(
+    st.binary(max_size=24),
+    st.builds(lambda opener, n: opener * n, st.sampled_from([b"[", b'{"k":', b'{"k": [']),
+              st.integers(1, 4000)),
+    st.integers(1, 3000).map(lambda n: b"[" * n + b"]" * n),
+    st.builds(lambda doc, bad, tail: doc + bad + tail,
+              JSON.map(lambda v: json.dumps(v).encode()),
+              st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\n\xfe"]),
+              st.binary(max_size=4)),
+    JSON.map(lambda v: json.dumps(v).encode()),
+)
+
+
+@pytest.mark.parametrize("reader", FILE_READERS)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=DOCUMENTS)
+def test_any_file_reads_or_raises_the_readers_errors(tmp_path_factory, reader, data):
+    name, read, errors = FILE_READERS[reader]
+    path = tmp_path_factory.getbasetemp() / f"any-{name}"
+    path.write_bytes(data)
+    try:
+        read(str(path))
+    except errors:
+        pass
+
+
+#: A malformed file for each CLI input: the argv that reads it, by role.
+CLI_INPUTS = {
+    "config": lambda paths: ["bench", "--config", paths["bad"], "--dataset", paths["dataset"]],
+    "dataset": lambda paths: ["bench", "--config", paths["config"], "--dataset", paths["bad"]],
+    "gazetteer": lambda paths: ["replay", "--trace", paths["trace"], "--gazetteer", paths["bad"]],
+    "world": lambda paths: ["replay", "--trace", paths["trace"], "--world", paths["bad"]],
+    "tag-table": lambda paths: ["replay", "--trace", paths["trace"], "--gazetteer",
+                                paths["gazetteer"], "--tag-table", paths["bad"]],
+    "descriptor": lambda paths: ["run", "--config", paths["config"], "--descriptor", paths["bad"],
+                                 "--out", paths["out"]],
+    "trace": lambda paths: ["replay", "--trace", paths["bad"], "--world", paths["world"]],
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("role", CLI_INPUTS)
+def test_cli_exits_2_on_a_malformed_file(tmp_path, capsys, role, data):
+    from geoprobe.geo import save_gazetteer
+    from geoprobe.synthworld import save_world
+
+    bad = tmp_path / FILE_READERS[role][0]
+    bad.write_bytes(data)
+    save_world(WORLD, str(tmp_path / "world.json"))
+    save_gazetteer(WORLD.gazetteer, str(tmp_path / "gazetteer.json"))
+    (tmp_path / "config.json").write_text(
+        json.dumps({"tools": {"mode": "synthetic", "world": "world.json"}}))
+    (tmp_path / f"ok{DATASET_SUFFIX}").write_text(json.dumps(SAMPLE) + "\n")
+    paths = {"bad": str(bad), "config": str(tmp_path / "config.json"),
+             "dataset": str(tmp_path / f"ok{DATASET_SUFFIX}"), "world": str(tmp_path / "world.json"),
+             "gazetteer": str(tmp_path / "gazetteer.json"), "out": str(tmp_path / "out"),
+             "trace": str(Path(__file__).parent / "data" / "synth_w11_3x5_medium_s4.trace.jsonl")}
+    assert main(CLI_INPUTS[role](paths)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
