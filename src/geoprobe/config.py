@@ -180,8 +180,7 @@ class RunConfig:
             return value
 
         try:
-            tools = ToolsSpec.from_json(json_get(
-                obj, "tools", dict, {"mode": TOOLS_SYNTHETIC, "world": "world.json"}))
+            tools = ToolsSpec.from_json(json_get(obj, "tools", dict, cls().tools.to_json()))
             return cls(
                 gazetteer=path_of(json_get(obj, "gazetteer", (str, None), None)),
                 backend=BackendSpec.from_json(json_get(obj, "backend", dict, {})),

@@ -51,7 +51,8 @@ class DecisionParseError(GeoprobeError):
 
 
 class TransportError(GeoprobeError):
-    """An HTTP call failed below HTTP; chained to the socket or ``http.client`` error."""
+    """An HTTP call failed below HTTP; chained to the socket error, or to the
+    ``ValueError`` that names a framing fault in the answer."""
 
 
 class TransportTimeout(TransportError):

@@ -114,11 +114,21 @@ class AdminRegion:
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in km on the R=6371 sphere."""
+    """Great-circle distance in km on the R=6371 sphere.
+
+    Past a quarter circumference (haversine ``h > 0.5``) the ``asin`` form
+    loses precision, as ``h`` nears 1; there the distance is the ``atan2``
+    of ``sqrt(h)`` and ``sqrt(1 - h)``, with ``1 - h`` summed from two
+    non-negative terms, so that nothing cancels and the result stays
+    symmetric in ``a`` and ``b``."""
     lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
     dlat = lat2 - lat1
     dlon = lon2 - lon1
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    if h > 0.5:
+        rest = (math.cos(dlat / 2.0) ** 2 * math.cos(dlon / 2.0) ** 2
+                + math.sin((lat1 + lat2) / 2.0) ** 2 * math.sin(dlon / 2.0) ** 2)
+        return 2.0 * EARTH_RADIUS_KM * math.atan2(math.sqrt(h), math.sqrt(rest))
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 

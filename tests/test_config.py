@@ -118,6 +118,12 @@ def test_absent_keys_take_the_dataclass_defaults():
         mode="live", base_url="http://x")
 
 
+def test_absent_tools_take_the_field_default():
+    default = RunConfig().tools.to_json()
+    assert default == {"mode": "synthetic", "world": "world.json"}
+    assert RunConfig.from_json({}) == RunConfig.from_json({"tools": default}) == RunConfig()
+
+
 @pytest.mark.parametrize("spec", [BackendSpec, ToolsSpec])
 def test_spec_must_be_an_object(spec):
     with pytest.raises(ConfigError, match="settings must be an object"):

@@ -151,8 +151,23 @@ class TestHaversine:
         assert 0.0 <= d <= math.pi * EARTH_RADIUS_KM + 1e-9
 
     @given(points, points, points)
+    @example(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0), GeoPoint(0.0, 179.999999))
     def test_triangle_inequality(self, a, b, c):
         assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-6
+
+    @given(points, points)
+    def test_asin_form_up_to_a_quarter_circumference(self, a, b):
+        """Pairs up to a quarter circumference apart keep the plain ``asin``
+        haversine's value bit for bit; farther pairs keep the same distance
+        within rounding."""
+        p1, l1, p2, l2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
+        h = (math.sin((p2 - p1) / 2.0) ** 2
+             + math.cos(p1) * math.cos(p2) * math.sin((l2 - l1) / 2.0) ** 2)
+        asin_km = 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+        if h <= 0.5:
+            assert haversine_km(a, b) == asin_km
+        else:
+            assert haversine_km(a, b) == pytest.approx(asin_km, rel=1e-7)
 
 
 class TestGeoPoint:

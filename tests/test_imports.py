@@ -1,7 +1,8 @@
-"""What each import loads: ``import geoprobe`` loads no submodule, the HTTP
-client (``http.client``) loads only where a live tool or LLM call is made,
-and no third-party HTTP stack (``requests``, ``urllib3``) loads at all. And
-every ``geoprobe`` name the benchmark in ``perfbench/`` uses still exists.
+"""What each import loads: ``import geoprobe`` loads no submodule, no HTTP
+stack (``http.client``, ``requests``, ``urllib3``) loads on the client side,
+not even for a live tool or LLM call, and only the stub server (built on
+``http.server``) loads ``http.client``. And every ``geoprobe`` name the
+benchmark in ``perfbench/`` uses still exists.
 
 Each check runs in a fresh interpreter, because the test process itself
 has long since imported all of them.
@@ -23,6 +24,9 @@ from pathlib import Path
 import pytest
 
 import geoprobe
+from geoprobe.bench import make_benchmark, sample_scenes
+from geoprobe.stub_server import CHAT_PATH, StubToolServer
+from geoprobe.synthworld import generate_world
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -38,9 +42,11 @@ REPORT_LOADED = textwrap.dedent("""
 
 
 def run_fresh(code: str, cwd: Path) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports from ``src``."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    """Stdout of ``code`` run in a fresh interpreter that imports from
+    ``src``, with no proxy variable set (a proxy loads ``urllib.request``)."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
@@ -74,7 +80,8 @@ def test_importing_the_package_loads_no_http_client(tmp_path):
 
 
 def test_offline_commands_load_no_http_client(tmp_path):
-    assert loaded_after(f"""
+    """Nor the socket and TLS modules, which only ``HttpTransport`` imports."""
+    assert modules_after(f"""
         import contextlib, io
         from geoprobe import cli
         with contextlib.redirect_stdout(io.StringIO()):
@@ -82,7 +89,7 @@ def test_offline_commands_load_no_http_client(tmp_path):
                              "--samples", "4", "--out", "w"]) == 0
             assert cli.main(["replay", "--trace", {str(GOLDEN_TRACE)!r},
                              "--world", "w/world.json"]) == 0
-    """, tmp_path) == set()
+    """, tmp_path) & {*HTTP_STACKS, "socket", "ssl"} == set()
 
 
 def test_replay_and_run_load_no_bench(tmp_path):
@@ -113,50 +120,53 @@ def test_replay_and_run_load_no_bench(tmp_path):
     assert "bench" not in loaded
 
 
-def test_live_adapters_load_the_http_client(tmp_path):
-    """A live episode over the stub loads ``http.client`` and no third-party
-    HTTP stack."""
-    assert loaded_after("""
-        from geoprobe.bench import make_benchmark, run_benchmark, sample_scenes
-        from geoprobe.live_tools import live_adapters
-        from geoprobe.planner import scripted_salience_policy
-        from geoprobe.stub_server import StubToolServer
-        from geoprobe.synthworld import generate_world
-        world = generate_world(11, 3, 5)
-        samples = make_benchmark(world, 1, seed=5)
-        with StubToolServer(world) as server:
-            for ref, desc in sample_scenes(samples).items():
-                server.register(ref, desc)
-            run_benchmark(samples, scripted_salience_policy(), world,
-                          adapters=live_adapters(server.endpoints()))
-            assert server.total_requests() > 0
-    """, tmp_path) == {"http.client"}
+def test_a_live_episode_loads_no_http_stack(tmp_path):
+    """A live episode over the stub, run in its own interpreter while the
+    stub serves from this one, loads none of ``HTTP_STACKS``: the client
+    side speaks HTTP/1.1 over plain sockets."""
+    world = generate_world(11, 3, 5)
+    with StubToolServer(world) as server:
+        for ref, desc in sample_scenes(make_benchmark(world, 1, seed=5)).items():
+            server.register(ref, desc)
+        assert loaded_after(f"""
+            from geoprobe.bench import make_benchmark, run_benchmark
+            from geoprobe.live_tools import endpoints_for_base, live_adapters
+            from geoprobe.planner import scripted_salience_policy
+            from geoprobe.synthworld import generate_world
+            world = generate_world(11, 3, 5)
+            run = run_benchmark(make_benchmark(world, 1, seed=5), scripted_salience_policy(),
+                                world, adapters=live_adapters(endpoints_for_base({server.base_url!r})))
+            assert run.entries[0].error is None, run.entries[0].error
+        """, tmp_path) == set()
+        assert server.total_requests() > 0
 
 
-def test_llm_backend_loads_the_http_client(tmp_path):
-    """An ``LlmBackend`` chat over the stub loads ``http.client`` and no
-    third-party HTTP stack."""
-    assert loaded_after("""
-        from geoprobe.planner import LlmBackend
-        from geoprobe.stub_server import CHAT_PATH, StubToolServer
-        with StubToolServer() as server:
-            server.set_chat(lambda body: "ok")
-            llm = LlmBackend(endpoint=server.base_url + CHAT_PATH, model="m")
-            assert llm._chat(0, [{"role": "user", "content": "hi"}]) == "ok"
+def test_an_llm_chat_loads_no_http_stack(tmp_path):
+    """An ``LlmBackend`` chat with the stub, run in its own interpreter while
+    the stub serves from this one, loads none of ``HTTP_STACKS``."""
+    with StubToolServer() as server:
+        server.set_chat(lambda body: "ok")
+        assert loaded_after(f"""
+            from geoprobe.planner import LlmBackend
+            llm = LlmBackend(endpoint={server.base_url + CHAT_PATH!r}, model="m")
+            assert llm._chat(0, [{{"role": "user", "content": "hi"}}]) == "ok"
             llm.close()
-    """, tmp_path) == {"http.client"}
+        """, tmp_path) == set()
 
 
 def test_only_live_tools_builds_an_http_client():
     """Tools and the LLM share ``live_tools.HttpTransport``; no other module
     opens connections of its own."""
-    constructors = ("http.client.HTTPConnection(", "http.client.HTTPSConnection(")
+    constructors = ("http.client.HTTPConnection(", "http.client.HTTPSConnection(",
+                    "socket.create_connection(")
     offenders = [
         f"{path.name}: {ctor}"
         for path in sorted((SRC / "geoprobe").glob("*.py")) if path.name != "live_tools.py"
         for ctor in constructors if ctor in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
+    assert "socket.create_connection(" in (SRC / "geoprobe" / "live_tools.py").read_text(
+        encoding="utf-8")
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):
