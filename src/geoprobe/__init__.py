@@ -74,8 +74,6 @@ _EXPORTS = {
     "build_backend": "config",
     "load_config": "config",
     "validate_files": "config",
-    "DEFAULT_CONTEXT_BUDGET": "defaults",
-    "DEFAULT_MAX_STEPS": "defaults",
     "EpisodeResult": "engine",
     "ReplayReport": "engine",
     "derive_poi_hint": "engine",
@@ -98,6 +96,8 @@ _EXPORTS = {
     "UnknownRegionError": "errors",
     "UnmatchedPredictionError": "errors",
     "ALL_TOOLS": "executor",
+    "DEFAULT_CONTEXT_BUDGET": "executor",
+    "DEFAULT_MAX_STEPS": "executor",
     "LABEL_FULL": "executor",
     "LABEL_NO_IMAGE_SEARCH": "executor",
     "LABEL_NO_TEXT_SEARCH": "executor",

@@ -222,19 +222,21 @@ class Decision:
 def extract_json_object(text: str) -> tuple[dict, tuple[int, int]]:
     """Return the first decodable JSON object in ``text`` and its span.
 
-    Non-object JSON values (arrays, strings) are skipped; prose around and
-    between candidates is ignored.
+    Candidates start at a ``{``; prose around them is ignored. A failed
+    decode resumes the search at the decoder's error position, so decode
+    work is linear in ``len(text)``; a candidate nested past the recursion
+    limit, which has no error position, ends the search.
     """
     idx = text.find("{")
     while idx != -1:
         try:
             value, end = parse_json(text, idx)
-        except json.JSONDecodeError:
-            idx = text.find("{", idx + 1)
+        except json.JSONDecodeError as e:
+            if isinstance(e.__context__, RecursionError):
+                break
+            idx = text.find("{", max(e.pos, idx + 1))
             continue
-        if isinstance(value, dict):
-            return value, (idx, end)
-        idx = text.find("{", end)
+        return value, (idx, end)
     raise DecisionParseError("no JSON object found in reasoner output")
 
 

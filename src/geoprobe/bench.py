@@ -637,8 +637,6 @@ def run_benchmark(
     workers: int = 1,
     trace_dir=None,
     config_hash: str = "bench",
-    thresholds: Iterable[int] = DEFAULT_THRESHOLDS_KM,
-    aliases: dict[str, str] | None = None,
 ) -> BenchmarkRun:
     """Run every sample as one episode and aggregate the metric suite.
 
@@ -699,7 +697,5 @@ def run_benchmark(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             entries = tuple(pool.map(run_one, samples))
     preds = [e.prediction for e in entries if e.prediction is not None]
-    report = compute_report(
-        preds, samples, g, label=label,
-        thresholds=thresholds, aliases=aliases)
+    report = compute_report(preds, samples, g, label=label)
     return BenchmarkRun(entries=entries, report=report)

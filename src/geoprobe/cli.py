@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .canonical import canonical_json, parse_json
-from .config import TOOLS_SYNTHETIC, RunConfig, build_backend, load_config
+from .config import BACKEND_LLM, TOOLS_SYNTHETIC, RunConfig, build_backend, load_config
 from .engine import record_episode, replay
 from .errors import ConfigError, GeoprobeError, HashMismatchError, TraceFormatError
 from .executor import load_tag_table
@@ -75,12 +75,19 @@ def _load_descriptor(path: str) -> SceneDescriptor:
 def _tools(cfg: RunConfig, scenes: dict[str, SceneDescriptor]):
     """``(backend, gazetteer, tag_table, adapters)`` for the config: the
     adapters of one toolbox over the world holding ``scenes`` (image ref to
-    descriptor), or of the live endpoints. Every HTTP connection of the
-    backend and adapters closes with the block."""
-    backend = build_backend(cfg)
-    transport = None
+    descriptor), or of the live endpoints. The backend and adapters share
+    one ``HttpTransport`` over every URL the run calls, built (so each URL
+    checked) before the world or gazetteer loads and closed with the block;
+    a run with no URL builds none."""
+    live = cfg.tools.mode != TOOLS_SYNTHETIC
+    endpoints = cfg.tools.endpoints() if live else {}
+    urls = [ep.url for ep in endpoints.values()]
+    if cfg.backend.kind == BACKEND_LLM:
+        urls.append(cfg.backend.endpoint)
+    transport = HttpTransport(urls) if urls else None
     try:
-        if cfg.tools.mode == TOOLS_SYNTHETIC:
+        backend = build_backend(cfg, transport)
+        if not live:
             world = load_world(cfg.tools.world)
             yield (backend, world.gazetteer, world.tag_table(),
                    SyntheticToolbox(world, scenes).adapters())
@@ -88,14 +95,10 @@ def _tools(cfg: RunConfig, scenes: dict[str, SceneDescriptor]):
         assert cfg.gazetteer is not None  # enforced by RunConfig validation
         g = load_gazetteer(cfg.gazetteer)
         tag_table = load_tag_table(cfg.tag_table, g) if cfg.tag_table else None
-        endpoints = cfg.tools.endpoints()
-        transport = HttpTransport(ep.url for ep in endpoints.values())
         yield backend, g, tag_table, live_adapters(endpoints, transport)
     finally:
         if transport is not None:
             transport.close()
-        if hasattr(backend, "close"):
-            backend.close()
 
 
 # -- run --------------------------------------------------------------------

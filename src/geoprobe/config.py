@@ -26,6 +26,7 @@ from .live_tools import (
     DEFAULT_TIMEOUT_S,
     DEFAULT_TOP_K,
     EndpointConfig,
+    HttpTransport,
     endpoints_for_base,
 )
 
@@ -219,8 +220,9 @@ def validate_files(cfg: RunConfig) -> None:
         raise ConfigError(f"tag table file not found: {cfg.tag_table}")
 
 
-def build_backend(cfg: RunConfig):
-    """Instantiate the planner backend named by the config."""
+def build_backend(cfg: RunConfig, transport: HttpTransport | None):
+    """Instantiate the planner backend named by the config; an LLM backend
+    posts through ``transport``, built for its endpoint."""
     if cfg.backend.kind == BACKEND_SCRIPTED:
         from .planner import scripted_salience_policy
         return scripted_salience_policy()
@@ -228,6 +230,7 @@ def build_backend(cfg: RunConfig):
     return LlmBackend(
         endpoint=cfg.backend.endpoint,
         model=cfg.backend.model,
+        transport=transport,
         auth_env=cfg.backend.auth_env,
         timeout_s=cfg.tools.timeout_s,
         transport_retries=cfg.tools.retries,

@@ -17,8 +17,6 @@ from typing import Mapping, Protocol
 
 from .actions import Action, Tool, crop_payload
 from .canonical import canonical_hash, json_get, json_strs, parse_json
-from .defaults import (DEFAULT_CONTEXT_BUDGET, DEFAULT_MAX_PARALLEL, DEFAULT_MAX_STEPS,
-                       MAX_PARALLEL_LIMIT)
 from .errors import ConfigError, UnknownRegionError
 from .geo import Gazetteer, GeoPoint, region_contains
 from .state import Evidence, Provenance
@@ -154,6 +152,14 @@ class AblationConfig:
             return LABEL_NO_TOOLS
         return "custom: " + ", ".join(sorted(t.value for t in self.enabled_tools))
 
+
+DEFAULT_MAX_STEPS = 12
+DEFAULT_MAX_PARALLEL = 4
+DEFAULT_CONTEXT_BUDGET = 4000
+
+#: The most tool calls one step may run at once. ``execute_batch`` starts a
+#: thread per call, so a config or a replayed trace header may ask for no more.
+MAX_PARALLEL_LIMIT = 32
 
 #: The settings that count something; each must be at least 1.
 _COUNTS = ("max_steps", "max_parallel", "context_budget")

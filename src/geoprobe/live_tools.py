@@ -17,14 +17,14 @@ reads (caption/tags, spans, records, hits, candidates, matches). A body
 holding NaN or an infinite number, which a trace cannot record, is a
 BadResponse.
 
-Transport: each ``live_adapters()`` call builds one ``HttpTransport``
-shared by its adapters, unless the caller passes one in and so owns its
-``close()``; ``planner.LlmBackend`` builds one for its endpoint. The
-environment it reads is described there. Redirects are not followed: a 3xx
-answer is a RequestRejected result. A NetworkError detail is the ``repr``
-of the ``TransportError``, which names its cause. A 200 body is parsed as
-JSON from its bytes by ``canonical.parse_json`` (UTF-8, or UTF-16/32 as
-``json.loads`` detects them).
+Transport: a run builds one ``HttpTransport`` over every URL it calls, the
+tool endpoints and an LLM backend's chat endpoint (``cli._tools``), lends
+it to the adapters and ``planner.LlmBackend``, and closes it at the end.
+The environment it reads is described there. Redirects are not followed: a
+3xx answer is a RequestRejected result. A NetworkError detail is the
+``repr`` of the ``TransportError``, which names its cause. A 200 body is
+parsed as JSON from its bytes by ``canonical.parse_json`` (UTF-8, or
+UTF-16/32 as ``json.loads`` detects them).
 
 ``HttpTransport`` speaks HTTP/1.1 (RFC 9112) over its own sockets, with no
 ``http.client``. A request is one write: the request line, ``Host``,
@@ -480,7 +480,7 @@ def post_with_retries(post, url: str, *, retries: int, backoff_s: float,
 
 
 def live_adapter_request(tool: Tool, action: Action, cfg: EndpointConfig,
-                         transport: HttpTransport | None = None) -> ToolResult:
+                         transport: HttpTransport) -> ToolResult:
     """One tool call over HTTP, with the full failure policy applied.
 
     Server errors (5xx) and transport failures are retried ``cfg.retries``
@@ -490,10 +490,9 @@ def live_adapter_request(tool: Tool, action: Action, cfg: EndpointConfig,
     stall. Client errors (4xx) and redirects (3xx) fail immediately. A 200
     whose body is not a JSON object, or holds NaN or an infinity, becomes
     BadResponse with the raw body preserved. An args body that cannot be
-    JSON-encoded is a NetworkError, not retried. Without a ``transport``,
-    one is built for ``cfg.url``.
+    JSON-encoded is a NetworkError, not retried. ``transport`` must have
+    been built for ``cfg.url``.
     """
-    transport = transport or HttpTransport([cfg.url])
     t0 = time.perf_counter()
     try:
         body = _encode_json(request_body(tool, action, top_k=cfg.top_k))
@@ -528,16 +527,15 @@ def live_adapter_request(tool: Tool, action: Action, cfg: EndpointConfig,
 
 
 class LiveAdapter:
-    """Adapter for one network tool, over ``transport`` or, without one, its
-    own for ``cfg.url``. Never raises past execute()."""
+    """Adapter for one network tool over ``transport``, which must have been
+    built for ``cfg.url``. Never raises past execute()."""
 
-    def __init__(self, tool: Tool, cfg: EndpointConfig,
-                 transport: HttpTransport | None = None):
+    def __init__(self, tool: Tool, cfg: EndpointConfig, transport: HttpTransport):
         if tool not in NETWORK_TOOLS:
             raise ValueError(f"{tool.value} is not a network tool")
         self.tool = tool
         self.cfg = cfg
-        self._transport = transport or HttpTransport([cfg.url])
+        self._transport = transport
 
     def execute(self, action: Action) -> ToolResult:
         try:
@@ -550,7 +548,8 @@ def live_adapters(endpoints: Mapping[Tool, EndpointConfig],
                   transport: HttpTransport | None = None) -> dict[Tool, ToolAdapter]:
     """Adapter map over HTTP endpoints, sharing one ``HttpTransport``, plus
     the local crop adapter. A ``transport`` passed in must have been built
-    for the endpoints' URLs; without one, one is built."""
+    for the endpoints' URLs; without one (as ``perfbench/workloads.py``
+    calls it), one is built and left to the garbage collector."""
     if Tool.CROP in endpoints:
         raise ValueError("Crop is local; it takes no endpoint")
     transport = transport or HttpTransport(cfg.url for cfg in endpoints.values())

@@ -264,23 +264,21 @@ class LlmBackend:
 
     The auth token is read from ``auth_env`` and travels only in the
     request header; logged wire bodies never contain it. Requests go through
-    one ``HttpTransport`` under the tool adapters' ``post_with_retries``, so
-    a timeout is not retried and a 3xx is not followed.
+    ``transport``, built for ``endpoint`` and closed by its owner, under the
+    tool adapters' ``post_with_retries``, so a timeout is not retried and a
+    3xx is not followed.
     """
 
     endpoint: str
     model: str
+    transport: HttpTransport
     auth_env: str = "GEOPROBE_API_TOKEN"
     timeout_s: float = DEFAULT_TIMEOUT_S
     transport_retries: int = DEFAULT_RETRIES
     backoff_s: float = DEFAULT_BACKOFF_S
 
     def __post_init__(self):
-        self._transport = HttpTransport([self.endpoint])
         self._wire = _WireLog()
-
-    def close(self) -> None:
-        self._transport.close()
 
     def drain_wire_log(self) -> list[dict]:
         """The calling thread's wire entries since its last drain."""
@@ -295,7 +293,7 @@ class LlmBackend:
             self._wire.entries.append(
                 {"step": step, "kind": "request", "authorization": "redacted", "body": body}
             )
-            return self._transport.post(url, **kwargs)
+            return self.transport.post(url, **kwargs)
 
         try:
             resp = post_with_retries(

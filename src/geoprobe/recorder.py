@@ -237,8 +237,8 @@ def is_repetition(events: Sequence[TrajectoryEvent], module: str, tool: str,
     for event in events:
         if event.kind is not EventKind.DECISION:
             continue
-        for act in event.payload.get("decision", {}).get("actions", []):
-            if act.get("module") == module and act.get("tool") == tool and act.get("args") == args:
+        for act in event.payload["decision"]["actions"]:
+            if act["module"] == module and act["tool"] == tool and act["args"] == args:
                 return True
     return False
 
@@ -282,7 +282,7 @@ def _truncate(text: str, width: int) -> str:
 def frontier_unchanged_steps(events: Sequence[TrajectoryEvent]) -> int:
     """Length of the trailing run of projections that left the space as-is."""
     spaces = [{"is_global": True, "frontier": []}]
-    spaces += [e.payload.get("space") for e in events if e.kind is EventKind.PROJECTION]
+    spaces += [e.payload["space"] for e in events if e.kind is EventKind.PROJECTION]
     count = 0
     i = len(spaces) - 1
     while i >= 1 and spaces[i] == spaces[i - 1]:
@@ -307,11 +307,11 @@ def compress(
     probes: list[tuple[int, str, str]] = []
     for event in events:
         if event.kind is EventKind.DECISION:
-            for act in event.payload.get("decision", {}).get("actions", []):
-                probes.append((act.get("id", 0), act.get("module", "?"), act.get("tool", "?")))
+            for act in event.payload["decision"]["actions"]:
+                probes.append((act["id"], act["module"], act["tool"]))
         elif event.kind is EventKind.EXECUTION:
-            for res in event.payload.get("results", []):
-                statuses[res.get("action_id")] = res.get("status", "?")
+            for res in event.payload["results"]:
+                statuses[res["action_id"]] = res["status"]
 
     stall = frontier_unchanged_steps(events)
     active = state.active_evidence()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geoprobe import actions
 from geoprobe.actions import (
     ARG_SCHEMAS,
     COMPOSITION,
@@ -122,6 +123,16 @@ class TestValidateAction:
         assert issue.to_json() == {"code": "MissingArg", "message": "m", "arg": "query"}
 
 
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Where each decode that ``extract_json_object`` tries starts, in order."""
+    starts = []
+    parse_json = actions.parse_json
+    monkeypatch.setattr(actions, "parse_json",
+                        lambda text, start: starts.append(start) or parse_json(text, start))
+    return starts
+
+
 class TestExtractJsonObject:
     def test_bare_object(self):
         obj, span = extract_json_object('{"a": 1}')
@@ -150,6 +161,21 @@ class TestExtractJsonObject:
         with pytest.raises(DecisionParseError) as ei:
             extract_json_object("no json here")
         assert ei.value.span is None
+
+    def test_nesting_past_the_recursion_limit_ends_the_search(self, decodes):
+        """One decode, not one per ``{``: the 25,000-character reply used to
+        take 5,000, each running to the recursion limit."""
+        text = '{"a":' * 5000
+        assert len(text) == 25_000
+        with pytest.raises(DecisionParseError):
+            extract_json_object(text)
+        assert decodes == [0]
+
+    def test_search_resumes_where_the_decode_failed(self, decodes):
+        text = '{"a": {"b": 1}, oops} {"ok": 1}'
+        obj, span = extract_json_object(text)
+        assert obj == {"ok": 1} and text[span[0]:span[1]] == '{"ok": 1}'
+        assert decodes == [0, text.index('{"ok"')]
 
 
 def envelope(**overrides):

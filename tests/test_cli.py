@@ -589,7 +589,95 @@ def test_llm_backend_connections_close_with_the_tools(live_workspace, closed_tra
     expected = EXIT_EXHAUSTED if command == "run" else EXIT_OK
     assert run_live(live_workspace, command) == expected
     assert CHAT_PATH in {r.path for r in server.requests()}
-    assert len(closed_transports) == 2  # the adapters' and the backend's
+    assert len(closed_transports) == 1  # one transport, lent to the adapters and the backend
+
+
+def llm_envelope(*actions, finalize=False) -> str:
+    return json.dumps({"version": "1", "thought": "t", "finalize": finalize,
+                       "actions": [{"module": m, "tool": t, "args": a} for m, t, a in actions]})
+
+
+def test_an_llm_episode_over_live_tools_opens_one_connection(workspace, live_workspace,
+                                                              monkeypatch, capsys):
+    """The chat calls and the tool calls of a run go to one stub through one
+    transport, so a sequential episode keeps one connection alive."""
+    import socket
+
+    from geoprobe.stub_server import CHAT_PATH
+
+    scene, world = descriptor_file(workspace)
+    desc = SceneDescriptor.from_json(json.loads(scene.read_text(encoding="utf-8")))
+    server = live_workspace["server"]
+    server.register("scene/0", desc)
+    replies = [
+        llm_envelope(("SemanticSymbol", "KnowledgeBase", {"query": desc.clues[0].value})),
+        llm_envelope(("Environmental", "Caption", {"image": "scene/0"})),
+        llm_envelope(finalize=True),
+    ]
+    server.set_chat(lambda body: replies.pop(0))
+    config = json.loads(live_workspace["config"].read_text())
+    config["backend"] = {"kind": "llm", "endpoint": server.base_url + CHAT_PATH, "model": "m"}
+    live_workspace["config"].write_text(json.dumps(config))
+    connections = []
+    create_connection = socket.create_connection
+
+    def counting_create_connection(address, *args, **kwargs):
+        connections.append(address)
+        return create_connection(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting_create_connection)
+    out = workspace["root"] / "llm-run"
+    assert main(["run", "--config", str(live_workspace["config"]), "--image", "scene/0",
+                 "--out", str(out)]) == EXIT_OK
+    assert len(connections) == 1
+    assert len(server.requests()) == 5 and replies == []
+    prediction = json.loads((out / "prediction.json").read_text())
+    assert prediction["city"] == world.gazetteer.get(desc.truth.city_id).name
+
+
+def https_config(workspace, base_url="https://tools.invalid", gazetteer_text=None) -> str:
+    """A config path: live tools under ``base_url`` and an https LLM
+    endpoint, over a gazetteer file holding ``gazetteer_text`` (else the
+    world's)."""
+    from geoprobe.geo import save_gazetteer
+
+    root = workspace["root"]
+    if gazetteer_text is None:
+        save_gazetteer(load_world(str(workspace["world"])).gazetteer, str(root / "g.json"))
+    else:
+        (root / "g.json").write_text(gazetteer_text)
+    config = root / "https.json"
+    config.write_text(json.dumps({
+        "gazetteer": "g.json",
+        "backend": {"kind": "llm", "endpoint": "https://llm.invalid/v1/chat", "model": "m"},
+        "tools": {"mode": "live", "base_url": base_url}}))
+    return str(config)
+
+
+def test_one_tls_context_serves_the_llm_and_the_tools(workspace, monkeypatch):
+    import ssl
+
+    from geoprobe.cli import _tools
+    from geoprobe.config import load_config
+
+    contexts = []
+    create_default_context = ssl.create_default_context
+
+    def counting_create_default_context(*args, **kwargs):
+        contexts.append(kwargs)
+        return create_default_context(*args, **kwargs)
+
+    monkeypatch.setattr(ssl, "create_default_context", counting_create_default_context)
+    with _tools(load_config(https_config(workspace)), {}):
+        assert len(contexts) == 1  # one transport for the LLM and the tools
+
+
+def test_a_bad_url_is_reported_before_a_malformed_gazetteer(workspace, capsys):
+    config = https_config(workspace, "ftp://tools.invalid", gazetteer_text='{"a": 1}')
+    assert main(["run", "--config", config, "--image", "scene/0",
+                 "--out", str(workspace["root"] / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: unsupported URL for HTTP endpoints: 'ftp://tools.invalid/caption'\n")
 
 
 def live_argv_with_tag_table(workspace, command, text):

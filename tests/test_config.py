@@ -15,9 +15,9 @@ from geoprobe.config import (
     load_config,
     validate_files,
 )
-from geoprobe.defaults import MAX_PARALLEL_LIMIT
 from geoprobe.errors import ConfigError
-from geoprobe.executor import ALL_TOOLS
+from geoprobe.executor import ALL_TOOLS, MAX_PARALLEL_LIMIT
+from geoprobe.live_tools import HttpTransport
 from geoprobe.planner import LlmBackend, ScriptedBackend
 from geoprobe.synthworld import generate_world, save_world
 
@@ -294,7 +294,7 @@ def test_build_backend_scripted(workspace):
     cfg = load_config(write_config(workspace, {
         "tools": {"mode": "synthetic", "world": "world.json"},
     }))
-    assert isinstance(build_backend(cfg), ScriptedBackend)
+    assert isinstance(build_backend(cfg, None), ScriptedBackend)
 
 
 def test_build_backend_llm(workspace):
@@ -304,8 +304,11 @@ def test_build_backend_llm(workspace):
         "backend": {"kind": "llm", "endpoint": "http://llm.local/chat",
                     "model": "m-9", "auth_env": "MY_TOKEN"},
     }))
-    backend = build_backend(cfg)
+    transport = HttpTransport([cfg.backend.endpoint])
+    backend = build_backend(cfg, transport)
+    transport.close()
     assert isinstance(backend, LlmBackend)
+    assert backend.transport is transport
     assert backend.endpoint == "http://llm.local/chat"
     assert backend.model == "m-9"
     assert backend.auth_env == "MY_TOKEN"

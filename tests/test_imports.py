@@ -80,7 +80,12 @@ def test_importing_the_package_loads_no_http_client(tmp_path):
 
 
 def test_offline_commands_load_no_http_client(tmp_path):
-    """Nor the socket and TLS modules, which only ``HttpTransport`` imports."""
+    """Nor the socket and TLS modules, which only ``HttpTransport`` imports:
+    a run with no URL builds no transport."""
+    import json
+
+    (tmp_path / "config.json").write_text(
+        json.dumps({"tools": {"mode": "synthetic", "world": "w/world.json"}}))
     assert modules_after(f"""
         import contextlib, io
         from geoprobe import cli
@@ -89,6 +94,8 @@ def test_offline_commands_load_no_http_client(tmp_path):
                              "--samples", "4", "--out", "w"]) == 0
             assert cli.main(["replay", "--trace", {str(GOLDEN_TRACE)!r},
                              "--world", "w/world.json"]) == 0
+            assert cli.main(["bench", "--config", "config.json",
+                             "--dataset", "w/synthetic.bench.jsonl", "--out", "b"]) == 0
     """, tmp_path) & {*HTTP_STACKS, "socket", "ssl"} == set()
 
 
@@ -147,16 +154,34 @@ def test_an_llm_chat_loads_no_http_stack(tmp_path):
     with StubToolServer() as server:
         server.set_chat(lambda body: "ok")
         assert loaded_after(f"""
+            from geoprobe.live_tools import HttpTransport
             from geoprobe.planner import LlmBackend
-            llm = LlmBackend(endpoint={server.base_url + CHAT_PATH!r}, model="m")
+            transport = HttpTransport([{server.base_url + CHAT_PATH!r}])
+            llm = LlmBackend({server.base_url + CHAT_PATH!r}, "m", transport)
             assert llm._chat(0, [{{"role": "user", "content": "hi"}}]) == "ok"
-            llm.close()
+            transport.close()
         """, tmp_path) == set()
+
+
+def transports_built() -> set[tuple[str, str]]:
+    """``(module file, enclosing function)`` of each ``HttpTransport(...)``
+    call in ``src/geoprobe``."""
+    built = set()
+    for path in sorted((SRC / "geoprobe").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "HttpTransport"):
+                        built.add((path.name, func.name))
+    return built
 
 
 def test_only_live_tools_builds_an_http_client():
     """Tools and the LLM share ``live_tools.HttpTransport``; no other module
-    opens connections of its own."""
+    opens connections of its own. A run builds its one transport in
+    ``cli._tools``; ``live_adapters`` builds one only when given none."""
     constructors = ("http.client.HTTPConnection(", "http.client.HTTPSConnection(",
                     "socket.create_connection(")
     offenders = [
@@ -167,6 +192,10 @@ def test_only_live_tools_builds_an_http_client():
     assert offenders == []
     assert "socket.create_connection(" in (SRC / "geoprobe" / "live_tools.py").read_text(
         encoding="utf-8")
+    assert transports_built() == {("cli.py", "_tools"), ("live_tools.py", "live_adapters")}
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in sorted((SRC / "geoprobe").glob("*.py")))
+    assert source.count("or HttpTransport(") == 1  # live_adapters' default
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):

@@ -29,11 +29,11 @@ from hypothesis import strategies as st
 from geoprobe.actions import ARG_SCHEMAS, Action, ArgKind, CapabilityModule, Tool
 from geoprobe.bench import make_benchmark, run_benchmark, sample_scenes
 from geoprobe.canonical import canonical_json
-from geoprobe.defaults import DEFAULT_MAX_PARALLEL
 from geoprobe.errors import ConfigError, TransportError, TransportTimeout
 from geoprobe.engine import replay
 from geoprobe.executor import (
     ALL_TOOLS,
+    DEFAULT_MAX_PARALLEL,
     AblationConfig,
     EpisodeSettings,
     LocalCropAdapter,
@@ -80,6 +80,26 @@ def stub(world):
     server = StubToolServer(world).start()
     yield server
     server.stop()
+
+
+@pytest.fixture()
+def transport_for():
+    """Builds an ``HttpTransport`` for the URLs given; closes each at teardown."""
+    built = []
+
+    def make(*urls):
+        built.append(HttpTransport(urls))
+        return built[-1]
+
+    yield make
+    for transport in built:
+        transport.close()
+
+
+@pytest.fixture()
+def adapter(transport_for):
+    """Builds ``LiveAdapter(tool, cfg)`` over a transport for ``cfg.url``."""
+    return lambda tool, cfg: LiveAdapter(tool, cfg, transport_for(cfg.url))
 
 
 def fast_endpoints(stub, **kwargs):
@@ -223,19 +243,19 @@ def test_live_adapters_rejects_crop_endpoint():
         live_adapters({Tool.CROP: EndpointConfig(url="http://x/crop")})
 
 
-def test_live_adapter_rejects_non_network_tool():
+def test_live_adapter_rejects_non_network_tool(adapter):
     with pytest.raises(ValueError):
-        LiveAdapter(Tool.CROP, EndpointConfig(url="http://x"))
+        adapter(Tool.CROP, EndpointConfig(url="http://x"))
 
 
 # -- happy path over HTTP ---------------------------------------------------
 
 
-def test_canned_ocr_roundtrip(stub):
+def test_canned_ocr_roundtrip(stub, adapter):
     canned = {"spans": [{"text": "Main Street 5", "box": [0, 0, 1, 1]}]}
     stub.set_canned(Tool.OCR, canned)
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(
+    result = adapter(Tool.OCR, eps[Tool.OCR]).execute(
         probe(Tool.OCR, {"image": "scene/0"}))
     assert result.status is ToolStatus.OK
     assert result.payload == canned
@@ -243,12 +263,12 @@ def test_canned_ocr_roundtrip(stub):
     assert stub.count(Tool.OCR) == 1
 
 
-def test_world_backed_ocr_matches_in_process_adapter(world, stub):
+def test_world_backed_ocr_matches_in_process_adapter(world, stub, adapter):
     desc = sign_scene(world)
     stub.register("scene/0", desc)
     eps = fast_endpoints(stub)
     act = probe(Tool.OCR, {"image": "scene/0"})
-    over_http = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(act)
+    over_http = adapter(Tool.OCR, eps[Tool.OCR]).execute(act)
     from geoprobe.synthworld import SyntheticToolbox
     toolbox = SyntheticToolbox(world)
     toolbox.register("scene/0", desc)
@@ -256,21 +276,21 @@ def test_world_backed_ocr_matches_in_process_adapter(world, stub):
     assert over_http.ok and over_http.payload == in_process.payload
 
 
-def test_http_result_feeds_evidence_extraction(world, stub):
+def test_http_result_feeds_evidence_extraction(world, stub, adapter):
     desc = sign_scene(world)
     stub.register("scene/0", desc)
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(
+    result = adapter(Tool.OCR, eps[Tool.OCR]).execute(
         probe(Tool.OCR, {"image": "scene/0"}))
     evidence = extract_evidence(result, world.gazetteer)
     truth_city = world.gazetteer.get(desc.truth.city_id)
     assert any(truth_city.id in e.constraint for e in evidence)
 
 
-def test_request_records_wire_body(world, stub):
+def test_request_records_wire_body(world, stub, adapter):
     stub.set_canned(Tool.TEXT_SEARCH, {"hits": []})
     eps = fast_endpoints(stub)
-    LiveAdapter(Tool.TEXT_SEARCH, eps[Tool.TEXT_SEARCH]).execute(
+    adapter(Tool.TEXT_SEARCH, eps[Tool.TEXT_SEARCH]).execute(
         probe(Tool.TEXT_SEARCH, {"query": "karst"}))
     [req] = stub.requests()
     assert req.path == "/text_search"
@@ -280,31 +300,31 @@ def test_request_records_wire_body(world, stub):
 # -- auth -------------------------------------------------------------------
 
 
-def test_auth_token_sent_as_bearer_header(stub, monkeypatch):
+def test_auth_token_sent_as_bearer_header(stub, monkeypatch, adapter):
     monkeypatch.setenv("STUB_TOOL_TOKEN", "s3cret-token")
     stub.set_canned(Tool.KNOWLEDGE_BASE, {"records": []})
     eps = fast_endpoints(stub, auth_env="STUB_TOOL_TOKEN")
-    LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
+    adapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
         probe(Tool.KNOWLEDGE_BASE, {"query": "x"}))
     [req] = stub.requests()
     assert req.authorization == "Bearer s3cret-token"
 
 
-def test_no_auth_header_without_token(stub, monkeypatch):
+def test_no_auth_header_without_token(stub, monkeypatch, adapter):
     monkeypatch.delenv("STUB_TOOL_TOKEN", raising=False)
     stub.set_canned(Tool.KNOWLEDGE_BASE, {"records": []})
     eps = fast_endpoints(stub, auth_env="STUB_TOOL_TOKEN")
-    LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
+    adapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
         probe(Tool.KNOWLEDGE_BASE, {"query": "x"}))
     [req] = stub.requests()
     assert req.authorization is None
 
 
-def test_token_never_appears_in_result(stub, monkeypatch):
+def test_token_never_appears_in_result(stub, monkeypatch, adapter):
     monkeypatch.setenv("STUB_TOOL_TOKEN", "hunter2-secret")
     stub.set_canned(Tool.GEOCODE, {"matches": []})
     eps = fast_endpoints(stub, auth_env="STUB_TOOL_TOKEN")
-    result = LiveAdapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
+    result = adapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
         probe(Tool.GEOCODE, {"query": "place"}))
     import json
     assert "hunter2-secret" not in json.dumps(result.to_json())
@@ -313,30 +333,30 @@ def test_token_never_appears_in_result(stub, monkeypatch):
 # -- failure policy ---------------------------------------------------------
 
 
-def test_server_error_thrice_fails_after_two_retries(stub):
+def test_server_error_thrice_fails_after_two_retries(stub, adapter):
     stub.schedule(Tool.KNOWLEDGE_BASE, *[Fault(status=500)] * 3)
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
+    result = adapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
         probe(Tool.KNOWLEDGE_BASE, {"query": "x"}))
     assert result.status is ToolStatus.TOOL_ERROR
     assert result.error == "ServerError"
     assert stub.count(Tool.KNOWLEDGE_BASE) == 3  # initial try + 2 retries
 
 
-def test_server_error_twice_then_recovers(stub):
+def test_server_error_twice_then_recovers(stub, adapter):
     stub.schedule(Tool.KNOWLEDGE_BASE, *[Fault(status=500)] * 2)
     stub.set_canned(Tool.KNOWLEDGE_BASE, {"records": []})
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
+    result = adapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
         probe(Tool.KNOWLEDGE_BASE, {"query": "x"}))
     assert result.ok
     assert stub.count(Tool.KNOWLEDGE_BASE) == 3
 
 
-def test_client_error_fails_immediately_without_retry(stub):
+def test_client_error_fails_immediately_without_retry(stub, adapter):
     stub.schedule(Tool.KNOWLEDGE_BASE, *[Fault(status=403)] * 5)
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
+    result = adapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
         probe(Tool.KNOWLEDGE_BASE, {"query": "x"}))
     assert result.status is ToolStatus.TOOL_ERROR
     assert result.error == "RequestRejected"
@@ -344,100 +364,100 @@ def test_client_error_fails_immediately_without_retry(stub):
     assert stub.count(Tool.KNOWLEDGE_BASE) == 1
 
 
-def test_slow_server_yields_timeout_with_latency_at_least_budget(stub):
+def test_slow_server_yields_timeout_with_latency_at_least_budget(stub, adapter):
     stub.schedule(Tool.CAPTION, Fault(delay_s=0.5))
     cfg = stub.endpoints(timeout_s=0.05)[Tool.CAPTION]
-    result = LiveAdapter(Tool.CAPTION, cfg).execute(
+    result = adapter(Tool.CAPTION, cfg).execute(
         probe(Tool.CAPTION, {"image": "scene/0"}))
     assert result.status is ToolStatus.TIMEOUT
     assert result.latency_ms >= 50.0
     assert stub.count(Tool.CAPTION) == 1  # timeouts are not retried
 
 
-def test_non_json_body_is_bad_response_with_raw_body(stub):
+def test_non_json_body_is_bad_response_with_raw_body(stub, adapter):
     stub.schedule(Tool.GEOCODE, Fault(body=b"<html>gateway mishap</html>"))
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
+    result = adapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
         probe(Tool.GEOCODE, {"query": "x"}))
     assert result.status is ToolStatus.TOOL_ERROR
     assert result.error == "BadResponse"
     assert result.detail == "<html>gateway mishap</html>"
 
 
-def test_deeply_nested_body_is_bad_response_with_raw_body(stub):
+def test_deeply_nested_body_is_bad_response_with_raw_body(stub, adapter):
     stub.schedule(Tool.GEOCODE, Fault(body=b"[" * 5000))
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
+    result = adapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
         probe(Tool.GEOCODE, {"query": "x"}))
     assert result.error == "BadResponse"
     assert result.detail == "[" * 5000
 
 
-def test_json_array_body_is_bad_response(stub):
+def test_json_array_body_is_bad_response(stub, adapter):
     stub.schedule(Tool.GEOCODE, Fault(body=b"[1, 2, 3]"))
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
+    result = adapter(Tool.GEOCODE, eps[Tool.GEOCODE]).execute(
         probe(Tool.GEOCODE, {"query": "x"}))
     assert result.error == "BadResponse"
     assert result.detail == "[1, 2, 3]"
 
 
 @pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e999"])
-def test_non_finite_number_is_bad_response_with_raw_body(stub, number):
+def test_non_finite_number_is_bad_response_with_raw_body(stub, number, adapter):
     raw = b'{"caption": "x", "tags": [], "score": ' + number + b"}"
     stub.schedule(Tool.CAPTION, Fault(body=raw))
     eps = fast_endpoints(stub, retries=0)
-    result = LiveAdapter(Tool.CAPTION, eps[Tool.CAPTION]).execute(
+    result = adapter(Tool.CAPTION, eps[Tool.CAPTION]).execute(
         probe(Tool.CAPTION, {"image": "scene/0"}))
     assert result.error == "BadResponse"
     assert result.detail == raw.decode()
 
 
-def test_connection_refused_becomes_network_error():
+def test_connection_refused_becomes_network_error(transport_for):
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         dead_port = s.getsockname()[1]
     cfg = EndpointConfig(url=f"http://127.0.0.1:{dead_port}/ocr",
                          timeout_s=0.5, backoff_s=0.001)
     result = live_adapter_request(
-        Tool.OCR, probe(Tool.OCR, {"image": "scene/0"}), cfg)
+        Tool.OCR, probe(Tool.OCR, {"image": "scene/0"}), cfg, transport_for(cfg.url))
     assert result.status is ToolStatus.TOOL_ERROR
     assert result.error == "NetworkError"
 
 
-def test_unregistered_scene_is_rejected_in_band(world, stub):
+def test_unregistered_scene_is_rejected_in_band(world, stub, adapter):
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(
+    result = adapter(Tool.OCR, eps[Tool.OCR]).execute(
         probe(Tool.OCR, {"image": "scene/nowhere"}))
     assert result.status is ToolStatus.TOOL_ERROR
     assert result.error == "RequestRejected"
     assert "UnknownImage" in result.detail
 
 
-def test_malformed_request_body_is_rejected_in_band(world, stub):
+def test_malformed_request_body_is_rejected_in_band(world, stub, adapter):
     eps = fast_endpoints(stub)
     # OCR without the required image arg: wire body lacks "image"
     act = Action(1, CapabilityModule.SEMANTIC_SYMBOL, Tool.OCR, {})
-    result = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(act)
+    result = adapter(Tool.OCR, eps[Tool.OCR]).execute(act)
     assert result.status is ToolStatus.TOOL_ERROR
     assert result.error == "RequestRejected"
     assert result.detail.startswith("HTTP 400")
     assert stub.count(Tool.OCR) == 1
 
 
-def test_worldless_stub_answers_tool_routes_404():
+def test_worldless_stub_answers_tool_routes_404(adapter):
     with StubToolServer() as server:
-        result = LiveAdapter(Tool.GEOCODE, server.endpoints()[Tool.GEOCODE]).execute(
+        result = adapter(Tool.GEOCODE, server.endpoints()[Tool.GEOCODE]).execute(
             probe(Tool.GEOCODE, {"query": "x"}))
         assert result.error == "RequestRejected"
         assert result.detail == 'HTTP 404: {"error": "no world attached"}'
         assert server.count(Tool.GEOCODE) == 1
 
 
-def test_redirect_is_rejected_not_followed(stub):
+def test_redirect_is_rejected_not_followed(stub, adapter):
     stub.schedule(Tool.OCR, Fault(status=303))
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.OCR, eps[Tool.OCR]).execute(
+    result = adapter(Tool.OCR, eps[Tool.OCR]).execute(
         probe(Tool.OCR, {"image": "scene/0"}))
     assert result.error == "RequestRejected"
     assert result.detail.startswith("HTTP 303: ")
@@ -464,9 +484,9 @@ def test_transport_chains_timeout_to_its_cause(stub):
     assert isinstance(info.value.__cause__, TimeoutError)
 
 
-def test_unencodable_body_is_network_error_without_retry(stub):
+def test_unencodable_body_is_network_error_without_retry(stub, adapter):
     eps = fast_endpoints(stub)
-    result = LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
+    result = adapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
         probe(Tool.KNOWLEDGE_BASE, {"query": float("nan")}))
     assert result.error == "NetworkError"
     assert result.detail.startswith("ValueError(")
@@ -880,18 +900,20 @@ def test_answer_with_stray_bytes_is_not_reused():
     assert server.accepted == 2
 
 
-def test_body_shorter_than_its_length_is_retried_like_a_5xx():
+def test_body_shorter_than_its_length_is_retried_like_a_5xx(transport_for):
     short = (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}", True)
     cfg = partial(EndpointConfig, timeout_s=5.0, backoff_s=0.001)
     act = probe(Tool.KNOWLEDGE_BASE, {"query": "x"})
     with RawServer(short, answer_200(b'{"records": []}')) as server:
-        result = live_adapter_request(Tool.KNOWLEDGE_BASE, act, cfg(server.url, retries=2))
+        result = live_adapter_request(Tool.KNOWLEDGE_BASE, act, cfg(server.url, retries=2),
+                                      transport_for(server.url))
     assert result.ok and result.payload == {"records": []}
     assert len(server.requests) == 2
     with RawServer(short) as server:
         with pytest.raises(TransportError) as info:
             post_once(server)
-        result = live_adapter_request(Tool.KNOWLEDGE_BASE, act, cfg(server.url, retries=0))
+        result = live_adapter_request(Tool.KNOWLEDGE_BASE, act, cfg(server.url, retries=0),
+                                      transport_for(server.url))
     assert isinstance(info.value.__cause__, ConnectionError)
     assert "8 bytes short" in str(info.value)
     assert result.error == "NetworkError"
@@ -957,9 +979,10 @@ def test_llm_chat_answered_chunked():
     chunks = b"".join(b"%x\r\n%s\r\n" % (len(part), part) for part in (reply[:9], reply[9:]))
     with RawServer(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks
                    + b"0\r\n\r\n") as server:
-        llm = LlmBackend(endpoint=server.url, model="m", auth_env="")
+        transport = HttpTransport([server.url])
+        llm = LlmBackend(server.url, "m", transport, auth_env="")
         assert llm._chat(0, [{"role": "user", "content": "hi"}]) == "ok"
-        llm.close()
+        transport.close()
 
 
 _FIELDS = st.sampled_from([
@@ -1093,10 +1116,10 @@ def test_url_whose_target_is_not_plain_ascii_is_rejected_when_built(path):
         HttpTransport([f"http://tools.example{path}"])
 
 
-def test_token_with_a_line_break_is_never_sent(stub, monkeypatch):
+def test_token_with_a_line_break_is_never_sent(stub, monkeypatch, adapter):
     monkeypatch.setenv("STUB_TOOL_TOKEN", "t0k\r\nX-Injected: 1")
     eps = fast_endpoints(stub, auth_env="STUB_TOOL_TOKEN")
-    result = LiveAdapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
+    result = adapter(Tool.KNOWLEDGE_BASE, eps[Tool.KNOWLEDGE_BASE]).execute(
         probe(Tool.KNOWLEDGE_BASE, {"query": "x"}))
     assert result.error == "NetworkError"
     assert result.detail.startswith("ValueError(")

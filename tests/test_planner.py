@@ -22,6 +22,7 @@ from geoprobe.engine import replay
 from geoprobe.errors import BackendUnavailableError, BudgetTooSmallError, DecisionParseError
 from geoprobe.executor import EpisodeSettings
 from geoprobe.geo import GeoPoint
+from geoprobe.live_tools import HttpTransport
 from geoprobe.planner import (
     PROMPT_OVERHEAD_BUDGET,
     LlmBackend,
@@ -462,7 +463,7 @@ def chat_stub():
 @pytest.fixture()
 def llm(chat_stub):
     """Builds backends for the stub's chat route, answering ``replies`` in
-    order when given; closes them at teardown."""
+    order when given; closes their transports at teardown."""
     built = []
 
     def make(*replies, endpoint=None, **kw):
@@ -470,14 +471,13 @@ def llm(chat_stub):
             queue = list(replies)
             chat_stub.set_chat(lambda body: queue.pop(0))
         kw.setdefault("backoff_s", 0.0)
-        backend = LlmBackend(endpoint=endpoint or chat_stub.base_url + CHAT_PATH,
-                             model="geo-test", **kw)
-        built.append(backend)
-        return backend
+        url = endpoint or chat_stub.base_url + CHAT_PATH
+        built.append(HttpTransport([url]))
+        return LlmBackend(url, "geo-test", built[-1], **kw)
 
     yield make
-    for backend in built:
-        backend.close()
+    for transport in built:
+        transport.close()
 
 
 def sent(stub) -> list[dict]:
@@ -588,6 +588,13 @@ class TestLlmBackend:
         """A reply nested past the recursion limit is a parse failure, so
         the corrective re-ask runs."""
         backend = llm('{"thought": ' + "[" * 5000, envelope([CAPTION_ACT]))
+        d = backend.decide(make_ctx(make_desc(VEG)))
+        assert d.actions and len(sent(chat_stub)) == 2
+
+    def test_envelope_after_a_too_deeply_nested_prefix_is_asked_again(self, chat_stub, llm):
+        """The nested prefix ends the search, so the envelope after it is
+        not found and the reply is asked again."""
+        backend = llm('{"a":' * 5000 + envelope(finalize=True), envelope([CAPTION_ACT]))
         d = backend.decide(make_ctx(make_desc(VEG)))
         assert d.actions and len(sent(chat_stub)) == 2
 
@@ -720,13 +727,14 @@ def test_drawn_chat_faults_follow_the_client_policy(schedule):
     with StubToolServer() as server, tempfile.TemporaryDirectory() as trace_dir:
         server.set_chat(caption_then_finalize)
         server.schedule(CHAT_PATH, *schedule)
-        backend = LlmBackend(endpoint=server.base_url + CHAT_PATH, model="geo-test",
+        transport = HttpTransport([server.base_url + CHAT_PATH])
+        backend = LlmBackend(server.base_url + CHAT_PATH, "geo-test", transport,
                              timeout_s=FAULT_TIMEOUT_S, transport_retries=2, backoff_s=0.0)
         try:
             run = run_benchmark(FAULT_SAMPLES, backend, FAULT_WORLD, trace_dir=trace_dir,
                                 settings=EpisodeSettings(max_steps=3))
         finally:
-            backend.close()
+            transport.close()
         traces = [load_trace(Path(trace_dir) / f"{s.id}.trace.jsonl") for s in FAULT_SAMPLES]
         chat_requests = len(sent(server))
     assert {e.status for e in run.entries} <= {EpisodeStatus.FINALIZED, EpisodeStatus.EXHAUSTED}

@@ -14,9 +14,9 @@ from geoprobe import engine
 from geoprobe import state as state_module
 from geoprobe.actions import Action, CapabilityModule, Decision, Tool
 from geoprobe.canonical import canonical_hash, sha256_hex
-from geoprobe.defaults import DEFAULT_MAX_STEPS, MAX_PARALLEL_LIMIT
 from geoprobe.engine import replay
-from geoprobe.executor import EpisodeSettings, ToolResult
+from geoprobe.executor import (DEFAULT_MAX_STEPS, MAX_PARALLEL_LIMIT, EpisodeSettings,
+                               ToolResult)
 from geoprobe.errors import (
     BudgetTooSmallError,
     HashMismatchError,
@@ -686,6 +686,20 @@ class TestFrontierStall:
         steps = [[ev(1, ["cn-a"])], [ev(2, ["cn-a"])], [ev(3, ["cn-a"])]]
         trace, _ = record_episode(gaz, steps=steps, finalize_at_end=False)
         assert frontier_unchanged_steps(list(trace.events)) == 2
+
+    def test_a_first_projection_that_leaves_the_space_global_counts(self, gaz):
+        class NoCandidates(EvidenceScript):
+            """One ImageSearch probe, answered with no candidate: no evidence."""
+
+            def execute(self, action):
+                return ToolResult.succeed(action, {"candidates": []})
+
+        script = NoCandidates([[ev(1, ["cn-a"])]])
+        trace = engine.record_episode(script, dict.fromkeys(Tool, script), gaz,
+                                      image_ref="scene/0", config_hash="cfg" * 8).trace
+        [projection] = [e for e in trace.events if e.kind is EventKind.PROJECTION]
+        assert projection.payload["space"] == {"is_global": True, "frontier": []}
+        assert frontier_unchanged_steps(list(trace.events)) == 1
 
 
 class TestCompress:

@@ -5,6 +5,7 @@ constraint system is equivalent to set algebra over leaf covers, so the
 tests recompute every operation as plain set intersections and compare.
 """
 
+import dataclasses
 import itertools
 import random
 from dataclasses import replace
@@ -14,8 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import small_gazetteer
+from geoprobe.actions import Action, CapabilityModule, Tool
 from geoprobe.canonical import canonical_hash, canonical_json
 from geoprobe.errors import InsufficientEvidenceError, UnknownRegionError
+from geoprobe.executor import ToolResult
 from geoprobe.geo import GeoPoint
 from geoprobe.state import (
     ApplyReport,
@@ -496,6 +499,29 @@ class TestFinalize:
         s, _ = finalize(s, gaz)
         with pytest.raises(ValueError):
             finalize(s, gaz)
+
+
+def _frozen_examples():
+    point = GeoPoint(30.5, 114.3)
+    action = Action(1, CapabilityModule.ENVIRONMENTAL, Tool.CAPTION, {"image": "scene/0"})
+    return [
+        CandidateSpace(frozenset({"cn-a"}), False),
+        ev(1, ["cn-a"], point=point),
+        PoiHint(point, "Rivertown"),
+        Prediction(point, "Rivertown", "s1", "t.jsonl"),
+        EpisodeState(),
+        ToolResult.succeed(action, {"caption": "x"}, latency_ms=1.0),
+    ]
+
+
+@pytest.mark.parametrize("obj", _frozen_examples(), ids=lambda obj: type(obj).__name__)
+def test_every_field_is_frozen(obj):
+    """``Evidence.canonical``, ``EpisodeState.snapshot_hash`` and
+    ``ToolResult.payload_sha256`` cache on the instance what they serialize,
+    which is sound only while no field can be reassigned."""
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
 
 
 class TestSnapshots:
