@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .canonical import decode_text, json_get, json_strs, parse_json
+from .canonical import NonFiniteNumberError, decode_text, json_get, json_strs, parse_json
 from .errors import (
     ConfigError,
     DatasetError,
@@ -190,6 +190,9 @@ def load_dataset(path) -> list[BenchmarkSample]:
             continue
         try:
             obj = parse_json(line)
+        except NonFiniteNumberError as exc:
+            field = exc.path[0] if exc.path and type(exc.path[0]) is str else None
+            raise DatasetError(line_no, f"invalid JSON: {exc}", field=field) from None
         except json.JSONDecodeError as exc:
             raise DatasetError(line_no, f"invalid JSON: {exc}") from None
         sample = _sample_from_line(line_no, obj)
@@ -239,10 +242,25 @@ def _pair(
     return by_id
 
 
+#: Each predicted sample's distance in km from its prediction to its truth,
+#: by sample id. Passed as ``distances``, it must cover every prediction.
+Distances = Mapping[str, float]
+
+
+def _truth_distances(preds: Sequence[Prediction],
+                     samples: Sequence[BenchmarkSample]) -> Distances:
+    """Each prediction's distance to its sample's truth, computed once."""
+    by_id = _pair(preds, samples)
+    return {s.id: haversine_km(by_id[s.id].point, s.truth_point)
+            for s in samples if s.id in by_id}
+
+
 def threshold_accuracy(
     preds: Sequence[Prediction],
     samples: Sequence[BenchmarkSample],
     thresholds: Iterable[int] = DEFAULT_THRESHOLDS_KM,
+    *,
+    distances: Distances | None = None,
 ) -> dict[int, float]:
     """Percentage of predictions within each distance of the truth.
 
@@ -250,18 +268,12 @@ def threshold_accuracy(
     threshold. Values are raw percentages; rounding happens at render time.
     """
     by_id = _pair(preds, samples)
+    if distances is None:
+        distances = _truth_distances(preds, samples)
     n = len(samples)
-    out: dict[int, float] = {}
-    for tau in sorted(set(thresholds)):
-        hits = 0
-        for sample in samples:
-            pred = by_id.get(sample.id)
-            if pred is None:
-                continue
-            if haversine_km(pred.point, sample.truth_point) <= tau:
-                hits += 1
-        out[tau] = 100.0 * hits / n
-    return out
+    km = [distances[sample.id] for sample in samples if sample.id in by_id]
+    return {tau: 100.0 * sum(1 for d in km if d <= tau) / n
+            for tau in sorted(set(thresholds))}
 
 
 def acc_city(
@@ -396,6 +408,7 @@ def _block(
     samples: Sequence[BenchmarkSample],
     g: Gazetteer,
     geocoded: Geocoded,
+    distances: Distances,
     thresholds: Iterable[int],
     aliases: dict[str, str] | None = None,
 ) -> MetricBlock:
@@ -409,7 +422,7 @@ def _block(
         compliance = 0.0
     return MetricBlock(
         n=len(samples),
-        threshold_acc=threshold_accuracy(preds, samples, thresholds),
+        threshold_acc=threshold_accuracy(preds, samples, thresholds, distances=distances),
         acc_city=acc_city(preds, samples, aliases),
         acc_loglat=acc_loglat(preds, samples, g, aliases, geocoded=geocoded),
         location_compliance=compliance,
@@ -424,10 +437,13 @@ def stratify(
     aliases: dict[str, str] | None = None,
     *,
     geocoded: Geocoded | None = None,
+    distances: Distances | None = None,
 ) -> dict[str, dict[str, MetricBlock]]:
     """Recompute the metric set per scene category and per difficulty."""
     if geocoded is None:
         geocoded = _geocode_points(preds, g)
+    if distances is None:
+        distances = _truth_distances(preds, samples)
     by_id = _pair(preds, samples)
 
     def group(key: Callable[[BenchmarkSample], str]) -> dict[str, MetricBlock]:
@@ -438,7 +454,8 @@ def stratify(
         for name in sorted(buckets):
             members = buckets[name]
             member_preds = [by_id[s.id] for s in members if s.id in by_id]
-            out[name] = _block(member_preds, members, g, geocoded, thresholds, aliases)
+            out[name] = _block(member_preds, members, g, geocoded, distances, thresholds,
+                               aliases)
         return out
 
     return {
@@ -478,14 +495,17 @@ def compute_report(
 ) -> MetricsReport:
     """The metric suite overall and per stratum.
 
-    Each distinct predicted point is reverse-geocoded once; the overall
-    block and every stratum read the same lookups.
+    Each distinct predicted point is reverse-geocoded once, and each
+    prediction's distance to its truth computed once; the overall block
+    and every stratum read the same lookups.
     """
     geocoded = _geocode_points(preds, g)
+    distances = _truth_distances(preds, samples)
     return MetricsReport(
         label=label,
-        overall=_block(preds, samples, g, geocoded, thresholds, aliases),
-        strata=stratify(preds, samples, g, thresholds, aliases, geocoded=geocoded),
+        overall=_block(preds, samples, g, geocoded, distances, thresholds, aliases),
+        strata=stratify(preds, samples, g, thresholds, aliases, geocoded=geocoded,
+                        distances=distances),
     )
 
 

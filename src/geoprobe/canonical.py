@@ -2,7 +2,15 @@
 
 Every persisted or hashed structure in the package goes through these
 helpers so that byte-for-byte determinism holds across runs and platforms:
-sorted keys, compact separators, UTF-8, no NaN/Infinity.
+sorted keys, compact separators, UTF-8, no NaN/Infinity. Trace lines are
+these bytes, the same ones the state and payload hashes cover.
+``canonical_json`` encodes through one encoder built at import, not one
+built per call, and without a circular-reference table: a self-referencing
+value raises ``RecursionError``.
+
+JSON read from outside the process goes through ``parse_json``, which
+admits no NaN and no infinity, so what it returns can always be encoded
+again.
 """
 
 from __future__ import annotations
@@ -10,12 +18,42 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any
+import re
+from typing import Any, Callable
+
+
+def _unencodable(obj: Any) -> Any:
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _canonical_encoder(make=json.encoder.c_make_encoder) -> Callable[[Any], str]:
+    """The canonical encoding as one function: CPython's C encoder object,
+    or, where the interpreter has none (``make`` is ``None``), the ``encode``
+    of one ``json.JSONEncoder``. ``json.dumps`` with keyword arguments
+    builds both afresh on every call."""
+    if make is None:
+        return json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_nan=False,
+                                sort_keys=True, separators=(",", ":")).encode
+    # Arguments: markers (None: no circular check), default, string encoder,
+    # indent, key separator, item separator, sort_keys, skipkeys, allow_nan.
+    encoder = make(None, _unencodable, json.encoder.encode_basestring, None,
+                   ":", ",", True, False, False)
+
+    def encode(obj: Any) -> str:
+        return "".join(encoder(obj, 0))
+
+    return encode
+
+
+_encode = _canonical_encoder()
 
 
 def canonical_json(obj: Any) -> str:
-    """Serialize ``obj`` to the canonical JSON form used for hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    """Serialize ``obj`` to the canonical JSON form used for hashing and for
+    every trace line: ``json.dumps(obj, sort_keys=True, separators=(",",
+    ":"), ensure_ascii=False, allow_nan=False)``. A NaN or an infinity
+    raises ``ValueError``."""
+    return _encode(obj)
 
 
 def sha256_hex(data: str | bytes) -> str:
@@ -29,12 +67,73 @@ def canonical_hash(obj: Any) -> str:
     return sha256_hex(canonical_json(obj))
 
 
-_DECODER = json.JSONDecoder()
+class _NonFinite(ValueError):
+    """A NaN, an infinity, or a number too large for a float, met while decoding."""
+
+
+def _finite_number(text: str) -> float:
+    """A JSON number with a fraction or an exponent, or one of the
+    constants ``json`` accepts (``NaN``, ``Infinity``, ``-Infinity``)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NonFinite(text)
+    return value
+
+
+class NonFiniteNumberError(json.JSONDecodeError):
+    """A NaN, an infinity, or a number too large for a float, in JSON read
+    by ``parse_json``. ``path`` holds the member names and array indices
+    from the top-level value down to it."""
+
+    def __init__(self, token: str, doc: str, pos: int, path: tuple[str | int, ...]):
+        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path).lstrip(".")
+        super().__init__(f"{token} is not a finite JSON number"
+                         + (f" (at {where})" if where else ""), doc, pos)
+        self.path = path
+
+
+#: A JSON string, a structural character, or a token ``parse_json`` may
+#: reject: a non-finite constant or a number with a fraction or an exponent.
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}:,]'
+                    r"|(-?Infinity|NaN|-?\d+(?:\.\d+)?[eE][-+]?\d+|-?\d+\.\d+)")
+
+
+def _non_finite_error(text: str, start: int) -> NonFiniteNumberError:
+    """The error for the first non-finite number of ``text[start:]``. The
+    text before it decoded, so its tokens are valid JSON: strings, numbers
+    and literals need no more than this walk to place the number."""
+    path: list[str | int | None] = []
+    expect_key = False
+    for m in _TOKEN.finditer(text, start):
+        token = m.group()
+        if token in ("{", "["):
+            path.append(None if token == "{" else 0)
+            expect_key = token == "{"
+        elif token in ("}", "]"):
+            path.pop()
+        elif token == ",":
+            expect_key = type(path[-1]) is not int
+            if not expect_key:
+                path[-1] += 1
+        elif token == ":":
+            expect_key = False
+        elif token[0] == '"':
+            if expect_key:
+                path[-1] = json.loads(token)
+        elif not math.isfinite(float(token)):
+            return NonFiniteNumberError(token, text, m.start(), tuple(path))
+    return NonFiniteNumberError("a number", text, start, ())
+
+
+_DECODER = json.JSONDecoder(parse_constant=_finite_number, parse_float=_finite_number)
 
 
 def parse_json(data: str | bytes, start: int | None = None) -> Any:
     """JSON from outside the process; every malformed input raises
-    ``json.JSONDecodeError``. ``json`` itself lets nesting deeper than the
+    ``json.JSONDecodeError``. ``NaN``, ``Infinity`` and ``-Infinity`` are
+    not JSON (RFC 8259), and a number too large for a float would read as
+    an infinity: each is rejected at its position, so nothing read can fail
+    ``canonical_json`` later. ``json`` itself lets nesting deeper than the
     recursion limit escape as ``RecursionError`` and an integer too long to
     convert as a bare ``ValueError``. Bytes are decoded in the encoding
     ``json.loads`` detects (UTF-8, or UTF-16/32). With ``start``, only the
@@ -42,11 +141,13 @@ def parse_json(data: str | bytes, start: int | None = None) -> Any:
     ``(value, end)`` returned, as from ``JSONDecoder.raw_decode``."""
     text = data if isinstance(data, str) else decode_text(data, json.detect_encoding(data))
     try:
-        return json.loads(text) if start is None else _DECODER.raw_decode(text, start)
+        return _DECODER.decode(text) if start is None else _DECODER.raw_decode(text, start)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, start or 0) from None
     except json.JSONDecodeError:
         raise
+    except _NonFinite:
+        raise _non_finite_error(text, start or 0) from None
     except ValueError as e:
         raise json.JSONDecodeError(str(e), text, start or 0) from None
 

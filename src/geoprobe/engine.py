@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .actions import Action, Decision, Tool, parse_decision
-from .canonical import json_get
+from .canonical import canonical_json, json_get
 from .errors import (
     BackendUnavailableError,
     ConfigError,
@@ -86,25 +86,32 @@ def derive_poi_hint(state: EpisodeState, g: Gazetteer) -> PoiHint | None:
 
 
 #: One event as ``TraceRecorder.record`` takes it: the kind, the state whose
-#: hash the event carries, and the payload.
-_Event = tuple[EventKind, EpisodeState, dict]
+#: hash the event carries, the payload and, where the payload is built from
+#: parts already encoded, its canonical JSON (else ``None``).
+_Event = tuple[EventKind, EpisodeState, dict, str | None]
 
 
 def _project(
     state: EpisodeState, evidence: list[Evidence], g: Gazetteer
 ) -> tuple[EpisodeState, list[_Event]]:
     """Apply one step's evidence: the new state, its Projection event and,
-    when evidence had to be discarded, a Backtrack event."""
+    when evidence had to be discarded, a Backtrack event. The Projection's
+    JSON reuses each evidence's and the space's cached encoding, which the
+    new state's hash reads too."""
     report = apply_evidence_report(state, evidence, g)
     new = report.state
-    events = [(EventKind.PROJECTION, new, {
+    inactive_ids = sorted(new.inactive_ids)
+    payload_json = ('{"evidence":[' + ",".join(e.canonical() for e in evidence)
+                    + '],"inactive_ids":' + canonical_json(inactive_ids)
+                    + ',"space":' + new.space.canonical() + "}")
+    events: list[_Event] = [(EventKind.PROJECTION, new, {
         "evidence": [e.to_json() for e in evidence],
         "space": new.space.to_json(),
-        "inactive_ids": sorted(new.inactive_ids),
-    })]
+        "inactive_ids": inactive_ids,
+    }, payload_json)]
     if report.backtracks:
         events.append((EventKind.BACKTRACK, new,
-                       {"discards": [b.to_json() for b in report.backtracks]}))
+                       {"discards": [b.to_json() for b in report.backtracks]}, None))
     return new, events
 
 
@@ -121,11 +128,11 @@ def _conclude(
         new, prediction = finalize(state, g, poi_hint=hint)
     except InsufficientEvidenceError as e:
         return replace(state, status=EpisodeStatus.EXHAUSTED), None, (
-            EventKind.ERROR, state, {"error": "InsufficientEvidence", "detail": str(e)})
+            EventKind.ERROR, state, {"error": "InsufficientEvidence", "detail": str(e)}, None)
     return new, prediction, (EventKind.FINALIZE, new, {
         "prediction": prediction.to_json(),
         "poi_hint": hint.to_json() if hint is not None else None,
-    })
+    }, None)
 
 
 def _with_wire(backend, payload: dict) -> dict:
@@ -185,7 +192,8 @@ def run_episode(
         results = execute_batch(decision.actions, adapters, settings.ablation,
                                 max_workers=settings.max_parallel)
         recorder.record(EventKind.EXECUTION, state,
-                        {"results": [r.to_json() for r in results]})
+                        {"results": [r.to_json() for r in results]},
+                        '{"results":[' + ",".join(r.canonical() for r in results) + "]}")
 
         evidence = []
         for result in results:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 from .actions import Action, Tool, crop_payload
-from .canonical import canonical_hash, json_get, json_strs, parse_json
+from .canonical import canonical_json, json_get, json_strs, parse_json, sha256_hex
 from .errors import ConfigError, UnknownRegionError
 from .geo import Gazetteer, GeoPoint, region_contains
 from .state import Evidence, Provenance
@@ -59,17 +59,27 @@ class ToolResult:
         return self.status is ToolStatus.OK
 
     @property
-    def payload_sha256(self) -> str:
-        """``canonical_hash(self.payload)``, computed once per result.
+    def payload_canonical(self) -> str:
+        """``canonical_json(self.payload)``, serialized once per result.
 
-        The Execution event and each evidence's provenance both read it.
+        The payload hash and the result's Execution-event JSON both read it.
         The cache, like ``Evidence.canonical()``'s, is an instance attribute
         set on first use; it is sound because nothing mutates a result's
         payload after construction.
         """
+        cached = self.__dict__.get("_payload_canonical")
+        if cached is None:
+            cached = canonical_json(self.payload)
+            object.__setattr__(self, "_payload_canonical", cached)
+        return cached
+
+    @property
+    def payload_sha256(self) -> str:
+        """SHA-256 of ``payload_canonical``, computed once per result; the
+        Execution event and each evidence's provenance both read it."""
         cached = self.__dict__.get("_payload_sha256")
         if cached is None:
-            cached = canonical_hash(self.payload)
+            cached = sha256_hex(self.payload_canonical)
             object.__setattr__(self, "_payload_sha256", cached)
         return cached
 
@@ -98,6 +108,24 @@ class ToolResult:
             "latency_ms": self.latency_ms,
             "payload_sha256": self.payload_sha256,
         }
+
+    def canonical(self) -> str:
+        """``canonical_json(self.to_json())``, with ``payload_canonical``
+        spliced in rather than serialized again. ``"payload"`` sorts just
+        before ``"payload_sha256"``, and no other field holds an object or a
+        string with an unescaped quote, so ``,"payload_sha256":`` marks the
+        splice point."""
+        rest = canonical_json({
+            "action_id": self.action_id,
+            "tool": self.tool.value,
+            "status": self.status.value,
+            "error": self.error,
+            "detail": self.detail,
+            "latency_ms": self.latency_ms,
+            "payload_sha256": self.payload_sha256,
+        })
+        at = rest.index(',"payload_sha256":')
+        return rest[:at] + ',"payload":' + self.payload_canonical + rest[at:]
 
 
 class ToolAdapter(Protocol):

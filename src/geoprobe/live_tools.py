@@ -515,15 +515,13 @@ def live_adapter_request(tool: Tool, action: Action, cfg: EndpointConfig,
             detail=f"HTTP {resp.status_code}: {resp.text[:_ERROR_DETAIL_CAP]}",
             latency_ms=_elapsed_ms(t0))
     try:
-        payload = parse_json(resp.content)
+        payload = parse_json(resp.content)  # rejects NaN and infinities
         if not isinstance(payload, dict):
             raise ValueError("payload is not an object")
-        result = ToolResult.succeed(action, payload, latency_ms=_elapsed_ms(t0))
-        result.payload_sha256  # hash now: a NaN or an infinity raises ValueError
     except ValueError:
         return ToolResult.fail(action, "BadResponse", detail=resp.text,
                                latency_ms=_elapsed_ms(t0))
-    return result
+    return ToolResult.succeed(action, payload, latency_ms=_elapsed_ms(t0))
 
 
 class LiveAdapter:

@@ -14,6 +14,14 @@ be writable. Truncating a file that holds data would make ext4
 written back on the kernel's normal schedule. This only matters when a run
 re-writes traces that already exist, e.g. a second run into one directory.
 
+Every line is the canonical JSON of its header or event
+(``canonical.canonical_json``: sorted keys, compact separators, UTF-8, no
+NaN), the same form the hashes cover. A line is built from the parts its
+objects have already encoded (``Evidence.canonical()``,
+``CandidateSpace.canonical()``, ``ToolResult.payload_canonical``), so no
+part is encoded twice. Traces written with spaced separators before lines
+were canonical load and replay all the same.
+
 Events carry a hash of the post-event episode state; execution results
 carry a hash of their own payload. ``geoprobe.engine.replay`` runs the
 episode again from a loaded trace's recorded inputs and names the first
@@ -30,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .canonical import decode_text, json_get, parse_json
+from .canonical import canonical_json, decode_text, json_get, parse_json
 from .errors import BudgetTooSmallError, SeqGapError, TraceFormatError
 from .geo import Gazetteer
 from .state import EpisodeState
@@ -65,6 +73,23 @@ class TrajectoryEvent:
             "payload": self.payload,
             "state_hash": self.state_hash,
         }
+
+    def canonical(self, payload_json: str | None = None) -> str:
+        """``canonical_json(self.to_json())``: the event's trace line.
+
+        ``payload_json``, when given, must be ``canonical_json(self.payload)``,
+        which a caller can build from fragments it has already encoded; it is
+        spliced in before ``"seq"``, the key after ``"payload"`` in sorted
+        order (``"kind"`` holds a plain string, so ``,"seq":`` is found
+        nowhere else).
+        """
+        if payload_json is None:
+            return canonical_json(self.to_json())
+        rest = canonical_json({"kind": self.kind.value, "seq": self.seq,
+                               "state_hash": self.state_hash, "step": self.step,
+                               "wall_time": self.wall_time})
+        at = rest.index(',"seq":')
+        return rest[:at] + ',"payload":' + payload_json + rest[at:]
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrajectoryEvent":
@@ -124,6 +149,7 @@ class TraceRecorder:
     Sequence numbers are assigned contiguously from 0. When a path is given
     a new file replaces whatever is there, the header is written on
     construction and every event is flushed as soon as it is recorded.
+    Every line is the canonical JSON of its header or event.
     """
 
     def __init__(self, header: TraceHeader, path: str | None = None):
@@ -137,19 +163,25 @@ class TraceRecorder:
             except FileNotFoundError:
                 pass
             self._fh = open(path, "w", encoding="utf-8")
-            self._write_line(header.to_json())
+            self._write_line(canonical_json(header.to_json()))
 
-    def _write_line(self, obj: dict) -> None:
+    def _write_line(self, line: str) -> None:
         assert self._fh is not None
-        self._fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+        self._fh.write(line + "\n")
         self._fh.flush()
 
     @property
     def path(self) -> str | None:
         return self._path
 
-    def record(self, kind: EventKind, state: EpisodeState, payload: dict) -> TrajectoryEvent:
-        """Append one event; the state hash is taken after the event's effect."""
+    def record(self, kind: EventKind, state: EpisodeState, payload: dict,
+               payload_json: str | None = None) -> TrajectoryEvent:
+        """Append one event; the state hash is taken after the event's effect.
+
+        ``payload_json``, when given, must be ``canonical_json(payload)``: a
+        caller that holds the payload's parts already encoded passes it, so
+        the line does not encode them again.
+        """
         event = TrajectoryEvent(
             seq=len(self.events),
             kind=kind,
@@ -160,7 +192,7 @@ class TraceRecorder:
         )
         self.events.append(event)
         if self._fh is not None:
-            self._write_line(event.to_json())
+            self._write_line(event.canonical(payload_json))
         return event
 
     def trace(self) -> Trace:

@@ -55,6 +55,16 @@ class CandidateSpace:
     def to_json(self) -> dict:
         return {"is_global": self.is_global, "frontier": sorted(self.frontier)}
 
+    def canonical(self) -> str:
+        """``canonical_json(self.to_json())``, serialized once per object,
+        cached as ``Evidence.canonical()`` is. The state hash and the
+        Projection event that carry one space share the string."""
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            cached = canonical_json(self.to_json())
+            object.__setattr__(self, "_canonical", cached)
+        return cached
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -161,10 +171,8 @@ class EpisodeState:
         return tuple(e for e in self.chain if e.id not in self.inactive_ids)
 
     def to_json(self) -> dict:
-        return {"chain": [e.to_json() for e in self.chain], **self._fields_but_chain()}
-
-    def _fields_but_chain(self) -> dict:
         return {
+            "chain": [e.to_json() for e in self.chain],
             "step": self.step,
             "status": self.status.value,
             "space": self.space.to_json(),
@@ -175,14 +183,25 @@ class EpisodeState:
     def canonical(self) -> str:
         """Canonical JSON of the state, byte-equal to ``canonical_json(to_json())``.
 
-        ``"chain"`` is the first key in sorted order, so the string is the
-        chain's cached ``Evidence.canonical()`` strings followed by the
-        canonical JSON of the other five fields with its opening brace
-        dropped. Each evidence item is thus serialized once, however many
-        states share it.
+        The chain's cached ``Evidence.canonical()`` strings and the space's
+        cached ``CandidateSpace.canonical()`` are spliced, in sorted key
+        order, into one encoding of the other fields, so each evidence item
+        and each space is serialized once, however many states and events
+        share it. ``"chain"`` sorts first and ``"space"`` just before
+        ``"status"``; no other field holds an object with a ``"status"`` key,
+        and no string in canonical JSON holds an unescaped quote, so
+        ``,"status":`` marks the splice point.
         """
         chain = ",".join(e.canonical() for e in self.chain)
-        return '{"chain":[' + chain + "]," + canonical_json(self._fields_but_chain())[1:]
+        rest = canonical_json({
+            "inactive_ids": sorted(self.inactive_ids),
+            "prediction": self.prediction.to_json() if self.prediction else None,
+            "status": self.status.value,
+            "step": self.step,
+        })
+        at = rest.index(',"status":')
+        return ('{"chain":[' + chain + "]," + rest[1:at] + ',"space":'
+                + self.space.canonical() + rest[at:])
 
     def snapshot_hash(self) -> str:
         """SHA-256 of ``canonical()``, computed once per state object.

@@ -1,14 +1,17 @@
 import socket
 import time
 from collections import deque
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 from hypothesis import settings
 
 from geoprobe import stub_server
+from geoprobe.canonical import canonical_json
 from geoprobe.engine import EpisodeResult, record_episode
 from geoprobe.geo import AdminRegion, Gazetteer, GeoPoint, RegionLevel
+from geoprobe.recorder import Trace
 from geoprobe.stub_server import Fault
 from geoprobe.synthworld import SceneDescriptor, SynthWorld, SyntheticToolbox, generate_world
 
@@ -85,6 +88,15 @@ def synthetic_episode(
     return record_episode(
         backend, adapters, world.gazetteer, image_ref=image_ref, config_hash=config_hash,
         descriptor=desc, tag_table=world.tag_table(), **episode)
+
+
+def assert_canonical_lines(path, trace: Trace) -> None:
+    """The file at ``path`` is, line for line, ``canonical_json`` of the
+    in-memory ``trace``'s header and each of its events."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""
+    assert lines == [canonical_json(trace.header.to_json()),
+                     *(canonical_json(event.to_json()) for event in trace.events)]
 
 
 def dead_port() -> int:

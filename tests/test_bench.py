@@ -39,12 +39,14 @@ from geoprobe.bench import (
     render_text_table,
     round2,
     run_benchmark,
+    sample_scenes,
     save_dataset,
     stratify,
     threshold_accuracy,
 )
 from geoprobe.canonical import canonical_json
 from geoprobe.engine import replay
+from geoprobe.executor import ToolResult
 from geoprobe.errors import (
     ConfigError,
     DatasetError,
@@ -56,7 +58,7 @@ from geoprobe.geo import GeoPoint, haversine_km
 from geoprobe.planner import scripted_salience_policy
 from geoprobe.recorder import EventKind, load_trace
 from geoprobe.state import EpisodeStatus, Prediction
-from geoprobe.synthworld import Clue, ClueKind, Difficulty, generate_world
+from geoprobe.synthworld import Clue, ClueKind, Difficulty, SyntheticToolbox, generate_world
 
 GAZ = small_gazetteer()
 EARTH_RADIUS_KM = 6371.0088
@@ -719,6 +721,31 @@ def test_run_benchmark_geocodes_each_predicted_point_once(monkeypatch):
     assert len(looked_up) == len(set(looked_up)) == len(points)
 
 
+def test_report_measures_each_prediction_distance_once(monkeypatch, world, bench_samples):
+    """Scoring computes each present prediction's distance to its truth once
+    per report, however many thresholds, blocks and strata read it, and
+    gets what measuring once per threshold gives."""
+    preds = [Prediction(replace(s.truth_point, lat=s.truth_point.lat + 0.05 * i),
+                        s.truth_city, sample_id=s.id)
+             for i, s in enumerate(bench_samples) if i % 3]
+    truth = {s.id: s.truth_point for s in bench_samples}
+    per_threshold = {
+        tau: 100.0 * sum(haversine_km(p.point, truth[p.sample_id]) <= tau for p in preds)
+        / len(bench_samples) for tau in sorted(DEFAULT_THRESHOLDS_KM)}
+    measured = []
+    distance = bench.haversine_km
+
+    def counting_distance(a, b):
+        measured.append(a)
+        return distance(a, b)
+
+    monkeypatch.setattr(bench, "haversine_km", counting_distance)
+    report = compute_report(preds, bench_samples, world.gazetteer)
+    assert len(measured) == len(preds) < len(bench_samples)
+    assert report.overall.threshold_acc == per_threshold
+    assert len(set(per_threshold.values())) > 1
+
+
 def test_run_benchmark_writes_replayable_traces(tmp_path, world, bench_samples):
     run = run_benchmark(bench_samples[:4], scripted_salience_policy(), world,
                         trace_dir=tmp_path / "traces")
@@ -734,7 +761,7 @@ def test_rerun_into_one_trace_dir_rewrites_equal_traces(tmp_path, world, bench_s
     trace_dir = tmp_path / "traces"
 
     def traces_without_wall_time():
-        return {p.name: re.sub(r'"wall_time": [^,}]+', '"wall_time": 0',
+        return {p.name: re.sub(r'"wall_time":[^,}]+', '"wall_time":0',
                                p.read_text(encoding="utf-8"))
                 for p in trace_dir.glob("*.trace.jsonl")}
 
@@ -773,6 +800,38 @@ def test_one_sample_failure_never_aborts_the_run(world, bench_samples):
     others = [e for e in run.entries if e.sample_id != victim]
     assert all(e.status is EpisodeStatus.FINALIZED for e in others)
     assert run.report.overall.n == len(bench_samples)
+
+
+class _SelfReferencingTool:
+    """Delegates to ``inner``, except that an action on ``victim_ref``
+    succeeds with a payload that contains itself."""
+
+    def __init__(self, inner, victim_ref):
+        self.tool, self.inner, self.victim_ref = inner.tool, inner, victim_ref
+
+    def execute(self, action):
+        if action.args.get("image") != self.victim_ref:
+            return self.inner.execute(action)
+        payload = {"caption": "a loop"}
+        payload["self"] = payload
+        return ToolResult.succeed(action, payload)
+
+
+def test_self_referencing_payload_exhausts_only_its_episode(tmp_path, world, bench_samples):
+    """The encoder keeps no circular-reference table: a payload holding
+    itself raises ``RecursionError`` when its Execution event is encoded,
+    which ends that episode Exhausted, and the run goes on."""
+    victim = bench_samples[3]
+    adapters = {tool: _SelfReferencingTool(adapter, victim.image_ref) for tool, adapter in
+                SyntheticToolbox(world, sample_scenes(bench_samples)).adapters().items()}
+    run = run_benchmark(bench_samples, scripted_salience_policy(), world, adapters=adapters,
+                        trace_dir=tmp_path)
+    by_id = {e.sample_id: e for e in run.entries}
+    assert by_id[victim.id].status is EpisodeStatus.EXHAUSTED
+    assert by_id[victim.id].error.startswith("RecursionError: ")
+    assert all(e.status is EpisodeStatus.FINALIZED for e in run.entries if e is not by_id[victim.id])
+    [decision] = load_trace(by_id[victim.id].trace_path).events
+    assert decision.kind is EventKind.DECISION
 
 
 def test_image_only_sample_becomes_exhausted_entry(tmp_path, world, bench_samples):

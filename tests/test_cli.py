@@ -355,11 +355,11 @@ def test_replay_malformed_trace(workspace, capsys):
 def test_replay_malformed_event_exits_config_naming_the_line(workspace, capsys, how):
     trace = trace_from_run(workspace)
     lines = trace.read_bytes().split(b"\n")
-    assert b'"seq": 0,' in lines[1]
+    assert b'"seq":0,' in lines[1]
     lines[1] = {
         "invalid-utf8": lines[1].replace(b'"kind"', b'"k\xffind"'),
-        "seq-infinity": lines[1].replace(b'"seq": 0,', b'"seq": Infinity,'),
-        "seq-fraction": lines[1].replace(b'"seq": 0,', b'"seq": 0.5,'),
+        "seq-infinity": lines[1].replace(b'"seq":0,', b'"seq":Infinity,'),
+        "seq-fraction": lines[1].replace(b'"seq":0,', b'"seq":0.5,'),
         "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
     }[how]
     trace.write_bytes(b"\n".join(lines))

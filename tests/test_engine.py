@@ -480,3 +480,22 @@ def test_prompt_guard_sees_a_new_caller():
                       "    return recorder.compress(state, events, g)\n"}
     assert referrers("compress", {**SOURCES, **extra}) == {
         "planner.build_prompt", "extra.step"}
+
+
+# -- one JSON form on the trace and hash path ---------------------------------
+
+#: The modules that write trace lines and build what the hashes cover.
+TRACE_AND_HASH_MODULES = ("recorder", "state", "executor")
+
+
+def test_trace_and_hash_path_encode_only_through_canonical_json():
+    """Trace lines and hashed bytes have one JSON form, ``canonical_json``;
+    no second encoder is called or built on their path."""
+    sources = {name: SOURCES[name] for name in TRACE_AND_HASH_MODULES}
+    for name in ("dumps", "JSONEncoder"):
+        assert referrers(name, sources) == set(), name
+
+
+def test_json_form_guard_sees_a_new_caller():
+    extra = {"recorder": SOURCES["recorder"] + "\n\ndef line(obj):\n    return json.dumps(obj)\n"}
+    assert referrers("dumps", extra) == {"recorder.line"}

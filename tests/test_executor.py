@@ -87,27 +87,30 @@ class TestToolResult:
         assert j["status"] == "Ok" and j["payload_sha256"]
         assert j["tool"] == "Caption"
 
-    def test_payload_hashed_once_per_episode_step(self, monkeypatch):
-        # The Execution event and the provenance of every evidence extracted
-        # from a result share one hash of its payload.
+    def test_payload_hashed_once_per_episode_step(self, monkeypatch, tmp_path):
+        # The Execution event, its trace line and the provenance of every
+        # evidence extracted from a result share one encoding of its payload.
         from geoprobe import executor
         from conftest import synthetic_episode
         from geoprobe.planner import scripted_salience_policy
         from geoprobe.recorder import EventKind
         from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
-        hashed = []
-        real_hash = executor.canonical_hash
-        monkeypatch.setattr(executor, "canonical_hash",
-                            lambda obj: hashed.append(obj) or real_hash(obj))
+        encoded = []
+        real_encode = executor.canonical_json
+        monkeypatch.setattr(executor, "canonical_json",
+                            lambda obj: encoded.append(obj) or real_encode(obj))
         world = generate_world(11, 3, 5)
         desc = sample_episode(world, 4, Difficulty.MEDIUM)
-        trace = synthetic_episode(world, desc, scripted_salience_policy()).trace
+        trace = synthetic_episode(world, desc, scripted_salience_policy(),
+                                  trace_path=str(tmp_path / "t.jsonl")).trace
         results = [r for e in trace.events if e.kind is EventKind.EXECUTION
                    for r in e.payload["results"]]
         evidence = [ev for e in trace.events if e.kind is EventKind.PROJECTION
                     for ev in e.payload["evidence"]]
         assert evidence and any(r["status"] == "Ok" for r in results)
+        payloads = {id(r["payload"]) for r in results}
+        hashed = [obj for obj in encoded if id(obj) in payloads]
         assert sorted(map(id, hashed)) == sorted(id(r["payload"]) for r in results)
 
 

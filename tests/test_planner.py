@@ -57,6 +57,7 @@ from conftest import (
     FAULT_TIMEOUT_S,
     FAULT_WORLD,
     FAULTS,
+    assert_canonical_lines,
     client_calls,
     dead_port,
     small_gazetteer,
@@ -672,6 +673,31 @@ class TestLlmEpisodes:
         [error] = res.trace.events
         assert error.kind is EventKind.ERROR
         assert error.payload["error"] == "BackendUnavailable"
+
+    def test_llm_trace_lines_are_canonical(self, chat_stub, llm, tmp_path):
+        """Decisions carrying ``llm_wire`` are written as the canonical JSON
+        of the in-memory events."""
+        chat_stub.set_chat(caption_then_finalize)
+        path = tmp_path / "llm.trace.jsonl"
+        res = synthetic_episode(WORLD, sample_episode(WORLD, 1, Difficulty.EASY), llm(),
+                                trace_path=str(path))
+        assert res.finalized
+        assert wire_kinds(res.trace.events[0]) == ["request", "response"]
+        assert_canonical_lines(path, res.trace)
+
+    def test_nan_reply_ends_the_episode_on_a_canonical_line(self, chat_stub, llm, tmp_path):
+        """A reply whose content is ``NaN`` is no JSON: the backend is
+        unavailable, and the Error event's line holds only the request."""
+        chat_stub.schedule(CHAT_PATH, Fault(body=b'{"choices": [{"message": {"content": NaN}}]}'))
+        path = tmp_path / "nan.trace.jsonl"
+        res = synthetic_episode(WORLD, sample_episode(WORLD, 1, Difficulty.EASY), llm(),
+                                trace_path=str(path))
+        [error] = res.trace.events
+        assert error.kind is EventKind.ERROR
+        assert error.payload["error"] == "BackendUnavailable"
+        assert "not chat-completions shaped" in error.payload["detail"]
+        assert wire_kinds(error) == ["request"]
+        assert_canonical_lines(path, res.trace)
 
     def test_parallel_episodes_keep_their_own_wire_logs(self, chat_stub, llm, tmp_path):
         chat_stub.set_chat(caption_then_finalize)

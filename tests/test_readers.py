@@ -296,6 +296,54 @@ def test_tag_table_wrong_type_rejected(tmp_path, entry):
         load_tag_table(str(file), WORLD.gazetteer)
 
 
+# -- no NaN or infinity in any document --------------------------------------
+
+GOLDEN_TRACE = Path(__file__).parent / "data" / "synth_w11_3x5_medium_s4.trace.jsonl"
+
+
+def _with_token(doc, path, token: str, indent=None) -> str:
+    """``doc`` as JSON text with the value at ``path`` written as ``token``."""
+    return json.dumps(edited(doc, path, "@token@"), indent=indent).replace('"@token@"', token)
+
+
+def _trace_text(token: str) -> str:
+    lines = GOLDEN_TRACE.read_text(encoding="utf-8").splitlines()
+    lines[3] = _with_token(json.loads(lines[3]), ("payload", "evidence", 0, "confidence"), token)
+    return "\n".join(lines) + "\n"
+
+
+#: Each reader, with a document holding ``token`` on one line: (file name,
+#: the document, the line its reader must name, how the error names it).
+NON_FINITE_DOCS = {
+    "dataset": (f"d{DATASET_SUFFIX}", lambda token: json.dumps({**SAMPLE, "id": "s0"}) + "\n"
+                + _with_token(SAMPLE, ("descriptor", "clues", 0, "salience"), token) + "\n",
+                2, lambda e: (e.line, e.field)),
+    "config": ("c.json", lambda token: _with_token(CONFIG, ("tools", "timeout_s"), token, 1),
+               json.dumps(CONFIG, indent=1).splitlines().index('  "timeout_s": 3,') + 1,
+               lambda e: int(str(e).split("line ")[-1].split()[0])),
+    "gazetteer": ("g.json", lambda token: _with_token(WORLD.gazetteer.to_json(), (1, "lat"),
+                                                       token, 1),
+                  2 + len(json.dumps(WORLD.gazetteer.to_json()[0], indent=1).splitlines()),
+                  lambda e: e.line),
+    "trace": ("r.trace.jsonl", _trace_text, 4, lambda e: e.line),
+}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("reader", NON_FINITE_DOCS)
+def test_a_non_finite_number_fails_at_its_line(tmp_path, reader, token):
+    """Each reader rejects what ``parse_json`` rejects with its own error,
+    naming the line that holds the number (a gazetteer, its record's)."""
+    name, document, line, where = NON_FINITE_DOCS[reader]
+    _, read, errors = FILE_READERS[reader]
+    path = tmp_path / name
+    path.write_text(document(token), encoding="utf-8")
+    with pytest.raises(errors[0]) as ei:
+        read(str(path))
+    assert f"{token} is not a finite JSON number" in str(ei.value)
+    assert where(ei.value) == ((line, "descriptor") if reader == "dataset" else line)
+
+
 # -- any JSON value loads or raises the loader's error ------------------------
 
 JSON = st.recursive(

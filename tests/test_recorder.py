@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from geoprobe import engine
 from geoprobe import state as state_module
 from geoprobe.actions import Action, CapabilityModule, Decision, Tool
+from geoprobe.bench import make_benchmark, run_benchmark
 from geoprobe.canonical import canonical_hash, sha256_hex
 from geoprobe.engine import replay
 from geoprobe.executor import (DEFAULT_MAX_STEPS, MAX_PARALLEL_LIMIT, EpisodeSettings,
@@ -48,7 +49,7 @@ from geoprobe.state import (
 )
 from geoprobe.synthworld import Difficulty, generate_world, sample_episode
 
-from conftest import synthetic_episode
+from conftest import assert_canonical_lines, synthetic_episode
 
 
 def ev(eid, constraint, conf=0.9, claim=None):
@@ -449,13 +450,28 @@ class TestReplay:
 
     @pytest.mark.parametrize("field, value", [("confidence", 10 ** 400), ("id", float("inf"))])
     def test_evidence_number_out_of_range_pinpointed(self, gaz, tmp_path, field, value):
+        """An out-of-range number diverges at its event. Written to a file,
+        an infinity is no JSON number: the trace fails to load at its line."""
         path = tmp_path / "t.jsonl"
-        engine_episode(gaz, str(path))
+        trace, _ = engine_episode(gaz, str(path))
 
         def mutate(obj):
             obj["payload"]["evidence"][0][field] = value
 
         seq = tamper(path, lambda o: o.get("kind") == "Projection", mutate)
+        payload = json.loads(json.dumps(trace.events[seq].payload))
+        mutate({"payload": payload})
+        events = list(trace.events)
+        events[seq] = replace(events[seq], payload=payload)
+        with pytest.raises(HashMismatchError) as ei:
+            replay(Trace(trace.header, tuple(events)), gaz)
+        assert ei.value.seq == seq
+        if value == float("inf"):
+            with pytest.raises(TraceFormatError) as fi:
+                load_trace(str(path))
+            assert fi.value.line == seq + 2
+            assert "Infinity is not a finite JSON number" in str(fi.value)
+            return
         with pytest.raises(HashMismatchError) as ei:
             replay(load_trace(str(path)), gaz)
         assert ei.value.seq == seq
@@ -464,8 +480,9 @@ class TestReplay:
 #: A medium-difficulty synthetic episode (world seed 11, 3x5 provinces x
 #: cities; ``sample_episode`` seed 4; scripted salience policy) with four
 #: projections and one backtrack, recorded before state hashes were composed
-#: from cached evidence serializations. Traces written since must verify
-#: against it and reproduce its hashes.
+#: from cached evidence serializations, and later re-encoded line by line as
+#: canonical JSON (every value and wall time kept). Traces written since
+#: must verify against it and reproduce its hashes.
 GOLDEN_TRACE = Path(__file__).parent / "data" / "synth_w11_3x5_medium_s4.trace.jsonl"
 #: SHA-256 of the golden trace's state hashes joined by newlines.
 GOLDEN_STATE_HASHES_SHA256 = "67129e52c606ab5953c64ff8016fd4aec6c67ac9d80b50768995e038e2b9cb5d"
@@ -532,7 +549,7 @@ class TestGoldenTrace:
         record_golden_episode(str(path))
 
         def without_wall_time(p):
-            return re.sub(r'"wall_time": [^,}]+', '"wall_time": 0',
+            return re.sub(r'"wall_time":[^,}]+', '"wall_time":0',
                           Path(p).read_text(encoding="utf-8")).splitlines()
 
         header, *events = without_wall_time(path)
@@ -541,9 +558,30 @@ class TestGoldenTrace:
         assert json.loads(header) == {**json.loads(golden_header),
                                       "episode": EpisodeSettings().to_json()}
 
+    def test_every_line_is_the_canonical_json_of_its_record(self, tmp_path):
+        path = tmp_path / "again.trace.jsonl"
+        result = record_golden_episode(str(path))
+        assert_canonical_lines(path, result.trace)
+        assert {e.kind for e in result.trace.events} == set(EventKind) - {EventKind.ERROR}
+
+    def test_spaced_golden_trace_still_loads_and_replays(self, tmp_path):
+        """Traces written with ``json.dumps``' default separators, as before
+        lines were canonical, load to the same events and replay."""
+        lines = GOLDEN_TRACE.read_text(encoding="utf-8").splitlines()
+        spaced = [json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True)
+                  for line in lines]
+        assert spaced != lines and all('": ' in line for line in spaced)
+        path = tmp_path / "spaced.trace.jsonl"
+        path.write_text("\n".join(spaced) + "\n", encoding="utf-8")
+        trace = load_trace(str(path))
+        assert trace == load_trace(str(GOLDEN_TRACE))
+        assert replay(trace, WORLD_3X5.gazetteer, TAGS_3X5).events_verified == 15
+
     def test_each_state_and_evidence_serialized_once(self, monkeypatch):
         """Events that record the same state object share one serialization,
-        and each evidence item is serialized once for all states holding it."""
+        each evidence item and each space is serialized once for all states
+        and events holding it, and each state takes one encoding of its own
+        fields."""
         states = []
         serializations = []
         canonical = EpisodeState.canonical
@@ -563,7 +601,8 @@ class TestGoldenTrace:
         events = result.trace.events
         assert len({id(s) for s in states}) == len(states)
         assert len(states) == len({e.state_hash for e in events}) == 6 < len(events)
-        assert len(serializations) == len(states) + len(result.state.chain)
+        spaces = {id(s.space) for s in states}
+        assert len(serializations) == len(states) + len(spaces) + len(result.state.chain)
 
     @pytest.mark.parametrize("keys, value", [
         (("id",), 1.5),
@@ -634,6 +673,26 @@ class TestGoldenTrace:
         with pytest.raises(HashMismatchError) as ei:
             replay(load_trace(str(path)), WORLD_3X5.gazetteer, TAGS_3X5)
         assert ei.value.seq == seq
+
+
+def test_benchmark_trace_lines_are_canonical(monkeypatch, tmp_path):
+    """Over a 3x5 benchmark run, backtracks included, every line written is
+    the canonical JSON of the in-memory header or event it records."""
+    traces = {}
+    record = engine.record_episode
+
+    def keeping(*args, trace_path=None, **kwargs):
+        result = record(*args, trace_path=trace_path, **kwargs)
+        traces[trace_path] = result.trace
+        return result
+
+    monkeypatch.setattr(engine, "record_episode", keeping)
+    samples = make_benchmark(WORLD_3X5, 12, seed=5)
+    run_benchmark(samples, scripted_salience_policy(), WORLD_3X5, trace_dir=tmp_path)
+    assert len(traces) == len(samples)
+    for path, trace in traces.items():
+        assert_canonical_lines(path, trace)
+    assert any(e.kind is EventKind.BACKTRACK for t in traces.values() for e in t.events)
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
