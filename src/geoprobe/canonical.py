@@ -6,7 +6,8 @@ sorted keys, compact separators, UTF-8, no NaN/Infinity. Trace lines are
 these bytes, the same ones the state and payload hashes cover.
 ``canonical_json`` encodes through one encoder built at import, not one
 built per call, and without a circular-reference table: a self-referencing
-value raises ``RecursionError``.
+value raises ``RecursionError``. A fragment encoded once is reused as a
+``Raw`` value, which ``canonical_compose`` writes into a line as it stands.
 
 JSON read from outside the process goes through ``parse_json``, which
 admits no NaN and no infinity, so what it returns can always be encoded
@@ -26,18 +27,26 @@ def _unencodable(obj: Any) -> Any:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _canonical_encoder(make=json.encoder.c_make_encoder) -> Callable[[Any], str]:
-    """The canonical encoding as one function: CPython's C encoder object,
-    or, where the interpreter has none (``make`` is ``None``), the ``encode``
-    of one ``json.JSONEncoder``. ``json.dumps`` with keyword arguments
-    builds both afresh on every call."""
+def _finite_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _canonical_encoder(make=json.encoder.c_make_encoder,
+                       string=json.encoder.encode_basestring) -> Callable[[Any], str]:
+    """The canonical encoding as one function that writes each string with
+    ``string``: CPython's C encoder object or, where the interpreter has none
+    (``make`` is ``None``), the pure-Python encoder ``json`` falls back to.
+    ``json.dumps`` with keyword arguments builds one afresh on every call."""
     if make is None:
-        return json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_nan=False,
-                                sort_keys=True, separators=(",", ":")).encode
-    # Arguments: markers (None: no circular check), default, string encoder,
-    # indent, key separator, item separator, sort_keys, skipkeys, allow_nan.
-    encoder = make(None, _unencodable, json.encoder.encode_basestring, None,
-                   ":", ",", True, False, False)
+        # Arguments as below, with a float writer in place of allow_nan, then one_shot.
+        encoder = json.encoder._make_iterencode(None, _unencodable, string, None, _finite_float,
+                                                ":", ",", True, False, True)
+    else:
+        # Arguments: markers (None: no circular check), default, string encoder,
+        # indent, key separator, item separator, sort_keys, skipkeys, allow_nan.
+        encoder = make(None, _unencodable, string, None, ":", ",", True, False, False)
 
     def encode(obj: Any) -> str:
         return "".join(encoder(obj, 0))
@@ -45,7 +54,19 @@ def _canonical_encoder(make=json.encoder.c_make_encoder) -> Callable[[Any], str]
     return encode
 
 
+class Raw(str):
+    """Text already in canonical JSON form. ``canonical_compose`` writes it
+    as it stands; ``canonical_json`` encodes it as the string it is."""
+
+    __slots__ = ()
+
+
+def _raw_or_string(s: str, encode=json.encoder.encode_basestring) -> str:
+    return s if type(s) is Raw else encode(s)
+
+
 _encode = _canonical_encoder()
+_compose = _canonical_encoder(string=_raw_or_string)
 
 
 def canonical_json(obj: Any) -> str:
@@ -54,6 +75,15 @@ def canonical_json(obj: Any) -> str:
     ":"), ensure_ascii=False, allow_nan=False)``. A NaN or an infinity
     raises ``ValueError``."""
     return _encode(obj)
+
+
+def canonical_compose(obj: Any) -> Raw:
+    """``canonical_json`` of ``obj`` with each ``Raw`` value in it read as
+    the JSON it holds, so a fragment encoded once is neither parsed nor
+    encoded again. The result is ``Raw``, to be composed in turn. Every
+    string goes through a Python hook here, so ``canonical_json`` stays the
+    encoder for trees that hold no fragment."""
+    return Raw(_compose(obj))
 
 
 def sha256_hex(data: str | bytes) -> str:

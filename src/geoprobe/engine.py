@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .actions import Action, Decision, Tool, parse_decision
-from .canonical import canonical_json, json_get
+from .canonical import canonical_compose, json_get
 from .errors import (
     BackendUnavailableError,
     ConfigError,
@@ -86,8 +86,8 @@ def derive_poi_hint(state: EpisodeState, g: Gazetteer) -> PoiHint | None:
 
 
 #: One event as ``TraceRecorder.record`` takes it: the kind, the state whose
-#: hash the event carries, the payload and, where the payload is built from
-#: parts already encoded, its canonical JSON (else ``None``).
+#: hash the event carries, the payload and, where the payload is composed
+#: from parts already encoded, its canonical JSON (else ``None``).
 _Event = tuple[EventKind, EpisodeState, dict, str | None]
 
 
@@ -101,9 +101,8 @@ def _project(
     report = apply_evidence_report(state, evidence, g)
     new = report.state
     inactive_ids = sorted(new.inactive_ids)
-    payload_json = ('{"evidence":[' + ",".join(e.canonical() for e in evidence)
-                    + '],"inactive_ids":' + canonical_json(inactive_ids)
-                    + ',"space":' + new.space.canonical() + "}")
+    payload_json = canonical_compose({"evidence": [e.canonical for e in evidence],
+                                      "space": new.space.canonical, "inactive_ids": inactive_ids})
     events: list[_Event] = [(EventKind.PROJECTION, new, {
         "evidence": [e.to_json() for e in evidence],
         "space": new.space.to_json(),
@@ -193,7 +192,7 @@ def run_episode(
                                 max_workers=settings.max_parallel)
         recorder.record(EventKind.EXECUTION, state,
                         {"results": [r.to_json() for r in results]},
-                        '{"results":[' + ",".join(r.canonical() for r in results) + "]}")
+                        canonical_compose({"results": [r.canonical for r in results]}))
 
         evidence = []
         for result in results:

@@ -13,10 +13,12 @@ import enum
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Protocol
 
 from .actions import Action, Tool, crop_payload
-from .canonical import canonical_json, json_get, json_strs, parse_json, sha256_hex
+from .canonical import (Raw, canonical_compose, canonical_json, json_get, json_strs, parse_json,
+                        sha256_hex)
 from .errors import ConfigError, UnknownRegionError
 from .geo import Gazetteer, GeoPoint, region_contains
 from .state import Evidence, Provenance
@@ -58,30 +60,21 @@ class ToolResult:
     def ok(self) -> bool:
         return self.status is ToolStatus.OK
 
-    @property
-    def payload_canonical(self) -> str:
+    @cached_property
+    def payload_canonical(self) -> Raw:
         """``canonical_json(self.payload)``, serialized once per result.
 
         The payload hash and the result's Execution-event JSON both read it.
-        The cache, like ``Evidence.canonical()``'s, is an instance attribute
-        set on first use; it is sound because nothing mutates a result's
-        payload after construction.
+        The cache, like ``Evidence.canonical``'s, is sound because nothing
+        mutates a result's payload after construction.
         """
-        cached = self.__dict__.get("_payload_canonical")
-        if cached is None:
-            cached = canonical_json(self.payload)
-            object.__setattr__(self, "_payload_canonical", cached)
-        return cached
+        return Raw(canonical_json(self.payload))
 
-    @property
+    @cached_property
     def payload_sha256(self) -> str:
         """SHA-256 of ``payload_canonical``, computed once per result; the
         Execution event and each evidence's provenance both read it."""
-        cached = self.__dict__.get("_payload_sha256")
-        if cached is None:
-            cached = sha256_hex(self.payload_canonical)
-            object.__setattr__(self, "_payload_sha256", cached)
-        return cached
+        return sha256_hex(self.payload_canonical)
 
     @classmethod
     def succeed(cls, action: Action, payload: dict, latency_ms: float = 0.0) -> "ToolResult":
@@ -109,23 +102,11 @@ class ToolResult:
             "payload_sha256": self.payload_sha256,
         }
 
-    def canonical(self) -> str:
+    @property
+    def canonical(self) -> Raw:
         """``canonical_json(self.to_json())``, with ``payload_canonical``
-        spliced in rather than serialized again. ``"payload"`` sorts just
-        before ``"payload_sha256"``, and no other field holds an object or a
-        string with an unescaped quote, so ``,"payload_sha256":`` marks the
-        splice point."""
-        rest = canonical_json({
-            "action_id": self.action_id,
-            "tool": self.tool.value,
-            "status": self.status.value,
-            "error": self.error,
-            "detail": self.detail,
-            "latency_ms": self.latency_ms,
-            "payload_sha256": self.payload_sha256,
-        })
-        at = rest.index(',"payload_sha256":')
-        return rest[:at] + ',"payload":' + self.payload_canonical + rest[at:]
+        written in rather than serialized again."""
+        return canonical_compose({**self.to_json(), "payload": self.payload_canonical})
 
 
 class ToolAdapter(Protocol):

@@ -16,9 +16,10 @@ re-writes traces that already exist, e.g. a second run into one directory.
 
 Every line is the canonical JSON of its header or event
 (``canonical.canonical_json``: sorted keys, compact separators, UTF-8, no
-NaN), the same form the hashes cover. A line is built from the parts its
-objects have already encoded (``Evidence.canonical()``,
-``CandidateSpace.canonical()``, ``ToolResult.payload_canonical``), so no
+NaN), the same form the hashes cover. A line is composed
+(``canonical.canonical_compose``) from the ``canonical.Raw`` parts its
+objects have already encoded (``Evidence.canonical``,
+``CandidateSpace.canonical``, ``ToolResult.payload_canonical``), so no
 part is encoded twice. Traces written with spaced separators before lines
 were canonical load and replay all the same.
 
@@ -38,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .canonical import canonical_json, decode_text, json_get, parse_json
+from .canonical import Raw, canonical_compose, canonical_json, decode_text, json_get, parse_json
 from .errors import BudgetTooSmallError, SeqGapError, TraceFormatError
 from .geo import Gazetteer
 from .state import EpisodeState
@@ -78,18 +79,11 @@ class TrajectoryEvent:
         """``canonical_json(self.to_json())``: the event's trace line.
 
         ``payload_json``, when given, must be ``canonical_json(self.payload)``,
-        which a caller can build from fragments it has already encoded; it is
-        spliced in before ``"seq"``, the key after ``"payload"`` in sorted
-        order (``"kind"`` holds a plain string, so ``,"seq":`` is found
-        nowhere else).
+        which a caller can compose from fragments it has already encoded.
         """
         if payload_json is None:
             return canonical_json(self.to_json())
-        rest = canonical_json({"kind": self.kind.value, "seq": self.seq,
-                               "state_hash": self.state_hash, "step": self.step,
-                               "wall_time": self.wall_time})
-        at = rest.index(',"seq":')
-        return rest[:at] + ',"payload":' + payload_json + rest[at:]
+        return canonical_compose({**self.to_json(), "payload": Raw(payload_json)})
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrajectoryEvent":
@@ -188,7 +182,7 @@ class TraceRecorder:
             step=state.step,
             wall_time=time.time(),
             payload=payload,
-            state_hash=state.snapshot_hash(),
+            state_hash=state.snapshot_hash,
         )
         self.events.append(event)
         if self._fh is not None:

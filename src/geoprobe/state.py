@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .canonical import canonical_json, sha256_hex
+from .canonical import Raw, canonical_compose, canonical_json, sha256_hex
 from .errors import InsufficientEvidenceError, UnknownRegionError
 from .geo import AdminRegion, Gazetteer, GeoPoint, reverse_geocode
 
@@ -55,15 +56,12 @@ class CandidateSpace:
     def to_json(self) -> dict:
         return {"is_global": self.is_global, "frontier": sorted(self.frontier)}
 
-    def canonical(self) -> str:
+    @cached_property
+    def canonical(self) -> Raw:
         """``canonical_json(self.to_json())``, serialized once per object,
-        cached as ``Evidence.canonical()`` is. The state hash and the
+        cached as ``Evidence.canonical`` is. The state hash and the
         Projection event that carry one space share the string."""
-        cached = self.__dict__.get("_canonical")
-        if cached is None:
-            cached = canonical_json(self.to_json())
-            object.__setattr__(self, "_canonical", cached)
-        return cached
+        return Raw(canonical_json(self.to_json()))
 
 
 @dataclass(frozen=True)
@@ -102,20 +100,18 @@ class Evidence:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of [0,1]: {self.confidence}")
 
-    def canonical(self) -> str:
+    @cached_property
+    def canonical(self) -> Raw:
         """``canonical_json(self.to_json())``, serialized once per object.
 
         Caching is sound because the dataclass is frozen and every field is
         immutable (ints, a string, a frozenset, a float, frozen dataclasses),
         so the serialization can never change after construction. The cache
-        is an instance attribute, not a field: ``dataclasses.replace`` builds
-        a fresh object, which serializes itself again.
+        lives in the instance ``__dict__``, not in a field:
+        ``dataclasses.replace`` builds a fresh object, which serializes
+        itself again.
         """
-        cached = self.__dict__.get("_canonical")
-        if cached is None:
-            cached = canonical_json(self.to_json())
-            object.__setattr__(self, "_canonical", cached)
-        return cached
+        return Raw(canonical_json(self.to_json()))
 
     def to_json(self) -> dict:
         return {
@@ -180,42 +176,31 @@ class EpisodeState:
             "prediction": self.prediction.to_json() if self.prediction else None,
         }
 
-    def canonical(self) -> str:
-        """Canonical JSON of the state, byte-equal to ``canonical_json(to_json())``.
-
-        The chain's cached ``Evidence.canonical()`` strings and the space's
-        cached ``CandidateSpace.canonical()`` are spliced, in sorted key
-        order, into one encoding of the other fields, so each evidence item
-        and each space is serialized once, however many states and events
-        share it. ``"chain"`` sorts first and ``"space"`` just before
-        ``"status"``; no other field holds an object with a ``"status"`` key,
-        and no string in canonical JSON holds an unescaped quote, so
-        ``,"status":`` marks the splice point.
-        """
-        chain = ",".join(e.canonical() for e in self.chain)
-        rest = canonical_json({
+    @cached_property
+    def canonical(self) -> Raw:
+        """Canonical JSON of the state, byte-equal to ``canonical_json(to_json())``,
+        composed from the chain's and the space's cached encodings, so each
+        evidence item and each space is serialized once, however many states
+        and events share it."""
+        return canonical_compose({
+            "chain": [e.canonical for e in self.chain],
+            "step": self.step,
+            "status": self.status.value,
+            "space": self.space.canonical,
             "inactive_ids": sorted(self.inactive_ids),
             "prediction": self.prediction.to_json() if self.prediction else None,
-            "status": self.status.value,
-            "step": self.step,
         })
-        at = rest.index(',"status":')
-        return ('{"chain":[' + chain + "]," + rest[1:at] + ',"space":'
-                + self.space.canonical() + rest[at:])
 
+    @cached_property
     def snapshot_hash(self) -> str:
-        """SHA-256 of ``canonical()``, computed once per state object.
+        """SHA-256 of ``canonical``, computed once per state object.
 
         The state is frozen and all its fields are immutable, so the hash
         cannot go stale; a ``dataclasses.replace`` copy is a new object and
         hashes itself. Consecutive trace events that record the same state
         object share one serialization.
         """
-        cached = self.__dict__.get("_snapshot_hash")
-        if cached is None:
-            cached = sha256_hex(self.canonical())
-            object.__setattr__(self, "_snapshot_hash", cached)
-        return cached
+        return sha256_hex(self.canonical)
 
 
 def antichain_reduce(region_ids: frozenset[str] | set[str], g: Gazetteer) -> frozenset[str]:

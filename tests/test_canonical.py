@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from geoprobe import canonical
 from geoprobe.actions import extract_json_object
-from geoprobe.canonical import NonFiniteNumberError, canonical_json, parse_json
+from geoprobe.canonical import (NonFiniteNumberError, Raw, canonical_compose, canonical_json,
+                                parse_json)
 
 #: JSON trees: non-ASCII and control-character strings, integers past 64
 #: bits, finite floats, and nesting.
@@ -21,8 +22,11 @@ TREES = st.recursive(
     max_leaves=20)
 
 #: Both of ``_canonical_encoder``'s encoders: CPython's C encoder object
-#: and the pure-Python ``JSONEncoder`` used where the interpreter has none.
+#: and the pure-Python one ``json`` falls back to where the interpreter has none.
 ENCODERS = {"c": canonical._canonical_encoder(), "python": canonical._canonical_encoder(None)}
+#: ``canonical_compose``, and the same composer built on the pure-Python encoder.
+COMPOSERS = {"c": canonical_compose,
+             "python": canonical._canonical_encoder(None, canonical._raw_or_string)}
 
 
 def reference(obj) -> str:
@@ -42,6 +46,32 @@ def test_canonical_json_is_json_dumps_in_canonical_form(tree):
     assert canonical_json(tree) == expected
     assert ENCODERS["python"](tree) == expected
     assert parse_json(expected) == tree
+
+
+def with_fragments(tree, draw):
+    """``tree`` with drawn subtrees, or the whole of it, replaced by their
+    canonical JSON as ``Raw`` fragments."""
+    if draw(st.booleans()):
+        return Raw(canonical_json(tree))
+    if type(tree) is list:
+        return [with_fragments(item, draw) for item in tree]
+    if type(tree) is dict:
+        return {key: with_fragments(value, draw) for key, value in tree.items()}
+    return tree
+
+
+@pytest.mark.parametrize("compose", COMPOSERS.values(), ids=COMPOSERS)
+@settings(max_examples=50)
+@given(tree=TREES, data=st.data())
+def test_composing_raw_fragments_gives_the_bytes_of_the_whole(compose, tree, data):
+    assert compose(with_fragments(tree, data.draw)) == canonical_json(tree)
+
+
+def test_canonical_json_encodes_a_fragment_as_the_string_it_is():
+    fragment = Raw('{"a":[1]}')
+    assert canonical_json([fragment]) == '["{\\"a\\":[1]}"]'
+    assert canonical_compose([fragment]) == '[{"a":[1]}]'
+    assert type(canonical_compose([fragment])) is Raw
 
 
 @pytest.mark.parametrize("encoder", ENCODERS.values(), ids=ENCODERS)

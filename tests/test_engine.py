@@ -1,6 +1,7 @@
 """Episode loop: end-to-end runs, termination, fault handling, determinism."""
 
 import ast
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -390,7 +391,7 @@ class TestRunEpisodeDirect:
         # caption probe fails (no adapter), nothing to conclude from
         assert res.state.status is EpisodeStatus.EXHAUSTED
         assert kinds(res.trace)[-1] is EventKind.ERROR
-        assert replay(res.trace, GAZ).final_state.snapshot_hash() == res.state.snapshot_hash()
+        assert replay(res.trace, GAZ).final_state.snapshot_hash == res.state.snapshot_hash
 
 
 #: The helpers ``perfbench/tracing.py`` times by patching them on the engine
@@ -423,9 +424,9 @@ def test_episode_reaches_every_helper_perfbench_patches(monkeypatch):
 SRC = Path(__file__).resolve().parent.parent / "src" / "geoprobe"
 
 
-def referrers(name: str, sources: dict[str, str]) -> set[str]:
-    """Where ``sources`` (module name to text) name ``name``, as a plain
-    name or an attribute: ``module.function``, ``module.Class.method``, or
+def holders(matches, sources: dict[str, str]) -> set[str]:
+    """Where ``sources`` (module name to text) hold a syntax node that
+    ``matches``: ``module.function``, ``module.Class.method``, or
     ``module.<statement>`` outside any function; a nested function counts
     as the one it is nested in."""
     found = set()
@@ -434,14 +435,18 @@ def referrers(name: str, sources: dict[str, str]) -> set[str]:
         for node in body:
             if isinstance(node, ast.ClassDef):
                 scan(node.body, f"{prefix}{node.name}.")
-            elif any(isinstance(n, ast.Name) and n.id == name
-                     or isinstance(n, ast.Attribute) and n.attr == name
-                     for n in ast.walk(node)):
+            elif any(matches(n) for n in ast.walk(node)):
                 found.add(prefix + getattr(node, "name", "<statement>"))
 
     for module, text in sources.items():
         scan(ast.parse(text).body, f"{module}.")
     return found
+
+
+def referrers(name: str, sources: dict[str, str]) -> set[str]:
+    """Where ``sources`` name ``name``, as a plain name or an attribute."""
+    return holders(lambda n: isinstance(n, ast.Name) and n.id == name
+                   or isinstance(n, ast.Attribute) and n.attr == name, sources)
 
 
 SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
@@ -499,3 +504,30 @@ def test_trace_and_hash_path_encode_only_through_canonical_json():
 def test_json_form_guard_sees_a_new_caller():
     extra = {"recorder": SOURCES["recorder"] + "\n\ndef line(obj):\n    return json.dumps(obj)\n"}
     assert referrers("dumps", extra) == {"recorder.line"}
+
+
+#: JSON object text as a canonical line spells it: a member name after
+#: ``{`` or ``,``, with no space after its colon. (Prose that shows a JSON
+#: example, as ``load_tag_table``'s docstring does, spaces it.)
+OBJECT_TEXT = re.compile(r'[{,]"[^"\\]*":(?! )')
+
+
+def holds_object_text(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is str \
+        and OBJECT_TEXT.search(node.value) is not None
+
+
+def test_no_json_object_text_is_built_by_hand():
+    """An encoded fragment gets into a line as a ``canonical.Raw`` value
+    that ``canonical_compose`` writes in; no string constant on the trace
+    and hash path, docstrings included, holds object text to splice at."""
+    sources = {name: SOURCES[name] for name in ("engine", *TRACE_AND_HASH_MODULES)}
+    assert holders(holds_object_text, sources) == set()
+
+
+def test_object_text_guard_sees_a_new_caller():
+    extra = {"engine": SOURCES["engine"] + (
+        "\n\ndef results(parts):\n    return '{\"results\":[' + ','.join(parts) + ']}'\n"
+        "\n\nclass Event:\n    def line(self, rest, at):\n"
+        "        return rest[:at] + ',\"payload\":' + self.payload + rest[at:]\n")}
+    assert holders(holds_object_text, extra) == {"engine.results", "engine.Event.line"}

@@ -176,7 +176,7 @@ class TestRecorder:
 
     def test_events_carry_state_hash(self, gaz):
         trace, final_state = record_episode(gaz)
-        assert trace.events[-1].state_hash == final_state.snapshot_hash()
+        assert trace.events[-1].state_hash == final_state.snapshot_hash
 
     def test_context_manager(self, gaz, tmp_path):
         header = TraceHeader(gaz.content_hash(), "c")
@@ -217,7 +217,7 @@ class TestRerecording:
         loaded = load_trace(str(path))
         assert loaded.events == trace.events
         report = replay(loaded, gaz)
-        assert report.final_state.snapshot_hash() == final_state.snapshot_hash()
+        assert report.final_state.snapshot_hash == final_state.snapshot_hash
 
     def test_symlink_at_the_path_is_replaced_not_followed(self, gaz, tmp_path):
         target = tmp_path / "elsewhere.jsonl"
@@ -372,7 +372,7 @@ class TestReplay:
         trace, final_state = engine_episode(gaz, str(path))
         report = replay(load_trace(str(path)), gaz)
         assert report.events_verified == len(trace.events)
-        assert report.final_state.snapshot_hash() == final_state.snapshot_hash()
+        assert report.final_state.snapshot_hash == final_state.snapshot_hash
         assert report.prediction.city_name == "Rivertown"
 
     def test_replay_covers_backtracking(self, gaz):
@@ -500,7 +500,7 @@ def forge_hint(events):
     forged = replace(honest, prediction=Prediction(other.centroid, other.name))
     events[-1]["payload"] = {"prediction": forged.prediction.to_json(),
                              "poi_hint": PoiHint(other.centroid, other.name).to_json()}
-    events[-1]["state_hash"] = forged.snapshot_hash()
+    events[-1]["state_hash"] = forged.snapshot_hash
 
 
 def rewrite_caption(events):
@@ -582,26 +582,24 @@ class TestGoldenTrace:
         each evidence item and each space is serialized once for all states
         and events holding it, and each state takes one encoding of its own
         fields."""
-        states = []
+        states = {}
         serializations = []
-        canonical = EpisodeState.canonical
-        canonical_json = state_module.canonical_json
+        record = TraceRecorder.record
 
-        def counting_canonical(self):
-            states.append(self)
-            return canonical(self)
+        def spying_record(self, kind, state, *rest):
+            states[id(state)] = state
+            return record(self, kind, state, *rest)
 
-        def counting_canonical_json(obj):
-            serializations.append(obj)
-            return canonical_json(obj)
+        def counting(encode):
+            return lambda obj: serializations.append(obj) or encode(obj)
 
-        monkeypatch.setattr(EpisodeState, "canonical", counting_canonical)
-        monkeypatch.setattr(state_module, "canonical_json", counting_canonical_json)
+        monkeypatch.setattr(TraceRecorder, "record", spying_record)
+        for name in ("canonical_compose", "canonical_json"):
+            monkeypatch.setattr(state_module, name, counting(getattr(state_module, name)))
         result = record_golden_episode()
         events = result.trace.events
-        assert len({id(s) for s in states}) == len(states)
         assert len(states) == len({e.state_hash for e in events}) == 6 < len(events)
-        spaces = {id(s.space) for s in states}
+        spaces = {id(s.space) for s in states.values()}
         assert len(serializations) == len(states) + len(spaces) + len(result.state.chain)
 
     @pytest.mark.parametrize("keys, value", [
@@ -707,7 +705,7 @@ def test_engine_traces_replay_and_every_single_deletion_is_rejected(seed, diffic
                                scripted_salience_policy(),
                                settings=EpisodeSettings(max_steps=max_steps))
     report = replay(result.trace, g, TAGS_3X5)
-    assert report.final_state.snapshot_hash() == result.state.snapshot_hash()
+    assert report.final_state.snapshot_hash == result.state.snapshot_hash
     assert report.prediction == result.prediction
     events = result.trace.events
     for gone in range(len(events)):

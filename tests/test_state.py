@@ -11,15 +11,16 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_gazetteer
 from geoprobe.actions import Action, CapabilityModule, Tool
 from geoprobe.canonical import canonical_hash, canonical_json
 from geoprobe.errors import InsufficientEvidenceError, UnknownRegionError
-from geoprobe.executor import ToolResult
+from geoprobe.executor import ToolResult, ToolStatus
 from geoprobe.geo import GeoPoint
+from geoprobe.recorder import EventKind, TrajectoryEvent
 from geoprobe.state import (
     ApplyReport,
     CandidateSpace,
@@ -528,18 +529,18 @@ class TestSnapshots:
     def test_hash_stable_for_equal_states(self, gaz):
         a = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a"])], gaz).state
         b = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a"])], gaz).state
-        assert a.snapshot_hash() == b.snapshot_hash()
+        assert a.snapshot_hash == b.snapshot_hash
 
     def test_hash_changes_with_state(self, gaz):
         a = apply_evidence_report(EpisodeState(), [ev(1, ["cn-a"])], gaz).state
         b = apply_evidence_report(a, [ev(2, ["cn-a-1"])], gaz).state
-        assert a.snapshot_hash() != b.snapshot_hash()
+        assert a.snapshot_hash != b.snapshot_hash
 
     def test_canonical_is_deterministic(self, gaz):
         a = apply_evidence_report(
             EpisodeState(), [ev(1, ["cn-a"], point=GeoPoint(30, 114))], gaz).state
-        assert a.canonical() == a.canonical()
-        assert '"step":1' in a.canonical()
+        assert a.canonical == a.canonical
+        assert '"step":1' in a.canonical
 
     def test_prediction_json_roundtrip(self):
         p = Prediction(GeoPoint(1, 2), "rivertown", sample_id="s1", trace_ref="t/1")
@@ -560,10 +561,13 @@ class TestSnapshots:
 
 # -- canonical serialization and state hashes --------------------------------
 
-# Text with non-ASCII letters, quotes, backslashes and control characters.
-TRICKY_TEXT = st.text(max_size=8) | st.text(
-    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "é", "市", "a"]), max_size=8
-)
+# Text with non-ASCII letters, quotes, backslashes, control characters and
+# the key text a splice into an encoded line would search for.
+TRICKY_TEXT = st.text(max_size=8) | st.lists(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "é", "市", "a",
+                     ',"status":', ',"seq":', ',"payload_sha256":', '"payload":']),
+    max_size=8,
+).map("".join)
 POINTS = st.builds(
     GeoPoint,
     st.floats(-90.0, 90.0, allow_nan=False),
@@ -598,6 +602,31 @@ STATES = st.builds(
 )
 
 
+PAYLOADS = st.dictionaries(TRICKY_TEXT, st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | TRICKY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TRICKY_TEXT, inner, max_size=3),
+    max_leaves=8), max_size=4)
+LATENCIES = st.floats(0.0, 1e6, allow_nan=False)
+RESULTS = st.builds(
+    ToolResult, st.integers(0, 10**6), st.sampled_from(list(Tool)), st.just(ToolStatus.OK),
+    PAYLOADS, latency_ms=LATENCIES,
+) | st.builds(
+    ToolResult, st.integers(0, 10**6), st.sampled_from(list(Tool)),
+    st.sampled_from([ToolStatus.TOOL_ERROR, ToolStatus.TIMEOUT]), st.none(), TRICKY_TEXT,
+    st.none() | TRICKY_TEXT, LATENCIES,
+)
+EVENTS = st.builds(
+    TrajectoryEvent,
+    seq=st.integers(0, 10**6),
+    kind=st.sampled_from(list(EventKind)),
+    step=st.integers(0, 10**6),
+    wall_time=st.floats(0.0, 4e9, allow_nan=False),
+    payload=PAYLOADS,
+    state_hash=TRICKY_TEXT,
+)
+
+
 class TestCanonicalComposition:
     """The composed, cached serialization equals serializing ``to_json()``."""
 
@@ -605,14 +634,14 @@ class TestCanonicalComposition:
     def test_canonical_and_hash_equal_to_json_serialization(self, state):
         expected = canonical_json(state.to_json())
         for _ in range(2):  # first computation, then the cached values
-            assert state.canonical() == expected
-            assert state.snapshot_hash() == canonical_hash(state.to_json())
+            assert state.canonical == expected
+            assert state.snapshot_hash == canonical_hash(state.to_json())
         for e in state.chain:
-            assert e.canonical() == canonical_json(e.to_json())
+            assert e.canonical == canonical_json(e.to_json())
 
     @given(STATES, EVIDENCE)
     def test_replaced_copy_hashes_itself(self, state, extra):
-        original = state.snapshot_hash()
+        original = state.snapshot_hash
         statuses = list(EpisodeStatus)
         other_status = statuses[(statuses.index(state.status) + 1) % len(statuses)]
         for copy in (
@@ -620,6 +649,16 @@ class TestCanonicalComposition:
             replace(state, chain=state.chain + (extra,)),
             replace(state, status=other_status, prediction=None),
         ):
-            assert copy.snapshot_hash() == canonical_hash(copy.to_json())
-            assert copy.snapshot_hash() != original
-        assert state.snapshot_hash() == original
+            assert copy.snapshot_hash == canonical_hash(copy.to_json())
+            assert copy.snapshot_hash != original
+        assert state.snapshot_hash == original
+
+    @settings(max_examples=50)
+    @given(RESULTS)
+    def test_result_line_equal_to_json_serialization(self, result):
+        assert result.canonical == canonical_json(result.to_json())
+
+    @settings(max_examples=50)
+    @given(EVENTS)
+    def test_event_line_equal_to_json_serialization(self, event):
+        assert event.canonical(canonical_json(event.payload)) == canonical_json(event.to_json())
