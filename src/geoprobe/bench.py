@@ -15,12 +15,13 @@ the predictions that exist; methods that emit no city names at all get a
 from __future__ import annotations
 
 import enum
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .canonical import NonFiniteNumberError, decode_text, json_get, json_strs, parse_json
 from .errors import (
@@ -242,36 +243,20 @@ def _pair(
     return by_id
 
 
-#: Each predicted sample's distance in km from its prediction to its truth,
-#: by sample id. Passed as ``distances``, it must cover every prediction.
-Distances = Mapping[str, float]
-
-
-def _truth_distances(preds: Sequence[Prediction],
-                     samples: Sequence[BenchmarkSample]) -> Distances:
-    """Each prediction's distance to its sample's truth, computed once."""
-    by_id = _pair(preds, samples)
-    return {s.id: haversine_km(by_id[s.id].point, s.truth_point)
-            for s in samples if s.id in by_id}
-
-
 def threshold_accuracy(
     preds: Sequence[Prediction],
     samples: Sequence[BenchmarkSample],
     thresholds: Iterable[int] = DEFAULT_THRESHOLDS_KM,
-    *,
-    distances: Distances | None = None,
 ) -> dict[int, float]:
-    """Percentage of predictions within each distance of the truth.
+    """Percentage of samples whose prediction lies within each distance of
+    the truth (a sample without a prediction is a miss).
 
     Boundaries are inclusive, which makes accuracy exactly monotone in the
     threshold. Values are raw percentages; rounding happens at render time.
     """
     by_id = _pair(preds, samples)
-    if distances is None:
-        distances = _truth_distances(preds, samples)
     n = len(samples)
-    km = [distances[sample.id] for sample in samples if sample.id in by_id]
+    km = [haversine_km(by_id[s.id].point, s.truth_point) for s in samples if s.id in by_id]
     return {tau: 100.0 * sum(1 for d in km if d <= tau) / n
             for tau in sorted(set(thresholds))}
 
@@ -297,42 +282,23 @@ def acc_city(
     return 100.0 * hits / len(samples)
 
 
-#: Reverse-geocoded city of each predicted point (None: nothing qualifies).
-#: Passed as ``geocoded``, it must cover every prediction; the metric
-#: functions then reuse its lookups instead of making their own.
-Geocoded = Mapping[GeoPoint, AdminRegion | None]
-
-
-def _geocode_points(preds: Iterable[Prediction], g: Gazetteer) -> Geocoded:
-    """Reverse-geocode each distinct predicted point once."""
-    out: dict[GeoPoint, AdminRegion | None] = {}
-    for pred in preds:
-        if pred.point not in out:
-            out[pred.point] = reverse_geocode(g, pred.point)
-    return out
-
-
 def acc_loglat(
     preds: Sequence[Prediction],
     samples: Sequence[BenchmarkSample],
     g: Gazetteer,
     aliases: dict[str, str] | None = None,
-    *,
-    geocoded: Geocoded | None = None,
 ) -> float:
     """Percentage whose predicted point reverse-geocodes to the truth city.
 
     A point that reverse-geocodes to nothing counts as a miss.
     """
     by_id = _pair(preds, samples)
-    if geocoded is None:
-        geocoded = _geocode_points(preds, g)
     hits = 0
     for sample in samples:
         pred = by_id.get(sample.id)
         if pred is None:
             continue
-        city = geocoded[pred.point]
+        city = reverse_geocode(g, pred.point)
         if city is None:
             continue
         if _same_city(city.name, sample.truth_city, aliases):
@@ -344,8 +310,6 @@ def location_compliance(
     preds: Sequence[Prediction],
     g: Gazetteer,
     aliases: dict[str, str] | None = None,
-    *,
-    geocoded: Geocoded | None = None,
 ) -> float:
     """Agreement between the stated city name and the coordinate-derived one.
 
@@ -354,11 +318,9 @@ def location_compliance(
     """
     if not preds:
         raise EmptyPredictionsError("no predictions to check for compliance")
-    if geocoded is None:
-        geocoded = _geocode_points(preds, g)
     hits = 0
     for pred in preds:
-        city = geocoded[pred.point]
+        city = reverse_geocode(g, pred.point)
         if city is None:
             continue
         if _same_city(city.name, pred.city_name, aliases):
@@ -403,28 +365,36 @@ class MetricBlock:
         }
 
 
-def _block(
-    preds: Sequence[Prediction],
-    samples: Sequence[BenchmarkSample],
-    g: Gazetteer,
-    geocoded: Geocoded,
-    distances: Distances,
-    thresholds: Iterable[int],
-    aliases: dict[str, str] | None = None,
-) -> MetricBlock:
-    by_id = _pair(preds, samples)
-    present = [by_id[s.id] for s in samples if s.id in by_id]
-    if present and all(p.city_name == "" for p in present):
+class _Row(NamedTuple):
+    """One predicted sample, scored once: its prediction, the prediction's
+    distance to the truth and the city its point reverse-geocodes to."""
+
+    sample: BenchmarkSample
+    pred: Prediction
+    km: float
+    city: AdminRegion | None
+
+
+def _block(rows: Sequence[_Row], n: int, thresholds: Sequence[int],
+           aliases: dict[str, str] | None) -> MetricBlock:
+    """The metric set over ``n`` samples whose predicted ones are ``rows``,
+    by the formulas of the four public metric functions."""
+
+    def geocoded_to(r: _Row, name: str) -> bool:
+        return r.city is not None and _same_city(r.city.name, name, aliases)
+
+    if rows and all(r.pred.city_name == "" for r in rows):
         compliance = None  # method emits no city names; rendered as "/"
-    elif present:
-        compliance = location_compliance(present, g, aliases, geocoded=geocoded)
+    elif rows:
+        compliance = 100.0 * sum(geocoded_to(r, r.pred.city_name) for r in rows) / len(rows)
     else:
         compliance = 0.0
     return MetricBlock(
-        n=len(samples),
-        threshold_acc=threshold_accuracy(preds, samples, thresholds, distances=distances),
-        acc_city=acc_city(preds, samples, aliases),
-        acc_loglat=acc_loglat(preds, samples, g, aliases, geocoded=geocoded),
+        n=n,
+        threshold_acc={tau: 100.0 * sum(r.km <= tau for r in rows) / n for tau in thresholds},
+        acc_city=100.0 * sum(_same_city(r.pred.city_name, r.sample.truth_city, aliases)
+                             for r in rows) / n,
+        acc_loglat=100.0 * sum(geocoded_to(r, r.sample.truth_city) for r in rows) / n,
         location_compliance=compliance,
     )
 
@@ -435,33 +405,10 @@ def stratify(
     g: Gazetteer,
     thresholds: Iterable[int] = DEFAULT_THRESHOLDS_KM,
     aliases: dict[str, str] | None = None,
-    *,
-    geocoded: Geocoded | None = None,
-    distances: Distances | None = None,
 ) -> dict[str, dict[str, MetricBlock]]:
-    """Recompute the metric set per scene category and per difficulty."""
-    if geocoded is None:
-        geocoded = _geocode_points(preds, g)
-    if distances is None:
-        distances = _truth_distances(preds, samples)
-    by_id = _pair(preds, samples)
-
-    def group(key: Callable[[BenchmarkSample], str]) -> dict[str, MetricBlock]:
-        buckets: dict[str, list[BenchmarkSample]] = {}
-        for sample in samples:
-            buckets.setdefault(key(sample), []).append(sample)
-        out = {}
-        for name in sorted(buckets):
-            members = buckets[name]
-            member_preds = [by_id[s.id] for s in members if s.id in by_id]
-            out[name] = _block(member_preds, members, g, geocoded, distances, thresholds,
-                               aliases)
-        return out
-
-    return {
-        "scene_category": group(lambda s: s.scene_category.value),
-        "difficulty": group(lambda s: s.difficulty.value),
-    }
+    """The metric set per scene category and per difficulty: the strata of
+    ``compute_report``, scored in its one pass."""
+    return compute_report(preds, samples, g, thresholds=thresholds, aliases=aliases).strata
 
 
 @dataclass(frozen=True)
@@ -493,19 +440,40 @@ def compute_report(
     thresholds: Iterable[int] = DEFAULT_THRESHOLDS_KM,
     aliases: dict[str, str] | None = None,
 ) -> MetricsReport:
-    """The metric suite overall and per stratum.
+    """The metric suite overall and per stratum, scored in one pass.
 
-    Each distinct predicted point is reverse-geocoded once, and each
-    prediction's distance to its truth computed once; the overall block
-    and every stratum read the same lookups.
+    Predictions are paired with samples once. Each predicted sample is then
+    scored once, in dataset order: its prediction's distance to the truth
+    is measured, and its point reverse-geocoded (once per distinct point).
+    The overall block and each stratum (scene category, then difficulty,
+    names sorted) are built from those rows.
     """
-    geocoded = _geocode_points(preds, g)
-    distances = _truth_distances(preds, samples)
+    by_id = _pair(preds, samples)
+    geocoded: dict[GeoPoint, AdminRegion | None] = {}
+    rows: dict[str, _Row] = {}
+    for sample in samples:
+        pred = by_id.get(sample.id)
+        if pred is None:
+            continue
+        if pred.point not in geocoded:
+            geocoded[pred.point] = reverse_geocode(g, pred.point)
+        rows[sample.id] = _Row(sample, pred, haversine_km(pred.point, sample.truth_point),
+                               geocoded[pred.point])
+    thresholds = sorted(set(thresholds))
+    strata: dict[str, dict[str, MetricBlock]] = {}
+    for axis, key in (("scene_category", lambda s: s.scene_category.value),
+                      ("difficulty", lambda s: s.difficulty.value)):
+        members: dict[str, list[BenchmarkSample]] = {}
+        for sample in samples:
+            members.setdefault(key(sample), []).append(sample)
+        strata[axis] = {
+            name: _block([rows[s.id] for s in members[name] if s.id in rows],
+                         len(members[name]), thresholds, aliases)
+            for name in sorted(members)}
     return MetricsReport(
         label=label,
-        overall=_block(preds, samples, g, geocoded, distances, thresholds, aliases),
-        strata=stratify(preds, samples, g, thresholds, aliases, geocoded=geocoded,
-                        distances=distances),
+        overall=_block(list(rows.values()), len(samples), thresholds, aliases),
+        strata=strata,
     )
 
 
@@ -559,11 +527,11 @@ def difficulty_counts(n: int, mix: Mapping[Difficulty, float]) -> dict[Difficult
     """Integer counts per difficulty via largest-remainder apportionment."""
     if n <= 0:
         raise ConfigError("sample count must be >= 1")
+    if not all(0 <= v < math.inf for v in mix.values()):  # NaN compares False
+        raise ConfigError("difficulty mix entries must be >= 0")
     total = sum(mix.values())
     if abs(total - 1.0) > 1e-9:
         raise ConfigError(f"difficulty mix must sum to 1, got {total}")
-    if any(v < 0 for v in mix.values()):
-        raise ConfigError("difficulty mix entries must be >= 0")
     order = [d for d in Difficulty if d in mix]
     floors = {d: int(n * mix[d]) for d in order}
     short = n - sum(floors.values())

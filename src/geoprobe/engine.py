@@ -14,11 +14,10 @@ to record exactly the trace's events. The events are not hash-chained
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from .actions import Action, Decision, Tool, parse_decision
-from .canonical import canonical_compose, json_get
+from .canonical import canonical_compose, canonical_json, json_get
 from .errors import (
     BackendUnavailableError,
     ConfigError,
@@ -265,7 +264,7 @@ class TraceBackend:
         self._wire = payload.get("llm_wire")
         if "decision" not in payload:
             raise BackendUnavailableError(payload.get("detail"))
-        return parse_decision(json.dumps(payload["decision"]), start_id=ctx.next_action_id,
+        return parse_decision(canonical_json(payload["decision"]), start_id=ctx.next_action_id,
                               max_parallel=ctx.settings.max_parallel)
 
     def drain_wire_log(self):
@@ -285,9 +284,10 @@ _UNREPLAYABLE = (GeoprobeError, LookupError, TypeError, ValueError)
 
 
 def _compared(event: TrajectoryEvent) -> str:
-    """Kind, step, payload and state hash as JSON, where ``true`` and ``1`` differ."""
-    return json.dumps([event.kind.value, event.step, event.payload, event.state_hash],
-                      sort_keys=True)
+    """Kind, step, payload and state hash as JSON, where ``true`` and ``1``
+    differ. A NaN or an infinity, which no trace line holds, raises
+    ``ValueError``."""
+    return canonical_json([event.kind.value, event.step, event.payload, event.state_hash])
 
 
 def replay(trace: Trace, g: Gazetteer, tag_table=None) -> ReplayReport:
@@ -321,7 +321,11 @@ def replay(trace: Trace, g: Gazetteer, tag_table=None) -> ReplayReport:
 
     emitted = recorder.events
     for seq, (mine, theirs) in enumerate(zip(emitted, recorded)):
-        if _compared(mine) != _compared(theirs):
+        try:
+            same = _compared(mine) == _compared(theirs)
+        except ValueError:
+            same = False
+        if not same:
             raise HashMismatchError(
                 seq, f"recorded {theirs.kind.value} diverges from the replayed one")
     if len(emitted) > len(recorded):

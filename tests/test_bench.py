@@ -374,7 +374,7 @@ POINT_POOL = (
 NAME_POOL = ("", "Rivertown", "rivertown city", "Lakeside", "Edo", "Edotown", "Nowhere")
 
 
-def _reference_block(preds, samples, aliases):
+def _reference_block(preds, samples, thresholds, aliases):
     """One report block from the public metric functions alone."""
     ids = {s.id for s in samples}
     present = [p for p in preds if p.sample_id in ids]
@@ -387,7 +387,8 @@ def _reference_block(preds, samples, aliases):
     return {
         "n": len(samples),
         "threshold_acc": {
-            str(t): round2(v) for t, v in sorted(threshold_accuracy(present, samples).items())
+            str(t): round2(v)
+            for t, v in sorted(threshold_accuracy(present, samples, thresholds).items())
         },
         "acc_city": round2(acc_city(present, samples, aliases)),
         "acc_loglat": round2(acc_loglat(present, samples, GAZ, aliases)),
@@ -413,17 +414,23 @@ def scored_sets(draw):
     return samples, preds
 
 
-@given(scored_sets(), st.sampled_from([None, {"Edo": "Edotown"}]))
-def test_compute_report_equals_block_by_block_reference(scored, aliases):
+#: Some of the default thresholds, duplicates allowed, plus one drawn distance.
+THRESHOLD_LISTS = st.builds(
+    lambda some, extra: [*some, extra],
+    st.lists(st.sampled_from(DEFAULT_THRESHOLDS_KM), min_size=1), st.integers(0, 10_000))
+
+
+@given(scored_sets(), THRESHOLD_LISTS, st.sampled_from([None, {"Edo": "Edotown"}]))
+def test_compute_report_equals_block_by_block_reference(scored, thresholds, aliases):
     samples, preds = scored
     reference = {
         "label": "full",
         "n": len(samples),
-        "overall": _reference_block(preds, samples, aliases),
+        "overall": _reference_block(preds, samples, thresholds, aliases),
         "strata": {
             axis: {
                 name: _reference_block(
-                    preds, [s for s in samples if key(s) == name], aliases)
+                    preds, [s for s in samples if key(s) == name], thresholds, aliases)
                 for name in sorted({key(s) for s in samples})
             }
             for axis, key in (
@@ -432,7 +439,27 @@ def test_compute_report_equals_block_by_block_reference(scored, aliases):
             )
         },
     }
-    assert compute_report(preds, samples, GAZ, aliases=aliases).to_json() == reference
+    report = compute_report(preds, samples, GAZ, thresholds=thresholds, aliases=aliases)
+    assert report.to_json() == reference
+
+
+def test_compute_report_pairs_predictions_with_samples_once(monkeypatch):
+    """One report pairs once, however many blocks and strata it builds."""
+    calls = []
+    pair = bench._pair
+
+    def counting_pair(preds, samples):
+        calls.append(len(samples))
+        return pair(preds, samples)
+
+    monkeypatch.setattr(bench, "_pair", counting_pair)
+    samples = [sample(i, c.centroid, c.name, "P", category=list(SceneCategory)[i % 4],
+                      difficulty=list(Difficulty)[i % 3]) for i, c in enumerate(CITIES * 3)]
+    preds = [pred(s.id, s.truth_point, s.truth_city) for s in samples[1:]]
+    report = compute_report(preds, samples, GAZ)
+    assert calls == [len(samples)]
+    assert len(report.strata["scene_category"]) == 4
+    assert len(report.strata["difficulty"]) == 3
 
 
 def test_round2_is_half_up():
@@ -604,6 +631,13 @@ def test_mix_must_sum_to_one():
 def test_mix_rejects_negative_entries():
     with pytest.raises(ConfigError):
         difficulty_counts(10, {Difficulty.EASY: 1.5, Difficulty.MEDIUM: -0.5})
+
+
+def test_mix_rejects_nan_entries():
+    """A NaN entry makes no sum check fail (every comparison with NaN is False)."""
+    with pytest.raises(ConfigError, match="must be >= 0"):
+        difficulty_counts(10, {Difficulty.EASY: math.nan, Difficulty.MEDIUM: 0.5,
+                               Difficulty.HARD: 0.5})
 
 
 def test_make_benchmark_deterministic(world):

@@ -78,7 +78,8 @@ def test_synth_custom_mix(tmp_path):
     assert all(s.difficulty is not Difficulty.HARD for s in samples)
 
 
-@pytest.mark.parametrize("mix", ["1,0", "0.5,0.4,0.2", "a,b,c", "1,-0.5,0.5"])
+@pytest.mark.parametrize("mix", ["1,0", "0.5,0.4,0.2", "a,b,c", "1,-0.5,0.5",
+                                 "nan,0.5,0.5"])
 def test_synth_bad_mix(tmp_path, capsys, mix):
     assert synth(tmp_path / "m", mix=mix) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err

@@ -489,13 +489,15 @@ def test_prompt_guard_sees_a_new_caller():
 
 # -- one JSON form on the trace and hash path ---------------------------------
 
-#: The modules that write trace lines and build what the hashes cover.
-TRACE_AND_HASH_MODULES = ("recorder", "state", "executor")
+#: The modules that write trace lines and build what the hashes cover, and
+#: the one that replays traces and compares their events.
+TRACE_AND_HASH_MODULES = ("recorder", "state", "executor", "engine")
 
 
 def test_trace_and_hash_path_encode_only_through_canonical_json():
-    """Trace lines and hashed bytes have one JSON form, ``canonical_json``;
-    no second encoder is called or built on their path."""
+    """Trace lines, hashed bytes and replay's comparison of events have one
+    JSON form, ``canonical_json``; no second encoder is called or built on
+    their path."""
     sources = {name: SOURCES[name] for name in TRACE_AND_HASH_MODULES}
     for name in ("dumps", "JSONEncoder"):
         assert referrers(name, sources) == set(), name
@@ -521,7 +523,7 @@ def test_no_json_object_text_is_built_by_hand():
     """An encoded fragment gets into a line as a ``canonical.Raw`` value
     that ``canonical_compose`` writes in; no string constant on the trace
     and hash path, docstrings included, holds object text to splice at."""
-    sources = {name: SOURCES[name] for name in ("engine", *TRACE_AND_HASH_MODULES)}
+    sources = {name: SOURCES[name] for name in TRACE_AND_HASH_MODULES}
     assert holders(holds_object_text, sources) == set()
 
 

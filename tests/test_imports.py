@@ -2,9 +2,10 @@
 stack (``http.client``, ``requests``, ``urllib3``) loads on the client side,
 not even for a live tool or LLM call, and only the stub server (built on
 ``http.server``) loads ``http.client``. And every ``geoprobe`` name the
-benchmark in ``perfbench/`` uses still exists.
+benchmark in ``perfbench/`` uses still exists, and every module-level
+import in ``src/geoprobe`` is read.
 
-Each check runs in a fresh interpreter, because the test process itself
+The load checks run in a fresh interpreter, because the test process itself
 has long since imported all of them.
 """
 
@@ -258,12 +259,14 @@ def load_read_only(path: Path, monkeypatch) -> types.ModuleType:
     return module
 
 
-@pytest.mark.parametrize("name", ["tracing", "workloads"])
+@pytest.mark.parametrize("name", ["tracing", "workloads", "stub_host"])
 def test_benchmark_finds_every_name_it_uses(name, monkeypatch):
     """The benchmark in ``perfbench/`` imports names from ``geoprobe``,
-    patches functions on its modules and classes (``tracing.PATCHES``) and
-    calls module attributes (``engine.record_episode``). A change that
-    deletes one of them fails here rather than in a benchmark run."""
+    patches functions on its modules and classes (``tracing.PATCHES``),
+    calls module attributes (``engine.record_episode``) and serves in place
+    (``stub_server._StubHTTPServer``). A change that deletes one of them
+    fails here rather than in a benchmark run."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # stub_host prepends src/
     path = ROOT / "perfbench" / f"{name}.py"
     module = load_read_only(path, monkeypatch)
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in getattr(module, "PATCHES", ())
@@ -275,3 +278,44 @@ def test_benchmark_finds_every_name_it_uses(name, monkeypatch):
                     and not hasattr(owner, node.attr)):
                 missing.append(f"{owner.__name__}.{node.attr}")
     assert missing == []
+
+
+# -- every import is read -------------------------------------------------------
+
+#: Imported but not read in its module: ``perfbench/tracing.py`` patches
+#: ``engine.compress`` (ROADMAP item 11).
+UNREAD_IMPORTS_ALLOWED = {"engine.compress"}
+
+
+def unread_imports(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of each name that a module-level import in
+    ``sources`` (module name to text) binds and its module never reads."""
+    unread = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread |= {f"{module}.{name}" for name in bound if name not in read}
+    return unread
+
+
+SOURCES = {path.stem: path.read_text(encoding="utf-8")
+           for path in sorted((SRC / "geoprobe").glob("*.py"))}
+
+
+def test_every_module_level_import_is_read():
+    assert unread_imports(SOURCES) == UNREAD_IMPORTS_ALLOWED
+
+
+def test_import_guard_sees_a_new_unread_import():
+    extra = {"bench": SOURCES["bench"]
+             + "\nimport socket\nfrom typing import Sequence as S, Mapping\n"}
+    assert unread_imports({**SOURCES, **extra}) == {
+        *UNREAD_IMPORTS_ALLOWED, "bench.socket", "bench.S"}
