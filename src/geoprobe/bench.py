@@ -38,6 +38,7 @@ from .geo import (
     GeoPoint,
     haversine_km,
     normalize_city_name,
+    resolve_city_alias,
     reverse_geocode,
 )
 from .state import EpisodeStatus, Prediction
@@ -220,8 +221,11 @@ def save_dataset(path, samples: Sequence[BenchmarkSample]) -> None:
 # -- metric suite -----------------------------------------------------------
 
 
-def _same_city(a: str, b: str, aliases: dict[str, str] | None = None) -> bool:
-    return normalize_city_name(a, aliases=aliases) == normalize_city_name(b, aliases=aliases)
+def _city_key(aliases: dict[str, str] | None) -> Callable[[str], str]:
+    """``normalize_city_name(name, aliases=aliases)`` as a function of
+    ``name``, with the alias table normalized once for every name."""
+    table = {normalize_city_name(k): normalize_city_name(v) for k, v in (aliases or {}).items()}
+    return lambda name: resolve_city_alias(normalize_city_name(name), table)
 
 
 def _pair(
@@ -272,12 +276,13 @@ def acc_city(
     in the alias table count as matches.
     """
     by_id = _pair(preds, samples)
+    key = _city_key(aliases)
     hits = 0
     for sample in samples:
         pred = by_id.get(sample.id)
         if pred is None:
             continue
-        if _same_city(pred.city_name, sample.truth_city, aliases):
+        if key(pred.city_name) == key(sample.truth_city):
             hits += 1
     return 100.0 * hits / len(samples)
 
@@ -293,6 +298,7 @@ def acc_loglat(
     A point that reverse-geocodes to nothing counts as a miss.
     """
     by_id = _pair(preds, samples)
+    key = _city_key(aliases)
     hits = 0
     for sample in samples:
         pred = by_id.get(sample.id)
@@ -301,7 +307,7 @@ def acc_loglat(
         city = reverse_geocode(g, pred.point)
         if city is None:
             continue
-        if _same_city(city.name, sample.truth_city, aliases):
+        if key(city.name) == key(sample.truth_city):
             hits += 1
     return 100.0 * hits / len(samples)
 
@@ -318,12 +324,13 @@ def location_compliance(
     """
     if not preds:
         raise EmptyPredictionsError("no predictions to check for compliance")
+    key = _city_key(aliases)
     hits = 0
     for pred in preds:
         city = reverse_geocode(g, pred.point)
         if city is None:
             continue
-        if _same_city(city.name, pred.city_name, aliases):
+        if key(city.name) == key(pred.city_name):
             hits += 1
     return 100.0 * hits / len(preds)
 
@@ -366,35 +373,32 @@ class MetricBlock:
 
 
 class _Row(NamedTuple):
-    """One predicted sample, scored once: its prediction, the prediction's
-    distance to the truth and the city its point reverse-geocodes to."""
+    """One predicted sample, scored once: the prediction's distance to the
+    truth, whether it names a city, and three city names, each normalized
+    (``_city_key``): the predicted name, the truth's, and that of the city
+    the predicted point reverse-geocodes to (None for no city)."""
 
-    sample: BenchmarkSample
-    pred: Prediction
     km: float
-    city: AdminRegion | None
+    named: bool
+    pred_city: str
+    truth_city: str
+    geocoded_city: str | None
 
 
-def _block(rows: Sequence[_Row], n: int, thresholds: Sequence[int],
-           aliases: dict[str, str] | None) -> MetricBlock:
+def _block(rows: Sequence[_Row], n: int, thresholds: Sequence[int]) -> MetricBlock:
     """The metric set over ``n`` samples whose predicted ones are ``rows``,
     by the formulas of the four public metric functions."""
-
-    def geocoded_to(r: _Row, name: str) -> bool:
-        return r.city is not None and _same_city(r.city.name, name, aliases)
-
-    if rows and all(r.pred.city_name == "" for r in rows):
+    if rows and not any(r.named for r in rows):
         compliance = None  # method emits no city names; rendered as "/"
     elif rows:
-        compliance = 100.0 * sum(geocoded_to(r, r.pred.city_name) for r in rows) / len(rows)
+        compliance = 100.0 * sum(r.geocoded_city == r.pred_city for r in rows) / len(rows)
     else:
         compliance = 0.0
     return MetricBlock(
         n=n,
         threshold_acc={tau: 100.0 * sum(r.km <= tau for r in rows) / n for tau in thresholds},
-        acc_city=100.0 * sum(_same_city(r.pred.city_name, r.sample.truth_city, aliases)
-                             for r in rows) / n,
-        acc_loglat=100.0 * sum(geocoded_to(r, r.sample.truth_city) for r in rows) / n,
+        acc_city=100.0 * sum(r.pred_city == r.truth_city for r in rows) / n,
+        acc_loglat=100.0 * sum(r.geocoded_city == r.truth_city for r in rows) / n,
         location_compliance=compliance,
     )
 
@@ -444,11 +448,13 @@ def compute_report(
 
     Predictions are paired with samples once. Each predicted sample is then
     scored once, in dataset order: its prediction's distance to the truth
-    is measured, and its point reverse-geocoded (once per distinct point).
+    is measured, its point reverse-geocoded (once per distinct point), and
+    its three city names normalized, the alias table once per report.
     The overall block and each stratum (scene category, then difficulty,
     names sorted) are built from those rows.
     """
     by_id = _pair(preds, samples)
+    key = _city_key(aliases)
     geocoded: dict[GeoPoint, AdminRegion | None] = {}
     rows: dict[str, _Row] = {}
     for sample in samples:
@@ -457,8 +463,11 @@ def compute_report(
             continue
         if pred.point not in geocoded:
             geocoded[pred.point] = reverse_geocode(g, pred.point)
-        rows[sample.id] = _Row(sample, pred, haversine_km(pred.point, sample.truth_point),
-                               geocoded[pred.point])
+        city = geocoded[pred.point]
+        rows[sample.id] = _Row(
+            haversine_km(pred.point, sample.truth_point), pred.city_name != "",
+            key(pred.city_name), key(sample.truth_city),
+            None if city is None else key(city.name))
     thresholds = sorted(set(thresholds))
     strata: dict[str, dict[str, MetricBlock]] = {}
     for axis, key in (("scene_category", lambda s: s.scene_category.value),
@@ -468,11 +477,11 @@ def compute_report(
             members.setdefault(key(sample), []).append(sample)
         strata[axis] = {
             name: _block([rows[s.id] for s in members[name] if s.id in rows],
-                         len(members[name]), thresholds, aliases)
+                         len(members[name]), thresholds)
             for name in sorted(members)}
     return MetricsReport(
         label=label,
-        overall=_block(list(rows.values()), len(samples), thresholds, aliases),
+        overall=_block(list(rows.values()), len(samples), thresholds),
         strata=strata,
     )
 

@@ -15,6 +15,7 @@ to record exactly the trace's events. The events are not hash-chained
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .actions import Action, Decision, Tool, parse_decision
 from .canonical import canonical_compose, canonical_json, json_get
@@ -86,8 +87,9 @@ def derive_poi_hint(state: EpisodeState, g: Gazetteer) -> PoiHint | None:
 
 #: One event as ``TraceRecorder.record`` takes it: the kind, the state whose
 #: hash the event carries, the payload and, where the payload is composed
-#: from parts already encoded, its canonical JSON (else ``None``).
-_Event = tuple[EventKind, EpisodeState, dict, str | None]
+#: from parts already encoded, the function that composes its canonical JSON
+#: (else ``None``).
+_Event = tuple[EventKind, EpisodeState, dict, Callable[[], str] | None]
 
 
 def _project(
@@ -95,18 +97,19 @@ def _project(
 ) -> tuple[EpisodeState, list[_Event]]:
     """Apply one step's evidence: the new state, its Projection event and,
     when evidence had to be discarded, a Backtrack event. The Projection's
-    JSON reuses each evidence's and the space's cached encoding, which the
-    new state's hash reads too."""
+    JSON, composed only for a recorder that writes it, reuses each
+    evidence's and the space's cached encoding, which the new state's hash
+    reads too."""
     report = apply_evidence_report(state, evidence, g)
     new = report.state
     inactive_ids = sorted(new.inactive_ids)
-    payload_json = canonical_compose({"evidence": [e.canonical for e in evidence],
-                                      "space": new.space.canonical, "inactive_ids": inactive_ids})
     events: list[_Event] = [(EventKind.PROJECTION, new, {
         "evidence": [e.to_json() for e in evidence],
         "space": new.space.to_json(),
         "inactive_ids": inactive_ids,
-    }, payload_json)]
+    }, lambda: canonical_compose({"evidence": [e.canonical for e in evidence],
+                                  "space": new.space.canonical,
+                                  "inactive_ids": inactive_ids}))]
     if report.backtracks:
         events.append((EventKind.BACKTRACK, new,
                        {"discards": [b.to_json() for b in report.backtracks]}, None))
@@ -191,7 +194,7 @@ def run_episode(
                                 max_workers=settings.max_parallel)
         recorder.record(EventKind.EXECUTION, state,
                         {"results": [r.to_json() for r in results]},
-                        canonical_compose({"results": [r.canonical for r in results]}))
+                        lambda: canonical_compose({"results": [r.canonical for r in results]}))
 
         evidence = []
         for result in results:

@@ -12,7 +12,7 @@ import bisect
 import enum
 import json
 import math
-from collections.abc import ItemsView, Sequence
+from collections.abc import ItemsView, Mapping, Sequence
 from dataclasses import dataclass
 
 from .canonical import canonical_hash, decode_text, json_get, parse_json
@@ -186,14 +186,20 @@ def normalize_city_name(
                 name = name[: -len(sfx)].strip()
                 stripped = True
     if aliases:
-        table = {
+        name = resolve_city_alias(name, {
             normalize_city_name(k, suffixes): normalize_city_name(v, suffixes)
             for k, v in aliases.items()
-        }
-        seen = set()
-        while name in table and name not in seen:
-            seen.add(name)
-            name = table[name]
+        })
+    return name
+
+
+def resolve_city_alias(name: str, table: Mapping[str, str]) -> str:
+    """Chase a normalized ``name`` through ``table`` (an alias table with
+    normalized keys and values) to a fixed point, or to the first repeat."""
+    seen = set()
+    while name in table and name not in seen:
+        seen.add(name)
+        name = table[name]
     return name
 
 

@@ -37,7 +37,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .canonical import Raw, canonical_compose, canonical_json, decode_text, json_get, parse_json
 from .errors import BudgetTooSmallError, SeqGapError, TraceFormatError
@@ -169,12 +169,13 @@ class TraceRecorder:
         return self._path
 
     def record(self, kind: EventKind, state: EpisodeState, payload: dict,
-               payload_json: str | None = None) -> TrajectoryEvent:
+               compose_payload: Callable[[], str] | None = None) -> TrajectoryEvent:
         """Append one event; the state hash is taken after the event's effect.
 
-        ``payload_json``, when given, must be ``canonical_json(payload)``: a
-        caller that holds the payload's parts already encoded passes it, so
-        the line does not encode them again.
+        ``compose_payload``, when given, must return ``canonical_json(payload)``:
+        a caller that holds the payload's parts already encoded passes it, so
+        the line does not encode them again. It is called only when the
+        recorder writes the line, so a recorder without a path composes none.
         """
         event = TrajectoryEvent(
             seq=len(self.events),
@@ -186,7 +187,8 @@ class TraceRecorder:
         )
         self.events.append(event)
         if self._fh is not None:
-            self._write_line(event.canonical(payload_json))
+            self._write_line(event.canonical(
+                None if compose_payload is None else compose_payload()))
         return event
 
     def trace(self) -> Trace:

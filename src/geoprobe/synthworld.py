@@ -24,7 +24,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -33,10 +33,12 @@ from .canonical import json_get, json_strs, parse_json
 from .errors import ConfigError
 from .executor import LocalCropAdapter, ToolAdapter, ToolResult
 from .geo import (
+    EARTH_RADIUS_KM,
     AdminRegion,
     Gazetteer,
     GeoPoint,
     RegionLevel,
+    _normalize_lon,
     haversine_km,
     lat_band,
 )
@@ -219,6 +221,10 @@ class SynthWorld:
     def find_poi(self, name: str) -> tuple[str, Poi] | None:
         return self._poi_city.get(name.casefold())
 
+    @cached_property
+    def _draw_orders(self) -> "_DrawOrders":
+        return _DrawOrders(self)
+
     def to_json(self) -> dict:
         return {
             "format": "synthworld/1",
@@ -254,6 +260,43 @@ def _build_tag_table(attributes: dict[str, tuple[str, ...]]) -> dict[str, frozen
     return {tag: frozenset(rids) for tag, rids in table.items()}
 
 
+class _DrawOrders:
+    """The sequences ``sample_episode`` draws from, built once per world.
+
+    Each is the list the draw used to sort or scan out of the world for every
+    sample, so the RNG sees the same sequences and makes the same choices.
+    """
+
+    def __init__(self, world: SynthWorld):
+        provinces = world.province_ids()
+        self.city_ids = sorted(world.city_ids())
+        self.province_ids = sorted(provinces)
+        self.cities_of = {p: sorted(world.cities_of(p)) for p in provinces}
+        #: Macro tags carried by two or more provinces, sorted.
+        self.shared = _shared_macro_tags(world)
+        #: Each shared tag's carrier provinces.
+        self.carriers = {
+            tag: frozenset(p for p in provinces if tag in world.tags_of(p)[:2])
+            for tag in self.shared
+        }
+        #: Each shared tag's extras: the other shared tags that two or more
+        #: of its carriers also carry.
+        self.extras = {
+            tag: [t for t in self.shared
+                  if t != tag and len(self.carriers[tag] & self.carriers[t]) >= 2]
+            for tag in self.shared
+        }
+        self._compatible: dict[frozenset[str], list[str]] = {}
+
+    def compatible(self, provinces: frozenset[str]) -> list[str]:
+        """The cities of ``provinces``, sorted; computed once per set."""
+        cities = self._compatible.get(provinces)
+        if cities is None:
+            cities = sorted(c for p in provinces for c in self.cities_of[p])
+            self._compatible[provinces] = cities
+        return cities
+
+
 def save_world(world: SynthWorld, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(world.to_json(), f, ensure_ascii=False, indent=2, sort_keys=True)
@@ -279,40 +322,109 @@ def _gen_name(rng: random.Random, taken: set[str]) -> str:
             return word.capitalize()
 
 
-def _offset_point(rng: random.Random, center: GeoPoint, max_km: float) -> GeoPoint:
+def _offset(rng: random.Random, center: GeoPoint, max_km: float) -> tuple[float, float]:
+    """A random offset of up to ``max_km`` from ``center``, as the
+    latitude (clamped to +-89) and the longitude (not yet wrapped) of the
+    ``GeoPoint`` it makes."""
     angle = rng.uniform(0.0, 2.0 * math.pi)
     dist = rng.uniform(0.0, max_km)
     dlat = dist * math.cos(angle) / 111.19492664455889
     dlon = dist * math.sin(angle) / (111.19492664455889 * max(0.2, math.cos(math.radians(center.lat))))
-    return GeoPoint(max(-89.0, min(89.0, center.lat + dlat)), center.lon + dlon)
+    return max(-89.0, min(89.0, center.lat + dlat)), center.lon + dlon
 
 
-def _clear_of(p: GeoPoint, placed: list[GeoPoint], min_sep_km: float) -> bool:
-    """Whether ``p`` is at least ``min_sep_km`` from every point of
-    ``placed`` (ascending by latitude); only its ``lat_band`` is checked."""
-    lo, hi = lat_band(placed, p.lat, min_sep_km, key=attrgetter("lat"))
-    return all(haversine_km(p, o) >= min_sep_km for o in placed[lo:hi])
+def _offset_point(rng: random.Random, center: GeoPoint, max_km: float) -> GeoPoint:
+    return GeoPoint(*_offset(rng, center, max_km))
+
+
+#: Relative half-width of the band around the separation threshold inside
+#: which ``haversine_km`` decides.
+_GUARD = 1e-6
+#: Absolute widening of that band, so that a tiny or subnormal threshold
+#: or haversine term is always decided by ``haversine_km``.
+_GUARD_ABS = 1e-300
+#: Separations from a quarter circumference up are measured with
+#: ``haversine_km`` for every pair.
+_QUARTER_KM = math.pi * EARTH_RADIUS_KM / 2.0
+
+
+class _Centres:
+    """Centres placed so far, ascending by latitude, each kept as the row
+    the separation test reads: its latitude and longitude in radians, the
+    cosine of its latitude, and the point itself."""
+
+    def __init__(self, min_sep_km: float):
+        self.min_sep_km = min_sep_km
+        self.lats: list[float] = []
+        self.rows: list[tuple[float, float, float, GeoPoint]] = []
+        if min_sep_km < _QUARTER_KM:
+            t = math.sin(min_sep_km / (2.0 * EARTH_RADIUS_KM)) ** 2
+            self._near = t * (1.0 - _GUARD) - _GUARD_ABS
+            self._far = t * (1.0 + _GUARD) + _GUARD_ABS
+        else:
+            self._near, self._far = -math.inf, math.inf
+
+    def add(self, p: GeoPoint) -> None:
+        i = bisect.bisect_right(self.lats, p.lat)
+        lat = math.radians(p.lat)
+        self.lats.insert(i, p.lat)
+        self.rows.insert(i, (lat, math.radians(p.lon), math.cos(lat), p))
+
+    def clear_of(self, lat: float, raw_lon: float) -> bool:
+        """Whether ``GeoPoint(lat, raw_lon)`` is at least ``min_sep_km``
+        from every centre, by ``haversine_km``'s measure.
+
+        Only centres in the candidate's ``lat_band`` are measured. For each
+        pair the haversine term ``h`` is computed with the float operations
+        ``haversine_km`` uses, in the same order, so it is the very float
+        ``haversine_km`` would compute. Below a quarter circumference the
+        distance, ``2R asin(sqrt(h))``, grows with ``h`` and is at least
+        ``min_sep_km`` exactly when ``h >= sin^2(min_sep_km / 2R)``
+        (``h > 0.5`` lies beyond a quarter circumference, so above the
+        threshold). Rounding in ``sqrt``, ``asin`` and the threshold moves
+        that comparison by a few ulps, far less than the guard band of
+        ``_GUARD`` relative (plus ``_GUARD_ABS``) around the threshold. So
+        outside the band comparing ``h`` gives ``haversine_km``'s verdict,
+        and inside it ``haversine_km`` itself decides: verdicts, and so
+        worlds, are bit-identical to measuring every pair.
+        """
+        lo, hi = lat_band(self.lats, lat, self.min_sep_km)
+        if lo == hi:
+            return True
+        lat1 = math.radians(lat)
+        lon1 = math.radians(_normalize_lon(raw_lon))
+        cos1 = math.cos(lat1)
+        sin, near, far = math.sin, self._near, self._far
+        for lat2, lon2, cos2, o in self.rows[lo:hi]:
+            h = sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2
+            if h > far:
+                continue
+            if h < near or haversine_km(GeoPoint(lat, raw_lon), o) < self.min_sep_km:
+                return False
+        return True
 
 
 def _place(
     rng: random.Random,
     center: GeoPoint,
     spread_km: float,
-    placed: list[GeoPoint],
-    min_sep_km: float,
+    placed: _Centres,
     attempts: int = 4000,
 ) -> GeoPoint:
-    """Draw offsets from ``center`` until one is ``min_sep_km`` clear of
-    every point in ``placed``, which the caller keeps ascending by latitude
-    (``bisect.insort``) as it places centres.
+    """Draw offsets from ``center`` until one is ``placed.min_sep_km``
+    clear of every centre in ``placed``, and add it there.
 
-    Only points within ``min_sep_km`` + 1 km of the candidate's latitude are
-    measured, with the full scan's verdict: great-circle distance is at
-    least ``R * |dlat|``, so a point outside that band cannot reject it.
+    Each draw is ``_offset_point``'s; only the accepted one becomes a
+    ``GeoPoint``. Only centres within the separation + 1 km of the
+    candidate's latitude are measured, with the full scan's verdict:
+    great-circle distance is at least ``R * |dlat|``, so a centre outside
+    that band cannot reject it.
     """
     for _ in range(attempts):
-        p = _offset_point(rng, center, spread_km)
-        if _clear_of(p, placed, min_sep_km):
+        lat, lon = _offset(rng, center, spread_km)
+        if placed.clear_of(lat, lon):
+            p = GeoPoint(lat, lon)
+            placed.add(p)
             return p
     raise ValueError("could not place a region; too many for the configured geometry")
 
@@ -332,13 +444,11 @@ def generate_world(seed: int, n_provinces: int, cities_per_province: int) -> Syn
     ]
 
     province_centers: list[GeoPoint] = []
-    placed: list[GeoPoint] = []
+    placed = _Centres(PROVINCE_SEPARATION_KM)
     province_ids: list[str] = []
     for i in range(n_provinces):
-        center = _place(rng, country_center, PROVINCE_SPREAD_KM, placed,
-                        PROVINCE_SEPARATION_KM)
+        center = _place(rng, country_center, PROVINCE_SPREAD_KM, placed)
         province_centers.append(center)
-        bisect.insort(placed, center)
         pid = f"{country_id}-p{i}"
         province_ids.append(pid)
         regions.append(
@@ -348,11 +458,9 @@ def generate_world(seed: int, n_provinces: int, cities_per_province: int) -> Syn
 
     city_ids: list[str] = []
     for i, pid in enumerate(province_ids):
-        placed = []
+        placed = _Centres(CITY_SEPARATION_KM)
         for j in range(cities_per_province):
-            center = _place(rng, province_centers[i], CITY_SPREAD_KM, placed,
-                            CITY_SEPARATION_KM)
-            bisect.insort(placed, center)
+            center = _place(rng, province_centers[i], CITY_SPREAD_KM, placed)
             cid = f"{pid}-c{j}"
             city_ids.append(cid)
             regions.append(
@@ -429,9 +537,10 @@ def sample_episode(world: SynthWorld, seed: int, difficulty: Difficulty) -> Scen
     """
     rng = random.Random(f"episode|{world.seed}|{seed}|{difficulty.value}")
     g = world.gazetteer
+    orders = world._draw_orders
 
     if difficulty is Difficulty.EASY:
-        cid = rng.choice(sorted(world.city_ids()))
+        cid = rng.choice(orders.city_ids)
         pid = world.province_of(cid)
         macro = rng.choice(world.tags_of(pid)[:2])
         if rng.random() < 0.5:
@@ -446,8 +555,8 @@ def sample_episode(world: SynthWorld, seed: int, difficulty: Difficulty) -> Scen
         return SceneDescriptor(clues, Truth(point, cid), difficulty)
 
     if difficulty is Difficulty.MEDIUM:
-        pid = rng.choice(sorted(world.province_ids()))
-        cid = rng.choice(sorted(world.cities_of(pid)))
+        pid = rng.choice(orders.province_ids)
+        cid = rng.choice(orders.cities_of[pid])
         arch = world.tags_of(pid)[2]
         macro = rng.choice(world.tags_of(pid)[:2])
         vehicle = next(t for t in world.tags_of(cid) if tag_kind(t) is ClueKind.VEHICLE)
@@ -459,26 +568,20 @@ def sample_episode(world: SynthWorld, seed: int, difficulty: Difficulty) -> Scen
         point = _offset_point(rng, g.get(cid).centroid, 0.7 * CITY_RADIUS_KM)
         return SceneDescriptor(clues, Truth(point, cid), difficulty)
 
-    shared = _shared_macro_tags(world)
-    if shared:
-        tag = rng.choice(shared)
-        carriers = {p for p in world.province_ids() if tag in world.tags_of(p)[:2]}
-        extra = [
-            t for t in shared
-            if t != tag
-            and len(carriers & {p for p in world.province_ids() if t in world.tags_of(p)[:2]}) >= 2
-        ]
+    if orders.shared:
+        tag = rng.choice(orders.shared)
+        carriers = orders.carriers[tag]
+        extra = orders.extras[tag]
         clue_tags = [tag]
         if extra and rng.random() < 0.5:
             second = rng.choice(extra)
             clue_tags.append(second)
-            carriers &= {p for p in world.province_ids() if second in world.tags_of(p)[:2]}
+            carriers &= orders.carriers[second]
     else:
         # Single-province world: no cross-province ambiguity is possible.
         clue_tags = [rng.choice(world.tags_of(world.province_ids()[0])[:2])]
-        carriers = set(world.province_ids())
-    compatible = sorted(c for p in carriers for c in world.cities_of(p))
-    cid = rng.choice(compatible)
+        carriers = frozenset(world.province_ids())
+    cid = rng.choice(orders.compatible(carriers))
     point = _offset_point(rng, g.get(cid).centroid, 0.7 * CITY_RADIUS_KM)
     clues = tuple(Clue(tag_kind(t), t, 0.5) for t in clue_tags)
     return SceneDescriptor(clues, Truth(point, cid), difficulty)

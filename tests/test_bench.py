@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import small_gazetteer
-from geoprobe import bench, geo, synthworld
+from geoprobe import bench, engine, executor, geo, synthworld
 from geoprobe.bench import (
     DATASET_SUFFIX,
     DEFAULT_MIX,
@@ -778,6 +778,66 @@ def test_report_measures_each_prediction_distance_once(monkeypatch, world, bench
     assert len(measured) == len(preds) < len(bench_samples)
     assert report.overall.threshold_acc == per_threshold
     assert len(set(per_threshold.values())) > 1
+
+
+def test_report_normalizes_each_row_name_once(monkeypatch):
+    """Scoring normalizes each predicted row's three city names (predicted,
+    truth, geocoded) once per report, however many blocks read them, and
+    the alias table once per report."""
+    big = generate_world(11, 20, 40)
+    samples = make_benchmark(big, 240, seed=3)
+    preds = [Prediction(s.truth_point, s.truth_city if i % 3 else s.truth_province,
+                        sample_id=s.id) for i, s in enumerate(samples)]
+    aliases = {samples[0].truth_province: samples[0].truth_city, "Peking": "Beijing"}
+    expected = [compute_report(preds, samples, big.gazetteer, aliases=table).to_json()
+                for table in (None, aliases)]
+    names = []
+    normalize = bench.normalize_city_name
+
+    def counting(raw, *args, **kwargs):
+        names.append(raw)
+        return normalize(raw, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "normalize_city_name", counting)
+    report = compute_report(preds, samples, big.gazetteer)
+    assert report.to_json() == expected[0]
+    assert len(names) == 3 * len(preds) == 720  # 18 per row when each block normalized
+    names.clear()
+    report = compute_report(preds, samples, big.gazetteer, aliases=aliases)
+    assert report.to_json() == expected[1] != expected[0]
+    assert len(names) == 3 * len(preds) + 2 * len(aliases)
+
+
+def test_untraced_run_and_replay_compose_no_trace_line(monkeypatch, tmp_path):
+    """Execution and Projection lines, and the tool results' lines in them,
+    are composed only for a recorder that writes them: a run without a
+    trace dir and a replay compose none, and reach the same outcomes and
+    state hashes as a traced run."""
+    small = generate_world(11, 3, 5)
+    samples = make_benchmark(small, 10, seed=3)
+    composed = {"engine": 0, "executor": 0}
+
+    def counting(name, compose):
+        def spy(obj):
+            composed[name] += 1
+            return compose(obj)
+        return spy
+
+    for name, module in (("engine", engine), ("executor", executor)):
+        monkeypatch.setattr(module, "canonical_compose",
+                            counting(name, module.canonical_compose))
+    untraced = run_benchmark(samples, scripted_salience_policy(), small)
+    assert composed == {"engine": 0, "executor": 0}
+    traced = run_benchmark(samples, scripted_salience_policy(), small, trace_dir=tmp_path)
+    assert composed["engine"] > 0 and composed["executor"] > 0
+    assert untraced.report == traced.report
+    assert [p.point for p in untraced.predictions] == [p.point for p in traced.predictions]
+    composed.update(engine=0, executor=0)
+    for entry in traced.entries:
+        trace = load_trace(entry.trace_path)
+        assert replay(trace, small.gazetteer, small.tag_table()).events_verified \
+            == len(trace.events)
+    assert composed == {"engine": 0, "executor": 0}
 
 
 def test_run_benchmark_writes_replayable_traces(tmp_path, world, bench_samples):

@@ -1,6 +1,7 @@
 """Synthetic world generation: invariants, difficulty contracts, adapters."""
 
 import json
+import math
 import re
 
 import pytest
@@ -149,6 +150,13 @@ WORLD_PINS = {
     (11, 10, 20): "83325f01b111e44762bf9bb2f52b42b56a89687aa56771e202cf359d4120bc2f",
     (11, 20, 40): "f55dde88d1c9d84de9e53bf39bc5808b739ed6383382fc9675581f4a60628451",
     (7, 6, 12): "63fb65990878c38641c55660414ed15ed7805e572ed6cbe7c27d00dd04f101bf",
+    # One province: the branch of ``sample_episode`` with no shared tags.
+    (11, 1, 4): "e487b7adc85b1f9319587c7407f87fec1170c7d7a848d026537c594d2892f31e",
+    # Two provinces: the pinned shared vegetation tag.
+    (5, 2, 6): "d2a1d46d9ae2f20c3d6583d900537869886aaae4a55875c782ab1b652da8b0a5",
+    # Crowded provinces: 6,543 draws for 84 centres, most of them rejected.
+    (11, 28, 2): "67e15975fe72d16eabd44b73e73b63732d7fc6af50c381609025788796a89d2d",
+    (3, 7, 9): "72c40df2aff4578b06d322ce1904d1994d5d4f8b360d49530ae453f4edfcef7e",
 }
 
 #: SHA-256 of the canonical JSON list of ``make_benchmark(world, n, seed=3)``
@@ -156,6 +164,21 @@ WORLD_PINS = {
 DATASET_PINS = {
     ((11, 20, 40), 240): "c6731d74b7e96325e22e867044180f11de866ca2756e7b3d9d50a483b50fce42",
     ((11, 10, 20), 200): "fd9920aca8c8dde2dd7eb3088c8fffedf23a3867b5cf1ba4aba5074170ef3104",
+    ((11, 1, 4), 60): "83acf2f6e01383e77e587b86e57441192e48d13f776d2de83715e3b500ff775d",
+    ((5, 2, 6), 60): "3068d3d74ed2baa1efd33cdec791d03fa2265c317cc63dd5d3c77edf1197557a",
+    ((11, 28, 2), 120): "874ce427780536613e09d76514bb15ed53672bb95436e1ec0466eed0cfcf3bc7",
+    ((3, 7, 9), 90): "4d44c97355f7cd0fc3cccc4e170c8aba19cd5da1ff9e2b1329102bf85b0ef944",
+}
+
+#: As ``DATASET_PINS``, for datasets of one difficulty, keyed by (world args,
+#: n, difficulty value).
+SINGLE_DIFFICULTY_PINS = {
+    ((11, 3, 5), 40, "Easy"): "a5a4fa6e8ba2f992e319c1b7eeeb91fc63447218a6cc963f9ff8c3fd31149461",
+    ((11, 20, 40), 60, "Medium"): "9885dced594c069a19dacbf31bbfe4c31af20d6760c9f3052db37a8c71496086",
+    ((11, 10, 20), 80, "Hard"): "e38ecf53182475feeb6b6a9879deb26101f8db3a9941d37e4d3d6744cfd29d62",
+    ((11, 1, 4), 30, "Hard"): "f7b693fc09c92026046f7db8981e083bd8ada271f7d37349e43fc29eaeb8109a",
+    ((5, 2, 6), 30, "Hard"): "f4d0ce68858eee5c3ae5de86191f2f0364f2474886e3c73a72280d999946a8f7",
+    ((11, 28, 2), 60, "Hard"): "9228115e9152c0e72d0d6aacd2dc15916e9f3544e3c7f1945aa20e82e13e4529",
 }
 
 
@@ -165,11 +188,18 @@ _wrap_lons = st.one_of(st.floats(179.0, 180.0), st.floats(-180.0, -179.0),
                        st.floats(-180.0, 179.999999))
 
 
+def _ulps(x, n):
+    """``x`` moved ``n`` floats up (or down, for negative ``n``)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
 @st.composite
 def _placements(draw):
     """A candidate, points placed around it (some across the antimeridian
     and at the +-89 degree clamp of ``_offset_point``), and a separation,
-    half the time within 1e-6 km of one pair's distance."""
+    two times in three within 1e-6 km or two ulps of one pair's distance."""
     p = GeoPoint(draw(_clamp_lats), draw(_wrap_lons))
     others = [
         GeoPoint(max(-89.0, min(89.0, p.lat + draw(st.floats(-8.0, 8.0)))),
@@ -177,38 +207,81 @@ def _placements(draw):
         for _ in range(draw(st.integers(0, 12)))
     ]
     sep = draw(st.floats(0.0, 900.0))
-    if others and draw(st.booleans()):
-        sep = max(0.0, haversine_km(p, draw(st.sampled_from(others)))
-                  + draw(st.floats(-1e-6, 1e-6)))
+    near = draw(st.sampled_from(("free", "km", "ulps"))) if others else "free"
+    if near != "free":
+        exact = haversine_km(p, draw(st.sampled_from(others)))
+        if near == "km":
+            sep = max(0.0, exact + draw(st.floats(-1e-6, 1e-6)))
+        else:
+            sep = max(0.0, _ulps(exact, draw(st.integers(-2, 2))))
     return p, others, sep
 
 
+def _clear_of(p, others, sep):
+    centres = synthworld._Centres(sep)
+    for o in others:
+        centres.add(o)
+    return centres.clear_of(p.lat, p.lon)
+
+
+#: A pair whose haversine term, at its exact distance, rounds below
+#: ``sin^2(d / 2R)``: comparing the two without a guard band rejects it.
+_NEAR_PAIR = (GeoPoint(-48.7, -160.4), GeoPoint(-46.7, -160.8))
+_FAR_PAIR = (GeoPoint(0.0, 0.0), GeoPoint(0.0, 120.0))  # 13,343 km apart
+
+
 class TestPlacementBand:
-    """``_place`` measures only a latitude band, with the full scan's result."""
+    """``_place`` measures only a latitude band, and compares haversine
+    terms with a threshold, with the full ``haversine_km`` scan's result."""
 
     @given(_placements())
     @example((GeoPoint(89.0, 179.9), [GeoPoint(89.0, -179.9)], 5.0))
     @example((GeoPoint(-89.0, -180.0), [GeoPoint(-88.5, 0.0)], 111.0))
     @example((GeoPoint(-3.0, 179.5), [GeoPoint(4.0, 179.5)],
               haversine_km(GeoPoint(-3.0, 179.5), GeoPoint(4.0, 179.5)) + 1e-7))
+    @example((GeoPoint(10.0, 20.0), [GeoPoint(10.0, 20.0), GeoPoint(10.5, 20.0)], 0.0))
+    @example((_NEAR_PAIR[0], [_NEAR_PAIR[1]], _ulps(haversine_km(*_NEAR_PAIR), 1)))
+    @example((_NEAR_PAIR[0], [_NEAR_PAIR[1]], haversine_km(*_NEAR_PAIR)))
+    @example((_NEAR_PAIR[0], [_NEAR_PAIR[1]], _ulps(haversine_km(*_NEAR_PAIR), -1)))
+    @example((_FAR_PAIR[0], [_FAR_PAIR[1]], 900.0))
+    @example((_FAR_PAIR[0], [_FAR_PAIR[1]], haversine_km(*_FAR_PAIR)))
+    @example((_FAR_PAIR[0], [_FAR_PAIR[1]], _ulps(haversine_km(*_FAR_PAIR), 1)))
     def test_band_acceptance_equals_full_scan(self, case):
         p, others, sep = case
         full = all(haversine_km(p, o) >= sep for o in others)
-        assert synthworld._clear_of(p, sorted(others), sep) == full
+        assert _clear_of(p, others, sep) == full
 
     def test_world_generation_measures_a_fraction_of_the_pairs(self, monkeypatch):
-        calls = 0
+        pairs = fallbacks = 0
         exact = synthworld.haversine_km
+        init = synthworld._Centres.__init__
+
+        def counted(rows):
+            nonlocal pairs
+            for row in rows:
+                pairs += 1
+                yield row
+
+        class CountingRows(list):
+            def __getitem__(self, index):
+                rows = super().__getitem__(index)
+                return counted(rows) if isinstance(index, slice) else rows
+
+        def counting_init(self, min_sep_km):
+            init(self, min_sep_km)
+            self.rows = CountingRows()
 
         def counting(a, b):
-            nonlocal calls
-            calls += 1
+            nonlocal fallbacks
+            fallbacks += 1
             return exact(a, b)
 
+        monkeypatch.setattr(synthworld._Centres, "__init__", counting_init)
         monkeypatch.setattr(synthworld, "haversine_km", counting)
         world = generate_world(11, 20, 40)
         assert sha256_hex(canonical_json(world.to_json())) == WORLD_PINS[(11, 20, 40)]
-        assert calls < 40_000  # the full scan makes 93,373
+        assert pairs < 30_000  # the full scan measures 93,373
+        assert fallbacks == 0
 
     def test_make_benchmark_never_lists_regions(self, monkeypatch):
         world = generate_world(11, 10, 20)
@@ -224,6 +297,22 @@ class TestPlacementBand:
         make_benchmark(world, 60, seed=3)
         assert calls == 0
 
+    def test_datasets_read_orders_built_once_per_world(self, monkeypatch):
+        """A world's sorted ids and tag carriers are built on its first
+        draw; later datasets from it list no ids again."""
+        world = generate_world(11, 10, 20)
+        calls = []
+        for name in ("city_ids", "province_ids", "cities_of"):
+            def spy(self, *args, _name=name, _method=getattr(SynthWorld, name)):
+                calls.append(_name)
+                return _method(self, *args)
+            monkeypatch.setattr(SynthWorld, name, spy)
+        make_benchmark(world, 60, seed=3)
+        assert set(calls) == {"city_ids", "province_ids", "cities_of"}
+        calls.clear()
+        make_benchmark(world, 60, seed=4)
+        assert calls == []
+
 
 class TestGeneratorPins:
     """Generated worlds and datasets are byte-identical across processes."""
@@ -238,6 +327,13 @@ class TestGeneratorPins:
         samples = make_benchmark(generate_world(*args), n, seed=3)
         digest = sha256_hex(canonical_json([s.to_json() for s in samples]))
         assert digest == DATASET_PINS[(args, n)]
+
+    @pytest.mark.parametrize("args,n,difficulty", sorted(SINGLE_DIFFICULTY_PINS))
+    def test_single_difficulty_dataset_digest(self, args, n, difficulty):
+        samples = make_benchmark(generate_world(*args), n, seed=3,
+                                 mix={Difficulty(difficulty): 1.0})
+        digest = sha256_hex(canonical_json([s.to_json() for s in samples]))
+        assert digest == SINGLE_DIFFICULTY_PINS[(args, n, difficulty)]
 
 
 # ---------------------------------------------------------------------------
