@@ -150,6 +150,11 @@ WORLD_PINS = {
     (11, 10, 20): "83325f01b111e44762bf9bb2f52b42b56a89687aa56771e202cf359d4120bc2f",
     (11, 20, 40): "f55dde88d1c9d84de9e53bf39bc5808b739ed6383382fc9675581f4a60628451",
     (7, 6, 12): "63fb65990878c38641c55660414ed15ed7805e572ed6cbe7c27d00dd04f101bf",
+}
+
+#: As ``WORLD_PINS``, for worlds at the edges of the generator: one or two
+#: provinces, and provinces crowded with rejected draws.
+EDGE_WORLD_PINS = {
     # One province: the branch of ``sample_episode`` with no shared tags.
     (11, 1, 4): "e487b7adc85b1f9319587c7407f87fec1170c7d7a848d026537c594d2892f31e",
     # Two provinces: the pinned shared vegetation tag.
@@ -164,6 +169,10 @@ WORLD_PINS = {
 DATASET_PINS = {
     ((11, 20, 40), 240): "c6731d74b7e96325e22e867044180f11de866ca2756e7b3d9d50a483b50fce42",
     ((11, 10, 20), 200): "fd9920aca8c8dde2dd7eb3088c8fffedf23a3867b5cf1ba4aba5074170ef3104",
+}
+
+#: As ``DATASET_PINS``, for datasets drawn from the ``EDGE_WORLD_PINS`` worlds.
+EDGE_DATASET_PINS = {
     ((11, 1, 4), 60): "83acf2f6e01383e77e587b86e57441192e48d13f776d2de83715e3b500ff775d",
     ((5, 2, 6), 60): "3068d3d74ed2baa1efd33cdec791d03fa2265c317cc63dd5d3c77edf1197557a",
     ((11, 28, 2), 120): "874ce427780536613e09d76514bb15ed53672bb95436e1ec0466eed0cfcf3bc7",
@@ -322,11 +331,22 @@ class TestGeneratorPins:
         world = generate_world(*args)
         assert sha256_hex(canonical_json(world.to_json())) == WORLD_PINS[args]
 
+    @pytest.mark.parametrize("args", sorted(EDGE_WORLD_PINS))
+    def test_edge_world_digest(self, args):
+        world = generate_world(*args)
+        assert sha256_hex(canonical_json(world.to_json())) == EDGE_WORLD_PINS[args]
+
     @pytest.mark.parametrize("args,n", sorted(DATASET_PINS))
     def test_dataset_digest(self, args, n):
         samples = make_benchmark(generate_world(*args), n, seed=3)
         digest = sha256_hex(canonical_json([s.to_json() for s in samples]))
         assert digest == DATASET_PINS[(args, n)]
+
+    @pytest.mark.parametrize("args,n", sorted(EDGE_DATASET_PINS))
+    def test_edge_dataset_digest(self, args, n):
+        samples = make_benchmark(generate_world(*args), n, seed=3)
+        digest = sha256_hex(canonical_json([s.to_json() for s in samples]))
+        assert digest == EDGE_DATASET_PINS[(args, n)]
 
     @pytest.mark.parametrize("args,n,difficulty", sorted(SINGLE_DIFFICULTY_PINS))
     def test_single_difficulty_dataset_digest(self, args, n, difficulty):
