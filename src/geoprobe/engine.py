@@ -65,19 +65,23 @@ def derive_poi_hint(state: EpisodeState, g: Gazetteer) -> PoiHint | None:
 
     An evidence point qualifies when it reverse-geocodes to a city that is
     still compatible with the frontier; the highest-confidence (then
-    lowest-id) point wins.
+    lowest-id) point wins. The frontier's leaf cover is built only once
+    such a city needs it.
     """
     best_key: tuple[float, int] | None = None
     best: PoiHint | None = None
-    space_cover = None if state.space.is_global else state.space.leaf_cover(g)
+    space_cover = None
     for e in state.active_evidence():
         if e.point is None:
             continue
         city = reverse_geocode(g, e.point)
         if city is None:
             continue
-        if space_cover is not None and not (g.leaf_cover(city.id) & space_cover):
-            continue
+        if not state.space.is_global:
+            if space_cover is None:
+                space_cover = state.space.leaf_cover(g)
+            if not (g.leaf_cover(city.id) & space_cover):
+                continue
         key = (e.confidence, -e.id)
         if best_key is None or key > best_key:
             best_key = key

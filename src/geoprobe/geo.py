@@ -203,6 +203,29 @@ def resolve_city_alias(name: str, table: Mapping[str, str]) -> str:
     return name
 
 
+@dataclass(frozen=True, slots=True)
+class Closure:
+    """A constraint (a set of region ids) placed in one gazetteer's tree.
+
+    ``above`` holds the strict ancestors of its known ids; ``covered`` its
+    ids plus every descendant of its known ids, so a known region is in
+    ``covered`` exactly when the constraint holds it or one of its
+    ancestors. ``top`` is its antichain reduction: the ids without a strict
+    ancestor among them. ``unknown`` is its first id, in iteration order,
+    that the gazetteer lacks (``None`` when it knows them all); only then
+    is ``top`` a set of regions.
+    """
+
+    above: frozenset[str]
+    covered: frozenset[str]
+    top: frozenset[str]
+    unknown: str | None
+
+
+#: Closures a gazetteer keeps; when full, it forgets them all and starts again.
+CLOSURE_CACHE_SIZE = 1024
+
+
 class Gazetteer:
     """Immutable directory of admin regions with hierarchy and name indexes.
 
@@ -212,7 +235,8 @@ class Gazetteer:
 
     Cities are also kept sorted by centroid latitude, so ``cities_near``
     finds their ``lat_band`` by bisection. The id-sorted regions and the
-    roots are built once, here.
+    roots are built once, here; each constraint's ``Closure`` once, when
+    first asked for.
     """
 
     def __init__(self, regions: list[AdminRegion]):
@@ -277,6 +301,7 @@ class Gazetteer:
         self._city_lats = [c.centroid.lat for c in self._cities_by_lat]
         self._max_city_radius_km = max((c.radius_km for c in self._cities), default=0.0)
         self._content_hash: str | None = None
+        self._closures: dict[frozenset[str], Closure] = {}
 
     def __len__(self) -> int:
         return len(self._regions)
@@ -313,6 +338,38 @@ class Gazetteer:
         """Ids of the leaf regions under ``region_id`` (itself if childless)."""
         self.get(region_id)
         return self._leaves[region_id]
+
+    def closure(self, ids: frozenset[str]) -> Closure:
+        """The ``Closure`` of the constraint ``ids``.
+
+        Evidence constraints recur (a tag table's carriers, one city), so
+        each is computed once and kept, up to ``CLOSURE_CACHE_SIZE`` of
+        them; one naming an unknown region is computed again on every call,
+        so that ``unknown`` follows the iteration order of the set passed.
+        Threads that race on one constraint may both compute it; each
+        gazetteer keeps its own closures.
+        """
+        hit = self._closures.get(ids)
+        if hit is not None:
+            return hit
+        above: set[str] = set()
+        below: set[str] = set()
+        unknown = None
+        for rid in ids:
+            if rid in self._regions:
+                above.update(self._ancestors[rid])
+                below |= self._descendants[rid]
+            elif unknown is None:
+                unknown = rid
+        # Where nothing is added or dropped (most constraints name one city),
+        # the closure shares ``ids`` instead of holding a copy.
+        closure = Closure(frozenset(above), ids if below <= ids else ids | below,
+                          ids if ids.isdisjoint(below) else ids - below, unknown)
+        if unknown is None:
+            if len(self._closures) >= CLOSURE_CACHE_SIZE:
+                self._closures.clear()
+            self._closures[ids] = closure
+        return closure
 
     def cities(self) -> tuple[AdminRegion, ...]:
         return self._cities

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .canonical import Raw, canonical_compose, canonical_json, sha256_hex
 from .errors import InsufficientEvidenceError, UnknownRegionError
@@ -75,15 +75,27 @@ class Provenance:
         return {"action_id": self.action_id, "payload_sha256": self.payload_sha256}
 
 
+@lru_cache(maxsize=1024)
+def _sorted_ids(constraint: frozenset[str]) -> tuple[tuple[str, ...], Raw]:
+    """A constraint's ids in sorted order and their canonical JSON array.
+
+    Constraints recur across evidence items (a tag table's carrier set is
+    one object however many captions name the tag), so each is sorted and
+    encoded once, not once per item."""
+    ids = tuple(sorted(constraint))
+    return ids, Raw(canonical_json(ids))
+
+
 @dataclass(frozen=True)
 class Evidence:
     """One verified geographic constraint extracted from a tool result.
 
     ``constraint`` holds the region ids the evidence points to. A region
     overlaps it when the region, an ancestor or a descendant is listed;
-    ``project`` applies that closure while it walks the tree, and nothing
-    stores it. ``point`` is set when the underlying record pins exact
-    coordinates (a POI match), which finalization can use as an anchor.
+    the gazetteer keeps that closure per constraint (``Gazetteer.closure``),
+    which ``project`` reads while it walks the tree. ``point`` is set when
+    the underlying record pins exact coordinates (a POI match), which
+    finalization can use as an anchor.
     """
 
     id: int
@@ -97,6 +109,8 @@ class Evidence:
     def __post_init__(self):
         if not self.constraint:
             raise ValueError("evidence constraint must be non-empty")
+        # The per-constraint caches key on it; a frozenset is kept as it is.
+        object.__setattr__(self, "constraint", frozenset(self.constraint))
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of [0,1]: {self.confidence}")
 
@@ -109,16 +123,20 @@ class Evidence:
         so the serialization can never change after construction. The cache
         lives in the instance ``__dict__``, not in a field:
         ``dataclasses.replace`` builds a fresh object, which serializes
-        itself again.
+        itself again. The constraint's array is written in as encoded once
+        per constraint.
         """
-        return Raw(canonical_json(self.to_json()))
+        return canonical_compose(self._json(_sorted_ids(self.constraint)[1]))
 
     def to_json(self) -> dict:
+        return self._json(list(_sorted_ids(self.constraint)[0]))
+
+    def _json(self, constraint: list[str] | Raw) -> dict:
         return {
             "id": self.id,
             "source_action_id": self.source_action_id,
             "claim": self.claim,
-            "constraint": sorted(self.constraint),
+            "constraint": constraint,
             "confidence": self.confidence,
             "provenance": self.provenance.to_json(),
             "point": self.point.to_json() if self.point else None,
@@ -204,15 +222,17 @@ class EpisodeState:
 
 
 def antichain_reduce(region_ids: frozenset[str] | set[str], g: Gazetteer) -> frozenset[str]:
-    """Drop every region that has a strict ancestor in the set.
+    """Drop every region that has a strict ancestor in the set (the
+    ``top`` of its ``g.closure``), raising ``UnknownRegionError`` for an
+    id the gazetteer lacks.
 
     Keeping the ancestor preserves the leaf cover: a listed descendant adds
     nothing the ancestor does not already cover.
     """
-    for rid in region_ids:
-        if rid not in g:
-            raise UnknownRegionError(rid)
-    return frozenset(rid for rid in region_ids if region_ids.isdisjoint(g.ancestors(rid)))
+    closure = g.closure(frozenset(region_ids))
+    if closure.unknown is not None:
+        raise UnknownRegionError(closure.unknown)
+    return closure.top
 
 
 def project(space: CandidateSpace, e: Evidence, g: Gazetteer) -> CandidateSpace:
@@ -220,19 +240,19 @@ def project(space: CandidateSpace, e: Evidence, g: Gazetteer) -> CandidateSpace:
 
     A global space collapses to the antichain-reduced constraint set; it
     raises ``UnknownRegionError`` for a constraint id the gazetteer lacks.
-    Otherwise one downward walk from the frontier replaces each region that
-    strictly contains a constraint region by its children, and keeps any
-    other region exactly when it or one of its ancestors is in the
-    constraint. Unknown constraint ids match nothing there. The result is
-    an antichain whenever the frontier is one. An empty result signals
-    contradiction in the returned value; it never raises for that.
+    Otherwise one downward walk from the frontier splits each region that
+    strictly contains a constraint region (one in the closure's ``above``)
+    into its children, and keeps any other region exactly when it or one
+    of its ancestors is in the constraint (it is in ``covered``). Unknown
+    constraint ids match nothing there. Both sets come from
+    ``g.closure``, computed once per constraint, so a step costs one set
+    lookup per region walked. The result is an antichain whenever the
+    frontier is one. An empty result signals contradiction in the returned
+    value; it never raises for that.
     """
     if space.is_global:
         return CandidateSpace(antichain_reduce(e.constraint, g), False)
-    above: set[str] = set()
-    for cid in e.constraint:
-        if cid in g:
-            above.update(g.ancestors(cid))
+    closure = g.closure(e.constraint)
     kept: set[str] = set()
     # Reverse-sorted so the smallest unknown frontier id is the one reported.
     stack = sorted(space.frontier, reverse=True)
@@ -240,9 +260,9 @@ def project(space: CandidateSpace, e: Evidence, g: Gazetteer) -> CandidateSpace:
         rid = stack.pop()
         if rid not in g:
             raise UnknownRegionError(rid)
-        if rid in above:
+        if rid in closure.above:
             stack.extend(g.children(rid))
-        elif rid in e.constraint or not e.constraint.isdisjoint(g.ancestors(rid)):
+        elif rid in closure.covered:
             kept.add(rid)
     return CandidateSpace(frozenset(kept), False)
 

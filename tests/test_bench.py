@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import small_gazetteer
-from geoprobe import bench, engine, executor, geo, synthworld
+from geoprobe import bench, engine, executor, geo, state, synthworld
 from geoprobe.bench import (
     DATASET_SUFFIX,
     DEFAULT_MIX,
@@ -44,7 +44,7 @@ from geoprobe.bench import (
     stratify,
     threshold_accuracy,
 )
-from geoprobe.canonical import canonical_json
+from geoprobe.canonical import canonical_json, sha256_hex
 from geoprobe.engine import replay
 from geoprobe.executor import ToolResult
 from geoprobe.errors import (
@@ -806,6 +806,42 @@ def test_report_normalizes_each_row_name_once(monkeypatch):
     report = compute_report(preds, samples, big.gazetteer, aliases=aliases)
     assert report.to_json() == expected[1] != expected[0]
     assert len(names) == 3 * len(preds) + 2 * len(aliases)
+
+
+def test_pass_closes_each_constraint_once(monkeypatch):
+    """On a fresh 20×40 world, the first 240-sample pass at seed 3 builds
+    each distinct evidence constraint's closure once, instead of walking
+    ancestor chains at every projection (77,745 ``Gazetteer.ancestors``
+    calls then), and its POI hints build the frontier's leaf cover only for
+    an evidence point that geocodes to a city (6,689 ``Gazetteer.leaf_cover``
+    calls when built at every step). Projections and the report (its
+    pinned digest) are unchanged."""
+    calls = dict.fromkeys(("ancestors", "leaf_cover", "project", "closure"), 0)
+    constraints = set()
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    def noting(space, e, g):
+        constraints.add(e.constraint)
+        return project(space, e, g)
+
+    for name in ("ancestors", "leaf_cover"):
+        monkeypatch.setattr(geo.Gazetteer, name, counting(name, getattr(geo.Gazetteer, name)))
+    project = state.project
+    monkeypatch.setattr(state, "project", counting("project", noting))
+    monkeypatch.setattr(geo, "Closure", counting("closure", geo.Closure))
+    big = generate_world(11, 20, 40)
+    run = run_benchmark(make_benchmark(big, 240, seed=3), scripted_salience_policy(), big)
+    assert sha256_hex(canonical_json(run.report.to_json()) + "\n") == (
+        "f1245d6d7518b6e32d62644effc3d2dc7ef82b254d1be6178614f2e11a8137df")
+    assert calls["project"] == 3428
+    assert calls["closure"] == len(constraints) == 361
+    assert calls["ancestors"] <= 2000
+    assert calls["leaf_cover"] <= 100
 
 
 def test_untraced_run_and_replay_compose_no_trace_line(monkeypatch, tmp_path):

@@ -8,6 +8,8 @@ tests recompute every operation as plain set intersections and compare.
 import dataclasses
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_gazetteer
+from geoprobe import geo
 from geoprobe.actions import Action, CapabilityModule, Tool
 from geoprobe.canonical import canonical_hash, canonical_json
 from geoprobe.errors import InsufficientEvidenceError, UnknownRegionError
@@ -79,6 +82,24 @@ class TestEvidence:
             ev(1, ["cn"], conf=1.5)
         with pytest.raises(ValueError):
             ev(1, ["cn"], conf=-0.1)
+
+    def test_items_sharing_a_constraint_encode_apart(self):
+        """Items over one constraint object (as captions of one tag are)
+        each encode as ``canonical_json(to_json())``, and a caller that
+        edits one ``to_json()`` list changes no other item's JSON and no
+        encoding. A constraint given as a set is held as a frozenset."""
+        shared = frozenset({"jp", "cn-b", "cn-a-1"})
+        a, b = ev(1, shared), ev(2, shared, conf=0.5)
+        assert a.constraint is b.constraint
+        assert replace(a, constraint=set(shared)).canonical == a.canonical
+        assert a.canonical == canonical_json(a.to_json())
+        edited = a.to_json()["constraint"]
+        edited.append("zz")
+        edited.reverse()
+        for e in (a, b):
+            assert e.to_json()["constraint"] == ["cn-a-1", "cn-b", "jp"]
+            assert e.canonical == canonical_json(e.to_json())
+            assert '"constraint":["cn-a-1","cn-b","jp"]' in e.canonical
 
 
 def overlaps(region_id, constraint, g):
@@ -236,6 +257,16 @@ def _oracle_refine(region_id, e, g):
     return kept
 
 
+def _oracle_reduce(region_ids, g):
+    """Every region of the set without a strict ancestor in it, found by
+    walking each one's ancestors; the first unknown id (in the set's
+    iteration order) raises."""
+    for rid in region_ids:
+        if rid not in g:
+            raise UnknownRegionError(rid)
+    return frozenset(rid for rid in region_ids if region_ids.isdisjoint(g.ancestors(rid)))
+
+
 def _project_oracle(space, e, g):
     """Project the space onto the subset consistent with one evidence.
 
@@ -244,14 +275,14 @@ def _project_oracle(space, e, g):
     raises for that.
     """
     if space.is_global:
-        return CandidateSpace(antichain_reduce(e.constraint, g), False)
+        return CandidateSpace(_oracle_reduce(e.constraint, g), False)
     kept = set()
     for rid in sorted(space.frontier):
         if rid not in g:
             raise UnknownRegionError(rid)
         if _oracle_consistent(rid, e, g):
             kept.update(_oracle_refine(rid, e, g))
-    return CandidateSpace(antichain_reduce(kept, g), False)
+    return CandidateSpace(_oracle_reduce(kept, g), False)
 
 
 def _outcome(fn, space, e, g):
@@ -263,25 +294,48 @@ def _outcome(fn, space, e, g):
 
 
 #: Gazetteers ``project`` is checked on against the oracle: the hand-built
-#: four-level tree and a three-level 3×5 synthetic world.
+#: four-level tree and two three-level synthetic worlds (3×5 and 5×3) that
+#: share ids but not trees.
 ORACLE_GAZETTEERS = {
     "small": small_gazetteer(),
     "synth-3x5": generate_world(11, 3, 5).gazetteer,
+    "synth-5x3": generate_world(11, 5, 3).gazetteer,
 }
 
 
+GHOSTS = ["ghost", "zz-ghost", "a-ghost"]
+
+
 class TestProjectEqualsOracle:
-    @given(st.data(), st.sampled_from(sorted(ORACLE_GAZETTEERS)), st.booleans())
-    def test_random_antichains_and_constraints(self, data, name, is_global):
-        g = ORACLE_GAZETTEERS[name]
-        ids = [r.id for r in g.regions()]
-        frontier = antichain_reduce(set(data.draw(st.lists(st.sampled_from(ids), max_size=6))), g)
-        frontier |= data.draw(st.frozensets(st.sampled_from(["ghost", "zz-ghost"])))
-        constraint = data.draw(
-            st.lists(st.sampled_from(ids + ["ghost"]), min_size=1, max_size=4))
-        space = CandidateSpace(frozenset() if is_global else frontier, is_global)
+    @given(st.data(), st.permutations(sorted(ORACLE_GAZETTEERS)), st.booleans())
+    def test_random_antichains_and_constraints(self, data, names, is_global):
+        """One constraint object, drawn from a gazetteer's ids with some of
+        their own ancestors, ids of a second gazetteer and ids neither
+        knows, is projected under both, twice under each (the second call
+        reads the cached closure), and every outcome, an unknown id raised
+        included, equals the reference. Only a constraint the gazetteer
+        fully knows is cached."""
+        g = ORACLE_GAZETTEERS[names[0]]
+        picked = data.draw(
+            st.lists(st.sampled_from([r.id for r in g.regions()]), min_size=1, max_size=4))
+        ancestors = [a for rid in picked for a in g.ancestors(rid)]
+        constraint = picked + data.draw(st.lists(st.sampled_from(ancestors or GHOSTS),
+                                                 max_size=2))
+        constraint += data.draw(st.lists(st.sampled_from(
+            GHOSTS + [r.id for r in ORACLE_GAZETTEERS[names[1]].regions()]), max_size=2))
         e = ev(1, constraint)
-        assert _outcome(project, space, e, g) == _outcome(_project_oracle, space, e, g)
+        for name in names[:2]:
+            g = ORACLE_GAZETTEERS[name]
+            ids = [r.id for r in g.regions()]
+            frontier = antichain_reduce(
+                set(data.draw(st.lists(st.sampled_from(ids), max_size=6))), g)
+            frontier |= data.draw(st.frozensets(st.sampled_from(GHOSTS)))
+            space = CandidateSpace(frozenset() if is_global else frontier, is_global)
+            expected = _outcome(_project_oracle, space, e, g)
+            for _ in range(2):
+                assert _outcome(project, space, e, g) == expected
+            closure = g.closure(e.constraint)
+            assert (g.closure(e.constraint) is closure) == (closure.unknown is None)
 
     def test_every_antichain_and_small_constraint(self, gaz):
         antichains = {
@@ -295,6 +349,37 @@ class TestProjectEqualsOracle:
             for c in constraints:
                 e = ev(1, c)
                 assert project(space, e, gaz) == _project_oracle(space, e, gaz), (fr, c)
+
+    def test_threads_projecting_on_two_gazetteers_get_the_reference(self, monkeypatch):
+        """Threads project shared constraint objects on two gazetteers with
+        the same ids but different trees, under a short switch interval and
+        a closure cache small enough to be cleared beneath them; each gets
+        the reference result, so no closure crosses gazetteers."""
+        monkeypatch.setattr(geo, "CLOSURE_CACHE_SIZE", 4)
+        gazetteers = [generate_world(11, 3, 5).gazetteer, generate_world(11, 5, 3).gazetteer]
+        shared = sorted({r.id for r in gazetteers[0].regions()}
+                        & {r.id for r in gazetteers[1].regions()})
+        rng = random.Random(3)
+        cases = []
+        for _ in range(60):
+            e = ev(1, rng.sample(shared, rng.randint(1, 3)))
+            for g in gazetteers:
+                for space in (CandidateSpace.global_space(),
+                              CandidateSpace(frozenset({"r0"}), False)):
+                    cases.append((space, e, g, _project_oracle(space, e, g)))
+
+        def check(seed):
+            order = random.Random(seed).sample(cases, len(cases))
+            return all(project(space, e, g) == expected for space, e, g, expected in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(check, seed) for seed in range(16)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def leafsim(g, steps):
@@ -573,16 +658,27 @@ POINTS = st.builds(
     st.floats(-90.0, 90.0, allow_nan=False),
     st.floats(-1e6, 1e6, allow_nan=False),
 )
-EVIDENCE = st.builds(
-    Evidence,
-    id=st.integers(0, 10**6),
-    source_action_id=st.integers(0, 10**6),
-    claim=TRICKY_TEXT,
-    constraint=st.frozensets(TRICKY_TEXT, min_size=1, max_size=3),
-    confidence=st.floats(0.0, 1.0, allow_nan=False),
-    provenance=st.builds(Provenance, st.integers(0, 10**6), TRICKY_TEXT),
-    point=st.none() | POINTS,
-)
+CONSTRAINTS = st.frozensets(TRICKY_TEXT, min_size=1, max_size=3)
+
+
+def evidence(constraints=CONSTRAINTS):
+    return st.builds(
+        Evidence,
+        id=st.integers(0, 10**6),
+        source_action_id=st.integers(0, 10**6),
+        claim=TRICKY_TEXT,
+        constraint=constraints,
+        confidence=st.floats(0.0, 1.0, allow_nan=False),
+        provenance=st.builds(Provenance, st.integers(0, 10**6), TRICKY_TEXT),
+        point=st.none() | POINTS,
+    )
+
+
+EVIDENCE = evidence()
+#: Chains whose items may share one constraint object, as the captions of
+#: one tag share the tag table's carrier set.
+CHAINS = st.lists(CONSTRAINTS, min_size=1, max_size=2).flatmap(
+    lambda pool: st.lists(evidence(st.sampled_from(pool)), max_size=3)).map(tuple)
 PREDICTIONS = st.builds(
     Prediction,
     point=POINTS,
@@ -595,7 +691,7 @@ STATES = st.builds(
     EpisodeState,
     step=st.integers(0, 10**6),
     space=SPACES,
-    chain=st.lists(EVIDENCE, max_size=3).map(tuple),
+    chain=CHAINS,
     inactive_ids=st.frozensets(st.integers(0, 10**6), max_size=4),
     status=st.sampled_from(list(EpisodeStatus)),
     prediction=st.none() | PREDICTIONS,
