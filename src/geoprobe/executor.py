@@ -365,9 +365,8 @@ def extract_evidence(
                 rids = table.get(tag)
                 if not rids:
                     continue
-                for rid in rids:
-                    if rid not in g:
-                        raise UnknownRegionError(rid)
+                if (unknown := g.closure(frozenset(rids)).unknown) is not None:
+                    raise UnknownRegionError(unknown)
                 drafts.append((f"scene tag: {tag}", frozenset(rids), CONF_TAG_MATCH, None))
 
         elif result.tool is Tool.GEOCODE:

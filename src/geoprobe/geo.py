@@ -145,20 +145,18 @@ _DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS_KM)
 _BAND_SLACK_KM = 1.0
 
 
-def lat_band(items: Sequence, lat: float, km: float, key=None) -> tuple[int, int]:
-    """Bounds ``lo, hi`` of the run of ``items`` (ascending by latitude,
-    read through ``key``) whose latitude is within ``km`` plus 1 km of slack
-    of ``lat``.
+def lat_band(lats: Sequence[float], lat: float, km: float) -> tuple[int, int]:
+    """Bounds ``lo, hi`` of the run of ascending latitudes ``lats`` that lie
+    within ``km`` plus 1 km of slack of ``lat``.
 
     The band is an exact prefilter for distance: the great-circle distance
     between two points is at least ``R * |dlat|`` (``dlat`` in radians), so
-    no item outside ``items[lo:hi]`` lies within ``km`` of a point at
+    no latitude outside ``lats[lo:hi]`` lies within ``km`` of a point at
     ``lat``. Unlike a lat/lon grid, it needs no longitude wrap and no cos-lat
     scaling.
     """
     half = (km + _BAND_SLACK_KM) * _DEG_PER_KM
-    return (bisect.bisect_left(items, lat - half, key=key),
-            bisect.bisect_right(items, lat + half, key=key))
+    return bisect.bisect_left(lats, lat - half), bisect.bisect_right(lats, lat + half)
 
 
 # Suffixes stripped by normalize_city_name, checked after case-folding.
@@ -211,9 +209,9 @@ class Closure:
     ids plus every descendant of its known ids, so a known region is in
     ``covered`` exactly when the constraint holds it or one of its
     ancestors. ``top`` is its antichain reduction: the ids without a strict
-    ancestor among them. ``unknown`` is its first id, in iteration order,
-    that the gazetteer lacks (``None`` when it knows them all); only then
-    is ``top`` a set of regions.
+    ancestor among them. ``unknown`` is its smallest id that the gazetteer
+    lacks (``None`` when it knows them all); only then is ``top`` a set of
+    regions.
     """
 
     above: frozenset[str]
@@ -344,8 +342,7 @@ class Gazetteer:
 
         Evidence constraints recur (a tag table's carriers, one city), so
         each is computed once and kept, up to ``CLOSURE_CACHE_SIZE`` of
-        them; one naming an unknown region is computed again on every call,
-        so that ``unknown`` follows the iteration order of the set passed.
+        them; one naming an unknown region is computed again on every call.
         Threads that race on one constraint may both compute it; each
         gazetteer keeps its own closures.
         """
@@ -359,7 +356,7 @@ class Gazetteer:
             if rid in self._regions:
                 above.update(self._ancestors[rid])
                 below |= self._descendants[rid]
-            elif unknown is None:
+            elif unknown is None or rid < unknown:
                 unknown = rid
         # Where nothing is added or dropped (most constraints name one city),
         # the closure shares ``ids`` instead of holding a copy.

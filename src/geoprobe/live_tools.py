@@ -32,6 +32,7 @@ UTF-16/32 as ``json.loads`` detects them).
 an empty line and the body. An answer's body may be chunked, sized by
 ``Content-Length``, or run to the end of the connection; 1xx answers are
 skipped, and a header line may hold 65,536 bytes and a block 100 lines.
+The bundled stub server reads requests with the same ``Connection``.
 Sockets, TLS and the proxy helpers of ``urllib.request`` are imported by
 ``HttpTransport``, the last only when a proxy variable is set, so
 importing ``geoprobe`` (the CLI, offline runs) loads none of them.
@@ -161,7 +162,10 @@ class HttpReply(NamedTuple):
 
 
 _CHARSET = re.compile(r';\s*charset="?([^";\s]+)', re.IGNORECASE)
-_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?: [^\r\n]*)?\r?\n")
+_STATUS_LINE = re.compile(rb"HTTP/1\.(?P<minor>\d) (?P<status>[1-9]\d\d)(?: [^\r\n]*)?\r?\n")
+#: A request line: a token method, a target of visible ASCII and the version.
+REQUEST_LINE = re.compile(
+    rb"(?P<method>[-!#$%&'*+.^_`|~0-9A-Za-z]+) (?P<target>[!-~]+) HTTP/1\.(?P<minor>\d)\r?\n")
 _CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
 _LINE_ENDS = (b"\r\n", b"\n")
 _OWS = " \t\r\n"
@@ -171,10 +175,10 @@ _MAX_LINE, _MAX_HEADERS = 65536, 100
 _RECV_SIZE = 65536
 
 
-class _Connection:
-    """One HTTP/1.1 connection: its socket and the bytes read from it that
-    no answer has used yet (RFC 9112). A framing fault raises
-    ``ValueError``, an answer cut short ``ConnectionError``."""
+class Connection:
+    """One HTTP/1.1 connection, at either end: its socket and the bytes read
+    from it that no message has used yet (RFC 9112). A framing fault raises
+    ``ValueError``, a message cut short ``ConnectionError``."""
 
     def __init__(self, sock):
         self.sock, self._buf, self._pos = sock, b"", 0
@@ -210,15 +214,17 @@ class _Connection:
         self._buf, self._pos = b"", 0
         return b"".join(parts)
 
-    def _head(self) -> tuple[re.Match, dict[str, str]]:
-        """The next status line and its header fields."""
+    def head(self, start: re.Pattern = _STATUS_LINE) -> tuple[re.Match, dict[str, str]]:
+        """The next start line, a status line or (for a server) a request
+        line as ``start`` matches it, and its header fields."""
         line = self._line()
-        if not (status_line := _STATUS_LINE.fullmatch(line)):
-            raise ValueError(f"bad status line {line[:80]!r}")
+        if not (start_line := start.fullmatch(line)):
+            raise ValueError(f"bad {'status' if start is _STATUS_LINE else 'request'} line "
+                             f"{line[:80]!r}")
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS + 1):
             if (line := self._line()) in _LINE_ENDS:
-                return status_line, headers
+                return start_line, headers
             # A folded line (RFC 9112, section 5.2) starts with white space: rejected.
             name, colon, value = line.decode("latin-1").partition(":")
             if not colon or not name or name != name.strip(_OWS):
@@ -226,6 +232,12 @@ class _Connection:
             name, value = name.lower(), value.strip(_OWS)
             headers[name] = f"{headers[name]}, {value}" if name in headers else value
         raise ValueError(f"more than {_MAX_HEADERS} header lines")
+
+    def sized_body(self, length: str) -> bytes:
+        """The body that a ``Content-Length`` field of value ``length`` announces."""
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"bad Content-Length {length!r}")
+        return self._read(int(length))
 
     def _chunked(self) -> bytes:
         parts = []
@@ -246,11 +258,10 @@ class _Connection:
         """The next final answer, any 1xx before it skipped, and whether the
         connection may carry another request: the answer keeps it alive, its
         body had a known length, and no byte beyond it has been read."""
-        status_line, headers = self._head()
-        while (status := int(status_line[2])) < 200:
-            status_line, headers = self._head()
-        options = {token.strip(_OWS) for token in headers.get("connection", "").lower().split(",")}
-        keep = "keep-alive" in options if status_line[1] == b"0" else "close" not in options
+        status_line, headers = self.head()
+        while (status := int(status_line["status"])) < 200:
+            status_line, headers = self.head()
+        keep = keeps_alive(status_line, headers)
         coding, length = headers.get("transfer-encoding"), headers.get("content-length")
         if status in (204, 304):
             body = b""
@@ -259,9 +270,7 @@ class _Connection:
                 raise ValueError(f"unsupported transfer coding {coding!r}")
             body = self._chunked()
         elif length is not None:
-            if not (length.isascii() and length.isdigit()):
-                raise ValueError(f"bad Content-Length {length!r}")
-            body = self._read(int(length))
+            body = self.sized_body(length)
         else:  # the body runs to the end of the connection
             body, keep = self._read_to_end(), False
         return HttpReply(status, body, headers), keep and self._pos == len(self._buf)
@@ -271,10 +280,18 @@ class _Connection:
         auth = f"Proxy-Authorization: {proxy_auth}\r\n" if proxy_auth else ""
         self.sock.sendall(f"CONNECT {authority} HTTP/1.1\r\nHost: {authority}\r\n"
                           f"{auth}\r\n".encode("latin-1"))
-        status_line, _ = self._head()
-        if not status_line[2].startswith(b"2"):
+        status_line, _ = self.head()
+        if not status_line["status"].startswith(b"2"):
             raise ConnectionError("tunnel connection failed: "
                                   + status_line[0].decode("latin-1").strip(_OWS))
+
+
+def keeps_alive(start_line: re.Match, headers: Mapping[str, str]) -> bool:
+    """Whether the sender of a message lets its connection carry another
+    (RFC 9112, section 9.3): at HTTP/1.1 unless its ``Connection`` field
+    holds ``close``, at HTTP/1.0 only if it holds ``keep-alive``."""
+    options = {token.strip(_OWS) for token in headers.get("connection", "").lower().split(",")}
+    return "keep-alive" in options if start_line["minor"] == b"0" else "close" not in options
 
 
 def _basic_auth(user: str | None, password: str | None) -> str | None:
@@ -380,10 +397,10 @@ class HttpTransport:
         self._tls = (ssl.create_default_context(**{where: bundle or None})
                      if any(key[0] == "https" for key, _, _ in self._routes.values()) else None)
         self._lock = threading.Lock()
-        self._idle: dict[tuple, list[_Connection]] = {}
+        self._idle: dict[tuple, list[Connection]] = {}
         weakref.finalize(self, _close_idle, self._idle)
 
-    def _connect(self, key: tuple, timeout: float) -> _Connection:
+    def _connect(self, key: tuple, timeout: float) -> Connection:
         """A new connection for a pool key, with ``TCP_NODELAY`` set; for
         https, TLS over it, through a ``CONNECT`` tunnel behind a proxy."""
         import socket
@@ -395,12 +412,12 @@ class HttpTransport:
             if scheme == "https":
                 if proxy:  # credentials go in the CONNECT only, never to the host
                     authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
-                    _Connection(sock).open_tunnel(authority, proxy[2])
+                    Connection(sock).open_tunnel(authority, proxy[2])
                 sock = self._tls.wrap_socket(sock, server_hostname=host)
         except BaseException:
             sock.close()
             raise
-        return _Connection(sock)
+        return Connection(sock)
 
     def post(self, url: str, *, body: bytes, headers: Mapping[str, str],
              timeout: float) -> HttpReply:

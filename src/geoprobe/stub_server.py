@@ -7,6 +7,11 @@ do, so a full episode can run over real HTTP without leaving the machine.
 
 It speaks HTTP/1.1 and keeps connections open, as real tool services do,
 so the live adapters' pool reuses them; ``stop()`` ends idle ones first.
+Requests are read with the client's framing (``live_tools.Connection``):
+a request line, a header block and a ``Content-Length`` body, kept alive
+by the client's rule; each answer is one write, with no reason phrase.
+An unreadable request gets 400, ``Connection: close`` and EOF, as unread
+bytes would pass for the next request; a method other than POST gets 501.
 
 Every tool route keeps a request counter, which is how ablation soundness
 is asserted: a disabled tool must show a count of zero after a run. The
@@ -22,15 +27,16 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from .actions import ARG_SCHEMAS, Tool
-from .live_tools import TOOL_PATHS, WIRE_FIELDS, EndpointConfig, endpoints_for_base
+from .live_tools import (REQUEST_LINE, TOOL_PATHS, WIRE_FIELDS, Connection, EndpointConfig,
+                         endpoints_for_base, keeps_alive)
 from .synthworld import SceneDescriptor, SynthWorld, SyntheticToolbox
 
 _PATH_TOOLS = {path: tool for tool, path in TOOL_PATHS.items()}
@@ -40,13 +46,8 @@ CHAT_PATH = "/v1/chat/completions"
 def _wire_args(tool: Tool, body: dict) -> dict:
     """Invert the wire body back into action args. A body missing a
     required field raises KeyError; one that is not an object, TypeError."""
-    args = {}
-    for arg, wire in WIRE_FIELDS[tool].items():
-        if wire in body:
-            args[arg] = body[wire]
-        elif ARG_SCHEMAS[tool][arg].required:
-            raise KeyError(wire)
-    return args
+    return {arg: body[wire] for arg, wire in WIRE_FIELDS[tool].items()
+            if wire in body or ARG_SCHEMAS[tool][arg].required}
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,6 @@ class Fault:
     delay_s: float = 0.0
 
 
-_HEALTHY = Fault()
-
-
 @dataclass(frozen=True)
 class RecordedRequest:
     path: str
@@ -70,68 +68,12 @@ class RecordedRequest:
     authorization: str | None
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    # Keep-alive works as every answer carries Content-Length. The buffered
-    # wfile sends headers and body in one write at handle_one_request's flush.
-    protocol_version = "HTTP/1.1"
-    wbufsize = -1
-    disable_nagle_algorithm = True
-
-    def log_message(self, *args):  # keep test output clean
-        pass
-
-    def _send(self, status: int, body: bytes, content_type: str = "application/json"):
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-        except OSError:
-            pass  # client gave up (timeout tests); nothing to do
-
-    def do_POST(self):  # noqa: N802 (http.server naming)
-        owner: StubToolServer = self.server.owner  # type: ignore[attr-defined]
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(max(length, 0))
-            if len(raw) != length or "Transfer-Encoding" in self.headers:
-                raise ValueError("body not read to its end")
-            body = json.loads(raw or b"{}")
-        except (ValueError, OSError):
-            # Bytes left unread would be parsed as the next request.
-            self.close_connection = True
-            self._send(400, b'{"error": "unreadable body"}')
-            return
-        fault = owner._observe(self.path, body, self.headers.get("Authorization"))
-        if fault.delay_s > 0:
-            time.sleep(fault.delay_s)
-        if fault.status != 200:
-            self._send(fault.status, b'{"error": "injected failure"}')
-            return
-        if fault.body is not None:
-            self._send(200, fault.body, content_type="text/plain")
-            return
-        if self.path == CHAT_PATH and owner._chat is not None:
-            reply = {"choices": [{"message": {"content": owner._chat(body)}}]}
-            self._send(200, json.dumps(reply).encode())
-            return
-        tool = _PATH_TOOLS.get(self.path)
-        if tool is None:
-            self._send(404, b'{"error": "no such endpoint"}')
-            return
-        status, payload = owner._answer(tool, body)
-        self._send(status, json.dumps(payload).encode())
-
-
-class _StubHTTPServer(ThreadingHTTPServer):
+class _StubHTTPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
-    owner: "StubToolServer"
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, address: tuple[str, int], owner: "StubToolServer"):
+        super().__init__(address, None)
+        self.owner = owner
         self._conn_lock = threading.Lock()
         self._open: set[socket.socket] = set()
         self._closing = False
@@ -142,10 +84,44 @@ class _StubHTTPServer(ThreadingHTTPServer):
                 return  # stopping: serve no new connection
             self._open.add(request)
         try:
-            super().finish_request(request, client_address)
+            self._serve(request)
         finally:
             with self._conn_lock:
                 self._open.discard(request)
+
+    def _serve(self, sock: socket.socket) -> None:
+        """Answer the requests on one connection, each in one write, until
+        the client or ``stop()`` ends it or an answer closes it."""
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn, keep = Connection(sock), True
+        while keep:
+            try:
+                start, headers = conn.head(REQUEST_LINE)
+            except ValueError:
+                start, headers = None, {}
+            except OSError:
+                return  # the client, or stop(), ended it between requests
+            keep = start is not None and keeps_alive(start, headers)
+            if start is None:
+                status, payload = 400, {"error": "unreadable request"}
+            elif start["method"] != b"POST":
+                status, payload, keep = 501, {"error": "unsupported method"}, False
+            else:
+                try:
+                    if "transfer-encoding" in headers:
+                        raise ValueError("transfer-coded body")
+                    raw = conn.sized_body(headers.get("content-length", "0"))
+                    body = json.loads(raw or b"{}")
+                except (ValueError, OSError):
+                    # Bytes left unread would be parsed as the next request.
+                    status, payload, keep = 400, {"error": "unreadable body"}, False
+                else:
+                    status, payload = self.owner._answer(
+                        start["target"].decode(), body, headers.get("authorization"))
+            data, kind = ((payload, b"text/plain") if isinstance(payload, bytes)
+                          else (json.dumps(payload).encode(), b"application/json"))
+            sock.sendall(b"HTTP/1.1 %d \r\nContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n%s" % (
+                status, kind, len(data), b"" if keep else b"Connection: close\r\n", data))
 
     def close_connections(self) -> None:
         """End every open connection's wait for its next request. Only the
@@ -187,8 +163,7 @@ class StubToolServer:
     def start(self) -> "StubToolServer":
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._server = _StubHTTPServer((self._host, 0), _StubHandler)
-        self._server.owner = self
+        self._server = _StubHTTPServer((self._host, 0), self)
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},  # shutdown() waits one poll
@@ -269,18 +244,29 @@ class StubToolServer:
         with self._lock:
             return list(self._requests)
 
-    # -- handler callbacks -------------------------------------------------
+    # -- answering ---------------------------------------------------------
 
-    def _observe(self, path: str, body: dict, authorization: str | None) -> Fault:
-        """Count the request and take the route's next scheduled fault."""
+    def _answer(self, path: str, body: dict, authorization: str | None
+                ) -> tuple[int, dict | bytes]:
+        """Count one request and take its route's next scheduled fault, then
+        the status and payload of its answer: a dict is sent as JSON, bytes
+        (a fault's raw body) as text."""
         with self._lock:
             if path in self._counters:
                 self._counters[path] += 1
             self._requests.append(RecordedRequest(path, body, authorization))
             faults = self._schedules.get(path)
-            return faults.popleft() if faults else _HEALTHY
-
-    def _answer(self, tool: Tool, body: dict) -> tuple[int, dict]:
+            fault = faults.popleft() if faults else Fault()
+        if fault.delay_s > 0:
+            time.sleep(fault.delay_s)
+        if fault.status != 200:
+            return fault.status, {"error": "injected failure"}
+        if fault.body is not None:
+            return 200, fault.body
+        if path == CHAT_PATH and self._chat is not None:
+            return 200, {"choices": [{"message": {"content": self._chat(body)}}]}
+        if (tool := _PATH_TOOLS.get(path)) is None:
+            return 404, {"error": "no such endpoint"}
         if tool in self._canned:
             return 200, self._canned[tool]
         if self._toolbox is None:

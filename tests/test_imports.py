@@ -1,7 +1,6 @@
 """What each import loads: ``import geoprobe`` loads no submodule, no HTTP
-stack (``http.client``, ``requests``, ``urllib3``) loads on the client side,
-not even for a live tool or LLM call, and only the stub server (built on
-``http.server``) loads ``http.client``. And every ``geoprobe`` name the
+stack (``http.client``, ``requests``, ``urllib3``) loads, not even for a
+live tool or LLM call or for the stub server. And every ``geoprobe`` name the
 benchmark in ``perfbench/`` uses still exists, and every module-level
 import in ``src/geoprobe`` is read.
 
@@ -76,8 +75,14 @@ def test_importing_the_package_loads_no_http_client(tmp_path):
         import geoprobe
         import geoprobe.cli
     """, tmp_path) == set()
-    # The stub server is built on ``http.server``, which loads ``http.client``.
-    assert loaded_after("from geoprobe import stub_server", tmp_path) == {"http.client"}
+    assert loaded_after("from geoprobe import stub_server", tmp_path) == set()
+
+
+def test_the_stub_server_loads_no_http_parser(tmp_path):
+    """It reads requests with the client's framing: no ``http.server``, no
+    ``email`` header parser and, as it serves plain HTTP, no TLS."""
+    assert modules_after("from geoprobe import stub_server", tmp_path) & {
+        "http.server", "email", "ssl"} == set()
 
 
 def test_offline_commands_load_no_http_client(tmp_path):

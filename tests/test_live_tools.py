@@ -517,7 +517,6 @@ def test_parallel_batch_shares_one_pool_without_overflow(stub, accepted):
 def test_sequential_calls_reuse_one_connection(stub, monkeypatch):
     # The stub answers HTTP/1.1 and keeps the connection open, so the shared
     # pool must send all ten calls over one connection.
-    monkeypatch.setattr(stub_server._StubHandler, "protocol_version", "HTTP/1.1")
     accepted = 0
     get_request = stub_server._StubHTTPServer.get_request
 
@@ -629,6 +628,84 @@ def test_unread_body_gets_400_then_eof(stub, framing):
     assert b"Connection: close" in head.split(b"\r\n")
     assert body == b'{"error": "unreadable body"}'  # one answer, then EOF
     assert stub.total_requests() == 0
+
+
+def exchange(port: int, data: bytes) -> bytes:
+    """Everything the stub sends back on one connection for ``data``, read
+    until it closes the connection; the client never shuts its side."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(data)
+        answer = b""
+        while chunk := sock.recv(4096):
+            answer += chunk
+    return answer
+
+
+@pytest.mark.parametrize("request_head", [
+    b"POST /geocode\r\n\r\n",
+    b"POST /geocode HTTP/2\r\n\r\n",
+    b"POST  /geocode HTTP/1.1\r\n\r\n",
+    b"POST /geocode HTTP/1.1\r\nno colon\r\n\r\n",
+    b"POST /geocode HTTP/1.1\r\n" + b"".join(b"X-%d: v\r\n" % i for i in range(101)) + b"\r\n",
+], ids=["no-version", "http-2", "two-spaces", "no-colon", "101-headers"])
+def test_unreadable_request_gets_400_then_eof(stub, request_head):
+    head, _, body = exchange(stub.port, request_head).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head.split(b"\r\n")
+    assert body == b'{"error": "unreadable request"}'  # one answer, then EOF
+    assert stub.total_requests() == 0 and stub.requests() == []
+
+
+@pytest.mark.parametrize("request_head", [
+    b"POST /geocode HTTP/1.0\r\n",
+    b"POST /geocode HTTP/1.0\r\nConnection: Close\r\n",
+    b"POST /geocode HTTP/1.1\r\nConnection: x-other, close\r\n",
+], ids=["http-1.0", "http-1.0-close", "close"])
+def test_request_that_ends_the_connection_gets_one_answer_then_eof(stub, request_head):
+    answer = exchange(stub.port, request_head + b'Content-Length: 13\r\n\r\n{"name": "x"}')
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert b"Connection: close" in head.split(b"\r\n")
+    assert json.loads(body)["query"] == "x"  # the whole rest is one body
+    assert stub.count(Tool.GEOCODE) == 1
+
+
+def test_kept_alive_requests_are_answered_in_order_on_one_connection(stub, accepted):
+    requests = b"".join(b"POST /geocode HTTP/1.%d\r\n%sContent-Length: %d\r\n\r\n%s" % (
+        minor, fields, len(body), body) for minor, fields, body in [
+            (1, b"", b'{"name": "a"}'), (0, b"Connection: keep-alive\r\n", b'{"name": "b"}'),
+            (1, b"Connection: close\r\n", b'{"name": "c"}')])
+    answers = exchange(stub.port, requests).split(b"HTTP/1.1 200 \r\n")
+    assert [json.loads(a.partition(b"\r\n\r\n")[2])["query"] for a in answers[1:]] == [
+        "a", "b", "c"]
+    assert accepted[0] == 1
+
+
+@pytest.mark.parametrize("method", [b"GET", b"PUT", b"post"])
+def test_method_other_than_post_gets_501_then_eof(stub, method):
+    head, _, body = exchange(
+        stub.port, method + b" /geocode HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}").partition(
+            b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 501 ")
+    assert b"Connection: close" in head.split(b"\r\n")
+    assert body == b'{"error": "unsupported method"}'
+    assert stub.total_requests() == 0
+
+
+def test_request_body_over_64_kib_is_read_whole_and_answered(stub, accepted):
+    name = "x" * 200_000  # several reads on both ends: the answer echoes it
+    url = stub.endpoints()[Tool.GEOCODE].url
+    transport = HttpTransport([url])
+    try:
+        for i in range(2):
+            reply = transport.post(url, body=json.dumps({"name": name + str(i)}).encode(),
+                                   headers={}, timeout=5)
+            assert reply.status_code == 200
+            assert json.loads(reply.content)["query"] == name + str(i)
+    finally:
+        transport.close()
+    assert [r.body["name"] for r in stub.requests()] == [name + "0", name + "1"]
+    assert accepted[0] == 1
 
 
 def test_sequential_benchmark_uses_one_connection(world, stub, accepted):
@@ -856,6 +933,22 @@ def test_close_delimited_body_ends_at_eof():
         assert post_once(server, transport).content == b"{}"
         transport.close()
     assert server.accepted == 2
+
+
+def test_bodies_over_64_kib_take_several_reads():
+    big = bytes(range(256)) * 800  # 204,800 bytes
+    with RawServer(answer_200(big), (b"HTTP/1.1 200 OK\r\n\r\n" + big[::-1], True)) as server:
+        transport = HttpTransport([server.url])
+        assert post_once(server, transport).content == big  # sized by Content-Length
+        assert post_once(server, transport).content == big[::-1]  # to the end
+        transport.close()
+    assert server.accepted == 1
+
+
+def test_text_of_an_unknown_charset_is_read_as_utf_8():
+    with RawServer(answer_200("café".encode(), b"Content-Type: text/plain; charset=x-no-such")
+                   ) as server:
+        assert post_once(server).text == "café"
 
 
 def test_interim_answers_are_skipped():

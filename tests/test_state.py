@@ -7,10 +7,14 @@ tests recompute every operation as plain set intersections and compare.
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
 import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +45,8 @@ from geoprobe.state import (
 from geoprobe.synthworld import generate_world
 
 PROV = Provenance(action_id=0, payload_sha256="0" * 64)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def ev(eid, constraint, conf=0.9, point=None):
@@ -223,6 +229,36 @@ class TestProject:
         with pytest.raises(UnknownRegionError):
             project(CandidateSpace.global_space(), ev(1, ["cn-a", "ghost"]), gaz)
 
+    def test_smallest_unknown_id_is_reported_under_any_hash_seed(self):
+        """A constraint's iteration order follows ``PYTHONHASHSEED``; the id
+        reported, by the closure and by the Caption check, must not. Under
+        seeds 1 and 3 the first id in iteration order differs."""
+        code = textwrap.dedent("""
+            from geoprobe.actions import Tool
+            from geoprobe.errors import UnknownRegionError
+            from geoprobe.executor import ToolResult, ToolStatus, extract_evidence
+            from geoprobe.state import antichain_reduce
+            from geoprobe.synthworld import generate_world
+
+            g = generate_world(11, 3, 5).gazetteer
+            ids = frozenset({"ghost-c", "ghost-b", "ghost-a", "r0"})
+            caption = ToolResult(1, Tool.CAPTION, ToolStatus.OK, {"tags": ["t"]})
+            for check in (lambda: antichain_reduce(ids, g),
+                          lambda: extract_evidence(caption, g, {"t": ids})):
+                try:
+                    check()
+                except UnknownRegionError as exc:
+                    print(exc.region_id)
+        """)
+        reported = []
+        for seed in ("1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            reported.append(proc.stdout.split())
+        assert reported == [["ghost-a", "ghost-a"]] * 2
+
 
 # -- the recursive projection, kept as the reference for ``project`` ---------
 
@@ -259,9 +295,8 @@ def _oracle_refine(region_id, e, g):
 
 def _oracle_reduce(region_ids, g):
     """Every region of the set without a strict ancestor in it, found by
-    walking each one's ancestors; the first unknown id (in the set's
-    iteration order) raises."""
-    for rid in region_ids:
+    walking each one's ancestors; the smallest unknown id raises."""
+    for rid in sorted(region_ids):
         if rid not in g:
             raise UnknownRegionError(rid)
     return frozenset(rid for rid in region_ids if region_ids.isdisjoint(g.ancestors(rid)))
